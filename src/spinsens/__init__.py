@@ -9,9 +9,9 @@ explain when high fidelity and low sensitivity coexist.
 """
 
 from .analytics import CorrelationSummary, analyze, kendall, pearson
-from .bloch import (BlochSystem, HermitianBasis, Propagator, adjoint_rep,
-                    build_bloch_system, fidelity, gell_mann_basis, propagator,
-                    site_state, state_to_bloch)
+from .bloch import (BlochSystem, HermitianBasis, adjoint_rep,
+                    build_bloch_system, fidelity, gell_mann_basis, site_state,
+                    state_to_bloch)
 from .errors import InvariantViolation
 from .geometry import (GeometryRecord, angles, identity_residual, io_operator,
                        project, pst_check)
@@ -38,7 +38,6 @@ __all__ = [
     "HermitianBasis",
     "InvariantViolation",
     "NetworkSpec",
-    "Propagator",
     "SESHamiltonian",
     "SensitivityOperator",
     "SpectralData",
@@ -65,7 +64,6 @@ __all__ = [
     "pearson",
     "perturb",
     "project",
-    "propagator",
     "propagator_matrix",
     "pst_check",
     "quadrature_oracle",

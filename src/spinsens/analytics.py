@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (build_bloch_system, fidelity, gell_mann_basis, adjoint_rep)
+from .bloch import adjoint_rep, build_bloch_system, fidelity, gell_mann_basis
 from .geometry import (GeometryRecord, angles, identity_residual, io_operator,
                        project, pst_check)
 from .network import (NetworkSpec, UncertaintyStructure, build_hamiltonian,
@@ -115,7 +115,7 @@ def evaluate_controller(controller: Controller,
         op = sensitivity_operator(sd, image, controller.t_f)
         f_n = scaling_factor(structure, controller)
         zeta = differential_sensitivity(system, op, f_n)
-        r_s, norm_rs, perp = project(r_op, phi, op)
+        _, norm_rs, perp = project(r_op, phi, op)
         if zero_fid or norm_rs <= 0.0:
             cos_phi = sin_phi = cos_theta = residual = float("nan")
             zero_fid_rec = True
@@ -136,6 +136,8 @@ def evaluate_controller(controller: Controller,
             t_f=controller.t_f,
             norm_K=op.norm_K,
             norm_Rs=norm_rs,
+            k_coeff=float(np.tensordot(r_op, op.K, axes=2)),
+            tr_phi_K=float(np.tensordot(phi, op.K, axes=2)),
             cos_phi=cos_phi,
             sin_phi=sin_phi,
             cos_theta=cos_theta,

@@ -21,13 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvariantViolation
-from .network import NetworkSpec, SESHamiltonian
-from .sensitivity import SpectralData, propagator_matrix, spectral_decompose
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+from .network import NetworkSpec, SESHamiltonian, _readonly
 
 
 @dataclass(frozen=True)
@@ -143,42 +137,10 @@ def site_state(num_spins: int, site: int) -> np.ndarray:
     return psi
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """Orthogonal flow exp(A t_f) acting on coherence vectors."""
-
-    Phi: np.ndarray
-
-    def __post_init__(self):
-        phi = np.asarray(self.Phi, dtype=float)
-        object.__setattr__(self, "Phi", phi)
-        _readonly(phi)
-        n2 = phi.shape[0]
-        defect = np.linalg.norm(phi.T @ phi - np.eye(n2))
-        if defect > 1e-10:
-            raise InvariantViolation(f"propagator not orthogonal (defect {defect:.3e})")
-        sign, _ = np.linalg.slogdet(phi)
-        if sign <= 0:
-            raise InvariantViolation("propagator must be a rotation (det > 0)")
-
-    @property
-    def dim(self) -> int:
-        return self.Phi.shape[0]
-
-
-def propagator(a: np.ndarray, t_f: float,
-               spectral: SpectralData | None = None) -> Propagator:
-    """exp(A t_f) through the spectral route; pass ``spectral`` to reuse it."""
-    if t_f < 0:
-        raise ValueError(f"read-out time must be nonnegative, got {t_f}")
-    sd = spectral if spectral is not None else spectral_decompose(a)
-    return Propagator(Phi=propagator_matrix(sd, t_f))
-
-
-def fidelity(rf: np.ndarray, phi: Propagator | np.ndarray,
+def fidelity(rf: np.ndarray, phi: np.ndarray,
              r0: np.ndarray) -> tuple[float, float]:
     """Transfer fidelity F = rf . Phi r0 and the error e = 1 - F."""
-    mat = phi.Phi if isinstance(phi, Propagator) else np.asarray(phi, dtype=float)
+    mat = np.asarray(phi, dtype=float)
     rf = np.asarray(rf, dtype=float)
     r0 = np.asarray(r0, dtype=float)
     for name, r in (("initial", r0), ("target", rf)):

@@ -65,7 +65,7 @@ def resolve_threads(value: int | None) -> int:
         if parsed < 1:
             raise CommandLineError(f"SPINSENS_THREADS must be >= 1, got {parsed}")
         return parsed
-    return os.cpu_count() or 1
+    return 1
 
 
 def file_sha256(path: Path) -> str:
@@ -148,7 +148,7 @@ def _spec_from_args(args) -> NetworkSpec:
         raise CommandLineError("missing required flags: " + ", ".join(missing))
     return NetworkSpec(num_spins=args.n, topology=args.topology,
                        input_spin=args.input_spin, output_spin=args.output_spin,
-                       coupling=args.coupling, kappa=args.kappa)
+                       coupling=args.coupling)
 
 
 def cmd_synth(args) -> int:
@@ -272,8 +272,6 @@ def build_parser() -> _Parser:
     synth.add_argument("--out", dest="output_spin", type=int,
                        help="output spin (1-indexed)")
     synth.add_argument("--coupling", type=float, default=1.0)
-    synth.add_argument("--kappa", type=float, default=0.0,
-                       help="next-nearest coupling; only 0 is supported")
     synth.add_argument("--restarts", type=int, default=100)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--tf-range", nargs=2, type=float, default=[1.0, 50.0],

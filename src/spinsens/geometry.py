@@ -30,6 +30,9 @@ import numpy as np
 from .errors import InvariantViolation
 from .sensitivity import SensitivityOperator
 
+# How far a record's cosines may stray outside [-1, 1] through rounding.
+ANGLE_TOL = 1e-9
+
 
 def _frob(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.tensordot(a, b, axes=2))
@@ -80,9 +83,12 @@ def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,
            norm_rs_perp: float | None = None) -> tuple[float, float, float]:
     """Frame angles (cos phi, sin phi, cos theta) of one record.
 
-    cos phi comes from the fidelity, sin phi from the orthogonal-component
-    norm when given (else from cos phi, with the usual cancellation), and
-    cos theta from the sensitivity. When f_n t_f != 0 the two independent
+    cos phi comes from the fidelity. An overshoot of [-1, 1] beyond
+    ``ANGLE_TOL`` is clamped when it lies within the conditioning allowance
+    8 n^2 eps / |R_S|, which only near-zero fidelity reaches, and raises
+    otherwise. sin phi comes from the orthogonal-component norm when given
+    (else from cos phi, with the usual cancellation), and cos theta from
+    the sensitivity. When f_n t_f != 0 the two independent
     routes must agree up to sign: |cos theta| = sin phi. That identity is
     asserted with a small conditioning allowance on top of the base
     tolerance; for f_n t_f = 0 the sensitivity is identically zero and
@@ -93,7 +99,17 @@ def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,
     if norm_k <= 0:
         raise ValueError("angles undefined for a vanishing sensitivity operator")
     eps = np.finfo(float).eps
+    # F and |R_S| each carry O(n^2 eps) absolute error, which near zero
+    # fidelity is large relative to both
+    slack = 8.0 * n * n * eps / norm_rs
     cos_phi = fidelity / (n * norm_rs)
+    overshoot = abs(cos_phi) - 1.0
+    if overshoot > ANGLE_TOL:
+        if overshoot > slack:
+            raise InvariantViolation(
+                f"cos phi = {cos_phi:.17e} outside [-1, 1] beyond the "
+                f"conditioning allowance {slack:.3e}")
+        cos_phi = math.copysign(1.0, cos_phi)
     if norm_rs_perp is not None:
         sin_phi = min(1.0, norm_rs_perp / norm_rs)
         # both routes to the identity below are exact up to conditioning
@@ -105,8 +121,7 @@ def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,
         floor = math.sqrt(8.0 * eps)
     if f_n * t_f != 0.0:
         cos_theta = -zeta / (t_f * f_n * norm_k * norm_rs)
-        slack = floor + 8.0 * n * n * eps / norm_rs
-        if abs(abs(cos_theta) - sin_phi) > 1e-8 + slack:
+        if abs(abs(cos_theta) - sin_phi) > 1e-8 + (floor + slack):
             raise InvariantViolation(
                 f"|cos theta| = {abs(cos_theta):.17e} and sin phi = "
                 f"{sin_phi:.17e} disagree beyond tolerance")
@@ -134,9 +149,11 @@ def pst_check(phi: np.ndarray, r0: np.ndarray, rf: np.ndarray,
 class GeometryRecord:
     """One (controller, uncertainty) row of the geometric decomposition.
 
-    Angles carry nan when the record is degenerate (fidelity at the
-    zero-measure floor); such rows keep their scale quantities but are
-    excluded from angle statistics downstream.
+    ``k_coeff`` is the frame coefficient <R, K> and ``tr_phi_K`` the frame
+    inner product <Phi, K>, zero by lemma 1. Angles carry nan when the
+    record is degenerate (fidelity at the zero-measure floor); such rows
+    keep their scale quantities but are excluded from angle statistics
+    downstream.
     """
 
     controller_index: int
@@ -148,6 +165,8 @@ class GeometryRecord:
     t_f: float
     norm_K: float
     norm_Rs: float
+    k_coeff: float
+    tr_phi_K: float
     cos_phi: float
     sin_phi: float
     cos_theta: float
@@ -158,9 +177,9 @@ class GeometryRecord:
     def __post_init__(self):
         if self.norm_K <= 0:
             raise ValueError("norm_K must be positive")
-        if math.isfinite(self.cos_phi) and abs(self.cos_phi) > 1.0 + 1e-9:
+        if math.isfinite(self.cos_phi) and abs(self.cos_phi) > 1.0 + ANGLE_TOL:
             raise ValueError(f"cos phi {self.cos_phi} outside [-1, 1]")
-        if math.isfinite(self.cos_theta) and abs(self.cos_theta) > 1.0 + 1e-9:
+        if math.isfinite(self.cos_theta) and abs(self.cos_theta) > 1.0 + ANGLE_TOL:
             raise ValueError(f"cos theta {self.cos_theta} outside [-1, 1]")
 
     @property

@@ -30,6 +30,8 @@ COUPLING = "coupling"
 CONTROL_FIELD = "control_field"
 UNITY = "unity"
 
+_SPEC_KEYS = frozenset(("n", "topology", "j", "in", "out"))
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -38,20 +40,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Static description of a spin network and its transfer task.
-
-    The ZZ coupling strength ``kappa`` is carried for interface
-    completeness but must be zero: the single-excitation diagonal
-    convention for a nonzero ZZ term is not fixed here, so nonzero
-    values are rejected at validation instead of silently guessed.
-    """
+    """Static description of a spin network and its transfer task."""
 
     num_spins: int
     topology: str
     input_spin: int
     output_spin: int
     coupling: float = 1.0
-    kappa: float = 0.0
 
     def __post_init__(self):
         n = self.num_spins
@@ -69,8 +64,6 @@ class NetworkSpec:
             raise ValueError("input and output spins must differ")
         if not self.coupling > 0:
             raise ValueError(f"coupling must be positive, got {self.coupling}")
-        if self.kappa != 0.0:
-            raise ValueError("nonzero ZZ coupling is not supported (kappa must be 0)")
 
     @property
     def coupling_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -92,7 +85,11 @@ class NetworkSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkSpec":
+        """Parse a network document; unknown keys are rejected, not ignored."""
         doc = json.loads(text)
+        unknown = sorted(set(doc) - _SPEC_KEYS)
+        if unknown:
+            raise ValueError(f"network document has unknown keys {unknown}")
         try:
             return cls(
                 num_spins=int(doc["n"]),
@@ -100,7 +97,6 @@ class NetworkSpec:
                 input_spin=int(doc["in"]),
                 output_spin=int(doc["out"]),
                 coupling=float(doc.get("j", 1.0)),
-                kappa=float(doc.get("kappa", 0.0)),
             )
         except KeyError as exc:
             raise ValueError(f"network document is missing key {exc}") from exc
@@ -111,11 +107,9 @@ class SESHamiltonian:
     """Controlled single-excitation Hamiltonian: couplings plus bias diagonal."""
 
     matrix: np.ndarray
-    biases: np.ndarray
 
     def __post_init__(self):
         _readonly(self.matrix)
-        _readonly(self.biases)
 
 
 @dataclass(frozen=True)
@@ -154,7 +148,7 @@ def build_hamiltonian(spec: NetworkSpec, biases: np.ndarray) -> SESHamiltonian:
         h[a - 1, b - 1] = j
         h[b - 1, a - 1] = j
     h[np.diag_indices(n)] = biases
-    return SESHamiltonian(matrix=h, biases=biases.copy())
+    return SESHamiltonian(matrix=h)
 
 
 def enumerate_structures(spec: NetworkSpec) -> list[UncertaintyStructure]:
@@ -202,4 +196,4 @@ def perturb(ham: SESHamiltonian, structure: UncertaintyStructure, delta: float,
                          f"Hamiltonian dimension {(n, n)}")
     f = scaling_factor(structure, controller)
     m = ham.matrix + delta * f * structure.matrix
-    return SESHamiltonian(matrix=m, biases=np.diag(m).copy())
+    return SESHamiltonian(matrix=m)

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvariantViolation
+from .network import _readonly
 
 if TYPE_CHECKING:
     from .bloch import BlochSystem
@@ -36,11 +37,6 @@ DEGENERACY_TOL_SCALE = 1e-10
 
 # Allowed imaginary residue when a reconstructed operator must be real.
 IMAG_TOL = 1e-9
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def _require_skew(a: np.ndarray, what: str) -> np.ndarray:
@@ -154,10 +150,6 @@ class SensitivityOperator:
     def __post_init__(self):
         _readonly(self.K)
         _readonly(self.Q)
-
-    def pullback(self, phi: np.ndarray) -> np.ndarray:
-        """The operator seen from the rotating frame, phi^T K; skew-symmetric."""
-        return phi.T @ self.K
 
 
 def sensitivity_operator(spectral: SpectralData, s_bloch: np.ndarray, t_f: float,

@@ -26,15 +26,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bloch import adjoint_rep, gell_mann_basis, site_state, state_to_bloch
-from .network import NetworkSpec, build_hamiltonian
+from .network import NetworkSpec, _readonly, build_hamiltonian
 from .sensitivity import SpectralData, hadamard_core, spectral_decompose
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

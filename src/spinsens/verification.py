@@ -20,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .analytics import analyze
+from .analytics import analyze, evaluate_controller
 from .bloch import (adjoint_rep, build_bloch_system, fidelity, gell_mann_basis,
                     site_state, state_to_bloch)
-from .geometry import angles, identity_residual, io_operator, project, pst_check
+from .geometry import GeometryRecord
 from .network import (NetworkSpec, UncertaintyStructure, build_hamiltonian,
-                      enumerate_structures, perturb, scaling_factor)
-from .sensitivity import (differential_sensitivity, fd_oracle, propagator_matrix,
-                          quadrature_oracle, sensitivity_operator,
+                      enumerate_structures, perturb)
+from .sensitivity import (fd_oracle, propagator_matrix, quadrature_oracle,
                           spectral_decompose)
 from .synthesis import Controller, SynthesisConfig, synthesize_ensemble, transfer_fidelity
 
@@ -56,22 +55,11 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Instance:
-    """One randomized (controller, structure) pair with derived quantities."""
+    """One randomized (controller, structure) record and its direction norm."""
 
     spec: NetworkSpec
-    controller: Controller
-    structure: UncertaintyStructure
-    s_bloch: np.ndarray
-    tr_phi_k: float
+    record: GeometryRecord
     s_frob: float
-    norm_K: float
-    zeta: float
-    f_n: float
-    fidelity: float
-    norm_Rs: float
-    k_coeff: float
-    sin_phi: float
-    residual: float
 
 
 def random_spec(rng: np.random.Generator, n: int) -> NetworkSpec:
@@ -94,52 +82,41 @@ def random_controller(rng: np.random.Generator, spec: NetworkSpec,
                       spec=spec, seed=index, index=index)
 
 
+def _structure_images(spec: NetworkSpec) -> tuple[tuple[UncertaintyStructure, ...],
+                                                  tuple[np.ndarray, ...]]:
+    # every structure of the network with its adjoint image, as analyze builds them
+    structures = tuple(enumerate_structures(spec))
+    basis = gell_mann_basis(spec.num_spins)
+    return structures, tuple(adjoint_rep(s.matrix, basis) for s in structures)
+
+
 def sample_instances(seed: int, dims: tuple[int, ...] = (2, 3, 4, 5, 6),
                      systems_per_dim: int = 14) -> list[Instance]:
-    """Randomized instance pool shared by the structural checks."""
+    """Randomized instance pool shared by the structural checks.
+
+    The records come from ``evaluate_controller``, the function behind
+    ``analyze``, so the checks test the records the tool publishes.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out: list[Instance] = []
     idx = 0
     for n in dims:
-        basis = gell_mann_basis(n)
         for _ in range(systems_per_dim):
             spec = random_spec(rng, n)
             controller = random_controller(rng, spec, index=idx)
             idx += 1
-            ham = build_hamiltonian(spec, controller.biases)
-            system = build_bloch_system(ham, spec, controller.t_f)
-            sd = spectral_decompose(system.A)
-            phi = propagator_matrix(sd, controller.t_f)
-            f_val, _ = fidelity(system.rf, phi, system.r0)
-            r_op = io_operator(system.rf, system.r0)
-            for structure in enumerate_structures(spec):
-                image = adjoint_rep(structure.matrix, basis)
-                op = sensitivity_operator(sd, image, controller.t_f)
-                f_n = scaling_factor(structure, controller)
-                zeta = differential_sensitivity(system, op, f_n)
-                r_s, norm_rs, perp = project(r_op, phi, op)
-                _, sin_phi, _ = angles(f_val, zeta, n, norm_rs, op.norm_K,
-                                       f_n, controller.t_f, norm_rs_perp=perp)
-                out.append(Instance(
-                    spec=spec, controller=controller, structure=structure,
-                    s_bloch=image,
-                    tr_phi_k=float(np.tensordot(phi, op.K, axes=2)),
-                    s_frob=float(np.linalg.norm(image)),
-                    norm_K=op.norm_K,
-                    zeta=zeta,
-                    f_n=f_n,
-                    fidelity=f_val,
-                    norm_Rs=norm_rs,
-                    k_coeff=float(np.tensordot(r_op, op.K, axes=2)),
-                    sin_phi=sin_phi,
-                    residual=identity_residual(zeta, f_n, controller.t_f,
-                                               op.norm_K, norm_rs, sin_phi)))
+            structures, images = _structure_images(spec)
+            records = evaluate_controller(controller, structures, images)
+            out.extend(Instance(spec=spec, record=r,
+                                s_frob=float(np.linalg.norm(image)))
+                       for r, image in zip(records, images))
     return out
 
 
 def check_lemma1(instances: list[Instance]) -> CheckResult:
-    """Propagator and sensitivity operator are Frobenius orthogonal."""
-    worst = max(abs(i.tr_phi_k) / (1e-9 * i.spec.num_spins ** 2) for i in instances)
+    """The propagator and the sensitivity operator are Frobenius orthogonal."""
+    worst = max(abs(i.record.tr_phi_K) / (1e-9 * i.spec.num_spins ** 2)
+                for i in instances)
     return CheckResult(
         name="lemma1-orthogonality",
         passed=worst <= 1.0,
@@ -149,34 +126,38 @@ def check_lemma1(instances: list[Instance]) -> CheckResult:
 
 def check_lemma2(instances: list[Instance]) -> CheckResult:
     """0 < |K| <= |S|_F, with strict positivity at numerical scale."""
+    norms = [i.record.norm_K for i in instances]
     bad = [i for i in instances
-           if not (1e-6 < i.norm_K <= i.s_frob + 1e-9)]
+           if not (1e-6 < i.record.norm_K <= i.s_frob + 1e-9)]
     detail = (f"{len(instances)} instances, |K| in "
-              f"[{min(i.norm_K for i in instances):.3e}, "
-              f"{max(i.norm_K for i in instances):.3e}]")
+              f"[{min(norms):.3e}, {max(norms):.3e}]")
     if bad:
-        i = bad[0]
-        detail = (f"{len(bad)} violations; first at controller seed "
-                  f"{i.controller.seed} structure {i.structure.index}: "
-                  f"|K| = {i.norm_K:.6e}, |S|_F = {i.s_frob:.6e}")
+        r = bad[0].record
+        detail = (f"{len(bad)} violations; first at controller "
+                  f"{r.controller_index} structure {r.structure_index}: "
+                  f"|K| = {r.norm_K:.6e}, |S|_F = {bad[0].s_frob:.6e}")
     return CheckResult(name="lemma2-norm-bounds", passed=not bad, detail=detail)
 
 
 def check_theorem1(instances: list[Instance]) -> CheckResult:
     """|zeta| equals the factored form within 1e-8 * max(1, |zeta|)."""
-    worst = max(i.residual / (1e-8 * max(1.0, abs(i.zeta))) for i in instances)
-    return CheckResult(
-        name="theorem1-identity",
-        passed=worst <= 1.0,
-        detail=f"{len(instances)} records, worst residual at {worst:.3e} of budget")
+    records = [i.record for i in instances if not i.record.zero_fidelity]
+    skipped = len(instances) - len(records)
+    worst = max((r.identity_residual / (1e-8 * max(1.0, r.abs_zeta))
+                 for r in records), default=0.0)
+    detail = f"{len(records)} records, worst residual at {worst:.3e} of budget"
+    if skipped:
+        detail += f", {skipped} zero-fidelity records left out"
+    return CheckResult(name="theorem1-identity", passed=worst <= 1.0, detail=detail)
 
 
 def check_remark1(instances: list[Instance]) -> CheckResult:
     """|R_S|^2 decomposes into the two frame coefficients."""
     worst = 0.0
     for i in instances:
-        frame_sq = (i.fidelity / i.spec.num_spins) ** 2 + (i.k_coeff / i.norm_K) ** 2
-        worst = max(worst, abs(i.norm_Rs ** 2 - frame_sq))
+        r = i.record
+        frame_sq = (r.F / i.spec.num_spins) ** 2 + (r.k_coeff / r.norm_K) ** 2
+        worst = max(worst, abs(r.norm_Rs ** 2 - frame_sq))
     return CheckResult(
         name="remark1-frame-norm",
         passed=worst <= 1e-10,
@@ -186,20 +167,22 @@ def check_remark1(instances: list[Instance]) -> CheckResult:
 def check_remark2(instances: list[Instance]) -> CheckResult:
     """F/N <= |R_S| always; |R_S| <= 1/N is empirical, failure only warns."""
     lower_bad = [i for i in instances
-                 if i.norm_Rs < i.fidelity / i.spec.num_spins - 1e-12]
+                 if i.record.norm_Rs < i.record.F / i.spec.num_spins - 1e-12]
     upper_bad = [i for i in instances
-                 if i.norm_Rs > 1.0 / i.spec.num_spins + 1e-10]
+                 if i.record.norm_Rs > 1.0 / i.spec.num_spins + 1e-10]
     if lower_bad:
         i = lower_bad[0]
+        r = i.record
         return CheckResult(
             name="remark2-projection-bounds", passed=False,
-            detail=f"lower bound broken at controller seed {i.controller.seed} "
-                   f"structure {i.structure.index}: |R_S| = {i.norm_Rs:.12e} "
-                   f"< F/N = {i.fidelity / i.spec.num_spins:.12e}")
+            detail=f"lower bound broken at controller {r.controller_index} "
+                   f"structure {r.structure_index}: |R_S| = {r.norm_Rs:.12e} "
+                   f"< F/N = {r.F / i.spec.num_spins:.12e}")
     if upper_bad:
         dump = "; ".join(
-            f"seed {i.controller.seed} structure {i.structure.index} "
-            f"|R_S| = {i.norm_Rs:.12e} (1/N = {1.0 / i.spec.num_spins:.6e})"
+            f"controller {i.record.controller_index} structure "
+            f"{i.record.structure_index} |R_S| = {i.record.norm_Rs:.12e} "
+            f"(1/N = {1.0 / i.spec.num_spins:.6e})"
             for i in upper_bad[:5])
         return CheckResult(
             name="remark2-projection-bounds", passed=True, warning=True,
@@ -241,17 +224,15 @@ def check_three_way(seed: int, dims: tuple[int, ...] = (2, 3, 4, 5),
             controller = random_controller(rng, spec, index=k)
             structures = enumerate_structures(spec)
             structure = structures[int(rng.integers(len(structures)))]
-            ham = build_hamiltonian(spec, controller.biases)
-            system = build_bloch_system(ham, spec, controller.t_f)
-            sd = spectral_decompose(system.A)
             image = adjoint_rep(structure.matrix, basis)
-            op = sensitivity_operator(sd, image, controller.t_f)
-            f_n = scaling_factor(structure, controller)
-            zeta = differential_sensitivity(system, op, f_n)
+            record, = evaluate_controller(controller, (structure,), (image,))
+            system = build_bloch_system(
+                build_hamiltonian(spec, controller.biases), spec, controller.t_f)
             quad = quadrature_oracle(system.A, image, controller.t_f,
-                                     system.r0, system.rf, f_n)
+                                     system.r0, system.rf, record.f_n)
             fd = fd_oracle(lambda st, c, d: perturbed_error(c, st, d),
                            structure, controller, h)
+            zeta = record.zeta
             worst_quad = max(worst_quad,
                              abs(quad - zeta) / max(1e-8 * abs(zeta), 1e-10))
             worst_fd = max(worst_fd,
@@ -272,32 +253,20 @@ def check_pst_sufficiency() -> CheckResult:
     controller = Controller(biases=np.zeros(2), t_f=t_f,
                             fidelity=transfer_fidelity(spec, np.zeros(2), t_f),
                             spec=spec, seed=0, index=0)
-    ham = build_hamiltonian(spec, controller.biases)
-    system = build_bloch_system(ham, spec, t_f)
-    sd = spectral_decompose(system.A)
-    phi = propagator_matrix(sd, t_f)
-    if not pst_check(phi, system.r0, system.rf):
+    structures, images = _structure_images(spec)
+    records = evaluate_controller(controller, structures, images)
+    if not all(r.pst for r in records):
         return CheckResult(name="theorem2-sufficiency", passed=False,
                            detail="two-spin point is not perfect transfer")
-    f_val, _ = fidelity(system.rf, phi, system.r0)
-    r_op = io_operator(system.rf, system.r0)
-    basis = gell_mann_basis(2)
     worst_zeta = 0.0
     worst_rs = 0.0
     worst_cos = 0.0
-    for structure in enumerate_structures(spec):
-        image = adjoint_rep(structure.matrix, basis)
-        op = sensitivity_operator(sd, image, t_f)
-        f_n = scaling_factor(structure, controller)
-        zeta = differential_sensitivity(system, op, f_n)
+    for r in records:
         # unit scaling probes the bias structures too; on-site biases are 0
-        zeta_unit = differential_sensitivity(system, op, 1.0)
-        r_s, norm_rs, perp = project(r_op, phi, op)
-        cos_phi, _, _ = angles(f_val, zeta, 2, norm_rs, op.norm_K, f_n, t_f,
-                               norm_rs_perp=perp)
-        worst_zeta = max(worst_zeta, abs(zeta), abs(zeta_unit))
-        worst_rs = max(worst_rs, abs(norm_rs - 0.5))
-        worst_cos = max(worst_cos, abs(cos_phi - 1.0))
+        zeta_unit = -t_f * r.k_coeff
+        worst_zeta = max(worst_zeta, abs(r.zeta), abs(zeta_unit))
+        worst_rs = max(worst_rs, abs(r.norm_Rs - 0.5))
+        worst_cos = max(worst_cos, abs(r.cos_phi - 1.0))
     passed = worst_zeta <= 1e-9 and worst_rs <= 1e-9 and worst_cos <= 1e-9
     return CheckResult(
         name="theorem2-sufficiency",

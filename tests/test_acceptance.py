@@ -37,7 +37,7 @@ def report(num, ok, detail):
 
 def test_criterion_01_frame_orthogonality(instance_pool):
     instances, elapsed = instance_pool
-    worst = max(abs(i.tr_phi_k) / (1e-9 * i.spec.num_spins ** 2)
+    worst = max(abs(i.record.tr_phi_K) / (1e-9 * i.spec.num_spins ** 2)
                 for i in instances)
     ok = len(instances) >= 500 and worst <= 1.0 and elapsed <= 60.0
     report(1, ok, f"{len(instances)} instances, worst |tr(Phi^T K)| at "
@@ -46,8 +46,8 @@ def test_criterion_01_frame_orthogonality(instance_pool):
 
 def test_criterion_02_operator_norm_bounds(instance_pool):
     instances, _ = instance_pool
-    bad = [i for i in instances if not 1e-6 < i.norm_K <= i.s_frob + 1e-9]
-    margin = min(i.s_frob + 1e-9 - i.norm_K for i in instances)
+    bad = [i for i in instances if not 1e-6 < i.record.norm_K <= i.s_frob + 1e-9]
+    margin = min(i.s_frob + 1e-9 - i.record.norm_K for i in instances)
     report(2, not bad, f"{len(instances)} instances, 0 out of bounds, "
                        f"tightest upper margin {margin:.2e}")
 
@@ -55,11 +55,12 @@ def test_criterion_02_operator_norm_bounds(instance_pool):
 def test_criterion_03_factored_identity(instance_pool, ring4_analysis):
     instances, _ = instance_pool
     records, _ = ring4_analysis
-    bad_pool = [i for i in instances
-                if i.residual > 1e-8 * max(1.0, abs(i.zeta))]
+    pool = [i.record for i in instances]
+    bad_pool = [r for r in pool
+                if r.identity_residual > 1e-8 * max(1.0, r.abs_zeta)]
     bad_ring = [r for r in records
                 if not r.identity_residual <= 1e-8 * max(1.0, r.abs_zeta)]
-    worst = max(i.residual / (1e-8 * max(1.0, abs(i.zeta))) for i in instances)
+    worst = max(r.identity_residual / (1e-8 * max(1.0, r.abs_zeta)) for r in pool)
     ok = not bad_pool and not bad_ring
     report(3, ok, f"{len(instances)} pool + {len(records)} ensemble records, "
                   f"worst residual at {worst:.2e} of budget")

@@ -57,8 +57,17 @@ class TestArgumentHandling:
                      "--in", "1", "--out", "1"]) == 1
         assert "differ" in capsys.readouterr().err
 
-    def test_nonzero_kappa_rejected(self):
+    def test_nonzero_kappa_rejected(self, capsys):
+        # no ZZ term is modelled, so there is no flag for one
         assert main(["synth", *RING_FLAGS, "--kappa", "0.5"]) == 1
+        assert "unrecognized arguments: --kappa" in capsys.readouterr().err
+
+    def test_spec_file_with_unknown_key_rejected(self, tmp_path, capsys):
+        spec = tmp_path / "net.json"
+        spec.write_text('{"n": 4, "topology": "ring", "j": 1.0, "in": 1, "out": 2, '
+                        '"kappa": 0.5}')
+        assert main(["synth", "--spec", str(spec), "--restarts", "1"]) == 1
+        assert "kappa" in capsys.readouterr().err
 
 
 class TestThreadResolution:
@@ -72,7 +81,7 @@ class TestThreadResolution:
 
     def test_default_without_env(self, monkeypatch):
         monkeypatch.delenv("SPINSENS_THREADS", raising=False)
-        assert resolve_threads(None) >= 1
+        assert resolve_threads(None) == 1
 
     def test_bad_values_rejected(self, monkeypatch):
         with pytest.raises(CommandLineError):
@@ -214,6 +223,33 @@ class TestPerfectTransferRows:
         body = summaries.read_text().splitlines()[1:]
         for line in body:
             assert math.isnan(float(line.split(",")[2]))
+
+
+class TestNearZeroFidelity:
+    # a random 12-chain controller with F = 3.1e-9: the rounding in F and
+    # |R_S| pushed cos phi to 1.0000000085912437, which used to abort analyze
+    BIASES = (6.9743530246516201, 4.2576973443995403, 8.8568065964722908,
+              1.4089658578466691, 3.9097544387691241, 9.8020506956545042,
+              1.9569851559017826, 3.2369395794774078, 9.9365956471419175,
+              8.888440310011589, 8.8465212683743175, 2.4882055069079656)
+
+    def test_analyze_keeps_cosines_in_range(self, tmp_path):
+        controllers = tmp_path / "chain12.json"
+        biases = ", ".join(repr(b) for b in self.BIASES)
+        controllers.write_text(
+            f'[{{"index": 2, "seed": 2, "tf": 45.266065485182246, '
+            f'"biases": [{biases}], "fidelity": 3.142084537000045e-09}}]\n')
+        (tmp_path / "chain12.spec.json").write_text(
+            '{"n": 12, "topology": "chain", "j": 1.0, "in": 1, "out": 12}')
+        records, _ = run_analyze(controllers, threads=1)
+        lines = records.read_text().splitlines()
+        assert len(lines) == 1 + 23
+        cols = {name: i for i, name in enumerate(RECORD_COLUMNS)}
+        for line in lines[1:]:
+            parts = line.split(",")
+            assert 0.0 < float(parts[cols["F"]]) < 1e-8
+            for name in ("cos_phi", "sin_phi", "cos_theta"):
+                assert abs(float(parts[cols[name]])) <= 1.0
 
 
 class TestVerifyCommand:

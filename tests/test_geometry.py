@@ -140,6 +140,21 @@ class TestAngles:
                                              norm_rs_perp=0.2)
         assert cos_theta == 0.0
 
+    def test_cos_phi_overshoot_near_zero_fidelity_clamped(self):
+        # F = 3.1e-9 on a 12-chain: rounding in F and |R_S| reached 8.6e-9
+        norm_rs = 2.6e-10
+        f = 12 * norm_rs * (1.0 + 8.6e-9)
+        cos_phi, _, _ = angles(f, 0.0, 12, norm_rs, 1.0, 0.0, 1.0, norm_rs_perp=0.0)
+        assert cos_phi == 1.0
+        # overshoots inside the record tolerance are kept as computed
+        cos_phi, _, _ = angles(1.0 + 1e-12, 0.0, 2, 0.5, 1.0, 0.0, 1.0,
+                               norm_rs_perp=0.0)
+        assert cos_phi == 1.0 + 1e-12
+
+    def test_cos_phi_overshoot_beyond_allowance_rejected(self):
+        with pytest.raises(InvariantViolation):
+            angles(1.0 + 1e-6, 0.0, 2, 0.5, 1.0, 0.0, 1.0, norm_rs_perp=0.0)
+
     def test_vanishing_projection_rejected(self):
         with pytest.raises(ValueError):
             angles(0.0, 0.0, 2, 0.0, 1.0, 1.0, 1.0)
@@ -229,7 +244,7 @@ class TestGeometryRecord:
     def _kwargs(self, **over):
         kw = dict(controller_index=0, structure_index=1, F=0.9, e=0.1,
                   zeta=-0.01, f_n=1.0, t_f=2.0, norm_K=1.5, norm_Rs=0.22,
-                  cos_phi=0.98, sin_phi=0.2, cos_theta=0.2,
+                  k_coeff=0.066, tr_phi_K=0.0, cos_phi=0.98, sin_phi=0.2, cos_theta=0.2,
                   identity_residual=1e-12, pst=False, zero_fidelity=False)
         kw.update(over)
         return kw

@@ -1,0 +1,46 @@
+"""Property tests: the record invariants over random networks and controllers."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinsens import Controller, NetworkSpec, adjoint_rep, enumerate_structures
+from spinsens import gell_mann_basis, transfer_fidelity
+from spinsens.analytics import evaluate_controller
+
+
+@st.composite
+def controllers(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    topology = draw(st.sampled_from(("chain", "ring") if n >= 3 else ("chain",)))
+    input_spin = draw(st.integers(min_value=1, max_value=n))
+    output_spin = draw(st.integers(min_value=1, max_value=n).filter(
+        lambda s: s != input_spin))
+    biases = np.array(draw(st.lists(
+        st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+        min_size=n, max_size=n)))
+    t_f = draw(st.floats(min_value=0.3, max_value=3.0))
+    spec = NetworkSpec(num_spins=n, topology=topology, input_spin=input_spin,
+                       output_spin=output_spin)
+    f = transfer_fidelity(spec, biases, t_f)
+    return Controller(biases=biases, t_f=t_f, fidelity=min(1.0, max(0.0, f)),
+                      spec=spec, seed=0, index=0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(controllers())
+def test_record_invariants(controller):
+    n = controller.spec.num_spins
+    structures = tuple(enumerate_structures(controller.spec))
+    basis = gell_mann_basis(n)
+    images = tuple(adjoint_rep(s.matrix, basis) for s in structures)
+    for r in evaluate_controller(controller, structures, images):
+        # lemma 1: the propagator and K are Frobenius orthogonal
+        assert abs(r.tr_phi_K) <= 1e-9 * n * n
+        # theorem 1: the factored identity, where the angles are defined
+        if not r.zero_fidelity:
+            assert r.identity_residual <= 1e-8 * max(1.0, r.abs_zeta)
+        # remark 1: |R_S|^2 splits into the two frame coefficients
+        assert abs(r.norm_Rs ** 2 - (r.F / n) ** 2 - (r.k_coeff / r.norm_K) ** 2) <= 1e-10
+        # remark 2: the projection is at least F/N
+        assert r.norm_Rs >= r.F / n - 1e-12
