@@ -203,7 +203,7 @@ def cmd_analyze(args) -> int:
     try:
         spec = NetworkSpec.from_json(spec_text)
         controllers = controllers_from_json(controllers_text, spec)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except json.JSONDecodeError as exc:
         raise IOError(f"corrupt input file: {exc}") from exc
     if not controllers:
         raise CommandLineError(f"no controllers in {controllers_path}")

@@ -88,10 +88,11 @@ def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,
     8 n^2 eps / |R_S|, which only near-zero fidelity reaches, and raises
     otherwise. sin phi comes from the orthogonal-component norm when given
     (else from cos phi, with the usual cancellation), and cos theta from
-    the sensitivity. When f_n t_f != 0 the two independent
-    routes must agree up to sign: |cos theta| = sin phi. That identity is
-    asserted with a small conditioning allowance on top of the base
-    tolerance; for f_n t_f = 0 the sensitivity is identically zero and
+    the sensitivity. When the scale f_n t_f |K| |R_S| is a normal float
+    the two independent routes must agree up to sign: |cos theta| =
+    sin phi. That identity is asserted with a small conditioning allowance
+    on top of the base tolerance. Below that scale (f_n = 0, or a
+    subnormal f_n) the sensitivity is zero at working precision and
     cos theta is reported as 0 with no assertion.
     """
     if not norm_rs > 0:
@@ -119,8 +120,9 @@ def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,
         # the square root halves the working precision near cos phi = 1;
         # sqrt(8 eps) is the provable noise floor of this route
         floor = math.sqrt(8.0 * eps)
-    if f_n * t_f != 0.0:
-        cos_theta = -zeta / (t_f * f_n * norm_k * norm_rs)
+    scale = t_f * f_n * norm_k * norm_rs
+    if scale >= np.finfo(float).tiny:
+        cos_theta = -zeta / scale
         if abs(abs(cos_theta) - sin_phi) > 1e-8 + (floor + slack):
             raise InvariantViolation(
                 f"|cos theta| = {abs(cos_theta):.17e} and sin phi = "

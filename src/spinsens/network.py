@@ -87,6 +87,8 @@ class NetworkSpec:
     def from_json(cls, text: str) -> "NetworkSpec":
         """Parse a network document; unknown keys are rejected, not ignored."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("network document must be a JSON object")
         unknown = sorted(set(doc) - _SPEC_KEYS)
         if unknown:
             raise ValueError(f"network document has unknown keys {unknown}")
@@ -100,6 +102,8 @@ class NetworkSpec:
             )
         except KeyError as exc:
             raise ValueError(f"network document is missing key {exc}") from exc
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"network document has a field of the wrong type: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,11 @@ if TYPE_CHECKING:
 # difference is continuous across the threshold, so the cut is benign.
 DEGENERACY_TOL_SCALE = 1e-10
 
+# The difference quotient loses about eps / |x| relative accuracy at
+# half phase gap x = (lam_k - lam_l) t_f / 2. Inside this band (where that
+# loss would pass 1e-12) the equivalent product form takes over.
+PRODUCT_FORM_BAND = 1e-4
+
 # Allowed imaginary residue when a reconstructed operator must be real.
 IMAG_TOL = 1e-9
 
@@ -116,7 +121,10 @@ def hadamard_core(z: np.ndarray, lam: np.ndarray, t_f: float,
     Entry (k, l) of the result is z_kl * exp(i lam_k t_f) when the two
     frequencies coincide (within ``degeneracy_tol``), and otherwise
     z_kl * (exp(i lam_k t_f) - exp(i lam_l t_f)) / (i t_f (lam_k - lam_l)),
-    the limit of which is the degenerate branch. t_f = 0 takes the
+    the limit of which is the degenerate branch. Where the half phase gap
+    x = (lam_k - lam_l) t_f / 2 lies inside ``PRODUCT_FORM_BAND`` the
+    quotient is taken in its cancellation-free form
+    exp(i (lam_k + lam_l) t_f / 2) sin(x) / x. t_f = 0 takes the
     degenerate branch everywhere (the weight matrix becomes all ones).
     """
     z = np.asarray(z, dtype=complex)
@@ -127,9 +135,13 @@ def hadamard_core(z: np.ndarray, lam: np.ndarray, t_f: float,
         degeneracy_tol = DEGENERACY_TOL_SCALE * (np.abs(lam).max() if lam.size else 0.0)
     phases = np.exp(1j * lam * t_f)
     diff = lam[:, None] - lam[None, :]
-    degenerate = np.abs(diff) <= degeneracy_tol
+    gap = np.abs(diff)
+    degenerate = gap <= degeneracy_tol
     safe = np.where(degenerate, 1.0, diff)
     x = (phases[:, None] - phases[None, :]) / (1j * t_f * safe)
+    k, l = np.nonzero(gap < 2.0 * PRODUCT_FORM_BAND / abs(t_f))
+    x[k, l] = (np.exp(0.5j * t_f * (lam[k] + lam[l]))
+               * np.sinc(t_f * diff[k, l] / (2.0 * np.pi)))
     x = np.where(degenerate, np.broadcast_to(phases[:, None], x.shape), x)
     return z * x
 

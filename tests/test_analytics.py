@@ -181,6 +181,20 @@ class TestDegenerateEnsembles:
             assert math.isnan(s.pearson_r_loglog)
             assert math.isnan(s.kendall_tau)
 
+    def test_near_uniform_ring_is_analyzed(self):
+        # a synthesized 4-ring controller whose biases agree to 3e-9: its
+        # adjoint frequencies split by 1e-9, just past the degeneracy cut,
+        # where the difference quotient left an imaginary residue of 1.3e-7
+        spec = NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=2)
+        biases = np.array([4.5487219827235013, 4.54872198198942,
+                           4.5487219808065964, 4.5487219839076811])
+        controller = Controller(biases=biases, t_f=11.780972454160555,
+                                fidelity=0.25, spec=spec, seed=14, index=0)
+        records, _ = analyze([controller])
+        assert len(records) == len(enumerate_structures(spec))
+        for r in records:
+            assert r.identity_residual <= 1e-8 * max(1.0, r.abs_zeta)
+
     def test_zero_scale_records_excluded_from_count(self):
         # unbiased controllers: bias structures have f_n = 0, hence an
         # exactly zero sensitivity with no log image; the used-row count

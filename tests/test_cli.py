@@ -69,6 +69,14 @@ class TestArgumentHandling:
         assert main(["synth", "--spec", str(spec), "--restarts", "1"]) == 1
         assert "kappa" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        "5", '{"n": [4], "topology": "ring", "j": 1.0, "in": 1, "out": 2}'])
+    def test_malformed_spec_file_is_validation_error(self, tmp_path, capsys, doc):
+        spec = tmp_path / "net.json"
+        spec.write_text(doc)
+        assert main(["synth", "--spec", str(spec), "--restarts", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestThreadResolution:
     def test_explicit_wins(self, monkeypatch):
@@ -112,6 +120,26 @@ class TestAnalyzeInputs:
         (tmp_path / "rows.spec.json").write_text(
             '{"n": 2, "topology": "chain", "j": 1.0, "in": 1, "out": 2}')
         assert main(["analyze", str(bad)]) == 1
+
+    @pytest.mark.parametrize("doc", [
+        "5", '{"n": [2], "topology": "chain", "j": 1.0, "in": 1, "out": 2}'])
+    def test_malformed_spec_sidecar_is_validation_error(self, tmp_path, capsys, doc):
+        rows = tmp_path / "rows.json"
+        rows.write_text('[{"index": 0, "tf": 1.0, "biases": [0, 0], "fidelity": 0.5}]')
+        (tmp_path / "rows.spec.json").write_text(doc)
+        assert main(["analyze", str(rows)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("doc", [
+        "[5]", '[{"index": 0, "tf": [1.0], "biases": [0, 0], "fidelity": 0.5}]',
+        '[{"index": null, "tf": 1.0, "biases": [0, 0], "fidelity": 0.5}]'])
+    def test_malformed_row_is_validation_error(self, tmp_path, capsys, doc):
+        rows = tmp_path / "rows.json"
+        rows.write_text(doc)
+        (tmp_path / "rows.spec.json").write_text(
+            '{"n": 2, "topology": "chain", "j": 1.0, "in": 1, "out": 2}')
+        assert main(["analyze", str(rows)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_empty_ensemble_is_validation_error(self, tmp_path):
         empty = tmp_path / "none.json"

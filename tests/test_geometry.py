@@ -140,6 +140,13 @@ class TestAngles:
                                              norm_rs_perp=0.2)
         assert cos_theta == 0.0
 
+    def test_subnormal_scale_reports_zero_cos_theta(self):
+        # a subnormal bias underflows zeta and the scale; neither resolves cos theta
+        for f_n, zeta in ((5e-324, 0.0), (1e-310, -1e-310)):
+            _, _, cos_theta = angles(0.5, zeta, 2, 0.4, 0.3, f_n, 1.0,
+                                     norm_rs_perp=0.2)
+            assert cos_theta == 0.0
+
     def test_cos_phi_overshoot_near_zero_fidelity_clamped(self):
         # F = 3.1e-9 on a 12-chain: rounding in F and |R_S| reached 8.6e-9
         norm_rs = 2.6e-10

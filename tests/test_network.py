@@ -52,6 +52,13 @@ class TestNetworkSpec:
         with pytest.raises(ValueError, match="kappa"):
             NetworkSpec.from_json(doc)
 
+    def test_malformed_document_rejected(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            NetworkSpec.from_json("5")
+        with pytest.raises(ValueError, match="wrong type"):
+            NetworkSpec.from_json(
+                '{"n": [4], "topology": "ring", "j": 1.0, "in": 1, "out": 2}')
+
     def test_bad_topology_rejected(self):
         with pytest.raises(ValueError):
             NetworkSpec(num_spins=3, topology="star", input_spin=1, output_spin=2)

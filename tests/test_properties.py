@@ -1,27 +1,33 @@
-"""Property tests: the record invariants over random networks and controllers."""
+"""Property tests: the record invariants over random networks and controllers,
+and the synthesis objective against the adjoint-picture records."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsens import Controller, NetworkSpec, adjoint_rep, enumerate_structures
-from spinsens import gell_mann_basis, transfer_fidelity
+from spinsens import fidelity_objective, gell_mann_basis, transfer_fidelity
 from spinsens.analytics import evaluate_controller
 
 
 @st.composite
-def controllers(draw):
-    n = draw(st.integers(min_value=2, max_value=6))
+def networks(draw, max_n):
+    n = draw(st.integers(min_value=2, max_value=max_n))
     topology = draw(st.sampled_from(("chain", "ring") if n >= 3 else ("chain",)))
     input_spin = draw(st.integers(min_value=1, max_value=n))
     output_spin = draw(st.integers(min_value=1, max_value=n).filter(
         lambda s: s != input_spin))
+    return NetworkSpec(num_spins=n, topology=topology, input_spin=input_spin,
+                       output_spin=output_spin)
+
+
+@st.composite
+def controllers(draw):
+    spec = draw(networks(6))
     biases = np.array(draw(st.lists(
         st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
-        min_size=n, max_size=n)))
+        min_size=spec.num_spins, max_size=spec.num_spins)))
     t_f = draw(st.floats(min_value=0.3, max_value=3.0))
-    spec = NetworkSpec(num_spins=n, topology=topology, input_spin=input_spin,
-                       output_spin=output_spin)
     f = transfer_fidelity(spec, biases, t_f)
     return Controller(biases=biases, t_f=t_f, fidelity=min(1.0, max(0.0, f)),
                       spec=spec, seed=0, index=0)
@@ -34,9 +40,11 @@ def test_record_invariants(controller):
     structures = tuple(enumerate_structures(controller.spec))
     basis = gell_mann_basis(n)
     images = tuple(adjoint_rep(s.matrix, basis) for s in structures)
-    for r in evaluate_controller(controller, structures, images):
+    for r, image in zip(evaluate_controller(controller, structures, images), images):
         # lemma 1: the propagator and K are Frobenius orthogonal
         assert abs(r.tr_phi_K) <= 1e-9 * n * n
+        # lemma 2: |K| is positive and bounded by the direction's norm
+        assert 1e-6 < r.norm_K <= np.linalg.norm(image) + 1e-9
         # theorem 1: the factored identity, where the angles are defined
         if not r.zero_fidelity:
             assert r.identity_residual <= 1e-8 * max(1.0, r.abs_zeta)
@@ -44,3 +52,37 @@ def test_record_invariants(controller):
         assert abs(r.norm_Rs ** 2 - (r.F / n) ** 2 - (r.k_coeff / r.norm_K) ** 2) <= 1e-10
         # remark 2: the projection is at least F/N
         assert r.norm_Rs >= r.F / n - 1e-12
+
+
+@st.composite
+def working_points(draw):
+    spec = draw(networks(8))
+    n = spec.num_spins
+    bias = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+    if spec.topology == "ring" and draw(st.booleans()):
+        # a uniform bias leaves the ring's degenerate spectrum intact
+        biases = np.full(n, draw(bias))
+    else:
+        biases = np.array(draw(st.lists(bias, min_size=n, max_size=n)))
+    t_f = draw(st.floats(min_value=0.1, max_value=50.0))
+    return spec, biases, t_f
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(working_points())
+def test_objective_matches_adjoint_records(point):
+    # the N x N objective against the N^2 x N^2 adjoint picture: the fidelity
+    # and, per bias site n, the gradient equals t_f <R, K_n>
+    spec, biases, t_f = point
+    n = spec.num_spins
+    f, grad = fidelity_objective(spec, biases, t_f)
+    controller = Controller(biases=biases, t_f=t_f, fidelity=min(1.0, f),
+                            spec=spec, seed=0, index=0)
+    structures = tuple(enumerate_structures(spec))[:n]
+    basis = gell_mann_basis(n)
+    images = tuple(adjoint_rep(s.matrix, basis) for s in structures)
+    records = evaluate_controller(controller, structures, images)
+    for site, r in enumerate(records):
+        assert abs(f - r.F) <= 1e-9
+        expected = t_f * r.k_coeff
+        assert abs(grad[site] - expected) <= 1e-9 * max(1.0, abs(expected))

@@ -124,6 +124,19 @@ class TestHadamardCore:
         above = hadamard_core(z, np.array([1.0, 1.0 + gap]), t, degeneracy_tol=1e-10)
         assert np.abs(below - above).max() < 1e-7
 
+    def test_near_degenerate_pair_matches_high_precision(self):
+        # gaps just past the degeneracy cut, where the difference quotient
+        # cancels; reference values at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        t = 50.0
+        for gap in (1e-9, 1e-7, 1e-6, 1e-3):
+            lam = np.array([1.0, 1.0 + gap])
+            q = hadamard_core(np.ones((2, 2), dtype=complex), lam, t)
+            a, b = (mpmath.mpf(float(v)) for v in lam)
+            want = (mpmath.expj(a * t) - mpmath.expj(b * t)) / (1j * t * (a - b))
+            assert abs(complex(want) - q[0, 1]) <= 1e-13 * abs(complex(want))
+
 
 class TestSensitivityOperator:
     def _setup(self, rng, n=4, t_f=1.6):
