@@ -177,11 +177,13 @@ def summarize_structure(records: list[GeometryRecord],
         var_norm_K=float(norms.var()))
 
 
-def analyze(controllers: list[Controller],
-            structures: tuple[UncertaintyStructure, ...] | None = None,
-            *, threads: int | None = None, pst_tol: float = 1e-12,
+def analyze(controllers: list[Controller], *, threads: int | None = None,
+            pst_tol: float = 1e-12,
             ) -> tuple[list[GeometryRecord], list[CorrelationSummary]]:
     """Records for every (controller, structure) pair plus per-structure stats.
+
+    The structures are those ``enumerate_structures`` gives for the network
+    all controllers share.
 
     The per-controller work runs as a parallel map when ``threads`` > 1;
     the output order depends only on the input order.
@@ -192,8 +194,7 @@ def analyze(controllers: list[Controller],
     for c in controllers:
         if c.spec != spec:
             raise ValueError("all controllers must share one network")
-    if structures is None:
-        structures = enumerate_structures(spec)
+    structures = enumerate_structures(spec)
     basis = gell_mann_basis(spec.num_spins)
     s_images = tuple(adjoint_rep(s.matrix, basis) for s in structures)
 

@@ -12,12 +12,11 @@ against the K direction. The working identity is
 
 which factors the sensitivity into scale terms and a pure alignment term.
 
-Numerical note: sin phi computed as sqrt(1 - cos^2 phi) loses half the
-digits when phi is tiny, exactly the regime of near-perfect transfer
+Numerical note: sin phi computed as sqrt(1 - cos^2 phi) would lose half
+the digits when phi is tiny, exactly the regime of near-perfect transfer
 that matters most. ``project`` therefore also reports the norm of the
-component of R_S orthogonal to the propagator, from which sin phi
-follows by division without cancellation; ``angles`` prefers that route
-when offered.
+component of R_S orthogonal to the propagator, and ``angles`` takes
+sin phi from it by division, without cancellation.
 """
 
 from __future__ import annotations
@@ -80,20 +79,20 @@ def project(r_op: np.ndarray, phi: np.ndarray,
 
 def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,
            f_n: float, t_f: float, *,
-           norm_rs_perp: float | None = None) -> tuple[float, float, float]:
+           norm_rs_perp: float) -> tuple[float, float, float]:
     """Frame angles (cos phi, sin phi, cos theta) of one record.
 
     cos phi comes from the fidelity. An overshoot of [-1, 1] beyond
     ``ANGLE_TOL`` is clamped when it lies within the conditioning allowance
     8 n^2 eps / |R_S|, which only near-zero fidelity reaches, and raises
-    otherwise. sin phi comes from the orthogonal-component norm when given
-    (else from cos phi, with the usual cancellation), and cos theta from
-    the sensitivity. When the scale f_n t_f |K| |R_S| is a normal float
-    the two independent routes must agree up to sign: |cos theta| =
-    sin phi. That identity is asserted with a small conditioning allowance
-    on top of the base tolerance. Below that scale (f_n = 0, or a
-    subnormal f_n) the sensitivity is zero at working precision and
-    cos theta is reported as 0 with no assertion.
+    otherwise. sin phi is |R_S - P_Phi R_S| / |R_S|, from the orthogonal
+    component ``project`` reports, and cos theta comes from the
+    sensitivity. When the scale f_n t_f |K| |R_S| is a normal float the
+    two independent routes must agree up to sign: |cos theta| = sin phi.
+    That identity is asserted with the conditioning allowance on top of
+    the base tolerance. Below that scale (f_n = 0, or a subnormal f_n) the
+    sensitivity is zero at working precision and cos theta is reported as
+    0 with no assertion.
     """
     if not norm_rs > 0:
         raise ValueError("angles undefined for a vanishing projection")
@@ -111,19 +110,11 @@ def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,
                 f"cos phi = {cos_phi:.17e} outside [-1, 1] beyond the "
                 f"conditioning allowance {slack:.3e}")
         cos_phi = math.copysign(1.0, cos_phi)
-    if norm_rs_perp is not None:
-        sin_phi = min(1.0, norm_rs_perp / norm_rs)
-        # both routes to the identity below are exact up to conditioning
-        floor = 0.0
-    else:
-        sin_phi = math.sqrt(max(0.0, 1.0 - cos_phi ** 2))
-        # the square root halves the working precision near cos phi = 1;
-        # sqrt(8 eps) is the provable noise floor of this route
-        floor = math.sqrt(8.0 * eps)
+    sin_phi = min(1.0, norm_rs_perp / norm_rs)
     scale = t_f * f_n * norm_k * norm_rs
     if scale >= np.finfo(float).tiny:
         cos_theta = -zeta / scale
-        if abs(abs(cos_theta) - sin_phi) > 1e-8 + (floor + slack):
+        if abs(abs(cos_theta) - sin_phi) > 1e-8 + slack:
             raise InvariantViolation(
                 f"|cos theta| = {abs(cos_theta):.17e} and sin phi = "
                 f"{sin_phi:.17e} disagree beyond tolerance")

@@ -62,8 +62,8 @@ class NetworkSpec:
                 raise ValueError(f"{name} must be in 1..{n}, got {spin}")
         if self.input_spin == self.output_spin:
             raise ValueError("input and output spins must differ")
-        if not self.coupling > 0:
-            raise ValueError(f"coupling must be positive, got {self.coupling}")
+        if not 0 < self.coupling < np.inf:
+            raise ValueError(f"coupling must be positive and finite, got {self.coupling}")
 
     @property
     def coupling_pairs(self) -> tuple[tuple[int, int], ...]:

@@ -4,10 +4,12 @@ Everything here works on the real N^2-dimensional adjoint picture: the
 generator A is skew-symmetric, so iA is Hermitian and A = M diag(i lam) M*
 with real frequencies lam. The derivative of exp(A t) along a skew
 direction has a closed form in that eigenbasis: conjugate the direction
-into the eigenbasis, multiply entrywise by divided differences of the
-phase factors, and conjugate back. The same eigensystem yields the
-propagator, which keeps the analytically exact orthogonality between the
-propagator and the sensitivity operator intact at eigensolver precision.
+into the eigenbasis, multiply entrywise by the divided differences of the
+phase factors exp(i lam t), and conjugate back. One formula gives those
+divided differences at every frequency gap, degenerate or not (see
+``hadamard_core``). The same eigensystem yields the propagator, which
+keeps the analytically exact orthogonality between the propagator and the
+sensitivity operator intact at eigensolver precision.
 
 Two slower, independent evaluations of the same derivative are provided
 as oracles: fixed-order Gauss-Legendre quadrature of the integral
@@ -31,15 +33,6 @@ if TYPE_CHECKING:
     from .network import UncertaintyStructure
     from .synthesis import Controller
 
-# Relative scale for treating two frequencies as degenerate; the divided
-# difference is continuous across the threshold, so the cut is benign.
-DEGENERACY_TOL_SCALE = 1e-10
-
-# The difference quotient loses about eps / |x| relative accuracy at
-# half phase gap x = (lam_k - lam_l) t_f / 2. Inside this band (where that
-# loss would pass 1e-12) the equivalent product form takes over.
-PRODUCT_FORM_BAND = 1e-4
-
 # Allowed imaginary residue when a reconstructed operator must be real.
 IMAG_TOL = 1e-9
 
@@ -56,10 +49,14 @@ def _require_skew(a: np.ndarray, what: str) -> np.ndarray:
 class SpectralData:
     """Eigensystem of a skew-symmetric generator: A = M diag(i lam) M*.
 
-    ``lam`` is real and ascending; columns of the unitary ``M`` are phase
-    canonicalized (largest-magnitude entry real positive) and exact ties
-    in ``lam`` are ordered by eigenvector lexicographic order, so the
-    decomposition is deterministic for a given input.
+    ``lam`` is real and ascending and ``M`` is unitary, with columns as
+    the eigensolver returns them: no phase or order within a degenerate
+    eigenspace is imposed. None is needed. The propagator and the
+    sensitivity operator are functions of A alone: a phase on column k
+    cancels between M and M*, and within a degenerate eigenspace the
+    divided-difference weights are constant, so any unitary mix of its
+    columns cancels too. The eigensolver is deterministic for a given
+    input, so reruns and thread counts still give the same bytes.
     """
 
     M: np.ndarray
@@ -75,16 +72,7 @@ def spectral_decompose(a: np.ndarray) -> SpectralData:
     a = _require_skew(a, "generator")
     mu, vec = np.linalg.eigh(1j * a)
     lam = -mu[::-1] + 0.0
-    m = np.array(vec[:, ::-1], dtype=complex)
-    for k in range(m.shape[1]):
-        col = m[:, k]
-        pivot = col[int(np.argmax(np.abs(col)))]
-        if pivot != 0:
-            m[:, k] = col * (np.conj(pivot) / abs(pivot))
-    order = sorted(range(lam.size),
-                   key=lambda k: (lam[k],) + _column_key(m[:, k]))
-    lam = lam[order]
-    m = m[:, order]
+    m = np.ascontiguousarray(vec[:, ::-1])
 
     gram_defect = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
     if gram_defect > 1e-10:
@@ -93,15 +81,6 @@ def spectral_decompose(a: np.ndarray) -> SpectralData:
     if recon > 1e-9 * max(1.0, np.linalg.norm(a)):
         raise InvariantViolation(f"spectral reconstruction failed (residual {recon:.3e})")
     return SpectralData(M=m, lam=lam)
-
-
-def _column_key(col: np.ndarray) -> tuple:
-    # pivot position first so degenerate identity-like blocks keep their
-    # natural order, then the full column as the final tie-break
-    pivot = int(np.argmax(np.abs(col)))
-    r = np.round(col.real, 12) + 0.0
-    i = np.round(col.imag, 12) + 0.0
-    return (pivot,) + tuple(np.column_stack([r, i]).ravel())
 
 
 def propagator_matrix(spectral: SpectralData, t_f: float) -> np.ndarray:
@@ -114,62 +93,51 @@ def propagator_matrix(spectral: SpectralData, t_f: float) -> np.ndarray:
     return phi_c.real.copy()
 
 
-def hadamard_core(z: np.ndarray, lam: np.ndarray, t_f: float,
-                  degeneracy_tol: float | None = None) -> np.ndarray:
+def hadamard_core(z: np.ndarray, lam: np.ndarray, t_f: float) -> np.ndarray:
     """Entrywise divided-difference weighting of an eigenbasis direction.
 
-    Entry (k, l) of the result is z_kl * exp(i lam_k t_f) when the two
-    frequencies coincide (within ``degeneracy_tol``), and otherwise
-    z_kl * (exp(i lam_k t_f) - exp(i lam_l t_f)) / (i t_f (lam_k - lam_l)),
-    the limit of which is the degenerate branch. Where the half phase gap
-    x = (lam_k - lam_l) t_f / 2 lies inside ``PRODUCT_FORM_BAND`` the
-    quotient is taken in its cancellation-free form
-    exp(i (lam_k + lam_l) t_f / 2) sin(x) / x. t_f = 0 takes the
-    degenerate branch everywhere (the weight matrix becomes all ones).
+    Entry (k, l) of the result is z_kl times the divided difference of
+    exp(i lam t_f) at (lam_k, lam_l), taken in the cancellation-free form
+
+        exp(i lam_k t_f / 2) exp(i lam_l t_f / 2) sin(x) / x,
+        x = (lam_k - lam_l) t_f / 2,
+
+    with sin(x) / x = 1 at x = 0. It equals the difference quotient
+    (exp(i lam_k t_f) - exp(i lam_l t_f)) / (i t_f (lam_k - lam_l)) and
+    its limit exp(i lam_k t_f) at a degenerate pair, and keeps full
+    relative accuracy at every gap in between (Higham, Functions of
+    Matrices, SIAM 2008, ch. 10). At t_f = 0 every weight is one.
     """
     z = np.asarray(z, dtype=complex)
     lam = np.asarray(lam, dtype=float)
-    if t_f == 0.0:
-        return z.copy()
-    if degeneracy_tol is None:
-        degeneracy_tol = DEGENERACY_TOL_SCALE * (np.abs(lam).max() if lam.size else 0.0)
-    phases = np.exp(1j * lam * t_f)
-    diff = lam[:, None] - lam[None, :]
-    gap = np.abs(diff)
-    degenerate = gap <= degeneracy_tol
-    safe = np.where(degenerate, 1.0, diff)
-    x = (phases[:, None] - phases[None, :]) / (1j * t_f * safe)
-    k, l = np.nonzero(gap < 2.0 * PRODUCT_FORM_BAND / abs(t_f))
-    x[k, l] = (np.exp(0.5j * t_f * (lam[k] + lam[l]))
-               * np.sinc(t_f * diff[k, l] / (2.0 * np.pi)))
-    x = np.where(degenerate, np.broadcast_to(phases[:, None], x.shape), x)
-    return z * x
+    half = np.exp(0.5j * t_f * lam)
+    x = 0.5 * t_f * (lam[:, None] - lam[None, :])
+    sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+    return z * np.outer(half, half) * sinc
 
 
 @dataclass(frozen=True)
 class SensitivityOperator:
     """Input-output agnostic sensitivity operator for one uncertainty direction.
 
-    ``K`` is the real operator, ``Q`` its eigenbasis form (direction times
-    divided differences), and ``norm_K`` the Frobenius norm computed from
-    ``Q``; unitary invariance makes it equal the norm of ``K`` itself.
+    ``K`` is the real operator and ``norm_K`` its Frobenius norm, computed
+    from the eigenbasis form (direction times divided differences); unitary
+    invariance makes it equal the norm of ``K`` itself.
     """
 
     K: np.ndarray
-    Q: np.ndarray
     norm_K: float
 
     def __post_init__(self):
         _readonly(self.K)
-        _readonly(self.Q)
 
 
-def sensitivity_operator(spectral: SpectralData, s_bloch: np.ndarray, t_f: float,
-                         degeneracy_tol: float | None = None) -> SensitivityOperator:
+def sensitivity_operator(spectral: SpectralData, s_bloch: np.ndarray,
+                         t_f: float) -> SensitivityOperator:
     """Assemble the sensitivity operator for one adjoint-space direction."""
     s_bloch = _require_skew(s_bloch, "uncertainty direction")
     z = spectral.M.conj().T @ s_bloch @ spectral.M
-    q = hadamard_core(z, spectral.lam, t_f, degeneracy_tol)
+    q = hadamard_core(z, spectral.lam, t_f)
     k_c = (spectral.M @ q) @ spectral.M.conj().T
     residue = np.linalg.norm(k_c.imag)
     if residue > IMAG_TOL:
@@ -177,17 +145,15 @@ def sensitivity_operator(spectral: SpectralData, s_bloch: np.ndarray, t_f: float
             f"sensitivity operator has imaginary residue {residue:.3e}; "
             "this signals a convention error upstream")
     norm_k = float(np.sqrt((np.abs(q) ** 2).sum()))
-    return SensitivityOperator(K=k_c.real.copy(), Q=q, norm_K=norm_k)
+    return SensitivityOperator(K=k_c.real.copy(), norm_K=norm_k)
 
 
 def differential_sensitivity(system: "BlochSystem", op: SensitivityOperator,
-                             f_n: float, t_f: float | None = None) -> float:
+                             f_n: float) -> float:
     """Derivative of the transfer error along a scaled uncertainty direction."""
     if f_n < 0:
         raise ValueError(f"scaling factor must be nonnegative, got {f_n}")
-    if t_f is None:
-        t_f = system.t_f
-    return float(-t_f * f_n * (system.rf @ op.K @ system.r0))
+    return float(-system.t_f * f_n * (system.rf @ op.K @ system.r0))
 
 
 def quadrature_oracle(a: np.ndarray, s_bloch: np.ndarray, t_f: float,

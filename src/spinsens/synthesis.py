@@ -49,6 +49,8 @@ class Controller:
         if biases.shape != (self.spec.num_spins,):
             raise ValueError(
                 f"expected {self.spec.num_spins} biases, got shape {biases.shape}")
+        if not np.isfinite(biases).all():
+            raise ValueError(f"biases must be finite, got {biases.tolist()}")
         if not self.t_f > 0:
             raise ValueError(f"read-out time must be positive, got {self.t_f}")
         if not -1e-9 <= self.fidelity <= 1.0 + 1e-9:

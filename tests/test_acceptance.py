@@ -13,7 +13,11 @@ import warnings
 
 import pytest
 
+from spinsens import (Controller, NetworkSpec, adjoint_rep, enumerate_structures,
+                      gell_mann_basis)
+from spinsens.analytics import evaluate_controller
 from spinsens.cli import main
+from spinsens.network import COUPLING
 from spinsens.verification import (check_cross_formulation,
                                    check_pst_sufficiency, check_three_way,
                                    sample_instances)
@@ -103,6 +107,31 @@ def test_criterion_07_projection_norm_bounds(ring4_analysis):
            f"{len(upper_bad)} above 1/N (warn only)")
 
 
+def computed_anchor_defect():
+    """Worst defect of the two-spin chain's records from their closed forms.
+
+    At zero bias and t_f = pi/4 the transfer is half done: F = 1/2 in every
+    record. The coupling record has zeta = -pi/4, |K| = 2 sqrt 2,
+    |R_S| = sqrt(3)/4 and sin phi = sqrt(2/3); each bias record |K| = 4/pi.
+    """
+    spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
+    controller = Controller(biases=[0.0, 0.0], t_f=math.pi / 4, fidelity=0.5,
+                            spec=spec, seed=0, index=0)
+    structures = tuple(enumerate_structures(spec))
+    basis = gell_mann_basis(2)
+    images = tuple(adjoint_rep(s.matrix, basis) for s in structures)
+    defects = []
+    for structure, r in zip(structures, evaluate_controller(controller, structures, images)):
+        defects.append(abs(r.F - 0.5))
+        if structure.kind == COUPLING:
+            defects += [abs(r.zeta + math.pi / 4), abs(r.norm_K - 2 * math.sqrt(2)),
+                        abs(r.norm_Rs - math.sqrt(3) / 4),
+                        abs(r.sin_phi - math.sqrt(2 / 3))]
+        else:
+            defects.append(abs(r.norm_K - 4 / math.pi))
+    return max(defects)
+
+
 def test_criterion_08_ensemble_statistics(ring4_ensemble, ring4_analysis):
     records, summaries = ring4_analysis
     stats_ok = (len(summaries) == 8
@@ -110,9 +139,11 @@ def test_criterion_08_ensemble_statistics(ring4_ensemble, ring4_analysis):
                         and math.isfinite(s.kendall_tau) for s in summaries))
     product = 330.0 * 108.0 * 2.74 * 0.199 * 1.37e-6
     anchor_ok = abs(product - 2.69e-2) <= 0.02 * 2.69e-2
-    ok = len(ring4_ensemble) >= 200 and stats_ok and anchor_ok
+    defect = computed_anchor_defect()
+    ok = len(ring4_ensemble) >= 200 and stats_ok and anchor_ok and defect <= 1e-12
     report(8, ok, f"{len(ring4_ensemble)} controllers, 8/8 finite statistics, "
-                  f"anchor product {product:.3e} vs 2.69e-2")
+                  f"anchor product {product:.3e} vs 2.69e-2, "
+                  f"two-spin closed forms within {defect:.1e} (limit 1e-12)")
 
 
 def test_criterion_09_fidelity_cross_formulation():

@@ -11,6 +11,13 @@ from spinsens.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, CommandLineError,
 
 RING_FLAGS = ["--n", "4", "--topology", "ring", "--in", "1", "--out", "2"]
 
+# parseable documents whose numbers are not finite; json reads null in a
+# float array as nan
+NONFINITE_SPECS = ['{"n": 2, "topology": "chain", "j": Infinity, "in": 1, "out": 2}']
+NONFINITE_ROWS = [
+    '[{"index": 0, "tf": 1.0, "biases": [null, 0], "fidelity": 0.5}]',
+    '[{"index": 0, "tf": 1.0, "biases": [0, Infinity], "fidelity": 0.5}]']
+
 
 def run_synth(tmp_path, name, threads, restarts=6, seed=3):
     out = tmp_path / name / "controllers.json"
@@ -122,24 +129,32 @@ class TestAnalyzeInputs:
         assert main(["analyze", str(bad)]) == 1
 
     @pytest.mark.parametrize("doc", [
-        "5", '{"n": [2], "topology": "chain", "j": 1.0, "in": 1, "out": 2}'])
+        "5", '{"n": [2], "topology": "chain", "j": 1.0, "in": 1, "out": 2}',
+        *NONFINITE_SPECS])
     def test_malformed_spec_sidecar_is_validation_error(self, tmp_path, capsys, doc):
         rows = tmp_path / "rows.json"
         rows.write_text('[{"index": 0, "tf": 1.0, "biases": [0, 0], "fidelity": 0.5}]')
         (tmp_path / "rows.spec.json").write_text(doc)
         assert main(["analyze", str(rows)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if doc in NONFINITE_SPECS:
+            assert "coupling" in err
 
     @pytest.mark.parametrize("doc", [
         "[5]", '[{"index": 0, "tf": [1.0], "biases": [0, 0], "fidelity": 0.5}]',
-        '[{"index": null, "tf": 1.0, "biases": [0, 0], "fidelity": 0.5}]'])
+        '[{"index": null, "tf": 1.0, "biases": [0, 0], "fidelity": 0.5}]',
+        *NONFINITE_ROWS])
     def test_malformed_row_is_validation_error(self, tmp_path, capsys, doc):
         rows = tmp_path / "rows.json"
         rows.write_text(doc)
         (tmp_path / "rows.spec.json").write_text(
             '{"n": 2, "topology": "chain", "j": 1.0, "in": 1, "out": 2}')
         assert main(["analyze", str(rows)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if doc in NONFINITE_ROWS:
+            assert "biases" in err
 
     def test_empty_ensemble_is_validation_error(self, tmp_path):
         empty = tmp_path / "none.json"

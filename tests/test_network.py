@@ -1,6 +1,7 @@
 """Hamiltonian construction, uncertainty structures, scaling, perturbation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -45,6 +46,13 @@ class TestNetworkSpec:
         with pytest.raises(ValueError):
             NetworkSpec(num_spins=3, topology="chain", input_spin=1,
                         output_spin=3, coupling=0.0)
+        for j in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="coupling"):
+                NetworkSpec(num_spins=3, topology="chain", input_spin=1,
+                            output_spin=3, coupling=j)
+        with pytest.raises(ValueError, match="coupling"):
+            NetworkSpec.from_json(
+                '{"n": 3, "topology": "chain", "j": Infinity, "in": 1, "out": 3}')
 
     def test_nonzero_kappa_rejected(self):
         # a ZZ term is not modelled; a document naming one is refused

@@ -1,5 +1,8 @@
 """Spectral route for exp(A t), its directional derivative, and the oracles."""
 
+import dataclasses
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -42,7 +45,11 @@ class TestSpectralDecompose:
     def test_zero_generator_gives_identity(self):
         sd = spectral_decompose(np.zeros((4, 4)))
         assert np.array_equal(sd.lam, np.zeros(4))
-        assert np.array_equal(sd.M, np.eye(4, dtype=complex))
+        # any basis of the one eigenspace will do; eigh's is a permutation
+        assert np.isin(sd.M, (0.0, 1.0)).all()
+        assert np.array_equal(sd.M.sum(axis=0), np.ones(4))
+        assert np.array_equal(sd.M.sum(axis=1), np.ones(4))
+        assert np.array_equal(propagator_matrix(sd, 1.7), np.eye(4))
 
     def test_two_spin_chain_frequencies(self):
         spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
@@ -116,26 +123,20 @@ class TestHadamardCore:
         assert abs(q[0, 1]) < 1e-14
         assert abs(q[1, 0]) < 1e-14
 
-    def test_continuous_across_degeneracy_cut(self):
-        z = np.ones((2, 2), dtype=complex)
-        t = 1.1
-        gap = 1e-8
-        below = hadamard_core(z, np.array([1.0, 1.0 + gap]), t, degeneracy_tol=1e-6)
-        above = hadamard_core(z, np.array([1.0, 1.0 + gap]), t, degeneracy_tol=1e-10)
-        assert np.abs(below - above).max() < 1e-7
-
     def test_near_degenerate_pair_matches_high_precision(self):
-        # gaps just past the degeneracy cut, where the difference quotient
-        # cancels; reference values at 50 digits
-        mpmath = pytest.importorskip("mpmath")
+        # every gap from exact degeneracy to well separated, against the
+        # difference quotient (or its degenerate limit) at 50 digits
         mpmath.mp.dps = 50
         t = 50.0
-        for gap in (1e-9, 1e-7, 1e-6, 1e-3):
-            lam = np.array([1.0, 1.0 + gap])
-            q = hadamard_core(np.ones((2, 2), dtype=complex), lam, t)
-            a, b = (mpmath.mpf(float(v)) for v in lam)
-            want = (mpmath.expj(a * t) - mpmath.expj(b * t)) / (1j * t * (a - b))
-            assert abs(complex(want) - q[0, 1]) <= 1e-13 * abs(complex(want))
+        for base in (1.0, 20.0):
+            for gap in (0.0, 1e-16, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 10.0):
+                lam = np.array([base, base + gap])
+                q = hadamard_core(np.ones((2, 2), dtype=complex), lam, t)
+                a, b = (mpmath.mpf(float(v)) for v in lam)
+                ea, eb = mpmath.expj(a * t), mpmath.expj(b * t)
+                off = ea if a == b else (ea - eb) / (1j * t * (a - b))
+                for got, want in ((q[0, 0], ea), (q[1, 1], eb), (q[0, 1], off), (q[1, 0], off)):
+                    assert abs(complex(want) - got) <= 1e-13, (base, gap)
 
 
 class TestSensitivityOperator:
@@ -152,7 +153,6 @@ class TestSensitivityOperator:
         op = sensitivity_operator(sd, s_bloch, system.t_f)
         assert op.K.dtype == np.float64
         assert op.norm_K == pytest.approx(np.linalg.norm(op.K), abs=1e-9)
-        assert op.norm_K == pytest.approx(np.linalg.norm(op.Q), abs=1e-12)
         # the divided differences have unit magnitude at most
         assert 0.0 < op.norm_K <= np.linalg.norm(s_bloch) + 1e-9
 
@@ -207,7 +207,9 @@ class TestDifferentialSensitivity:
         op = sensitivity_operator(sd, s_bloch, system.t_f)
         base = differential_sensitivity(system, op, 1.0)
         assert differential_sensitivity(system, op, 3.0) == pytest.approx(3.0 * base, rel=1e-14)
-        assert differential_sensitivity(system, op, 1.0, t_f=4.0) == pytest.approx(
+        # the same operator read out by the same system at twice the time
+        later = dataclasses.replace(system, t_f=4.0)
+        assert differential_sensitivity(later, op, 1.0) == pytest.approx(
             2.0 * base, rel=1e-14)
 
     def test_perfect_transfer_is_stationary(self):
