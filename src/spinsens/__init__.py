@@ -18,10 +18,12 @@ from .geometry import (GeometryRecord, angles, identity_residual, io_operator,
 from .network import (NetworkSpec, SESHamiltonian, UncertaintyStructure,
                       build_hamiltonian, enumerate_structures, perturb,
                       scaling_factor)
-from .sensitivity import (SensitivityOperator, SpectralData,
+from .sensitivity import (HilbertTransfer, SensitivityOperator, SpectralData,
+                          adjoint_sensitivity_operator,
                           differential_sensitivity, fd_oracle, hadamard_core,
-                          propagator_matrix, quadrature_oracle,
-                          sensitivity_operator, spectral_decompose)
+                          hilbert_transfer, propagator_matrix,
+                          quadrature_oracle, sensitivity_operator,
+                          spectral_decompose)
 from .synthesis import (Controller, SynthesisConfig, controllers_from_json,
                         controllers_to_json, fidelity_objective, local_optimize,
                         synthesize_ensemble, transfer_fidelity)
@@ -36,6 +38,7 @@ __all__ = [
     "CorrelationSummary",
     "GeometryRecord",
     "HermitianBasis",
+    "HilbertTransfer",
     "InvariantViolation",
     "NetworkSpec",
     "SESHamiltonian",
@@ -44,6 +47,7 @@ __all__ = [
     "SynthesisConfig",
     "UncertaintyStructure",
     "adjoint_rep",
+    "adjoint_sensitivity_operator",
     "analyze",
     "angles",
     "build_bloch_system",
@@ -57,6 +61,7 @@ __all__ = [
     "fidelity_objective",
     "gell_mann_basis",
     "hadamard_core",
+    "hilbert_transfer",
     "identity_residual",
     "io_operator",
     "kendall",

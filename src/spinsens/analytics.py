@@ -2,14 +2,20 @@
 
 For every (controller, uncertainty structure) pair the pipeline computes
 the full geometric decomposition (fidelity, sensitivity, frame norms and
-angles) as one record. Per structure, two statistics summarize the
-ensemble: the Pearson correlation of log error against log absolute
-sensitivity, and the Kendall rank correlation of error against the
-alignment factor sin phi. Records whose sensitivity is exactly zero have
-no log image; they are dropped from the Pearson sample and the count
-reflects the rows actually used. Undefined statistics (zero variance,
-all ties, too few rows) are reported as nan rather than aborting the
-batch.
+angles) as one record. Every record comes from ``eigh`` of the N x N
+Hamiltonian, once per controller, plus one O(N^3) contraction per
+structure (``sensitivity.sensitivity_operator``); no N^2 x N^2 operator
+is formed. The adjoint-picture route that builds Phi and K explicitly is
+kept in ``verification`` as the reference these records are checked
+against.
+
+Per structure, two statistics summarize the ensemble: the Pearson
+correlation of log error against log absolute sensitivity, and the
+Kendall rank correlation of error against the alignment factor sin phi.
+Records whose sensitivity is exactly zero have no log image; they are
+dropped from the Pearson sample and the count reflects the rows actually
+used. Undefined statistics (zero variance, all ties, too few rows) are
+reported as nan rather than aborting the batch.
 
 Both statistics are written out from their definitions on purpose; they
 double as the oracle for themselves and stay exact at desk scale.
@@ -23,13 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import adjoint_rep, build_bloch_system, fidelity, gell_mann_basis
-from .geometry import (GeometryRecord, angles, identity_residual, io_operator,
-                       project, pst_check)
-from .network import (NetworkSpec, UncertaintyStructure, build_hamiltonian,
-                      enumerate_structures, scaling_factor)
-from .sensitivity import (differential_sensitivity, propagator_matrix,
-                          sensitivity_operator, spectral_decompose)
+from .geometry import GeometryRecord, angles, identity_residual
+from .network import UncertaintyStructure, enumerate_structures, scaling_factor
+from .sensitivity import hilbert_transfer, sensitivity_operator
 from .synthesis import Controller
 
 # Below this fidelity the angle decomposition is numerically meaningless;
@@ -94,56 +96,71 @@ def kendall(x, y) -> float:
     return float(np.clip(concordant_minus_discordant / denom, -1.0, 1.0))
 
 
+def _record(controller: Controller, structure: UncertaintyStructure, *,
+            f_val: float, zeta: float, f_n: float, k_coeff: float,
+            norm_k: float, norm_rs: float, perp: float,
+            pst: bool) -> GeometryRecord:
+    # angles and the identity residual from the scale quantities; shared
+    # with the adjoint-picture reference route in verification
+    if f_val < ZERO_FIDELITY_FLOOR or norm_rs <= 0.0:
+        cos_phi = sin_phi = cos_theta = residual = float("nan")
+        zero_fid = True
+    else:
+        cos_phi, sin_phi, cos_theta = angles(
+            f_val, zeta, controller.spec.num_spins, norm_rs, norm_k, f_n,
+            controller.t_f, norm_rs_perp=perp)
+        residual = identity_residual(zeta, f_n, controller.t_f, norm_k,
+                                     norm_rs, sin_phi)
+        zero_fid = False
+    return GeometryRecord(
+        controller_index=controller.index,
+        structure_index=structure.index,
+        F=f_val,
+        e=1.0 - f_val,
+        zeta=zeta,
+        f_n=f_n,
+        t_f=controller.t_f,
+        norm_K=norm_k,
+        norm_Rs=norm_rs,
+        k_coeff=k_coeff,
+        cos_phi=cos_phi,
+        sin_phi=sin_phi,
+        cos_theta=cos_theta,
+        identity_residual=residual,
+        pst=pst,
+        zero_fidelity=zero_fid)
+
+
 def evaluate_controller(controller: Controller,
                         structures: tuple[UncertaintyStructure, ...],
-                        s_images: tuple[np.ndarray, ...],
                         pst_tol: float = 1e-12) -> list[GeometryRecord]:
-    """All geometry records of one controller, one per structure."""
-    spec = controller.spec
-    ham = build_hamiltonian(spec, controller.biases)
-    system = build_bloch_system(ham, spec, controller.t_f)
-    sd = spectral_decompose(system.A)
-    phi = propagator_matrix(sd, controller.t_f)
-    f_val, e_val = fidelity(system.rf, phi, system.r0)
-    pst = pst_check(phi, system.r0, system.rf, pst_tol)
-    r_op = io_operator(system.rf, system.r0)
-    zero_fid = f_val < ZERO_FIDELITY_FLOOR
-    n = spec.num_spins
+    """All geometry records of one controller, one per structure.
 
+    F = |U_oi|^2 from the propagated input column. Per structure,
+    ``sensitivity_operator`` gives k = <R, K> and |K|; then
+    zeta = -t_f f_n k, |R_S| = hypot(F/N, k/|K|), and the part of R_S off
+    the propagator has norm |k|/|K|. The transfer counts as perfect when
+    |rf - Phi r0| = sqrt(2 leak (F + leak)) <= ``pst_tol``, with leak the
+    population off the output site; unlike 1 - F this keeps its digits
+    at perfect transfer.
+    """
+    spec = controller.spec
+    t_f = controller.t_f
+    n = spec.num_spins
+    transfer = hilbert_transfer(spec, controller.biases, t_f)
+    probs = np.abs(transfer.column) ** 2
+    f_val = float(probs[transfer.output])
+    leak = float(np.delete(probs, transfer.output).sum())
+    pst = math.sqrt(2.0 * leak * (f_val + leak)) <= pst_tol
     records = []
-    for structure, image in zip(structures, s_images):
-        op = sensitivity_operator(sd, image, controller.t_f)
+    for structure in structures:
+        k_coeff, norm_k = sensitivity_operator(transfer, structure.matrix)
         f_n = scaling_factor(structure, controller)
-        zeta = differential_sensitivity(system, op, f_n)
-        _, norm_rs, perp = project(r_op, phi, op)
-        if zero_fid or norm_rs <= 0.0:
-            cos_phi = sin_phi = cos_theta = residual = float("nan")
-            zero_fid_rec = True
-        else:
-            cos_phi, sin_phi, cos_theta = angles(
-                f_val, zeta, n, norm_rs, op.norm_K, f_n, controller.t_f,
-                norm_rs_perp=perp)
-            residual = identity_residual(zeta, f_n, controller.t_f,
-                                         op.norm_K, norm_rs, sin_phi)
-            zero_fid_rec = False
-        records.append(GeometryRecord(
-            controller_index=controller.index,
-            structure_index=structure.index,
-            F=f_val,
-            e=e_val,
-            zeta=zeta,
-            f_n=f_n,
-            t_f=controller.t_f,
-            norm_K=op.norm_K,
-            norm_Rs=norm_rs,
-            k_coeff=float(np.tensordot(r_op, op.K, axes=2)),
-            tr_phi_K=float(np.tensordot(phi, op.K, axes=2)),
-            cos_phi=cos_phi,
-            sin_phi=sin_phi,
-            cos_theta=cos_theta,
-            identity_residual=residual,
-            pst=pst,
-            zero_fidelity=zero_fid_rec))
+        perp = abs(k_coeff) / norm_k
+        records.append(_record(
+            controller, structure, f_val=f_val, zeta=-t_f * f_n * k_coeff,
+            f_n=f_n, k_coeff=k_coeff, norm_k=norm_k,
+            norm_rs=math.hypot(f_val / n, perp), perp=perp, pst=pst))
     return records
 
 
@@ -195,11 +212,9 @@ def analyze(controllers: list[Controller], *, threads: int | None = None,
         if c.spec != spec:
             raise ValueError("all controllers must share one network")
     structures = enumerate_structures(spec)
-    basis = gell_mann_basis(spec.num_spins)
-    s_images = tuple(adjoint_rep(s.matrix, basis) for s in structures)
 
     def work(c: Controller) -> list[GeometryRecord]:
-        return evaluate_controller(c, structures, s_images, pst_tol)
+        return evaluate_controller(c, structures, pst_tol)
 
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -28,7 +28,7 @@ from . import __version__
 from .analytics import analyze
 from .errors import InvariantViolation
 from .network import NetworkSpec
-from .synthesis import (SynthesisConfig, controllers_from_json,
+from .synthesis import (FIDELITY_TOL, SynthesisConfig, controllers_from_json,
                         controllers_to_json, f17, synthesize_ensemble)
 from .verification import run_checks
 
@@ -211,6 +211,11 @@ def cmd_analyze(args) -> int:
     threads = resolve_threads(args.threads)
     records, summaries = analyze(controllers, threads=threads,
                                  pst_tol=args.pst_tol)
+    per_controller = len(records) // len(controllers)
+    for c, r in zip(controllers, records[::per_controller]):
+        if abs(c.fidelity - r.F) > FIDELITY_TOL:
+            raise ValueError(f"controller {c.index} stores fidelity {c.fidelity!r} "
+                             f"but its working point gives {r.F!r}")
     records_path = Path(args.records)
     summaries_path = Path(args.summaries)
     manifest_path = records_path.with_name(records_path.stem + ".manifest.json")

@@ -12,11 +12,18 @@ against the K direction. The working identity is
 
 which factors the sensitivity into scale terms and a pure alignment term.
 
+Because <Phi, R> = F, |Phi|^2 = N^2 and Phi is orthogonal to K, the
+projection needs only F, k = <R, K> and |K|: |R_S| = hypot(F/N, k/|K|),
+and the component of R_S off the propagator has norm |k|/|K|. The records
+``analyze`` writes take these scalars from the N x N picture. ``project``
+forms R_S itself from N^2 x N^2 operators; it is the reference route
+that verification checks the records against.
+
 Numerical note: sin phi computed as sqrt(1 - cos^2 phi) would lose half
 the digits when phi is tiny, exactly the regime of near-perfect transfer
-that matters most. ``project`` therefore also reports the norm of the
-component of R_S orthogonal to the propagator, and ``angles`` takes
-sin phi from it by division, without cancellation.
+that matters most. ``angles`` therefore takes sin phi from the norm of
+the component of R_S orthogonal to the propagator, by division, without
+cancellation.
 """
 
 from __future__ import annotations
@@ -142,8 +149,7 @@ def pst_check(phi: np.ndarray, r0: np.ndarray, rf: np.ndarray,
 class GeometryRecord:
     """One (controller, uncertainty) row of the geometric decomposition.
 
-    ``k_coeff`` is the frame coefficient <R, K> and ``tr_phi_K`` the frame
-    inner product <Phi, K>, zero by lemma 1. Angles carry nan when the
+    ``k_coeff`` is the frame coefficient <R, K>. Angles carry nan when the
     record is degenerate (fidelity at the zero-measure floor); such rows
     keep their scale quantities but are excluded from angle statistics
     downstream.
@@ -159,7 +165,6 @@ class GeometryRecord:
     norm_K: float
     norm_Rs: float
     k_coeff: float
-    tr_phi_K: float
     cos_phi: float
     sin_phi: float
     cos_theta: float

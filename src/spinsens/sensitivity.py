@@ -1,18 +1,22 @@
 """Differential sensitivity of the transfer error to structured uncertainty.
 
-Everything here works on the real N^2-dimensional adjoint picture: the
-generator A is skew-symmetric, so iA is Hermitian and A = M diag(i lam) M*
-with real frequencies lam. The derivative of exp(A t) along a skew
-direction has a closed form in that eigenbasis: conjugate the direction
-into the eigenbasis, multiply entrywise by the divided differences of the
-phase factors exp(i lam t), and conjugate back. One formula gives those
-divided differences at every frequency gap, degenerate or not (see
-``hadamard_core``). The same eigensystem yields the propagator, which
-keeps the analytically exact orthogonality between the propagator and the
-sensitivity operator intact at eigensolver precision.
+The records ``analyze`` publishes come from the N x N Hilbert space. With
+H = V diag(E) V^T, the amplitude U_oi = <out| exp(-iHt) |in> and its
+derivative along a Hamiltonian direction S are closed forms in the
+eigenbasis: conjugate S into it, multiply entrywise by the divided
+differences X of exp(-iEt), and contract with the output and input rows
+of V (Najfeld & Havel, Adv. Appl. Math. 16, 1995). The frame coefficient
+<R, K> and the norm |K| of the adjoint-picture sensitivity operator follow
+from the same X at O(N^3) per controller (``sensitivity_operator``). One
+formula gives the divided differences at every gap, degenerate or not
+(see ``hadamard_core``).
 
-Two slower, independent evaluations of the same derivative are provided
-as oracles: fixed-order Gauss-Legendre quadrature of the integral
+The real N^2-dimensional adjoint picture stays as the reference that
+verification checks against: the generator A is skew-symmetric, so iA is
+Hermitian and A = M diag(i lam) M* with real frequencies lam, and
+``adjoint_sensitivity_operator`` builds K itself by the same recipe one
+level up. Two slower, independent evaluations of the derivative are
+oracles too: fixed-order Gauss-Legendre quadrature of the integral
 representation (Pade-based matrix exponentials, no shared eigensystem)
 and a central finite difference of the error under full re-propagation.
 """
@@ -26,11 +30,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvariantViolation
-from .network import _readonly
+from .network import _readonly, build_hamiltonian
 
 if TYPE_CHECKING:
     from .bloch import BlochSystem
-    from .network import UncertaintyStructure
+    from .network import NetworkSpec, UncertaintyStructure
     from .synthesis import Controller
 
 # Allowed imaginary residue when a reconstructed operator must be real.
@@ -116,6 +120,71 @@ def hadamard_core(z: np.ndarray, lam: np.ndarray, t_f: float) -> np.ndarray:
     return z * np.outer(half, half) * sinc
 
 
+def _eigensystem(spec: "NetworkSpec",
+                 biases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues E and eigenvectors V of the N x N Hamiltonian, plus the
+    transfer weights w_j = V_oj V_ij.
+
+    The amplitude U_oi at any read-out time is then the phase sum
+    sum_j w_j exp(-i E_j t), which makes the nested time line search cheap.
+    """
+    e, v = np.linalg.eigh(build_hamiltonian(spec, biases).matrix)
+    return e, v, v[spec.output_spin - 1] * v[spec.input_spin - 1]
+
+
+@dataclass(frozen=True)
+class HilbertTransfer:
+    """One working point in the N x N picture, shared by every direction.
+
+    ``v`` holds the eigenvectors of H as columns, ``x`` the divided
+    differences of exp(-i E t_f) at its eigenvalues, and ``column`` the
+    propagated input U[:, in]; ``output`` and ``input`` are 0-based sites.
+    """
+
+    v: np.ndarray
+    x: np.ndarray
+    column: np.ndarray
+    output: int
+    input: int
+
+    def __post_init__(self):
+        for a in (self.v, self.x, self.column):
+            _readonly(a)
+
+
+def hilbert_transfer(spec: "NetworkSpec", biases: np.ndarray,
+                     t_f: float) -> HilbertTransfer:
+    """Eigensystem, propagated input and divided differences of one controller."""
+    e, v, _ = _eigensystem(spec, biases)
+    column = (v * np.exp(-1j * e * t_f)) @ v[spec.input_spin - 1]
+    x = hadamard_core(np.ones((e.size, e.size)), -e, t_f)
+    return HilbertTransfer(v=v, x=x, column=column,
+                           output=spec.output_spin - 1, input=spec.input_spin - 1)
+
+
+def sensitivity_operator(transfer: HilbertTransfer,
+                         s_matrix: np.ndarray) -> tuple[float, float]:
+    """Frame coefficient k = <R, K> and norm |K| for one Hamiltonian direction.
+
+    With S^ = V^T S V, the amplitude moves by dU_oi = -i t_f y along S,
+    y = V_o (S^ o X) V_i^T, and k = (2 / t_f) Re(conj(U_oi) dU_oi), which
+    is 2 Im(conj(U_oi) y). K is d(U . U^dagger) / t_f in the adjoint
+    picture, which gives |K|^2 = 2N sum_jk S^_jk^2 |X_jk|^2 - 2 (tr S)^2
+    without forming K. Since |X_jj| = 1, that equals 2N times the same
+    sum over the traceless part S^ - (tr S / N) I, a sum of squares that
+    keeps its relative accuracy when |K| is small. O(N^3);
+    ``adjoint_sensitivity_operator`` is the N^2 x N^2 reference.
+    """
+    v = transfer.v
+    n = v.shape[0]
+    s_hat = v.T @ s_matrix @ v
+    y = v[transfer.output] @ (s_hat * transfer.x) @ v[transfer.input]
+    k_coeff = 2.0 * float((np.conj(transfer.column[transfer.output]) * y).imag)
+    s_hat[np.diag_indices(n)] -= np.trace(s_matrix) / n
+    x_sq = transfer.x.real ** 2 + transfer.x.imag ** 2
+    return k_coeff, float(np.sqrt(2.0 * n * (s_hat ** 2 * x_sq).sum()))
+
+
 @dataclass(frozen=True)
 class SensitivityOperator:
     """Input-output agnostic sensitivity operator for one uncertainty direction.
@@ -132,9 +201,13 @@ class SensitivityOperator:
         _readonly(self.K)
 
 
-def sensitivity_operator(spectral: SpectralData, s_bloch: np.ndarray,
-                         t_f: float) -> SensitivityOperator:
-    """Assemble the sensitivity operator for one adjoint-space direction."""
+def adjoint_sensitivity_operator(spectral: SpectralData, s_bloch: np.ndarray,
+                                 t_f: float) -> SensitivityOperator:
+    """Assemble the N^2 x N^2 sensitivity operator for one adjoint-space direction.
+
+    The reference route for ``sensitivity_operator``: verification and the
+    tests compare the records against it.
+    """
     s_bloch = _require_skew(s_bloch, "uncertainty direction")
     z = spectral.M.conj().T @ s_bloch @ spectral.M
     q = hadamard_core(z, spectral.lam, t_f)

@@ -7,8 +7,9 @@ golden-section search in a shrinking window, and alternates until the
 projected gradient stalls. Fidelity and its bias gradient come from the
 eigensystem of the N x N Hamiltonian (Najfeld & Havel 1995): the gradient
 along bias n is the unit-scaled sensitivity of that bias direction,
-computed from the same divided differences as the adjoint-picture
-analysis, which serves as its test oracle.
+computed from the same eigensystem and divided differences as the
+records ``analyze`` writes. The adjoint-picture reference route in
+``verification`` serves as its test oracle.
 
 Determinism is load-bearing: restarts get independent child seeds from a
 master seed, every accept step requires strict improvement, and results
@@ -25,10 +26,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .network import NetworkSpec, _readonly, build_hamiltonian
-from .sensitivity import hadamard_core
+from .network import NetworkSpec, _readonly
+from .sensitivity import _eigensystem, hadamard_core
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+# How far a stored fidelity may stray from [0, 1], and from the fidelity
+# its working point actually gives when an ensemble is read back.
+FIDELITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,9 +56,9 @@ class Controller:
                 f"expected {self.spec.num_spins} biases, got shape {biases.shape}")
         if not np.isfinite(biases).all():
             raise ValueError(f"biases must be finite, got {biases.tolist()}")
-        if not self.t_f > 0:
-            raise ValueError(f"read-out time must be positive, got {self.t_f}")
-        if not -1e-9 <= self.fidelity <= 1.0 + 1e-9:
+        if not 0 < self.t_f < np.inf:
+            raise ValueError(f"read-out time must be positive and finite, got {self.t_f}")
+        if not -FIDELITY_TOL <= self.fidelity <= 1.0 + FIDELITY_TOL:
             raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
 
     @property
@@ -84,18 +89,6 @@ class SynthesisConfig:
             raise ValueError("tolerance must be positive")
 
 
-def _eigensystem(spec: NetworkSpec,
-                 biases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues E and eigenvectors V of the N x N Hamiltonian, plus the
-    transfer weights w_j = V_oj V_ij.
-
-    The amplitude U_oi at any read-out time is then the phase sum
-    sum_j w_j exp(-i E_j t), which makes the nested time line search cheap.
-    """
-    e, v = np.linalg.eigh(build_hamiltonian(spec, biases).matrix)
-    return e, v, v[spec.output_spin - 1] * v[spec.input_spin - 1]
-
-
 def _amplitude(e: np.ndarray, w: np.ndarray, t_f: float) -> complex:
     return complex(w @ np.exp(-1j * e * t_f))
 
@@ -113,9 +106,9 @@ def fidelity_objective(spec: NetworkSpec, biases: np.ndarray,
     Component n of the gradient is 2 Re(conj(U_oi) dU_oi/dDelta_n) with
     dU_oi/dDelta_n = -i t_f sum_jk (V_oj V_nj) X_jk (V_nk V_ik), where X
     holds the divided differences of exp(-i E t_f) from the same
-    ``hadamard_core`` the adjoint-picture analysis uses. It equals the
-    unit-scaled bias-direction sensitivity t_f * rf . K_n r0, which the
-    property tests check against ``evaluate_controller``.
+    ``hadamard_core`` the analysis uses. It equals the unit-scaled
+    bias-direction sensitivity t_f * rf . K_n r0, which the property tests
+    check against the adjoint-picture reference records.
     """
     e, v, w = _eigensystem(spec, biases)
     amp = _amplitude(e, w, t_f)

@@ -8,6 +8,13 @@ differences of the re-propagated error). Checks sample randomized
 networks and controllers from a seeded generator, so a failure report
 always pins the offending instance.
 
+The records ``analyze`` publishes come from the N x N Hamiltonian, where
+the structural identities hold by construction. ``adjoint_records`` keeps
+the N^2 x N^2 adjoint-picture route (explicit propagator Phi, explicit
+sensitivity operators K, explicit projection) as the reference: the
+structural checks read its records, and the cross-formulation check
+compares the published records with it field by field.
+
 The suite is what `verify` runs from the command line; the acceptance
 tests call the same functions with the documented sample sizes.
 """
@@ -16,17 +23,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
-from .analytics import analyze, evaluate_controller
+from .analytics import _record, analyze, evaluate_controller
 from .bloch import (adjoint_rep, build_bloch_system, fidelity, gell_mann_basis,
                     site_state, state_to_bloch)
-from .geometry import GeometryRecord
-from .network import (NetworkSpec, UncertaintyStructure, build_hamiltonian,
-                      enumerate_structures, perturb)
-from .sensitivity import (fd_oracle, propagator_matrix, quadrature_oracle,
+from .geometry import GeometryRecord, io_operator, project, pst_check
+from .network import (NetworkSpec, UncertaintyStructure, _readonly,
+                      build_hamiltonian, enumerate_structures, perturb,
+                      scaling_factor)
+from .sensitivity import (adjoint_sensitivity_operator, differential_sensitivity,
+                          fd_oracle, propagator_matrix, quadrature_oracle,
                           spectral_decompose)
 from .synthesis import Controller, SynthesisConfig, synthesize_ensemble, transfer_fidelity
 
@@ -55,10 +65,17 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Instance:
-    """One randomized (controller, structure) record and its direction norm."""
+    """One randomized (controller, structure) pair.
+
+    ``record`` is the published record, ``oracle`` the adjoint-picture
+    reference record with its <Phi, K> in ``tr_phi_K``, and ``s_frob`` the
+    Frobenius norm of the direction's adjoint image.
+    """
 
     spec: NetworkSpec
     record: GeometryRecord
+    oracle: GeometryRecord
+    tr_phi_K: float
     s_frob: float
 
 
@@ -82,20 +99,60 @@ def random_controller(rng: np.random.Generator, spec: NetworkSpec,
                       spec=spec, seed=index, index=index)
 
 
-def _structure_images(spec: NetworkSpec) -> tuple[tuple[UncertaintyStructure, ...],
-                                                  tuple[np.ndarray, ...]]:
-    # every structure of the network with its adjoint image, as analyze builds them
+@lru_cache(maxsize=None)
+def _structure_images(num_spins: int, topology: str) -> tuple[
+        tuple[UncertaintyStructure, ...], tuple[np.ndarray, ...]]:
+    # every structure with its adjoint image, as analyze enumerates them;
+    # both depend on the size and topology alone, so each pair is built once
+    spec = NetworkSpec(num_spins=num_spins, topology=topology,
+                       input_spin=1, output_spin=2)
     structures = tuple(enumerate_structures(spec))
-    basis = gell_mann_basis(spec.num_spins)
-    return structures, tuple(adjoint_rep(s.matrix, basis) for s in structures)
+    basis = gell_mann_basis(num_spins)
+    return structures, tuple(_readonly(adjoint_rep(s.matrix, basis))
+                             for s in structures)
+
+
+def adjoint_records(controller: Controller,
+                    structures: tuple[UncertaintyStructure, ...],
+                    s_images: tuple[np.ndarray, ...],
+                    pst_tol: float = 1e-12) -> list[tuple[GeometryRecord, float]]:
+    """Reference records of one controller from the N^2 x N^2 adjoint picture.
+
+    Each record comes with the frame inner product <Phi, K>, zero by
+    lemma 1. The propagator and every sensitivity operator are built from
+    the spectral decomposition of the adjoint generator, and the
+    projection by ``project``; nothing is shared with the N x N route of
+    ``evaluate_controller`` except the assembly of angles from the scale
+    quantities.
+    """
+    spec = controller.spec
+    ham = build_hamiltonian(spec, controller.biases)
+    system = build_bloch_system(ham, spec, controller.t_f)
+    sd = spectral_decompose(system.A)
+    phi = propagator_matrix(sd, controller.t_f)
+    f_val, _ = fidelity(system.rf, phi, system.r0)
+    pst = pst_check(phi, system.r0, system.rf, pst_tol)
+    r_op = io_operator(system.rf, system.r0)
+    out = []
+    for structure, image in zip(structures, s_images):
+        op = adjoint_sensitivity_operator(sd, image, controller.t_f)
+        f_n = scaling_factor(structure, controller)
+        _, norm_rs, perp = project(r_op, phi, op)
+        record = _record(
+            controller, structure, f_val=f_val,
+            zeta=differential_sensitivity(system, op, f_n), f_n=f_n,
+            k_coeff=float(np.tensordot(r_op, op.K, axes=2)),
+            norm_k=op.norm_K, norm_rs=norm_rs, perp=perp, pst=pst)
+        out.append((record, float(np.tensordot(phi, op.K, axes=2))))
+    return out
 
 
 def sample_instances(seed: int, dims: tuple[int, ...] = (2, 3, 4, 5, 6),
                      systems_per_dim: int = 14) -> list[Instance]:
     """Randomized instance pool shared by the structural checks.
 
-    The records come from ``evaluate_controller``, the function behind
-    ``analyze``, so the checks test the records the tool publishes.
+    Each instance carries the record ``evaluate_controller`` publishes and
+    the adjoint-picture reference record of the same pair.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out: list[Instance] = []
@@ -105,17 +162,18 @@ def sample_instances(seed: int, dims: tuple[int, ...] = (2, 3, 4, 5, 6),
             spec = random_spec(rng, n)
             controller = random_controller(rng, spec, index=idx)
             idx += 1
-            structures, images = _structure_images(spec)
-            records = evaluate_controller(controller, structures, images)
-            out.extend(Instance(spec=spec, record=r,
+            structures, images = _structure_images(spec.num_spins, spec.topology)
+            records = evaluate_controller(controller, structures)
+            oracle = adjoint_records(controller, structures, images)
+            out.extend(Instance(spec=spec, record=r, oracle=o, tr_phi_K=tr,
                                 s_frob=float(np.linalg.norm(image)))
-                       for r, image in zip(records, images))
+                       for r, (o, tr), image in zip(records, oracle, images))
     return out
 
 
 def check_lemma1(instances: list[Instance]) -> CheckResult:
     """The propagator and the sensitivity operator are Frobenius orthogonal."""
-    worst = max(abs(i.record.tr_phi_K) / (1e-9 * i.spec.num_spins ** 2)
+    worst = max(abs(i.tr_phi_K) / (1e-9 * i.spec.num_spins ** 2)
                 for i in instances)
     return CheckResult(
         name="lemma1-orthogonality",
@@ -125,23 +183,27 @@ def check_lemma1(instances: list[Instance]) -> CheckResult:
 
 
 def check_lemma2(instances: list[Instance]) -> CheckResult:
-    """0 < |K| <= |S|_F, with strict positivity at numerical scale."""
-    norms = [i.record.norm_K for i in instances]
-    bad = [i for i in instances
-           if not (1e-6 < i.record.norm_K <= i.s_frob + 1e-9)]
+    """0 < |K| <= |S|_F, with strict positivity at numerical scale.
+
+    Checked on the reference |K| and on the published one, whose closed
+    form does not bound itself.
+    """
+    pairs = [(i, r) for i in instances for r in (i.oracle, i.record)]
+    norms = [r.norm_K for _, r in pairs]
+    bad = [(i, r) for i, r in pairs if not (1e-6 < r.norm_K <= i.s_frob + 1e-9)]
     detail = (f"{len(instances)} instances, |K| in "
               f"[{min(norms):.3e}, {max(norms):.3e}]")
     if bad:
-        r = bad[0].record
+        i, r = bad[0]
         detail = (f"{len(bad)} violations; first at controller "
                   f"{r.controller_index} structure {r.structure_index}: "
-                  f"|K| = {r.norm_K:.6e}, |S|_F = {bad[0].s_frob:.6e}")
+                  f"|K| = {r.norm_K:.6e}, |S|_F = {i.s_frob:.6e}")
     return CheckResult(name="lemma2-norm-bounds", passed=not bad, detail=detail)
 
 
 def check_theorem1(instances: list[Instance]) -> CheckResult:
     """|zeta| equals the factored form within 1e-8 * max(1, |zeta|)."""
-    records = [i.record for i in instances if not i.record.zero_fidelity]
+    records = [i.oracle for i in instances if not i.oracle.zero_fidelity]
     skipped = len(instances) - len(records)
     worst = max((r.identity_residual / (1e-8 * max(1.0, r.abs_zeta))
                  for r in records), default=0.0)
@@ -155,7 +217,7 @@ def check_remark1(instances: list[Instance]) -> CheckResult:
     """|R_S|^2 decomposes into the two frame coefficients."""
     worst = 0.0
     for i in instances:
-        r = i.record
+        r = i.oracle
         frame_sq = (r.F / i.spec.num_spins) ** 2 + (r.k_coeff / r.norm_K) ** 2
         worst = max(worst, abs(r.norm_Rs ** 2 - frame_sq))
     return CheckResult(
@@ -167,12 +229,12 @@ def check_remark1(instances: list[Instance]) -> CheckResult:
 def check_remark2(instances: list[Instance]) -> CheckResult:
     """F/N <= |R_S| always; |R_S| <= 1/N is empirical, failure only warns."""
     lower_bad = [i for i in instances
-                 if i.record.norm_Rs < i.record.F / i.spec.num_spins - 1e-12]
+                 if i.oracle.norm_Rs < i.oracle.F / i.spec.num_spins - 1e-12]
     upper_bad = [i for i in instances
-                 if i.record.norm_Rs > 1.0 / i.spec.num_spins + 1e-10]
+                 if i.oracle.norm_Rs > 1.0 / i.spec.num_spins + 1e-10]
     if lower_bad:
         i = lower_bad[0]
-        r = i.record
+        r = i.oracle
         return CheckResult(
             name="remark2-projection-bounds", passed=False,
             detail=f"lower bound broken at controller {r.controller_index} "
@@ -180,8 +242,8 @@ def check_remark2(instances: list[Instance]) -> CheckResult:
                    f"< F/N = {r.F / i.spec.num_spins:.12e}")
     if upper_bad:
         dump = "; ".join(
-            f"controller {i.record.controller_index} structure "
-            f"{i.record.structure_index} |R_S| = {i.record.norm_Rs:.12e} "
+            f"controller {i.oracle.controller_index} structure "
+            f"{i.oracle.structure_index} |R_S| = {i.oracle.norm_Rs:.12e} "
             f"(1/N = {1.0 / i.spec.num_spins:.6e})"
             for i in upper_bad[:5])
         return CheckResult(
@@ -225,7 +287,7 @@ def check_three_way(seed: int, dims: tuple[int, ...] = (2, 3, 4, 5),
             structures = enumerate_structures(spec)
             structure = structures[int(rng.integers(len(structures)))]
             image = adjoint_rep(structure.matrix, basis)
-            record, = evaluate_controller(controller, (structure,), (image,))
+            record, = evaluate_controller(controller, (structure,))
             system = build_bloch_system(
                 build_hamiltonian(spec, controller.biases), spec, controller.t_f)
             quad = quadrature_oracle(system.A, image, controller.t_f,
@@ -253,8 +315,7 @@ def check_pst_sufficiency() -> CheckResult:
     controller = Controller(biases=np.zeros(2), t_f=t_f,
                             fidelity=transfer_fidelity(spec, np.zeros(2), t_f),
                             spec=spec, seed=0, index=0)
-    structures, images = _structure_images(spec)
-    records = evaluate_controller(controller, structures, images)
+    records = evaluate_controller(controller, enumerate_structures(spec))
     if not all(r.pst for r in records):
         return CheckResult(name="theorem2-sufficiency", passed=False,
                            detail="two-spin point is not perfect transfer")
@@ -312,18 +373,42 @@ def check_necessity(seed: int, restarts: int = 40,
     return CheckResult(name="theorem2-necessity", passed=passed, detail=detail)
 
 
+def record_gap(record: GeometryRecord, oracle: GeometryRecord, n: int) -> float:
+    """Worst field gap of a published record from its reference record,
+    as a fraction of that field's budget.
+
+    Budgets: F and |R_S| 1e-12 absolute; zeta, k and |K| 1e-9 * max(1, |x|);
+    sin phi and cos phi 1e-8 + 8 n^2 eps / |R_S|, the conditioning
+    allowance of ``angles``. Flags are compared separately.
+    """
+    gaps = [abs(record.F - oracle.F) / 1e-12,
+            abs(record.norm_Rs - oracle.norm_Rs) / 1e-12]
+    for a, b in ((record.zeta, oracle.zeta), (record.k_coeff, oracle.k_coeff),
+                 (record.norm_K, oracle.norm_K)):
+        gaps.append(abs(a - b) / (1e-9 * max(1.0, abs(b))))
+    if not (record.zero_fidelity or oracle.zero_fidelity):
+        allowance = 1e-8 + 8.0 * n * n * np.finfo(float).eps / oracle.norm_Rs
+        gaps += [abs(record.sin_phi - oracle.sin_phi) / allowance,
+                 abs(record.cos_phi - oracle.cos_phi) / allowance]
+    return max(gaps)
+
+
 def check_cross_formulation(seed: int, count: int = 100, max_n: int = 6,
                             flip_sign: bool = False) -> CheckResult:
-    """Adjoint-picture transfer agrees with Schroedinger propagation.
+    """Adjoint-picture transfer agrees with Schroedinger propagation, and
+    the published records agree with the adjoint-picture reference.
 
     Checks both the scalar fidelity and the full propagated state; the
     latter is what catches a flipped generator sign, which the scalar
     cannot see on real Hamiltonians (swapping input and output there
-    gives the same transfer probability).
+    gives the same transfer probability). Every record of each controller
+    is then compared field by field (``record_gap``), and its perfect
+    transfer and zero-fidelity flags must match.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     dims = [n for n in range(2, max_n + 1)]
-    worst_f = worst_state = 0.0
+    worst_f = worst_state = worst_record = 0.0
+    flag_mismatches = 0
     for k in range(count):
         n = dims[k % len(dims)]
         spec = random_spec(rng, n)
@@ -339,12 +424,20 @@ def check_cross_formulation(seed: int, count: int = 100, max_n: int = 6,
         r_t = state_to_bloch(psi_t / np.linalg.norm(psi_t), system.basis)
         worst_f = max(worst_f, abs(f_bloch - f_hilbert))
         worst_state = max(worst_state, float(np.linalg.norm(phi @ system.r0 - r_t)))
-    passed = worst_f <= 1e-10 and worst_state <= 1e-10
+        structures, images = _structure_images(spec.num_spins, spec.topology)
+        for r, (o, _) in zip(evaluate_controller(controller, structures),
+                             adjoint_records(controller, structures, images)):
+            worst_record = max(worst_record, record_gap(r, o, n))
+            flag_mismatches += (r.pst != o.pst) + (r.zero_fidelity != o.zero_fidelity)
+    passed = (worst_f <= 1e-10 and worst_state <= 1e-10 and worst_record <= 1.0
+              and not flag_mismatches)
     return CheckResult(
         name="cross-formulation",
         passed=passed,
         detail=f"{count} instances; fidelity gap {worst_f:.3e}, "
-               f"state gap {worst_state:.3e} (limits 1e-10)")
+               f"state gap {worst_state:.3e} (limits 1e-10); records at "
+               f"{worst_record:.3e} of their budgets, {flag_mismatches} flag "
+               f"mismatches")
 
 
 def run_checks(seed: int = 2024, dims: tuple[int, ...] = (2, 3, 4, 5, 6),

@@ -1,11 +1,13 @@
 """Hand-rolled statistics and the ensemble record/summary pipeline."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import spinsens
 from spinsens import (Controller, NetworkSpec, analyze, enumerate_structures,
                       kendall, pearson, transfer_fidelity)
 
@@ -211,3 +213,46 @@ class TestDegenerateEnsembles:
         assert math.isnan(by_index[1].pearson_r_loglog)
         assert by_index[3].count == 2
         assert math.isfinite(by_index[3].pearson_r_loglog)
+
+
+class TestHotPath:
+    @staticmethod
+    def patch_everywhere(monkeypatch, original, replacement):
+        # every spinsens namespace that binds the function by name
+        for name, module in list(sys.modules.items()):
+            if name == "spinsens" or name.startswith("spinsens."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, replacement)
+
+    def test_records_come_from_the_hilbert_space(self, monkeypatch, rng):
+        # analyze must build no N^2 x N^2 operator, and must call
+        # sensitivity_operator exactly once per record
+        def forbidden(*args, **kwargs):
+            raise AssertionError("N^2 x N^2 route called by analyze")
+
+        for fn in (spinsens.bloch.adjoint_rep, spinsens.sensitivity.spectral_decompose,
+                   spinsens.sensitivity.adjoint_sensitivity_operator):
+            self.patch_everywhere(monkeypatch, fn, forbidden)
+        original = spinsens.sensitivity.sensitivity_operator
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        self.patch_everywhere(monkeypatch, original, counting)
+        spec = NetworkSpec(num_spins=20, topology="chain", input_spin=1, output_spin=20)
+        controllers = []
+        for i in range(3):
+            biases = rng.uniform(0.0, 10.0, 20)
+            t_f = float(rng.uniform(1.0, 50.0))
+            controllers.append(Controller(
+                biases=biases, t_f=t_f,
+                fidelity=min(1.0, transfer_fidelity(spec, biases, t_f)),
+                spec=spec, seed=i, index=i))
+        records, _ = analyze(controllers)
+        assert len(records) == 39 * len(controllers)
+        for c in controllers:
+            assert sum(r.controller_index == c.index for r in records) == 39
+        assert len(calls) == len(records)

@@ -17,6 +17,9 @@ NONFINITE_SPECS = ['{"n": 2, "topology": "chain", "j": Infinity, "in": 1, "out":
 NONFINITE_ROWS = [
     '[{"index": 0, "tf": 1.0, "biases": [null, 0], "fidelity": 0.5}]',
     '[{"index": 0, "tf": 1.0, "biases": [0, Infinity], "fidelity": 0.5}]']
+NONFINITE_TIMES = [
+    '[{"index": 0, "tf": Infinity, "biases": [0, 0], "fidelity": 0.5}]',
+    '[{"index": 0, "tf": 1e309, "biases": [0, 0], "fidelity": 0.5}]']
 
 
 def run_synth(tmp_path, name, threads, restarts=6, seed=3):
@@ -144,7 +147,7 @@ class TestAnalyzeInputs:
     @pytest.mark.parametrize("doc", [
         "[5]", '[{"index": 0, "tf": [1.0], "biases": [0, 0], "fidelity": 0.5}]',
         '[{"index": null, "tf": 1.0, "biases": [0, 0], "fidelity": 0.5}]',
-        *NONFINITE_ROWS])
+        *NONFINITE_ROWS, *NONFINITE_TIMES])
     def test_malformed_row_is_validation_error(self, tmp_path, capsys, doc):
         rows = tmp_path / "rows.json"
         rows.write_text(doc)
@@ -155,6 +158,21 @@ class TestAnalyzeInputs:
         assert err.startswith("error:")
         if doc in NONFINITE_ROWS:
             assert "biases" in err
+        if doc in NONFINITE_TIMES:
+            assert "read-out time" in err
+
+    def test_stored_fidelity_mismatch_is_validation_error(self, tmp_path, capsys):
+        # the two-spin chain at t_f = 1 transfers sin^2(1) = 0.708, not 0.5
+        rows = tmp_path / "rows.json"
+        rows.write_text('[{"index": 3, "tf": 1.0, "biases": [0, 0], "fidelity": 0.5}]')
+        (tmp_path / "rows.spec.json").write_text(
+            '{"n": 2, "topology": "chain", "j": 1.0, "in": 1, "out": 2}')
+        assert main(["analyze", str(rows), "--records", str(tmp_path / "r.csv"),
+                     "--summaries", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "controller 3" in err and "0.5" in err
+        assert repr(math.sin(1.0) ** 2)[:8] in err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_empty_ensemble_is_validation_error(self, tmp_path):
         empty = tmp_path / "none.json"

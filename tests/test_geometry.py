@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from spinsens import (GeometryRecord, InvariantViolation, NetworkSpec,
-                      SensitivityOperator, adjoint_rep, angles,
+                      SensitivityOperator, adjoint_rep,
+                      adjoint_sensitivity_operator, angles,
                       build_bloch_system, build_hamiltonian,
                       differential_sensitivity, enumerate_structures,
                       identity_residual, io_operator, project,
                       propagator_matrix, pst_check, scaling_factor,
-                      sensitivity_operator, spectral_decompose,
-                      transfer_fidelity)
+                      spectral_decompose, transfer_fidelity)
 from spinsens.synthesis import Controller
 
 
@@ -27,7 +27,7 @@ def pipeline(spec, biases, t_f, structure):
     sd = spectral_decompose(system.A)
     phi = propagator_matrix(sd, t_f)
     s_bloch = adjoint_rep(structure.matrix, system.basis)
-    op = sensitivity_operator(sd, s_bloch, t_f)
+    op = adjoint_sensitivity_operator(sd, s_bloch, t_f)
     f_n = scaling_factor(structure, ctl)
     zeta = differential_sensitivity(system, op, f_n)
     f = float(system.rf @ phi @ system.r0)
@@ -244,7 +244,7 @@ class TestGeometryRecord:
     def _kwargs(self, **over):
         kw = dict(controller_index=0, structure_index=1, F=0.9, e=0.1,
                   zeta=-0.01, f_n=1.0, t_f=2.0, norm_K=1.5, norm_Rs=0.22,
-                  k_coeff=0.066, tr_phi_K=0.0, cos_phi=0.98, sin_phi=0.2, cos_theta=0.2,
+                  k_coeff=0.066, cos_phi=0.98, sin_phi=0.2, cos_theta=0.2,
                   identity_residual=1e-12, pst=False, zero_fidelity=False)
         kw.update(over)
         return kw

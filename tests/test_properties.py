@@ -1,5 +1,6 @@
-"""Property tests: the record invariants over random networks and controllers,
-and the synthesis objective against the adjoint-picture records."""
+"""Property tests over random networks and controllers: the record
+invariants on the adjoint-picture reference records, and the published
+records and the synthesis objective against that reference."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,6 +9,13 @@ from hypothesis import strategies as st
 from spinsens import Controller, NetworkSpec, adjoint_rep, enumerate_structures
 from spinsens import fidelity_objective, gell_mann_basis, transfer_fidelity
 from spinsens.analytics import evaluate_controller
+from spinsens.verification import adjoint_records, record_gap
+
+
+def reference_records(controller, structures):
+    basis = gell_mann_basis(controller.spec.num_spins)
+    images = tuple(adjoint_rep(s.matrix, basis) for s in structures)
+    return adjoint_records(controller, structures, images), images
 
 
 @st.composite
@@ -38,11 +46,10 @@ def controllers(draw):
 def test_record_invariants(controller):
     n = controller.spec.num_spins
     structures = tuple(enumerate_structures(controller.spec))
-    basis = gell_mann_basis(n)
-    images = tuple(adjoint_rep(s.matrix, basis) for s in structures)
-    for r, image in zip(evaluate_controller(controller, structures, images), images):
+    oracle, images = reference_records(controller, structures)
+    for (r, tr_phi_k), image in zip(oracle, images):
         # lemma 1: the propagator and K are Frobenius orthogonal
-        assert abs(r.tr_phi_K) <= 1e-9 * n * n
+        assert abs(tr_phi_k) <= 1e-9 * n * n
         # lemma 2: |K| is positive and bounded by the direction's norm
         assert 1e-6 < r.norm_K <= np.linalg.norm(image) + 1e-9
         # theorem 1: the factored identity, where the angles are defined
@@ -60,8 +67,10 @@ def working_points(draw):
     n = spec.num_spins
     bias = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
     if spec.topology == "ring" and draw(st.booleans()):
-        # a uniform bias leaves the ring's degenerate spectrum intact
-        biases = np.full(n, draw(bias))
+        # a uniform bias leaves the ring's degenerate spectrum intact; a
+        # spread of 1e-9 splits it into near-degenerate pairs
+        spread = draw(st.sampled_from((0.0, 1e-9)))
+        biases = draw(bias) + spread * np.arange(n)
     else:
         biases = np.array(draw(st.lists(bias, min_size=n, max_size=n)))
     t_f = draw(st.floats(min_value=0.1, max_value=50.0))
@@ -78,11 +87,24 @@ def test_objective_matches_adjoint_records(point):
     f, grad = fidelity_objective(spec, biases, t_f)
     controller = Controller(biases=biases, t_f=t_f, fidelity=min(1.0, f),
                             spec=spec, seed=0, index=0)
-    structures = tuple(enumerate_structures(spec))[:n]
-    basis = gell_mann_basis(n)
-    images = tuple(adjoint_rep(s.matrix, basis) for s in structures)
-    records = evaluate_controller(controller, structures, images)
-    for site, r in enumerate(records):
+    oracle, _ = reference_records(controller, tuple(enumerate_structures(spec))[:n])
+    for site, (r, _) in enumerate(oracle):
         assert abs(f - r.F) <= 1e-9
         expected = t_f * r.k_coeff
         assert abs(grad[site] - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(working_points())
+def test_engine_matches_adjoint_records(point):
+    # every published field within the cross-formulation budgets of the
+    # N^2 x N^2 reference, and the same flags
+    spec, biases, t_f = point
+    controller = Controller(biases=biases, t_f=t_f,
+                            fidelity=min(1.0, transfer_fidelity(spec, biases, t_f)),
+                            spec=spec, seed=0, index=0)
+    structures = tuple(enumerate_structures(spec))
+    oracle, _ = reference_records(controller, structures)
+    for r, (o, _) in zip(evaluate_controller(controller, structures), oracle):
+        assert record_gap(r, o, spec.num_spins) <= 1.0
+        assert (r.pst, r.zero_fidelity) == (o.pst, o.zero_fidelity)

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from spinsens import (InvariantViolation, NetworkSpec, adjoint_rep,
-                      build_bloch_system, build_hamiltonian,
-                      differential_sensitivity, enumerate_structures,
-                      fd_oracle, fidelity, gell_mann_basis, hadamard_core,
+                      adjoint_sensitivity_operator, build_bloch_system,
+                      build_hamiltonian, differential_sensitivity,
+                      enumerate_structures, fd_oracle, fidelity,
+                      gell_mann_basis, hadamard_core, hilbert_transfer,
                       perturb, propagator_matrix, quadrature_oracle,
-                      scaling_factor, sensitivity_operator, spectral_decompose,
-                      transfer_fidelity)
+                      scaling_factor, sensitivity_operator,
+                      spectral_decompose, transfer_fidelity)
 from spinsens.synthesis import Controller
 
 
@@ -150,7 +151,7 @@ class TestSensitivityOperator:
 
     def test_real_with_matching_frobenius_norm(self, rng):
         system, sd, s_bloch = self._setup(rng)
-        op = sensitivity_operator(sd, s_bloch, system.t_f)
+        op = adjoint_sensitivity_operator(sd, s_bloch, system.t_f)
         assert op.K.dtype == np.float64
         assert op.norm_K == pytest.approx(np.linalg.norm(op.K), abs=1e-9)
         # the divided differences have unit magnitude at most
@@ -159,26 +160,43 @@ class TestSensitivityOperator:
     def test_orthogonal_to_propagator(self, rng):
         # the frame inner product <Phi, K> vanishes identically
         system, sd, s_bloch = self._setup(rng)
-        op = sensitivity_operator(sd, s_bloch, system.t_f)
+        op = adjoint_sensitivity_operator(sd, s_bloch, system.t_f)
         phi = propagator_matrix(sd, system.t_f)
         assert abs(np.tensordot(phi, op.K)) < 1e-12 * max(1.0, op.norm_K)
 
     def test_pullback_skew(self, rng):
         # the operator seen from the rotating frame, Phi^T K, is skew
         system, sd, s_bloch = self._setup(rng)
-        op = sensitivity_operator(sd, s_bloch, system.t_f)
+        op = adjoint_sensitivity_operator(sd, s_bloch, system.t_f)
         w = propagator_matrix(sd, system.t_f).T @ op.K
         assert np.linalg.norm(w + w.T) < 1e-9 * max(1.0, op.norm_K)
 
     def test_time_zero_recovers_direction(self, rng):
         system, sd, s_bloch = self._setup(rng)
-        op = sensitivity_operator(sd, s_bloch, 0.0)
+        op = adjoint_sensitivity_operator(sd, s_bloch, 0.0)
         assert np.abs(op.K - s_bloch).max() < 1e-12
 
     def test_non_skew_direction_rejected(self, rng):
         system, sd, _ = self._setup(rng)
         with pytest.raises(ValueError):
-            sensitivity_operator(sd, np.eye(16), system.t_f)
+            adjoint_sensitivity_operator(sd, np.eye(16), system.t_f)
+
+
+class TestHilbertSensitivity:
+    def test_small_norm_keeps_relative_accuracy(self):
+        # just past t_f = pi the two-spin bias operators nearly vanish,
+        # |K| = 1.4e-6; 2N sum S^2 |X|^2 - 2 (tr S)^2 would cancel to 2e-4
+        spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
+        t_f = np.pi * (1.0 + 1e-6)
+        transfer = hilbert_transfer(spec, np.zeros(2), t_f)
+        system = make_system(spec, np.zeros(2), t_f)
+        sd = spectral_decompose(system.A)
+        for structure in enumerate_structures(spec):
+            k_coeff, norm_k = sensitivity_operator(transfer, structure.matrix)
+            op = adjoint_sensitivity_operator(
+                sd, adjoint_rep(structure.matrix, system.basis), t_f)
+            assert norm_k == pytest.approx(op.norm_K, rel=1e-8)
+            assert k_coeff == pytest.approx(system.rf @ op.K @ system.r0, abs=1e-12)
 
 
 class TestDifferentialSensitivity:
@@ -187,7 +205,7 @@ class TestDifferentialSensitivity:
         system = make_system(spec, rng.uniform(-1, 1, 3), 1.2)
         sd = spectral_decompose(system.A)
         s_bloch = adjoint_rep(enumerate_structures(spec)[0].matrix, system.basis)
-        op = sensitivity_operator(sd, s_bloch, system.t_f)
+        op = adjoint_sensitivity_operator(sd, s_bloch, system.t_f)
         assert differential_sensitivity(system, op, 0.0) == 0.0
 
     def test_negative_scaling_rejected(self, rng):
@@ -195,7 +213,7 @@ class TestDifferentialSensitivity:
         system = make_system(spec, np.zeros(3), 1.0)
         sd = spectral_decompose(system.A)
         s_bloch = adjoint_rep(enumerate_structures(spec)[0].matrix, system.basis)
-        op = sensitivity_operator(sd, s_bloch, system.t_f)
+        op = adjoint_sensitivity_operator(sd, s_bloch, system.t_f)
         with pytest.raises(ValueError):
             differential_sensitivity(system, op, -1.0)
 
@@ -204,7 +222,7 @@ class TestDifferentialSensitivity:
         system = make_system(spec, rng.uniform(-1, 1, 4), 2.0)
         sd = spectral_decompose(system.A)
         s_bloch = adjoint_rep(enumerate_structures(spec)[4].matrix, system.basis)
-        op = sensitivity_operator(sd, s_bloch, system.t_f)
+        op = adjoint_sensitivity_operator(sd, s_bloch, system.t_f)
         base = differential_sensitivity(system, op, 1.0)
         assert differential_sensitivity(system, op, 3.0) == pytest.approx(3.0 * base, rel=1e-14)
         # the same operator read out by the same system at twice the time
@@ -220,7 +238,7 @@ class TestDifferentialSensitivity:
         sd = spectral_decompose(system.A)
         for s in enumerate_structures(spec):
             s_bloch = adjoint_rep(s.matrix, system.basis)
-            op = sensitivity_operator(sd, s_bloch, system.t_f)
+            op = adjoint_sensitivity_operator(sd, s_bloch, system.t_f)
             assert abs(differential_sensitivity(system, op, 1.0)) < 1e-9
 
 
@@ -242,7 +260,7 @@ class TestOracleAgreement:
             sd = spectral_decompose(system.A)
             for structure in enumerate_structures(spec):
                 s_bloch = adjoint_rep(structure.matrix, system.basis)
-                op = sensitivity_operator(sd, s_bloch, t_f)
+                op = adjoint_sensitivity_operator(sd, s_bloch, t_f)
                 f_n = scaling_factor(structure, ctl)
                 zeta = differential_sensitivity(system, op, f_n)
                 ref = quadrature_oracle(system.A, s_bloch, t_f, system.r0,
@@ -256,7 +274,7 @@ class TestOracleAgreement:
             sd = spectral_decompose(system.A)
             for structure in enumerate_structures(spec):
                 s_bloch = adjoint_rep(structure.matrix, system.basis)
-                op = sensitivity_operator(sd, s_bloch, t_f)
+                op = adjoint_sensitivity_operator(sd, s_bloch, t_f)
                 f_n = scaling_factor(structure, ctl)
                 zeta = differential_sensitivity(system, op, f_n)
                 ref = fd_oracle(perturbed_error, structure, ctl, 1e-5)

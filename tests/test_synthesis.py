@@ -7,11 +7,11 @@ import pytest
 from scipy.linalg import expm
 
 from spinsens import (Controller, NetworkSpec, SynthesisConfig, adjoint_rep,
-                      build_bloch_system, build_hamiltonian,
-                      controllers_from_json, controllers_to_json,
-                      differential_sensitivity, enumerate_structures,
-                      fidelity_objective, local_optimize, sensitivity_operator,
-                      spectral_decompose, synthesize_ensemble,
+                      adjoint_sensitivity_operator, build_bloch_system,
+                      build_hamiltonian, controllers_from_json,
+                      controllers_to_json, differential_sensitivity,
+                      enumerate_structures, fidelity_objective,
+                      local_optimize, spectral_decompose, synthesize_ensemble,
                       transfer_fidelity)
 from spinsens.synthesis import f17
 
@@ -78,7 +78,7 @@ class TestFidelityObjective:
         _, grad = fidelity_objective(RING4, biases, t_f)
         for site, structure in enumerate(enumerate_structures(RING4)[:4]):
             s_bloch = adjoint_rep(structure.matrix, system.basis)
-            op = sensitivity_operator(sd, s_bloch, t_f)
+            op = adjoint_sensitivity_operator(sd, s_bloch, t_f)
             zeta_unit = differential_sensitivity(system, op, 1.0)
             assert grad[site] == pytest.approx(-zeta_unit, abs=1e-9)
 
