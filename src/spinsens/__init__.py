@@ -6,79 +6,57 @@ controllers, computes the differential sensitivity of the transfer
 error to structured Hamiltonian uncertainty, and factors that
 sensitivity into geometric terms (operator norms and frame angles) that
 explain when high fidelity and low sensitivity coexist.
+
+Public names resolve lazily (PEP 562): ``import spinsens`` loads no
+submodule, and ``spinsens.<name>`` imports the one module that defines
+the name on first use. Only the oracles in ``verification`` and
+``sensitivity.quadrature_oracle`` and the optimizer in ``synthesis``
+load scipy, so analysis alone needs numpy only. Resolved names are not
+cached here: each lookup reads the home module's current attribute, so
+a patch of that attribute, and its restore, show through the package.
 """
 
-from .analytics import CorrelationSummary, analyze, kendall, pearson
-from .bloch import (BlochSystem, HermitianBasis, adjoint_rep,
-                    build_bloch_system, fidelity, gell_mann_basis, site_state,
-                    state_to_bloch)
-from .errors import InvariantViolation
-from .geometry import (GeometryRecord, angles, identity_residual, io_operator,
-                       project, pst_check)
-from .network import (NetworkSpec, SESHamiltonian, UncertaintyStructure,
-                      build_hamiltonian, enumerate_structures, perturb,
-                      scaling_factor)
-from .sensitivity import (HilbertTransfer, SensitivityOperator, SpectralData,
-                          adjoint_sensitivity_operator,
-                          differential_sensitivity, fd_oracle, hadamard_core,
-                          hilbert_transfer, propagator_matrix,
-                          quadrature_oracle, sensitivity_operator,
-                          spectral_decompose)
-from .synthesis import (Controller, SynthesisConfig, controllers_from_json,
-                        controllers_to_json, fidelity_objective, local_optimize,
-                        synthesize_ensemble, transfer_fidelity)
-from .verification import CheckResult, run_checks
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlochSystem",
-    "CheckResult",
-    "Controller",
-    "CorrelationSummary",
-    "GeometryRecord",
-    "HermitianBasis",
-    "HilbertTransfer",
-    "InvariantViolation",
-    "NetworkSpec",
-    "SESHamiltonian",
-    "SensitivityOperator",
-    "SpectralData",
-    "SynthesisConfig",
-    "UncertaintyStructure",
-    "adjoint_rep",
-    "adjoint_sensitivity_operator",
-    "analyze",
-    "angles",
-    "build_bloch_system",
-    "build_hamiltonian",
-    "controllers_from_json",
-    "controllers_to_json",
-    "differential_sensitivity",
-    "enumerate_structures",
-    "fd_oracle",
-    "fidelity",
-    "fidelity_objective",
-    "gell_mann_basis",
-    "hadamard_core",
-    "hilbert_transfer",
-    "identity_residual",
-    "io_operator",
-    "kendall",
-    "local_optimize",
-    "pearson",
-    "perturb",
-    "project",
-    "propagator_matrix",
-    "pst_check",
-    "quadrature_oracle",
-    "run_checks",
-    "scaling_factor",
-    "sensitivity_operator",
-    "site_state",
-    "spectral_decompose",
-    "state_to_bloch",
-    "synthesize_ensemble",
-    "transfer_fidelity",
-    "__version__",
-]
+_HOMES = {
+    "analytics": ("CorrelationSummary", "analyze", "kendall", "pearson"),
+    "bloch": ("BlochSystem", "HermitianBasis", "adjoint_rep",
+              "build_bloch_system", "fidelity", "gell_mann_basis",
+              "site_state", "state_to_bloch"),
+    "errors": ("InvariantViolation",),
+    "geometry": ("GeometryRecord", "angles", "identity_residual",
+                 "io_operator", "project", "pst_check"),
+    "network": ("NetworkSpec", "SESHamiltonian", "UncertaintyStructure",
+                "build_hamiltonian", "enumerate_structures", "perturb",
+                "scaling_factor"),
+    "sensitivity": ("HilbertTransfer", "SensitivityOperator", "SpectralData",
+                    "adjoint_sensitivity_operator", "differential_sensitivity",
+                    "fd_oracle", "hadamard_core", "hilbert_transfer",
+                    "propagator_matrix", "quadrature_oracle",
+                    "sensitivity_operator", "spectral_decompose"),
+    "synthesis": ("Controller", "SynthesisConfig", "controllers_from_json",
+                  "controllers_to_json", "fidelity_objective",
+                  "local_optimize", "synthesize_ensemble",
+                  "transfer_fidelity"),
+    "verification": ("CheckResult", "run_checks"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = frozenset(_HOMES) | {"cli"}
+
+__all__ = sorted(_HOME_OF) + ["__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    try:
+        home = _HOME_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -38,6 +38,11 @@ from .synthesis import Controller
 # records are kept but angle fields carry nan and are excluded from stats.
 ZERO_FIDELITY_FLOOR = 1e-12
 
+# Largest accepted t_f * max|E|. The phases exp(-iEt) carry an absolute
+# error of about eps * t_f * max|E|, so at this bound they keep about eight
+# digits; far beyond it every record is noise that still passes its checks.
+TF_CONDITION_LIMIT = 1e8
+
 
 @dataclass(frozen=True)
 class CorrelationSummary:
@@ -143,11 +148,19 @@ def evaluate_controller(controller: Controller,
     |rf - Phi r0| = sqrt(2 leak (F + leak)) <= ``pst_tol``, with leak the
     population off the output site; unlike 1 - F this keeps its digits
     at perfect transfer.
+
+    Raises ValueError when t_f * max|E| exceeds ``TF_CONDITION_LIMIT``.
     """
     spec = controller.spec
     t_f = controller.t_f
     n = spec.num_spins
     transfer = hilbert_transfer(spec, controller.biases, t_f)
+    phase_scale = t_f * float(np.abs(transfer.e).max())
+    if phase_scale > TF_CONDITION_LIMIT:
+        raise ValueError(
+            f"controller {controller.index}: tf {t_f!r} times the spectral radius "
+            f"of H is {phase_scale:.3e}, above {TF_CONDITION_LIMIT:.0e}, where "
+            "the phases exp(-iEt) lose more than half their digits")
     probs = np.abs(transfer.column) ** 2
     f_val = float(probs[transfer.output])
     leak = float(np.delete(probs, transfer.output).sum())

@@ -7,7 +7,9 @@ pass/fail table. All floats in data files carry 17 significant digits,
 all randomness flows from the master seed, and nothing wall-clock
 dependent lands in a data file, so reruns are byte-identical. The run
 manifest carries the config hash plus the SHA-256 of every data file it
-produced; it is the one file with a timestamp.
+produced; it is the one file with a timestamp. The synth manifest also
+counts the kept controllers by optimizer status and the duplicate
+restarts dropped.
 
 Exit codes: 0 success, 1 validation error, 2 invariant failure,
 3 input/output error.
@@ -20,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,7 +33,6 @@ from .errors import InvariantViolation
 from .network import NetworkSpec
 from .synthesis import (FIDELITY_TOL, SynthesisConfig, controllers_from_json,
                         controllers_to_json, f17, synthesize_ensemble)
-from .verification import run_checks
 
 RECORD_COLUMNS = ("controller_index", "structure_index", "F", "e", "zeta",
                   "abs_zeta", "f_n", "tf", "norm_K", "norm_Rs", "cos_phi",
@@ -88,6 +90,7 @@ class RunManifest:
     config: dict
     inputs: dict
     outputs: dict
+    counts: dict | None = None
 
     def to_json(self) -> str:
         body = {
@@ -101,6 +104,8 @@ class RunManifest:
             "inputs": self.inputs,
             "outputs": self.outputs,
         }
+        if self.counts is not None:
+            body["counts"] = self.counts
         return json.dumps(body, indent=1, sort_keys=False) + "\n"
 
 
@@ -183,7 +188,9 @@ def cmd_synth(args) -> int:
         },
         inputs={},
         outputs={str(out_path): file_sha256(out_path),
-                 str(spec_path): file_sha256(spec_path)})
+                 str(spec_path): file_sha256(spec_path)},
+        counts={"duplicates_dropped": config.restarts - len(ensemble),
+                "status": dict(sorted(Counter(c.status for c in ensemble).items()))})
     _write(manifest_path, manifest.to_json())
     best = ensemble[0]
     print(f"synth: {len(ensemble)} controllers -> {out_path} "
@@ -238,6 +245,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the oracles load scipy; synth and analyze do not need them
+    from .verification import run_checks
+
     threads = resolve_threads(args.threads)
     dims = tuple(args.n) if args.n else (2, 3, 4, 5, 6)
     results = run_checks(

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvariantViolation
 from .network import _readonly, build_hamiltonian
@@ -136,11 +135,12 @@ def _eigensystem(spec: "NetworkSpec",
 class HilbertTransfer:
     """One working point in the N x N picture, shared by every direction.
 
-    ``v`` holds the eigenvectors of H as columns, ``x`` the divided
-    differences of exp(-i E t_f) at its eigenvalues, and ``column`` the
+    ``e`` holds the eigenvalues E of H, ``v`` its eigenvectors as columns,
+    ``x`` the divided differences of exp(-i E t_f) at E, and ``column`` the
     propagated input U[:, in]; ``output`` and ``input`` are 0-based sites.
     """
 
+    e: np.ndarray
     v: np.ndarray
     x: np.ndarray
     column: np.ndarray
@@ -148,7 +148,7 @@ class HilbertTransfer:
     input: int
 
     def __post_init__(self):
-        for a in (self.v, self.x, self.column):
+        for a in (self.e, self.v, self.x, self.column):
             _readonly(a)
 
 
@@ -158,7 +158,7 @@ def hilbert_transfer(spec: "NetworkSpec", biases: np.ndarray,
     e, v, _ = _eigensystem(spec, biases)
     column = (v * np.exp(-1j * e * t_f)) @ v[spec.input_spin - 1]
     x = hadamard_core(np.ones((e.size, e.size)), -e, t_f)
-    return HilbertTransfer(v=v, x=x, column=column,
+    return HilbertTransfer(e=e, v=v, x=x, column=column,
                            output=spec.output_spin - 1, input=spec.input_spin - 1)
 
 
@@ -238,6 +238,9 @@ def quadrature_oracle(a: np.ndarray, s_bloch: np.ndarray, t_f: float,
     with Pade-based matrix exponentials at every node; no eigensystem is
     shared with the closed-form route.
     """
+    # imported here so that the closed-form route loads no scipy
+    from scipy.linalg import expm
+
     if nodes < 16:
         raise ValueError(f"need at least 16 quadrature nodes, got {nodes}")
     a = np.asarray(a, dtype=float)

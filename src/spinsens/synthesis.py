@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .network import NetworkSpec, _readonly
 from .sensitivity import _eigensystem, hadamard_core
@@ -147,6 +146,9 @@ def local_optimize(spec: NetworkSpec, initial_biases: np.ndarray,
     A point that is already stationary (a perfect-transfer controller in
     particular) comes back unchanged.
     """
+    # imported here so that analysis, which reads Controller, loads no scipy
+    from scipy.optimize import minimize
+
     lo_b, hi_b = config.bias_range
     lo_t, hi_t = config.t_f_range
     delta = np.asarray(initial_biases, dtype=float).copy()

@@ -10,6 +10,8 @@ from scipy import stats
 import spinsens
 from spinsens import (Controller, NetworkSpec, analyze, enumerate_structures,
                       kendall, pearson, transfer_fidelity)
+from spinsens.analytics import TF_CONDITION_LIMIT, evaluate_controller
+from spinsens.verification import _structure_images, adjoint_records
 
 
 def chain2_controller(t_f, index=0):
@@ -196,6 +198,36 @@ class TestDegenerateEnsembles:
         assert len(records) == len(enumerate_structures(spec))
         for r in records:
             assert r.identity_residual <= 1e-8 * max(1.0, r.abs_zeta)
+
+    @pytest.mark.parametrize("n, topology, t_f", [
+        (3, "chain", math.pi / math.sqrt(2.0)),
+        (4, "ring", math.pi / 2.0)])
+    def test_theorem2_anchor_beyond_two_spins(self, n, topology, t_f):
+        # perfect transfer 1 -> 3 at zero bias on graphs with PST (Christandl
+        # et al., PRL 92, 187902, 2004): every structure is insensitive, in
+        # the N x N records and in the adjoint-picture reference alike
+        spec = NetworkSpec(num_spins=n, topology=topology, input_spin=1, output_spin=3)
+        controller = Controller(biases=np.zeros(n), t_f=t_f,
+                                fidelity=min(1.0, transfer_fidelity(spec, np.zeros(n), t_f)),
+                                spec=spec, seed=0, index=0)
+        structures, images = _structure_images(n, topology)
+        engine = evaluate_controller(controller, structures)
+        oracle = [r for r, _ in adjoint_records(controller, structures, images)]
+        for records in (engine, oracle):
+            assert len(records) == len(structures)
+            for r in records:
+                assert r.e <= 1e-12
+                assert t_f * abs(r.k_coeff) <= 1e-12
+                assert r.pst
+
+    def test_huge_read_out_time_rejected(self):
+        # t_f * max|E| above the bound leaves exp(-iEt) without a reliable
+        # digit; the two-spin chain at zero bias has max|E| = 1
+        structures = tuple(enumerate_structures(chain2_controller(1.0).spec))
+        assert evaluate_controller(chain2_controller(TF_CONDITION_LIMIT), structures)
+        with pytest.raises(ValueError, match="controller 5: tf"):
+            evaluate_controller(chain2_controller(2.0 * TF_CONDITION_LIMIT, 5),
+                                structures)
 
     def test_zero_scale_records_excluded_from_count(self):
         # unbiased controllers: bias structures have f_n = 0, hence an

@@ -4,8 +4,10 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
+from spinsens import NetworkSpec, transfer_fidelity
 from spinsens.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, CommandLineError,
                           config_hash, file_sha256, main, resolve_threads)
 
@@ -174,6 +176,22 @@ class TestAnalyzeInputs:
         assert repr(math.sin(1.0) ** 2)[:8] in err
         assert not (tmp_path / "r.csv").exists()
 
+    def test_huge_read_out_time_is_validation_error(self, tmp_path, capsys):
+        # finite and self-consistent, but exp(-iEt) at t_f = 1e300 keeps no
+        # correct digit; the stored fidelity matches, so only the guard trips
+        spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
+        stored = transfer_fidelity(spec, np.zeros(2), 1e300)
+        rows = tmp_path / "rows.json"
+        rows.write_text(f'[{{"index": 4, "tf": 1e300, "biases": [0, 0], '
+                        f'"fidelity": {stored!r}}}]')
+        (tmp_path / "rows.spec.json").write_text(spec.to_json())
+        assert main(["analyze", str(rows), "--records", str(tmp_path / "r.csv"),
+                     "--summaries", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "controller 4" in err and "tf" in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_empty_ensemble_is_validation_error(self, tmp_path):
         empty = tmp_path / "none.json"
         empty.write_text("[]")
@@ -196,6 +214,23 @@ class TestSynthOutputs:
         assert manifest["command"] == "synth"
         assert manifest["outputs"][str(out)] == file_sha256(out)
         assert manifest["config_hash"] == config_hash(manifest["config"])
+        counts = manifest["counts"]
+        assert counts["duplicates_dropped"] == 6 - len(rows)
+        assert set(counts["status"]) <= {"converged", "maxiter"}
+        assert sum(counts["status"].values()) == len(rows)
+
+    def test_manifest_counts_dropped_duplicates(self, tmp_path):
+        # restarts in a 1e-9 bias box and a narrow read-out window often
+        # end on the same point
+        out = tmp_path / "controllers.json"
+        assert main(["synth", "--n", "2", "--topology", "chain", "--in", "1",
+                     "--out", "2", "--bias-range", "0", "1e-9", "--tf-range",
+                     "1.5", "1.6", "--restarts", "8", "--seed", "1",
+                     "-o", str(out)]) == 0
+        kept = len(json.loads(out.read_text()))
+        counts = json.loads(out.with_name("controllers.manifest.json").read_text())["counts"]
+        assert sum(counts["status"].values()) == kept
+        assert counts["duplicates_dropped"] == 8 - kept > 0
 
     def test_fidelity_sorted_descending(self, tmp_path):
         out = run_synth(tmp_path, "b", threads=1)
