@@ -24,7 +24,6 @@ double as the oracle for themselves and stay exact at desk scale.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,16 +206,13 @@ def summarize_structure(records: list[GeometryRecord],
         var_norm_K=float(norms.var()))
 
 
-def analyze(controllers: list[Controller], *, threads: int | None = None,
-            pst_tol: float = 1e-12,
+def analyze(controllers: list[Controller], *, pst_tol: float = 1e-12,
             ) -> tuple[list[GeometryRecord], list[CorrelationSummary]]:
     """Records for every (controller, structure) pair plus per-structure stats.
 
     The structures are those ``enumerate_structures`` gives for the network
-    all controllers share.
-
-    The per-controller work runs as a parallel map when ``threads`` > 1;
-    the output order depends only on the input order.
+    all controllers share. Records come in controller order, then
+    structure order.
     """
     if not controllers:
         raise ValueError("cannot analyze an empty ensemble")
@@ -226,15 +222,7 @@ def analyze(controllers: list[Controller], *, threads: int | None = None,
             raise ValueError("all controllers must share one network")
     structures = enumerate_structures(spec)
 
-    def work(c: Controller) -> list[GeometryRecord]:
-        return evaluate_controller(c, structures, pst_tol)
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_controller = list(pool.map(work, controllers))
-    else:
-        per_controller = [work(c) for c in controllers]
-
-    records = [rec for group in per_controller for rec in group]
+    records = [rec for c in controllers
+               for rec in evaluate_controller(c, structures, pst_tol)]
     summaries = [summarize_structure(records, s.index) for s in structures]
     return records, summaries

@@ -9,7 +9,10 @@ dependent lands in a data file, so reruns are byte-identical. The run
 manifest carries the config hash plus the SHA-256 of every data file it
 produced; it is the one file with a timestamp. The synth manifest also
 counts the kept controllers by optimizer status and the duplicate
-restarts dropped.
+restarts dropped, and gives their best and median error; the analyze
+manifest counts the perfect-transfer and zero-fidelity records. When a
+synth manifest sits next to the controllers, analyze checks its inputs
+against the digests it records.
 
 Exit codes: 0 success, 1 validation error, 2 invariant failure,
 3 input/output error.
@@ -20,12 +23,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analytics import analyze
@@ -40,6 +44,7 @@ RECORD_COLUMNS = ("controller_index", "structure_index", "F", "e", "zeta",
 SUMMARY_COLUMNS = ("structure_index", "n_records", "pearson_loglog",
                    "kendall_tau_e_vs_sinphi", "mean_norm_K", "var_norm_K")
 SCHEMA_VERSION = 1
+THREADS_HELP = "accepted for compatibility and ignored: every command runs serially"
 
 
 class CommandLineError(Exception):
@@ -53,21 +58,15 @@ class _Parser(argparse.ArgumentParser):
         raise CommandLineError(f"{self.prog}: {message}")
 
 
-def resolve_threads(value: int | None) -> int:
-    if value is not None:
-        if value < 1:
-            raise CommandLineError(f"--threads must be >= 1, got {value}")
-        return value
-    env = os.environ.get("SPINSENS_THREADS")
-    if env:
-        try:
-            parsed = int(env)
-        except ValueError:
-            raise CommandLineError(f"SPINSENS_THREADS is not an integer: {env!r}")
-        if parsed < 1:
-            raise CommandLineError(f"SPINSENS_THREADS must be >= 1, got {parsed}")
-        return parsed
-    return 1
+def _thread_count(text: str) -> int:
+    # --threads is checked and then ignored: every command runs serially
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def file_sha256(path: Path) -> str:
@@ -164,8 +163,7 @@ def cmd_synth(args) -> int:
         bias_range=tuple(args.bias_range),
         tolerance=args.tolerance,
         seed=args.seed)
-    threads = resolve_threads(args.threads)
-    ensemble = synthesize_ensemble(spec, config, threads=threads)
+    ensemble = synthesize_ensemble(spec, config)
     if not ensemble:
         raise CommandLineError("synthesis produced no controllers; "
                                "check ranges and restart count")
@@ -190,12 +188,36 @@ def cmd_synth(args) -> int:
         outputs={str(out_path): file_sha256(out_path),
                  str(spec_path): file_sha256(spec_path)},
         counts={"duplicates_dropped": config.restarts - len(ensemble),
-                "status": dict(sorted(Counter(c.status for c in ensemble).items()))})
+                "status": dict(sorted(Counter(c.status for c in ensemble).items())),
+                "best_error": ensemble[0].error,
+                "median_error": float(np.median([c.error for c in ensemble]))})
     _write(manifest_path, manifest.to_json())
     best = ensemble[0]
     print(f"synth: {len(ensemble)} controllers -> {out_path} "
           f"(best error {1.0 - best.fidelity:.3e})")
     return 0
+
+
+def _check_against_manifest(controllers_path: Path, inputs: dict) -> None:
+    """Compare input digests with the synth manifest next to the controllers.
+
+    ``inputs`` maps each input path to its SHA-256. Synth keys its outputs
+    by the path it was given, so entries are matched by file name; a file
+    the manifest does not list is not checked, and without a manifest
+    nothing is.
+    """
+    manifest_path = controllers_path.with_name(controllers_path.stem + ".manifest.json")
+    if not manifest_path.exists():
+        return
+    try:
+        outputs = json.loads(manifest_path.read_text(encoding="utf-8"))["outputs"]
+        expected = {Path(name).name: digest for name, digest in outputs.items()}
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+        raise IOError(f"corrupt manifest {manifest_path}: {exc!r}") from exc
+    for path, digest in inputs.items():
+        if expected.get(Path(path).name, digest) != digest:
+            raise ValueError(f"{path} does not match the SHA-256 that "
+                             f"{manifest_path} records for it")
 
 
 def cmd_analyze(args) -> int:
@@ -207,6 +229,9 @@ def cmd_analyze(args) -> int:
         controllers_text = controllers_path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IOError(f"cannot read inputs: {exc}") from exc
+    inputs = {str(controllers_path): file_sha256(controllers_path),
+              str(spec_path): file_sha256(spec_path)}
+    _check_against_manifest(controllers_path, inputs)
     try:
         spec = NetworkSpec.from_json(spec_text)
         controllers = controllers_from_json(controllers_text, spec)
@@ -215,9 +240,7 @@ def cmd_analyze(args) -> int:
     if not controllers:
         raise CommandLineError(f"no controllers in {controllers_path}")
 
-    threads = resolve_threads(args.threads)
-    records, summaries = analyze(controllers, threads=threads,
-                                 pst_tol=args.pst_tol)
+    records, summaries = analyze(controllers, pst_tol=args.pst_tol)
     per_controller = len(records) // len(controllers)
     for c, r in zip(controllers, records[::per_controller]):
         if abs(c.fidelity - r.F) > FIDELITY_TOL:
@@ -234,10 +257,11 @@ def cmd_analyze(args) -> int:
         config={"pst_tol": args.pst_tol,
                 "columns": list(RECORD_COLUMNS),
                 "summary_columns": list(SUMMARY_COLUMNS)},
-        inputs={str(controllers_path): file_sha256(controllers_path),
-                str(spec_path): file_sha256(spec_path)},
+        inputs=inputs,
         outputs={str(records_path): file_sha256(records_path),
-                 str(summaries_path): file_sha256(summaries_path)})
+                 str(summaries_path): file_sha256(summaries_path)},
+        counts={"pst_records": sum(r.pst for r in records),
+                "zero_fidelity_records": sum(r.zero_fidelity for r in records)})
     _write(manifest_path, manifest.to_json())
     print(f"analyze: {len(records)} records over {len(summaries)} structures "
           f"-> {records_path}, {summaries_path}")
@@ -248,7 +272,6 @@ def cmd_verify(args) -> int:
     # the oracles load scipy; synth and analyze do not need them
     from .verification import run_checks
 
-    threads = resolve_threads(args.threads)
     dims = tuple(args.n) if args.n else (2, 3, 4, 5, 6)
     results = run_checks(
         seed=args.seed,
@@ -258,8 +281,7 @@ def cmd_verify(args) -> int:
         cross_count=args.cross_count,
         necessity_restarts=args.restarts,
         pst_only=args.pst,
-        inject_sign_error=args.inject_sign_error,
-        threads=threads)
+        inject_sign_error=args.inject_sign_error)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{r.label:4s} {r.name:{width}s}  {r.detail}")
@@ -294,7 +316,8 @@ def build_parser() -> _Parser:
     synth.add_argument("--bias-range", nargs=2, type=float, default=[0.0, 10.0],
                        metavar=("LO", "HI"))
     synth.add_argument("--tolerance", type=float, default=1e-8)
-    synth.add_argument("--threads", type=int, default=None)
+    synth.add_argument("--threads", type=_thread_count, default=1,
+                       help=THREADS_HELP)
     synth.add_argument("-o", "--output", default="controllers.json")
     synth.set_defaults(func=cmd_synth)
 
@@ -306,7 +329,8 @@ def build_parser() -> _Parser:
     analyze_p.add_argument("--records", default="records.csv")
     analyze_p.add_argument("--summaries", default="summaries.csv")
     analyze_p.add_argument("--pst-tol", type=float, default=1e-12)
-    analyze_p.add_argument("--threads", type=int, default=None)
+    analyze_p.add_argument("--threads", type=_thread_count, default=1,
+                           help=THREADS_HELP)
     analyze_p.set_defaults(func=cmd_analyze)
 
     verify = sub.add_parser("verify", help="run the numerical invariant suite")
@@ -320,7 +344,8 @@ def build_parser() -> _Parser:
     verify.add_argument("--cross-count", type=int, default=100)
     verify.add_argument("--restarts", type=int, default=40,
                         help="ensemble size for the necessity check")
-    verify.add_argument("--threads", type=int, default=None)
+    verify.add_argument("--threads", type=_thread_count, default=1,
+                        help=THREADS_HELP)
     verify.add_argument("--inject-sign-error", action="store_true",
                         help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)

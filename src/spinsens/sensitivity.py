@@ -59,7 +59,7 @@ class SpectralData:
     cancels between M and M*, and within a degenerate eigenspace the
     divided-difference weights are constant, so any unitary mix of its
     columns cancels too. The eigensolver is deterministic for a given
-    input, so reruns and thread counts still give the same bytes.
+    input, so reruns still give the same bytes.
     """
 
     M: np.ndarray

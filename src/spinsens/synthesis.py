@@ -14,13 +14,12 @@ records ``analyze`` writes. The adjoint-picture reference route in
 Determinism is load-bearing: restarts get independent child seeds from a
 master seed, every accept step requires strict improvement, and results
 are ordered by a total sort key, so a fixed seed reproduces the ensemble
-bitwise regardless of thread count.
+bitwise.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -200,28 +199,21 @@ def _projected_norm(grad: np.ndarray, x: np.ndarray, lo: float, hi: float) -> fl
     return float(np.abs(g).max()) if g.size else 0.0
 
 
-def synthesize_ensemble(spec: NetworkSpec, config: SynthesisConfig,
-                        threads: int | None = None) -> list[Controller]:
+def synthesize_ensemble(spec: NetworkSpec, config: SynthesisConfig) -> list[Controller]:
     """Multistart synthesis: seeded restarts, dedupe, sort by fidelity.
 
-    The restart map may run on a thread pool; ordering and content of the
-    result depend only on the master seed.
+    Ordering and content of the result depend only on the master seed.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.restarts)
     lo_b, hi_b = config.bias_range
     lo_t, hi_t = config.t_f_range
 
-    def run(i: int) -> Controller:
-        rng = np.random.default_rng(children[i])
+    raw = []
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
         d0 = rng.uniform(lo_b, hi_b, spec.num_spins)
         t0 = rng.uniform(lo_t, hi_t)
-        return local_optimize(spec, d0, t0, config, seed=i, index=i)
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(run, range(config.restarts)))
-    else:
-        raw = [run(i) for i in range(config.restarts)]
+        raw.append(local_optimize(spec, d0, t0, config, seed=i, index=i))
 
     raw.sort(key=lambda c: (-c.fidelity, c.t_f, c.seed))
     kept: list[Controller] = []

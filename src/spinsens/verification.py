@@ -336,8 +336,7 @@ def check_pst_sufficiency() -> CheckResult:
                f"cos phi defect {worst_cos:.3e} (limits 1e-9)")
 
 
-def check_necessity(seed: int, restarts: int = 40,
-                    threads: int | None = None) -> CheckResult:
+def check_necessity(seed: int, restarts: int = 40) -> CheckResult:
     """Imperfect transfer implies nonzero sensitivity, desk scale.
 
     On a synthesized ensemble, every record with error inside
@@ -346,8 +345,8 @@ def check_necessity(seed: int, restarts: int = 40,
     """
     spec = NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=2)
     config = SynthesisConfig(restarts=restarts, seed=seed)
-    ensemble = synthesize_ensemble(spec, config, threads=threads)
-    records, _ = analyze(ensemble, threads=threads)
+    ensemble = synthesize_ensemble(spec, config)
+    records, _ = analyze(ensemble)
     eligible = [r for r in records
                 if 1e-6 <= r.e <= 0.5 and r.f_n >= 0.1]
     violations = [r for r in eligible
@@ -443,8 +442,7 @@ def check_cross_formulation(seed: int, count: int = 100, max_n: int = 6,
 def run_checks(seed: int = 2024, dims: tuple[int, ...] = (2, 3, 4, 5, 6),
                systems_per_dim: int = 14, three_way_per_dim: int = 50,
                cross_count: int = 100, necessity_restarts: int = 40,
-               pst_only: bool = False, inject_sign_error: bool = False,
-               threads: int | None = None) -> list[CheckResult]:
+               pst_only: bool = False, inject_sign_error: bool = False) -> list[CheckResult]:
     """The full suite in report order; flags trim or sabotage it for tests."""
     if pst_only:
         return [check_pst_sufficiency()]
@@ -456,7 +454,7 @@ def run_checks(seed: int = 2024, dims: tuple[int, ...] = (2, 3, 4, 5, 6),
         check_remark1(instances),
         check_remark2(instances),
         check_pst_sufficiency(),
-        check_necessity(seed, restarts=necessity_restarts, threads=threads),
+        check_necessity(seed, restarts=necessity_restarts),
         check_three_way(seed, dims=tuple(n for n in dims if n <= 5),
                         per_dim=three_way_per_dim),
         check_cross_formulation(seed, count=cross_count,

@@ -16,14 +16,14 @@ def ring4_spec():
 @pytest.fixture(scope="session")
 def ring4_ensemble(ring4_spec):
     config = SynthesisConfig(restarts=220, seed=7)
-    ensemble = synthesize_ensemble(ring4_spec, config, threads=4)
+    ensemble = synthesize_ensemble(ring4_spec, config)
     assert len(ensemble) >= 200
     return ensemble
 
 
 @pytest.fixture(scope="session")
 def ring4_analysis(ring4_ensemble):
-    return analyze(ring4_ensemble, threads=4)
+    return analyze(ring4_ensemble)
 
 
 @pytest.fixture()

@@ -2,14 +2,15 @@
 
 import json
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
 from spinsens import NetworkSpec, transfer_fidelity
-from spinsens.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, CommandLineError,
-                          config_hash, file_sha256, main, resolve_threads)
+from spinsens.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, config_hash,
+                          file_sha256, main)
 
 RING_FLAGS = ["--n", "4", "--topology", "ring", "--in", "1", "--out", "2"]
 
@@ -89,29 +90,13 @@ class TestArgumentHandling:
         assert main(["synth", "--spec", str(spec), "--restarts", "1"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-
-class TestThreadResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("SPINSENS_THREADS", "7")
-        assert resolve_threads(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("SPINSENS_THREADS", "2")
-        assert resolve_threads(None) == 2
-
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv("SPINSENS_THREADS", raising=False)
-        assert resolve_threads(None) == 1
-
-    def test_bad_values_rejected(self, monkeypatch):
-        with pytest.raises(CommandLineError):
-            resolve_threads(0)
-        monkeypatch.setenv("SPINSENS_THREADS", "zero")
-        with pytest.raises(CommandLineError):
-            resolve_threads(None)
-        monkeypatch.setenv("SPINSENS_THREADS", "-1")
-        with pytest.raises(CommandLineError):
-            resolve_threads(None)
+    @pytest.mark.parametrize("argv", [
+        ["synth", *RING_FLAGS], ["analyze", "absent.json"], ["verify", "--pst"]])
+    def test_threads_below_one_rejected_at_parse_time(self, capsys, argv):
+        # --threads changes nothing, but a bad value still fails before any
+        # work or file access
+        assert main([*argv, "--threads", "0"]) == 1
+        assert "--threads: must be >= 1" in capsys.readouterr().err
 
 
 class TestAnalyzeInputs:
@@ -218,6 +203,9 @@ class TestSynthOutputs:
         assert counts["duplicates_dropped"] == 6 - len(rows)
         assert set(counts["status"]) <= {"converged", "maxiter"}
         assert sum(counts["status"].values()) == len(rows)
+        errors = [1.0 - row["fidelity"] for row in rows]
+        assert counts["best_error"] == errors[0] == min(errors)
+        assert counts["median_error"] == float(np.median(errors))
 
     def test_manifest_counts_dropped_duplicates(self, tmp_path):
         # restarts in a 1e-9 bias box and a narrow read-out window often
@@ -262,6 +250,60 @@ class TestAnalyzeOutputs:
         assert manifest["inputs"][str(out)] == file_sha256(out)
         assert manifest["outputs"][str(records)] == file_sha256(records)
         assert manifest["outputs"][str(summaries)] == file_sha256(summaries)
+
+    def test_manifest_counts_pst_and_zero_fidelity_records(self, tmp_path):
+        # two-spin chain: F = sin^2 t, so t = pi/2 is perfect transfer and
+        # t = pi transfers nothing (F = 1.5e-32, below the zero floor)
+        controllers = tmp_path / "hand.json"
+        controllers.write_text(
+            '[{"index": 0, "seed": 0, "tf": 1.5707963267948966, '
+            '"biases": [0, 0], "fidelity": 1},\n'
+            f' {{"index": 1, "seed": 1, "tf": 1.0, "biases": [0, 0], '
+            f'"fidelity": {math.sin(1.0) ** 2!r}}},\n'
+            ' {"index": 2, "seed": 2, "tf": 3.141592653589793, '
+            '"biases": [0, 0], "fidelity": 0}]\n')
+        (tmp_path / "hand.spec.json").write_text(
+            '{"n": 2, "topology": "chain", "j": 1.0, "in": 1, "out": 2}')
+        records, _ = run_analyze(controllers, threads=1)
+        manifest = json.loads(records.with_name("records.manifest.json").read_text())
+        assert manifest["counts"] == {"pst_records": 3, "zero_fidelity_records": 3}
+
+
+class TestSynthManifestCheck:
+    def test_untouched_round_trip_passes(self, tmp_path):
+        records, _ = run_analyze(run_synth(tmp_path, "ok", threads=1), threads=1)
+        assert records.exists()
+
+    def test_edited_seed_digit_rejected(self, tmp_path, capsys):
+        out = run_synth(tmp_path, "seed", threads=1)
+        text = out.read_text()
+        edited = re.sub(r'"seed": (\d)', lambda m: f'"seed": {(int(m[1]) + 1) % 10}',
+                        text, count=1)
+        assert edited != text
+        out.write_text(edited)
+        code = main(["analyze", str(out), "--records", str(tmp_path / "r.csv"),
+                     "--summaries", str(tmp_path / "s.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and "controllers.manifest.json" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_edited_spec_sidecar_rejected(self, tmp_path, capsys):
+        out = run_synth(tmp_path, "spec", threads=1)
+        sidecar = out.with_name("controllers.spec.json")
+        sidecar.write_text(sidecar.read_text() + "\n")
+        code = main(["analyze", str(out), "--records", str(tmp_path / "r.csv"),
+                     "--summaries", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert str(sidecar) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", ["[{", "[]", '{"outputs": 5}'])
+    def test_corrupt_manifest_is_io_error(self, tmp_path, capsys, doc):
+        out = run_synth(tmp_path, "bad", threads=1)
+        out.with_name("controllers.manifest.json").write_text(doc)
+        assert main(["analyze", str(out), "--records", str(tmp_path / "r.csv"),
+                     "--summaries", str(tmp_path / "s.csv")]) == 3
+        assert "corrupt manifest" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@
 
 ``import spinsens.cli`` and ``spinsens analyze`` must load no scipy
 module: only the optimizer in ``synthesis`` and the oracles need it.
+Every command runs serially, so nothing loads a thread or process pool.
 Each probe runs in a fresh interpreter, so nothing imported by the test
 session (scipy included) leaks into what it measures.
 """
@@ -21,6 +22,8 @@ SRC = str(Path(spinsens.__file__).resolve().parents[1])
 
 _SCIPY_LOADED = ("sorted(m for m in sys.modules "
                  "if m == 'scipy' or m.startswith('scipy.'))")
+_CONCURRENT_LOADED = ("sorted(m for m in sys.modules "
+                      "if m == 'concurrent' or m.startswith('concurrent.'))")
 
 
 def fresh(body: str) -> str:
@@ -50,6 +53,22 @@ class TestImportCost:
                     f"print(code, {_SCIPY_LOADED})")
         assert out.strip().splitlines()[-1] == "0 []"
         assert len((tmp_path / "r.csv").read_text().splitlines()) == 1 + 3 * len(ensemble)
+
+    def test_no_worker_pool_module_loads(self):
+        # scipy.optimize itself imports the concurrent.futures package, so
+        # after synthesis only the executor modules must stay unloaded
+        out = fresh("import spinsens.cli\n"
+                    f"print({_CONCURRENT_LOADED})\n"
+                    "from spinsens import NetworkSpec, SynthesisConfig, synthesize_ensemble\n"
+                    "spec = NetworkSpec(num_spins=2, topology='chain', input_spin=1, "
+                    "output_spin=2)\n"
+                    "print(len(synthesize_ensemble(spec, SynthesisConfig(restarts=3, seed=5))))\n"
+                    "print(sorted(m for m in sys.modules if m in "
+                    "('concurrent.futures.thread', 'concurrent.futures.process')))")
+        after_import, kept, after_synth = out.strip().splitlines()
+        assert after_import == "[]"
+        assert int(kept) >= 1
+        assert after_synth == "[]"
 
 
 class TestLazyNamespace:

@@ -173,14 +173,6 @@ class TestSynthesizeEnsemble:
             assert np.array_equal(x.biases, y.biases)
             assert x.t_f == y.t_f and x.fidelity == y.fidelity and x.seed == y.seed
 
-    def test_thread_count_invariant(self):
-        serial = synthesize_ensemble(RING4, self.CONFIG, threads=1)
-        pooled = synthesize_ensemble(RING4, self.CONFIG, threads=4)
-        assert len(serial) == len(pooled)
-        for x, y in zip(serial, pooled):
-            assert np.array_equal(x.biases, y.biases)
-            assert x.t_f == y.t_f and x.fidelity == y.fidelity
-
     def test_single_restart(self):
         out = synthesize_ensemble(RING4, SynthesisConfig(restarts=1, seed=5))
         assert len(out) == 1 and out[0].index == 0
