@@ -12,7 +12,9 @@ counts the kept controllers by optimizer status and the duplicate
 restarts dropped, and gives their best and median error; the analyze
 manifest counts the perfect-transfer and zero-fidelity records. When a
 synth manifest sits next to the controllers, analyze checks its inputs
-against the digests it records.
+against the digests it records. Analyze refuses, before writing, an
+output path that is one of its inputs, the synth manifest or another
+output.
 
 Exit codes: 0 success, 1 validation error, 2 invariant failure,
 3 input/output error.
@@ -58,15 +60,17 @@ class _Parser(argparse.ArgumentParser):
         raise CommandLineError(f"{self.prog}: {message}")
 
 
-def _thread_count(text: str) -> int:
-    # --threads is checked and then ignored: every command runs serially
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for an integer flag with a lower bound."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def file_sha256(path: Path) -> str:
@@ -198,7 +202,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _check_against_manifest(controllers_path: Path, inputs: dict) -> None:
+def _check_against_manifest(manifest_path: Path, inputs: dict) -> None:
     """Compare input digests with the synth manifest next to the controllers.
 
     ``inputs`` maps each input path to its SHA-256. Synth keys its outputs
@@ -206,7 +210,6 @@ def _check_against_manifest(controllers_path: Path, inputs: dict) -> None:
     the manifest does not list is not checked, and without a manifest
     nothing is.
     """
-    manifest_path = controllers_path.with_name(controllers_path.stem + ".manifest.json")
     if not manifest_path.exists():
         return
     try:
@@ -220,10 +223,34 @@ def _check_against_manifest(controllers_path: Path, inputs: dict) -> None:
                              f"{manifest_path} records for it")
 
 
+def _refuse_overwrites(reads: dict, writes: dict) -> None:
+    """Reject a run in which a file to write is a file read, the synth
+    manifest or another file to write; both dicts map a description to
+    a path, and nothing has been written when this raises."""
+    taken = {path.resolve(): what for what, path in reads.items()}
+    for what, path in writes.items():
+        where = path.resolve()
+        if where in taken:
+            raise CommandLineError(f"{what} would overwrite {taken[where]}; "
+                                   "give the output another name or directory")
+        taken[where] = what
+
+
 def cmd_analyze(args) -> int:
     controllers_path = Path(args.controllers)
     spec_path = Path(args.spec) if args.spec else \
         controllers_path.with_name(controllers_path.stem + ".spec.json")
+    records_path = Path(args.records)
+    summaries_path = Path(args.summaries)
+    manifest_path = records_path.with_name(records_path.stem + ".manifest.json")
+    synth_manifest = controllers_path.with_name(controllers_path.stem + ".manifest.json")
+    _refuse_overwrites(
+        {f"the controllers {controllers_path}": controllers_path,
+         f"the spec {spec_path}": spec_path,
+         f"the synth manifest {synth_manifest}": synth_manifest},
+        {f"--records {records_path}": records_path,
+         f"--summaries {summaries_path}": summaries_path,
+         f"the manifest {manifest_path} of --records {records_path}": manifest_path})
     try:
         spec_text = spec_path.read_text(encoding="utf-8")
         controllers_text = controllers_path.read_text(encoding="utf-8")
@@ -231,7 +258,7 @@ def cmd_analyze(args) -> int:
         raise IOError(f"cannot read inputs: {exc}") from exc
     inputs = {str(controllers_path): file_sha256(controllers_path),
               str(spec_path): file_sha256(spec_path)}
-    _check_against_manifest(controllers_path, inputs)
+    _check_against_manifest(synth_manifest, inputs)
     try:
         spec = NetworkSpec.from_json(spec_text)
         controllers = controllers_from_json(controllers_text, spec)
@@ -246,9 +273,6 @@ def cmd_analyze(args) -> int:
         if abs(c.fidelity - r.F) > FIDELITY_TOL:
             raise ValueError(f"controller {c.index} stores fidelity {c.fidelity!r} "
                              f"but its working point gives {r.F!r}")
-    records_path = Path(args.records)
-    summaries_path = Path(args.summaries)
-    manifest_path = records_path.with_name(records_path.stem + ".manifest.json")
     write_records_csv(records_path, records)
     write_summaries_csv(summaries_path, summaries)
     manifest = RunManifest(
@@ -316,7 +340,7 @@ def build_parser() -> _Parser:
     synth.add_argument("--bias-range", nargs=2, type=float, default=[0.0, 10.0],
                        metavar=("LO", "HI"))
     synth.add_argument("--tolerance", type=float, default=1e-8)
-    synth.add_argument("--threads", type=_thread_count, default=1,
+    synth.add_argument("--threads", type=_int_at_least(1), default=1,
                        help=THREADS_HELP)
     synth.add_argument("-o", "--output", default="controllers.json")
     synth.set_defaults(func=cmd_synth)
@@ -329,22 +353,22 @@ def build_parser() -> _Parser:
     analyze_p.add_argument("--records", default="records.csv")
     analyze_p.add_argument("--summaries", default="summaries.csv")
     analyze_p.add_argument("--pst-tol", type=float, default=1e-12)
-    analyze_p.add_argument("--threads", type=_thread_count, default=1,
+    analyze_p.add_argument("--threads", type=_int_at_least(1), default=1,
                            help=THREADS_HELP)
     analyze_p.set_defaults(func=cmd_analyze)
 
     verify = sub.add_parser("verify", help="run the numerical invariant suite")
     verify.add_argument("--seed", type=int, default=2024)
-    verify.add_argument("--n", type=int, nargs="+", default=None,
+    verify.add_argument("--n", type=_int_at_least(2), nargs="+", default=None,
                         help="restrict instance dimensions")
     verify.add_argument("--pst", action="store_true",
                         help="run only the perfect-transfer sufficiency check")
-    verify.add_argument("--systems-per-dim", type=int, default=14)
-    verify.add_argument("--three-way-per-dim", type=int, default=50)
-    verify.add_argument("--cross-count", type=int, default=100)
-    verify.add_argument("--restarts", type=int, default=40,
+    verify.add_argument("--systems-per-dim", type=_int_at_least(1), default=14)
+    verify.add_argument("--three-way-per-dim", type=_int_at_least(1), default=50)
+    verify.add_argument("--cross-count", type=_int_at_least(1), default=100)
+    verify.add_argument("--restarts", type=_int_at_least(1), default=40,
                         help="ensemble size for the necessity check")
-    verify.add_argument("--threads", type=_thread_count, default=1,
+    verify.add_argument("--threads", type=_int_at_least(1), default=1,
                         help=THREADS_HELP)
     verify.add_argument("--inject-sign-error", action="store_true",
                         help=argparse.SUPPRESS)

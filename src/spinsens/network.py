@@ -15,7 +15,8 @@ Spins are 1-indexed everywhere in this module's public interface.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -136,22 +137,31 @@ class UncertaintyStructure:
         _readonly(self.matrix)
 
 
+@lru_cache(maxsize=256)
+def _coupling_template(spec: NetworkSpec) -> np.ndarray:
+    # the off-diagonal part of every Hamiltonian of ``spec``, built once
+    n, j = spec.num_spins, spec.coupling
+    h = np.zeros((n, n))
+    for a, b in spec.coupling_pairs:
+        h[a - 1, b - 1] = j
+        h[b - 1, a - 1] = j
+    return _readonly(h)
+
+
 def build_hamiltonian(spec: NetworkSpec, biases: np.ndarray) -> SESHamiltonian:
     """Assemble the controlled Hamiltonian for ``spec`` with the given bias diagonal.
 
-    Off-diagonal entries are assigned symmetrically, so the result is
+    The result is a copy of the network's cached, read-only coupling
+    template with the biases written on its diagonal. The template's
+    off-diagonal entries are assigned symmetrically, so the result is
     bitwise symmetric.
     """
     n = spec.num_spins
     biases = np.asarray(biases, dtype=float)
     if biases.shape != (n,):
         raise ValueError(f"expected {n} biases, got shape {biases.shape}")
-    h = np.zeros((n, n))
-    j = spec.coupling
-    for a, b in spec.coupling_pairs:
-        h[a - 1, b - 1] = j
-        h[b - 1, a - 1] = j
-    h[np.diag_indices(n)] = biases
+    h = _coupling_template(spec).copy()
+    h.flat[:: n + 1] = biases
     return SESHamiltonian(matrix=h)
 
 

@@ -17,13 +17,15 @@ Hermitian and A = M diag(i lam) M* with real frequencies lam, and
 ``adjoint_sensitivity_operator`` builds K itself by the same recipe one
 level up. Two slower, independent evaluations of the derivative are
 oracles too: fixed-order Gauss-Legendre quadrature of the integral
-representation (Pade-based matrix exponentials, no shared eigensystem)
+representation (one batched Pade-based matrix exponential over the
+symmetric nodes, no shared eigensystem)
 and a central finite difference of the error under full re-propagation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -96,7 +98,7 @@ def propagator_matrix(spectral: SpectralData, t_f: float) -> np.ndarray:
     return phi_c.real.copy()
 
 
-def hadamard_core(z: np.ndarray, lam: np.ndarray, t_f: float) -> np.ndarray:
+def hadamard_core(z: np.ndarray | None, lam: np.ndarray, t_f: float) -> np.ndarray:
     """Entrywise divided-difference weighting of an eigenbasis direction.
 
     Entry (k, l) of the result is z_kl times the divided difference of
@@ -110,13 +112,17 @@ def hadamard_core(z: np.ndarray, lam: np.ndarray, t_f: float) -> np.ndarray:
     its limit exp(i lam_k t_f) at a degenerate pair, and keeps full
     relative accuracy at every gap in between (Higham, Functions of
     Matrices, SIAM 2008, ch. 10). At t_f = 0 every weight is one.
+    ``z=None`` gives the divided differences alone, the same bits as an
+    all-ones z.
     """
-    z = np.asarray(z, dtype=complex)
     lam = np.asarray(lam, dtype=float)
     half = np.exp(0.5j * t_f * lam)
     x = 0.5 * t_f * (lam[:, None] - lam[None, :])
     sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
-    return z * np.outer(half, half) * sinc
+    core = half[:, None] * half
+    if z is None:
+        return core * sinc
+    return np.asarray(z, dtype=complex) * core * sinc
 
 
 def _eigensystem(spec: "NetworkSpec",
@@ -157,7 +163,7 @@ def hilbert_transfer(spec: "NetworkSpec", biases: np.ndarray,
     """Eigensystem, propagated input and divided differences of one controller."""
     e, v, _ = _eigensystem(spec, biases)
     column = (v * np.exp(-1j * e * t_f)) @ v[spec.input_spin - 1]
-    x = hadamard_core(np.ones((e.size, e.size)), -e, t_f)
+    x = hadamard_core(None, -e, t_f)
     return HilbertTransfer(e=e, v=v, x=x, column=column,
                            output=spec.output_spin - 1, input=spec.input_spin - 1)
 
@@ -229,14 +235,24 @@ def differential_sensitivity(system: "BlochSystem", op: SensitivityOperator,
     return float(-system.t_f * f_n * (system.rf @ op.K @ system.r0))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    # nodes and weights of the rule on [0, 1]; the nodes are symmetric
+    # about 1/2, so node nodes-1-k sits at 1 - s_k
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return _readonly(0.5 * (x + 1.0)), _readonly(0.5 * w)
+
+
 def quadrature_oracle(a: np.ndarray, s_bloch: np.ndarray, t_f: float,
                       r0: np.ndarray, rf: np.ndarray, f_n: float,
                       nodes: int = 64) -> float:
     """Independent sensitivity evaluation by Gauss-Legendre quadrature.
 
     Integrates rf^T exp(t_f A (1-s)) S exp(t_f A s) r0 over s in [0, 1]
-    with Pade-based matrix exponentials at every node; no eigensystem is
-    shared with the closed-form route.
+    with a fixed-order rule. One batched Pade-based ``expm`` call gives
+    exp(t_f A s_k) at every node s_k; since the nodes are symmetric about
+    1/2, the factor exp(t_f A (1-s_k)) is the exponential at the mirrored
+    node. No eigensystem is shared with the closed-form route.
     """
     # imported here so that the closed-form route loads no scipy
     from scipy.linalg import expm
@@ -245,14 +261,9 @@ def quadrature_oracle(a: np.ndarray, s_bloch: np.ndarray, t_f: float,
         raise ValueError(f"need at least 16 quadrature nodes, got {nodes}")
     a = np.asarray(a, dtype=float)
     s_bloch = np.asarray(s_bloch, dtype=float)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    pts = 0.5 * (x + 1.0)
-    wts = 0.5 * w
-    acc = 0.0
-    for s, weight in zip(pts, wts):
-        left = expm(t_f * (1.0 - s) * a)
-        right = expm(t_f * s * a)
-        acc += weight * float((rf @ left) @ (s_bloch @ (right @ r0)))
+    pts, wts = _gauss_legendre(nodes)
+    exps = expm((t_f * pts)[:, None, None] * a)
+    acc = np.einsum("k,ki,ij,kj->", wts, rf @ exps[::-1], s_bloch, exps @ r0)
     return float(-t_f * f_n * acc)
 
 

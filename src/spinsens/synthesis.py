@@ -110,11 +110,11 @@ def fidelity_objective(spec: NetworkSpec, biases: np.ndarray,
     """
     e, v, w = _eigensystem(spec, biases)
     amp = _amplitude(e, w, t_f)
-    x = hadamard_core(np.ones((e.size, e.size)), -e, t_f)
+    x = hadamard_core(None, -e, t_f)
     left = v[spec.output_spin - 1] * v
     right = v * v[spec.input_spin - 1]
     d_amp = -1j * t_f * ((left @ x) * right).sum(axis=1)
-    return abs(amp) ** 2, 2.0 * np.real(np.conj(amp) * d_amp)
+    return abs(amp) ** 2, 2.0 * (amp.conjugate() * d_amp).real
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float = 1e-11,

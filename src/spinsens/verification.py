@@ -171,8 +171,15 @@ def sample_instances(seed: int, dims: tuple[int, ...] = (2, 3, 4, 5, 6),
     return out
 
 
+def _no_instances(name: str) -> CheckResult:
+    # a check that examined nothing fails instead of passing vacuously
+    return CheckResult(name=name, passed=False, detail="0 instances")
+
+
 def check_lemma1(instances: list[Instance]) -> CheckResult:
     """The propagator and the sensitivity operator are Frobenius orthogonal."""
+    if not instances:
+        return _no_instances("lemma1-orthogonality")
     worst = max(abs(i.tr_phi_K) / (1e-9 * i.spec.num_spins ** 2)
                 for i in instances)
     return CheckResult(
@@ -188,6 +195,8 @@ def check_lemma2(instances: list[Instance]) -> CheckResult:
     Checked on the reference |K| and on the published one, whose closed
     form does not bound itself.
     """
+    if not instances:
+        return _no_instances("lemma2-norm-bounds")
     pairs = [(i, r) for i in instances for r in (i.oracle, i.record)]
     norms = [r.norm_K for _, r in pairs]
     bad = [(i, r) for i, r in pairs if not (1e-6 < r.norm_K <= i.s_frob + 1e-9)]
@@ -204,9 +213,11 @@ def check_lemma2(instances: list[Instance]) -> CheckResult:
 def check_theorem1(instances: list[Instance]) -> CheckResult:
     """|zeta| equals the factored form within 1e-8 * max(1, |zeta|)."""
     records = [i.oracle for i in instances if not i.oracle.zero_fidelity]
+    if not records:
+        return _no_instances("theorem1-identity")
     skipped = len(instances) - len(records)
-    worst = max((r.identity_residual / (1e-8 * max(1.0, r.abs_zeta))
-                 for r in records), default=0.0)
+    worst = max(r.identity_residual / (1e-8 * max(1.0, r.abs_zeta))
+                for r in records)
     detail = f"{len(records)} records, worst residual at {worst:.3e} of budget"
     if skipped:
         detail += f", {skipped} zero-fidelity records left out"
@@ -215,6 +226,8 @@ def check_theorem1(instances: list[Instance]) -> CheckResult:
 
 def check_remark1(instances: list[Instance]) -> CheckResult:
     """|R_S|^2 decomposes into the two frame coefficients."""
+    if not instances:
+        return _no_instances("remark1-frame-norm")
     worst = 0.0
     for i in instances:
         r = i.oracle
@@ -228,6 +241,8 @@ def check_remark1(instances: list[Instance]) -> CheckResult:
 
 def check_remark2(instances: list[Instance]) -> CheckResult:
     """F/N <= |R_S| always; |R_S| <= 1/N is empirical, failure only warns."""
+    if not instances:
+        return _no_instances("remark2-projection-bounds")
     lower_bad = [i for i in instances
                  if i.oracle.norm_Rs < i.oracle.F / i.spec.num_spins - 1e-12]
     upper_bad = [i for i in instances
@@ -275,18 +290,20 @@ def perturbed_error(controller: Controller, structure: UncertaintyStructure,
 
 def check_three_way(seed: int, dims: tuple[int, ...] = (2, 3, 4, 5),
                     per_dim: int = 50, h: float = 1e-5) -> CheckResult:
-    """Closed form vs quadrature vs finite differences on random instances."""
+    """Closed form vs quadrature vs finite differences on random instances.
+
+    Fails when ``dims`` and ``per_dim`` leave no instance to compare.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     worst_quad = worst_fd = 0.0
     total = 0
     for n in dims:
-        basis = gell_mann_basis(n)
         for k in range(per_dim):
             spec = random_spec(rng, n)
             controller = random_controller(rng, spec, index=k)
-            structures = enumerate_structures(spec)
-            structure = structures[int(rng.integers(len(structures)))]
-            image = adjoint_rep(structure.matrix, basis)
+            structures, images = _structure_images(n, spec.topology)
+            pick = int(rng.integers(len(structures)))
+            structure, image = structures[pick], images[pick]
             record, = evaluate_controller(controller, (structure,))
             system = build_bloch_system(
                 build_hamiltonian(spec, controller.biases), spec, controller.t_f)
@@ -300,6 +317,8 @@ def check_three_way(seed: int, dims: tuple[int, ...] = (2, 3, 4, 5),
             worst_fd = max(worst_fd,
                            abs(fd - zeta) / max(1e-6 * abs(zeta), 1e-8))
             total += 1
+    if not total:
+        return _no_instances("three-way-agreement")
     passed = worst_quad <= 1.0 and worst_fd <= 1.0
     return CheckResult(
         name="three-way-agreement",
@@ -402,10 +421,13 @@ def check_cross_formulation(seed: int, count: int = 100, max_n: int = 6,
     cannot see on real Hamiltonians (swapping input and output there
     gives the same transfer probability). Every record of each controller
     is then compared field by field (``record_gap``), and its perfect
-    transfer and zero-fidelity flags must match.
+    transfer and zero-fidelity flags must match. Fails when ``count`` and
+    ``max_n`` leave no instance to compare.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     dims = [n for n in range(2, max_n + 1)]
+    if count < 1 or not dims:
+        return _no_instances("cross-formulation")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     worst_f = worst_state = worst_record = 0.0
     flag_mismatches = 0
     for k in range(count):
@@ -457,7 +479,7 @@ def run_checks(seed: int = 2024, dims: tuple[int, ...] = (2, 3, 4, 5, 6),
         check_necessity(seed, restarts=necessity_restarts),
         check_three_way(seed, dims=tuple(n for n in dims if n <= 5),
                         per_dim=three_way_per_dim),
-        check_cross_formulation(seed, count=cross_count,
-                                max_n=max(dims), flip_sign=inject_sign_error),
+        check_cross_formulation(seed, count=cross_count, max_n=max(dims, default=0),
+                                flip_sign=inject_sign_error),
     ]
     return results

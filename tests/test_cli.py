@@ -98,6 +98,22 @@ class TestArgumentHandling:
         assert main([*argv, "--threads", "0"]) == 1
         assert "--threads: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--systems-per-dim", "0", "must be >= 1"),
+        ("--three-way-per-dim", "0", "must be >= 1"),
+        ("--cross-count", "0", "must be >= 1"),
+        ("--cross-count", "x", "not an integer"),
+        ("--restarts", "0", "must be >= 1"),
+        ("--n", "1", "must be >= 2")])
+    def test_verify_counts_checked_at_parse_time(self, capsys, flag, value, message):
+        assert main(["verify", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in err
+
+    def test_verify_small_dimension_among_several_rejected(self, capsys):
+        assert main(["verify", "--n", "2", "1", "3"]) == 1
+        assert "argument --n: must be >= 2, got 1" in capsys.readouterr().err
+
 
 class TestAnalyzeInputs:
     def test_missing_file_is_io_error(self, tmp_path):
@@ -306,6 +322,41 @@ class TestSynthManifestCheck:
         assert "corrupt manifest" in capsys.readouterr().err
 
 
+class TestAnalyzeOverwriteRefused:
+    @pytest.fixture()
+    def synth3(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert main(["synth", "--n", "3", "--topology", "chain", "--in", "1",
+                     "--out", "3", "--restarts", "2", "--seed", "1",
+                     "-o", str(out)]) == 0
+        capsys.readouterr()
+        return out, {p: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def test_records_manifest_over_synth_manifest_rejected(self, tmp_path, capsys,
+                                                           synth3):
+        # --records under the controllers' stem: analyze's manifest would
+        # replace synth's, and the digest check would have nothing to read
+        out, before = synth3
+        code = main(["analyze", str(out), "--records", str(tmp_path / "c.csv"),
+                     "--summaries", str(tmp_path / "s.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "c.csv") in err
+        assert str(tmp_path / "c.manifest.json") in err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("records, summaries", [
+        ("r.csv", "c.json"), ("c.spec.json", "s.csv"), ("r.csv", "r.csv")])
+    def test_output_over_input_or_output_rejected(self, tmp_path, capsys, synth3,
+                                                  records, summaries):
+        out, before = synth3
+        code = main(["analyze", str(out), "--records", str(tmp_path / records),
+                     "--summaries", str(tmp_path / summaries)])
+        assert code == 1
+        assert "would overwrite" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 class TestDeterminism:
     def test_byte_identical_across_runs_and_threads(self, tmp_path):
         outs = [run_synth(tmp_path, name, threads=threads)
@@ -411,6 +462,19 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "9 checks, 9 passed" in out
+
+    def test_no_three_way_dimension_fails_three_way(self, capsys):
+        # three-way runs on the requested dimensions <= 5 only; with none
+        # it has no instance and fails rather than passing vacuously
+        assert main(["verify", "--n", "6", "--systems-per-dim", "1",
+                     "--three-way-per-dim", "1", "--cross-count", "1",
+                     "--restarts", "2", "--seed", "5"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        checks = [line for line in lines if line[:4] in ("PASS", "WARN", "FAIL")]
+        assert len(checks) == 9
+        three_way, = [line for line in checks if "three-way-agreement" in line]
+        assert three_way.startswith("FAIL") and three_way.endswith("0 instances")
+        assert "verify: 9 checks" in lines[-1]
 
     def test_injected_convention_error_caught(self, capsys):
         assert main(["verify", *self.SMALL, "--inject-sign-error"]) == 2

@@ -9,7 +9,8 @@ import pytest
 from spinsens import (Controller, NetworkSpec, build_hamiltonian,
                       enumerate_structures, perturb, scaling_factor,
                       transfer_fidelity)
-from spinsens.network import BIAS, COUPLING, CONTROL_FIELD, UNITY
+from spinsens.network import (BIAS, COUPLING, CONTROL_FIELD, UNITY,
+                              _coupling_template)
 
 
 def make_controller(spec, biases, t_f=1.0):
@@ -131,6 +132,47 @@ class TestBuildHamiltonian:
         ham = build_hamiltonian(spec, np.zeros(3))
         with pytest.raises(ValueError):
             ham.matrix[0, 0] = 1.0
+
+    @staticmethod
+    def _loop_construction(spec, biases):
+        # the construction the cached coupling template replaced
+        n = spec.num_spins
+        h = np.zeros((n, n))
+        for a, b in spec.coupling_pairs:
+            h[a - 1, b - 1] = spec.coupling
+            h[b - 1, a - 1] = spec.coupling
+        h[np.diag_indices(n)] = biases
+        return h
+
+    @pytest.mark.parametrize("coupling", [0.5, 1.0, 3.7])
+    @pytest.mark.parametrize("topology", ["chain", "ring"])
+    def test_bitwise_equal_to_loop_construction(self, rng, topology, coupling):
+        for n in range(2 if topology == "chain" else 3, 9):
+            spec = NetworkSpec(num_spins=n, topology=topology, input_spin=1,
+                               output_spin=n, coupling=coupling)
+            biases = rng.uniform(-5, 5, n)
+            biases[0] = -0.0
+            got = build_hamiltonian(spec, biases).matrix
+            want = self._loop_construction(spec, biases)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_template_stays_read_only(self):
+        spec = NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=3)
+        build_hamiltonian(spec, np.arange(4.0))
+        template = _coupling_template(spec)
+        assert not template.flags.writeable
+        with pytest.raises(ValueError):
+            template[0, 0] = 1.0
+        assert np.array_equal(np.diag(template), np.zeros(4))
+
+    def test_calls_return_unaliased_matrices(self):
+        spec = NetworkSpec(num_spins=5, topology="chain", input_spin=1, output_spin=5)
+        first = build_hamiltonian(spec, np.ones(5)).matrix
+        second = build_hamiltonian(spec, np.full(5, 2.0)).matrix
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, _coupling_template(spec))
+        assert np.array_equal(np.diag(first), np.ones(5))
+        assert np.array_equal(np.diag(second), np.full(5, 2.0))
 
 
 class TestEnumerateStructures:

@@ -1,13 +1,17 @@
 """Property tests over random networks and controllers: the record
-invariants on the adjoint-picture reference records, and the published
-records and the synthesis objective against that reference."""
+invariants on the adjoint-picture reference records, the published
+records and the synthesis objective against that reference, and the
+batched quadrature oracle against a node-by-node evaluation."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import expm
+
 from spinsens import Controller, NetworkSpec, adjoint_rep, enumerate_structures
-from spinsens import fidelity_objective, gell_mann_basis, transfer_fidelity
+from spinsens import (build_bloch_system, build_hamiltonian, fidelity_objective,
+                      gell_mann_basis, quadrature_oracle, transfer_fidelity)
 from spinsens.analytics import evaluate_controller
 from spinsens.verification import adjoint_records, record_gap
 
@@ -108,3 +112,35 @@ def test_engine_matches_adjoint_records(point):
     for r, (o, _) in zip(evaluate_controller(controller, structures), oracle):
         assert record_gap(r, o, spec.num_spins) <= 1.0
         assert (r.pst, r.zero_fidelity) == (o.pst, o.zero_fidelity)
+
+
+def per_node_quadrature(a, s_bloch, t_f, r0, rf, f_n, nodes=64):
+    # two independent exponentials per node, exp(t_f A (1-s)) and exp(t_f A s):
+    # the evaluation the batched oracle replaced
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    acc = 0.0
+    for s, weight in zip(0.5 * (x + 1.0), 0.5 * w):
+        left = expm(t_f * (1.0 - s) * a)
+        right = expm(t_f * s * a)
+        acc += weight * float((rf @ left) @ (s_bloch @ (right @ r0)))
+    return float(-t_f * f_n * acc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(networks(5), st.data())
+def test_batched_quadrature_matches_per_node_loop(spec, data):
+    biases = np.array(data.draw(st.lists(
+        st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+        min_size=spec.num_spins, max_size=spec.num_spins)))
+    t_f = data.draw(st.floats(min_value=0.3, max_value=3.0))
+    structures = enumerate_structures(spec)
+    structure = structures[data.draw(st.integers(0, len(structures) - 1))]
+    system = build_bloch_system(build_hamiltonian(spec, biases), spec, t_f)
+    image = adjoint_rep(structure.matrix, system.basis)
+    args = (system.A, image, t_f, system.r0, system.rf, 1.0)
+    got, want = quadrature_oracle(*args), per_node_quadrature(*args)
+    # relative to the value, or to the integrand's bound t_f |S| |r0| |rf|
+    # where the integral cancels to near zero
+    scale = t_f * np.linalg.norm(image) * np.linalg.norm(system.r0) \
+        * np.linalg.norm(system.rf)
+    assert abs(got - want) <= 1e-12 * max(abs(want), scale)

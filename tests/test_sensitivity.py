@@ -140,6 +140,16 @@ class TestHadamardCore:
                     assert abs(complex(want) - got) <= 1e-13, (base, gap)
 
 
+    def test_none_is_bitwise_all_ones(self, rng):
+        lams = [rng.normal(size=6), np.array([1.0, 1.0, -2.0, 0.0]),
+                np.array([0.0, -0.0, 3.5])]
+        for lam in lams:
+            for t_f in (0.0, 0.7, 13.0):
+                got = hadamard_core(None, lam, t_f)
+                want = hadamard_core(np.ones((lam.size, lam.size)), lam, t_f)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestSensitivityOperator:
     def _setup(self, rng, n=4, t_f=1.6):
         spec = NetworkSpec(num_spins=n, topology="ring", input_spin=1, output_spin=2)
@@ -294,6 +304,24 @@ class TestQuadratureOracle:
         r = np.zeros(4)
         r[0] = 1.0
         assert quadrature_oracle(a, s, 0.0, r, r, 1.0) == 0.0
+
+    def test_one_expm_call_per_invocation(self, rng, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counting_expm(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+        a = random_generator(rng, 3)
+        s = random_generator(rng, 3)
+        r = np.zeros(9)
+        r[0] = 1.0
+        quadrature_oracle(a, s, 1.3, r, r[::-1].copy(), 1.0)
+        assert calls == [(64, 9, 9)]
 
     def test_too_few_nodes_rejected(self, rng):
         a = random_generator(rng, 2)

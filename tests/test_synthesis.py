@@ -1,5 +1,6 @@
 """Controller synthesis: objective, gradient, multistart search, serialization."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -172,6 +173,15 @@ class TestSynthesizeEnsemble:
         for x, y in zip(a, b):
             assert np.array_equal(x.biases, y.biases)
             assert x.t_f == y.t_f and x.fidelity == y.fidelity and x.seed == y.seed
+
+    def test_ring4_ensemble_bytes_unchanged(self):
+        # SHA-256 of this ensemble's controllers_to_json text as commit
+        # f1bfa8a produced it; the objective's later rewrites must keep
+        # every bit
+        text = controllers_to_json(
+            synthesize_ensemble(RING4, SynthesisConfig(restarts=40, seed=0)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+            "185c3ce7128d42e4189bab408c1ab46f68ed7c61eb4245d8672a931bd86b3ed6"
 
     def test_single_restart(self):
         out = synthesize_ensemble(RING4, SynthesisConfig(restarts=1, seed=5))
