@@ -131,7 +131,8 @@ def _eigensystem(spec: "NetworkSpec",
     transfer weights w_j = V_oj V_ij.
 
     The amplitude U_oi at any read-out time is then the phase sum
-    sum_j w_j exp(-i E_j t), which makes the nested time line search cheap.
+    sum_j w_j exp(-i E_j t), and its read-out time derivative comes from
+    the same phases.
     """
     e, v = np.linalg.eigh(build_hamiltonian(spec, biases).matrix)
     return e, v, v[spec.output_spin - 1] * v[spec.input_spin - 1]

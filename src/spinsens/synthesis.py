@@ -1,15 +1,15 @@
 """Static-bias controller synthesis by multistart fidelity maximization.
 
 A controller is a vector of on-site biases plus a read-out time. Each
-restart draws a random initial point, runs projected quasi-Newton ascent
-on the biases at fixed read-out time, then refines the read-out time by
-golden-section search in a shrinking window, and alternates until the
-projected gradient stalls. Fidelity and its bias gradient come from the
-eigensystem of the N x N Hamiltonian (Najfeld & Havel 1995): the gradient
-along bias n is the unit-scaled sensitivity of that bias direction,
-computed from the same eigensystem and divided differences as the
-records ``analyze`` writes. The adjoint-picture reference route in
-``verification`` serves as its test oracle.
+restart draws a random initial point and runs one bounded quasi-Newton
+ascent (L-BFGS-B; Byrd, Lu, Nocedal & Zhu 1995) over the biases and the
+read-out time together, inside the configured boxes. Fidelity and its
+gradient come from the eigensystem of the N x N Hamiltonian (Najfeld &
+Havel 1995): the gradient along bias n is the unit-scaled sensitivity of
+that bias direction, computed from the same eigensystem and divided
+differences as the records ``analyze`` writes, and the read-out time
+entry is the derivative of the same phase sum. The adjoint-picture
+reference route in ``verification`` serves as its test oracle.
 
 Determinism is load-bearing: restarts get independent child seeds from a
 master seed, every accept step requires strict improvement, and results
@@ -26,8 +26,6 @@ import numpy as np
 
 from .network import NetworkSpec, _readonly
 from .sensitivity import _eigensystem, hadamard_core
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 # How far a stored fidelity may stray from [0, 1], and from the fidelity
 # its working point actually gives when an ensemble is read back.
@@ -72,131 +70,104 @@ class SynthesisConfig:
     tolerance: float = 1e-8
     seed: int = 0
     maxiter: int = 400
-    max_rounds: int = 8
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        for name in ("t_f_range", "bias_range"):
+            lo, hi = getattr(self, name)
+            if not np.isfinite(hi - lo):
+                raise ValueError(f"{name} needs finite ends and a finite width, "
+                                 f"got ({lo}, {hi})")
         if not self.t_f_range[0] < self.t_f_range[1]:
             raise ValueError(f"empty read-out range {self.t_f_range}")
         if not self.t_f_range[0] > 0:
             raise ValueError("read-out range must be positive")
         if not self.bias_range[0] < self.bias_range[1]:
             raise ValueError(f"empty bias range {self.bias_range}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-
-
-def _amplitude(e: np.ndarray, w: np.ndarray, t_f: float) -> complex:
-    return complex(w @ np.exp(-1j * e * t_f))
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 def transfer_fidelity(spec: NetworkSpec, biases: np.ndarray, t_f: float) -> float:
     """Fidelity |U_oi|^2 of the transfer for one working point."""
     e, _, w = _eigensystem(spec, biases)
-    return abs(_amplitude(e, w, t_f)) ** 2
+    return abs(complex(w @ np.exp(-1j * e * t_f))) ** 2
 
 
 def fidelity_objective(spec: NetworkSpec, biases: np.ndarray,
                        t_f: float) -> tuple[float, np.ndarray]:
-    """Fidelity and its analytic gradient with respect to the biases.
+    """Fidelity and its analytic gradient with respect to (biases, t_f).
 
-    Component n of the gradient is 2 Re(conj(U_oi) dU_oi/dDelta_n) with
+    Component n < N of the gradient is 2 Re(conj(U_oi) dU_oi/dDelta_n) with
     dU_oi/dDelta_n = -i t_f sum_jk (V_oj V_nj) X_jk (V_nk V_ik), where X
     holds the divided differences of exp(-i E t_f) from the same
     ``hadamard_core`` the analysis uses. It equals the unit-scaled
     bias-direction sensitivity t_f * rf . K_n r0, which the property tests
-    check against the adjoint-picture reference records.
+    check against the adjoint-picture reference records. The last
+    component is dF/dt_f = 2 Re(conj(U_oi) dU_oi/dt_f) with
+    dU_oi/dt_f = -i sum_j w_j E_j exp(-i E_j t_f), from the same phases.
     """
     e, v, w = _eigensystem(spec, biases)
-    amp = _amplitude(e, w, t_f)
+    phases = np.exp(-1j * e * t_f)
+    amp = complex(w @ phases)
     x = hadamard_core(None, -e, t_f)
     left = v[spec.output_spin - 1] * v
     right = v * v[spec.input_spin - 1]
-    d_amp = -1j * t_f * ((left @ x) * right).sum(axis=1)
+    d_amp = np.append(-1j * t_f * ((left @ x) * right).sum(axis=1),
+                      -1j * ((w * e) @ phases))
     return abs(amp) ** 2, 2.0 * (amp.conjugate() * d_amp).real
-
-
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-11,
-                maxiter: int = 200) -> tuple[float, float]:
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(maxiter):
-        if b - a <= tol:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc >= fd else (d, fd)
 
 
 def local_optimize(spec: NetworkSpec, initial_biases: np.ndarray,
                    initial_t_f: float, config: SynthesisConfig,
                    seed: int = 0, index: int = 0) -> Controller:
-    """Ascent from one starting point; accepts only strict improvements.
+    """One bounded L-BFGS-B ascent over (biases, t_f) from one start.
 
-    A point that is already stationary (a perfect-transfer controller in
-    particular) comes back unchanged.
+    The result is accepted only when it strictly improves the start, so a
+    point that is already stationary (a perfect-transfer controller in
+    particular) comes back unchanged. The status is "converged" when the
+    projected gradient over (biases, t_f) at the returned point is at most
+    ``config.tolerance``, and "maxiter" otherwise.
     """
     # imported here so that analysis, which reads Controller, loads no scipy
     from scipy.optimize import minimize
 
     lo_b, hi_b = config.bias_range
     lo_t, hi_t = config.t_f_range
-    delta = np.asarray(initial_biases, dtype=float).copy()
-    t_f = float(initial_t_f)
-    if not (np.all(delta >= lo_b) and np.all(delta <= hi_b)):
+    x = np.append(np.asarray(initial_biases, dtype=float), float(initial_t_f))
+    if not (np.all(x[:-1] >= lo_b) and np.all(x[:-1] <= hi_b)):
         raise ValueError("initial biases outside the configured bounds")
-    if not lo_t <= t_f <= hi_t:
+    if not lo_t <= x[-1] <= hi_t:
         raise ValueError("initial read-out time outside the configured bounds")
 
-    f_best = transfer_fidelity(spec, delta, t_f)
-    bounds = [(lo_b, hi_b)] * spec.num_spins
-    window = (hi_t - lo_t) / 8.0
-    status = "maxiter"
-    for _ in range(config.max_rounds):
-        res = minimize(
-            lambda d, t=t_f: _negated(spec, d, t),
-            delta, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": config.maxiter, "ftol": 1e-15,
-                     "gtol": config.tolerance / 10.0})
-        if -res.fun > f_best:
-            delta = np.asarray(res.x, dtype=float)
-            f_best = float(-res.fun)
-        e, _, w = _eigensystem(spec, delta)
-        t_new, f_new = _golden_max(
-            lambda t: abs(_amplitude(e, w, t)) ** 2,
-            max(lo_t, t_f - window), min(hi_t, t_f + window))
-        moved_t = f_new > f_best
-        if moved_t:
-            t_f, f_best = float(t_new), float(f_new)
-        window *= 0.5
-        f_cur, grad = fidelity_objective(spec, delta, t_f)
-        if _projected_norm(grad, delta, lo_b, hi_b) <= config.tolerance and not moved_t:
-            status = "converged"
-            break
-    f_final = transfer_fidelity(spec, delta, t_f)
-    return Controller(biases=delta, t_f=t_f, fidelity=min(1.0, f_final),
-                      spec=spec, seed=seed, index=index, status=status)
+    f_start = transfer_fidelity(spec, x[:-1], x[-1])
+    bounds = [(lo_b, hi_b)] * spec.num_spins + [(lo_t, hi_t)]
+    res = minimize(_negated, x, args=(spec,), jac=True, method="L-BFGS-B",
+                   bounds=bounds,
+                   options={"maxiter": config.maxiter, "ftol": 1e-15,
+                            "gtol": config.tolerance / 10.0})
+    if -res.fun > f_start:
+        x = np.asarray(res.x, dtype=float)
+    f_final, grad = fidelity_objective(spec, x[:-1], x[-1])
+    lo, hi = np.array(bounds).T
+    converged = _projected_norm(grad, x, lo, hi) <= config.tolerance
+    return Controller(biases=x[:-1], t_f=float(x[-1]), fidelity=min(1.0, f_final),
+                      spec=spec, seed=seed, index=index,
+                      status="converged" if converged else "maxiter")
 
 
-def _negated(spec: NetworkSpec, biases: np.ndarray, t_f: float):
-    f, g = fidelity_objective(spec, biases, t_f)
+def _negated(x: np.ndarray, spec: NetworkSpec):
+    f, g = fidelity_objective(spec, x[:-1], x[-1])
     return -f, -g
 
 
-def _projected_norm(grad: np.ndarray, x: np.ndarray, lo: float, hi: float) -> float:
+def _projected_norm(grad: np.ndarray, x: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> float:
     g = grad.copy()
     g[(x <= lo) & (g < 0)] = 0.0
     g[(x >= hi) & (g > 0)] = 0.0
-    return float(np.abs(g).max()) if g.size else 0.0
+    return float(np.abs(g).max())
 
 
 def synthesize_ensemble(spec: NetworkSpec, config: SynthesisConfig) -> list[Controller]:

@@ -270,13 +270,6 @@ def check_remark2(instances: list[Instance]) -> CheckResult:
         detail=f"{len(instances)} instances inside [F/N - 1e-12, 1/N + 1e-10]")
 
 
-def hilbert_fidelity(spec: NetworkSpec, biases: np.ndarray, t_f: float) -> float:
-    """Transfer fidelity straight from the Schroedinger propagator."""
-    ham = build_hamiltonian(spec, np.asarray(biases, dtype=float))
-    u = expm(-1j * ham.matrix * t_f)
-    return float(abs(u[spec.output_spin - 1, spec.input_spin - 1]) ** 2)
-
-
 def perturbed_error(controller: Controller, structure: UncertaintyStructure,
                     delta: float) -> float:
     """Error of the perturbed Hamiltonian under full re-propagation."""
@@ -440,8 +433,8 @@ def check_cross_formulation(seed: int, count: int = 100, max_n: int = 6,
         sd = spectral_decompose(a)
         phi = propagator_matrix(sd, controller.t_f)
         f_bloch, _ = fidelity(system.rf, phi, system.r0)
-        f_hilbert = hilbert_fidelity(spec, controller.biases, controller.t_f)
         psi_t = expm(-1j * ham.matrix * controller.t_f) @ site_state(n, spec.input_spin)
+        f_hilbert = float(abs(psi_t[spec.output_spin - 1]) ** 2)
         r_t = state_to_bloch(psi_t / np.linalg.norm(psi_t), system.basis)
         worst_f = max(worst_f, abs(f_bloch - f_hilbert))
         worst_state = max(worst_state, float(np.linalg.norm(phi @ system.r0 - r_t)))

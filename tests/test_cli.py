@@ -90,6 +90,18 @@ class TestArgumentHandling:
         assert main(["synth", "--spec", str(spec), "--restarts", "1"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--tf-range", "1", "inf"], "t_f_range"),
+        (["--bias-range", "0", "inf"], "bias_range"),
+        (["--tolerance", "inf"], "tolerance")])
+    def test_non_finite_synth_settings_rejected(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "controllers.json"
+        assert main(["synth", *RING_FLAGS, "--restarts", "1", *flags,
+                     "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["synth", *RING_FLAGS], ["analyze", "absent.json"], ["verify", "--pst"]])
     def test_threads_below_one_rejected_at_parse_time(self, capsys, argv):

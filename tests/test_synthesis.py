@@ -50,21 +50,26 @@ class TestFidelityObjective:
 
     def test_gradient_matches_finite_difference(self, rng):
         t_f = 1.7
+        h = 1e-6
         for _ in range(3):
             biases = rng.uniform(0, 5, 4)
             _, grad = fidelity_objective(RING4, biases, t_f)
-            h = 1e-6
+            assert grad.shape == (5,)
             for site in range(4):
                 step = np.zeros(4)
                 step[site] = h
                 fd = (transfer_fidelity(RING4, biases + step, t_f)
                       - transfer_fidelity(RING4, biases - step, t_f)) / (2 * h)
                 assert grad[site] == pytest.approx(fd, abs=1e-6)
+            fd_t = (transfer_fidelity(RING4, biases, t_f + h)
+                    - transfer_fidelity(RING4, biases, t_f - h)) / (2 * h)
+            assert grad[4] == pytest.approx(fd_t, abs=1e-6)
 
     def test_gradient_sums_to_zero(self, rng):
-        # consequence of the shift invariance above
+        # consequence of the shift invariance above, which holds for the
+        # biases only: the last entry is the read-out time derivative
         _, grad = fidelity_objective(RING4, rng.uniform(0, 5, 4), 2.3)
-        assert abs(grad.sum()) < 1e-10
+        assert abs(grad[:4].sum()) < 1e-10
 
     def test_gradient_vanishes_at_perfect_transfer(self):
         value, grad = fidelity_objective(CHAIN2, np.zeros(2), np.pi / 2.0)
@@ -129,6 +134,15 @@ class TestSynthesisConfig:
         with pytest.raises(ValueError):
             SynthesisConfig(tolerance=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("t_f_range", (1.0, np.inf)), ("t_f_range", (1.0, np.nan)),
+        ("bias_range", (0.0, np.inf)), ("bias_range", (-np.inf, 1.0)),
+        ("bias_range", (-1e308, 1e308)),
+        ("tolerance", np.inf), ("tolerance", np.nan)])
+    def test_non_finite_values_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SynthesisConfig(**{field: value})
+
 
 class TestLocalOptimize:
     def test_perfect_transfer_point_is_fixed(self):
@@ -155,6 +169,40 @@ class TestLocalOptimize:
         with pytest.raises(ValueError):
             local_optimize(CHAIN2, np.zeros(2), 0.5, config)
 
+    def test_one_minimize_call_per_restart(self, rng, monkeypatch):
+        import scipy.optimize
+        calls = []
+        real = scipy.optimize.minimize
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        config = SynthesisConfig(t_f_range=(1.0, 4.0), bias_range=(0.0, 6.0))
+        local_optimize(RING4, rng.uniform(0, 6, 4), 2.0, config)
+        assert calls == ["L-BFGS-B"]
+
+    def test_read_out_time_reaches_interior_maximum(self, monkeypatch):
+        # two-spin chain at ~zero bias: F = sin^2 t has its only maximum in
+        # [1.5, 1.6] at pi/2, and every start must reach it however far
+        # from pi/2 it is drawn
+        import spinsens.synthesis as synthesis
+        results = []
+        real = synthesis.local_optimize
+
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(synthesis, "local_optimize", recording)
+        synthesize_ensemble(CHAIN2, SynthesisConfig(
+            restarts=8, bias_range=(0.0, 1e-9), t_f_range=(1.5, 1.6), seed=1))
+        assert len(results) == 8
+        for ctl in results:
+            assert abs(ctl.t_f - np.pi / 2.0) <= 1e-6
+            assert ctl.error <= 1e-10
+
     def test_result_respects_bounds(self, rng):
         config = SynthesisConfig(t_f_range=(1.0, 4.0), bias_range=(0.0, 6.0))
         ctl = local_optimize(RING4, rng.uniform(0, 6, 4), 2.0, config, seed=3, index=9)
@@ -176,12 +224,12 @@ class TestSynthesizeEnsemble:
 
     def test_ring4_ensemble_bytes_unchanged(self):
         # SHA-256 of this ensemble's controllers_to_json text as commit
-        # f1bfa8a produced it; the objective's later rewrites must keep
-        # every bit
+        # "Synth: one bounded L-BFGS-B ascent over biases and t_f" produced
+        # it; later rewrites of the objective must keep every bit
         text = controllers_to_json(
             synthesize_ensemble(RING4, SynthesisConfig(restarts=40, seed=0)))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
-            "185c3ce7128d42e4189bab408c1ab46f68ed7c61eb4245d8672a931bd86b3ed6"
+            "2e15120998c6d849d4c80779d71b7410b6f6a4bb935239a3aee7fb123f823a52"
 
     def test_single_restart(self):
         out = synthesize_ensemble(RING4, SynthesisConfig(restarts=1, seed=5))
