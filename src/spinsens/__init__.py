@@ -28,7 +28,7 @@ _HOMES = {
     "errors": ("InvariantViolation",),
     "geometry": ("GeometryRecord", "angles", "identity_residual",
                  "io_operator", "project", "pst_check"),
-    "network": ("NetworkSpec", "SESHamiltonian", "UncertaintyStructure",
+    "network": ("NetworkSpec", "UncertaintyStructure",
                 "build_hamiltonian", "enumerate_structures", "perturb",
                 "scaling_factor"),
     "sensitivity": ("HilbertTransfer", "SensitivityOperator", "SpectralData",

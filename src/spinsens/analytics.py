@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryRecord, angles, identity_residual
+from .geometry import PST_TOL, GeometryRecord, angles, identity_residual
 from .network import UncertaintyStructure, enumerate_structures, scaling_factor
 from .sensitivity import hilbert_transfer, sensitivity_operator
 from .synthesis import Controller
@@ -137,7 +137,7 @@ def _record(controller: Controller, structure: UncertaintyStructure, *,
 
 def evaluate_controller(controller: Controller,
                         structures: tuple[UncertaintyStructure, ...],
-                        pst_tol: float = 1e-12) -> list[GeometryRecord]:
+                        pst_tol: float = PST_TOL) -> list[GeometryRecord]:
     """All geometry records of one controller, one per structure.
 
     F = |U_oi|^2 from the propagated input column. Per structure,
@@ -206,7 +206,7 @@ def summarize_structure(records: list[GeometryRecord],
         var_norm_K=float(norms.var()))
 
 
-def analyze(controllers: list[Controller], *, pst_tol: float = 1e-12,
+def analyze(controllers: list[Controller], *, pst_tol: float = PST_TOL,
             ) -> tuple[list[GeometryRecord], list[CorrelationSummary]]:
     """Records for every (controller, structure) pair plus per-structure stats.
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvariantViolation
-from .network import NetworkSpec, SESHamiltonian, _readonly
+from .network import NetworkSpec, _readonly
 
 
 @dataclass(frozen=True)
@@ -181,10 +181,10 @@ class BlochSystem:
                 raise ValueError(f"{name} must be a unit coherence vector, |r| = {nrm:.12e}")
 
 
-def build_bloch_system(ham: SESHamiltonian, spec: NetworkSpec, t_f: float) -> BlochSystem:
+def build_bloch_system(ham: np.ndarray, spec: NetworkSpec, t_f: float) -> BlochSystem:
     """Embed a network Hamiltonian and its transfer endpoints."""
     basis = gell_mann_basis(spec.num_spins)
-    a = adjoint_rep(ham.matrix, basis)
+    a = adjoint_rep(ham, basis)
     r0 = state_to_bloch(site_state(spec.num_spins, spec.input_spin), basis)
     rf = state_to_bloch(site_state(spec.num_spins, spec.output_spin), basis)
     return BlochSystem(A=a, r0=r0, rf=rf, basis=basis, t_f=float(t_f))

@@ -36,6 +36,7 @@ import numpy as np
 from . import __version__
 from .analytics import analyze
 from .errors import InvariantViolation
+from .geometry import PST_TOL
 from .network import NetworkSpec
 from .synthesis import (FIDELITY_TOL, SynthesisConfig, controllers_from_json,
                         controllers_to_json, f17, synthesize_ensemble)
@@ -79,6 +80,12 @@ def file_sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _read_input(path: Path) -> tuple[str, str]:
+    """Text and SHA-256 of one input file, both from a single read."""
+    data = path.read_bytes()
+    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
 
 
 def config_hash(payload: dict) -> str:
@@ -252,12 +259,11 @@ def cmd_analyze(args) -> int:
          f"--summaries {summaries_path}": summaries_path,
          f"the manifest {manifest_path} of --records {records_path}": manifest_path})
     try:
-        spec_text = spec_path.read_text(encoding="utf-8")
-        controllers_text = controllers_path.read_text(encoding="utf-8")
+        spec_text, spec_digest = _read_input(spec_path)
+        controllers_text, controllers_digest = _read_input(controllers_path)
     except OSError as exc:
         raise IOError(f"cannot read inputs: {exc}") from exc
-    inputs = {str(controllers_path): file_sha256(controllers_path),
-              str(spec_path): file_sha256(spec_path)}
+    inputs = {str(controllers_path): controllers_digest, str(spec_path): spec_digest}
     _check_against_manifest(synth_manifest, inputs)
     try:
         spec = NetworkSpec.from_json(spec_text)
@@ -304,8 +310,7 @@ def cmd_verify(args) -> int:
         three_way_per_dim=args.three_way_per_dim,
         cross_count=args.cross_count,
         necessity_restarts=args.restarts,
-        pst_only=args.pst,
-        inject_sign_error=args.inject_sign_error)
+        pst_only=args.pst)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{r.label:4s} {r.name:{width}s}  {r.detail}")
@@ -324,6 +329,7 @@ def build_parser() -> _Parser:
                         version=f"spinsens {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = SynthesisConfig()
     synth = sub.add_parser("synth", help="synthesize a controller ensemble")
     synth.add_argument("--spec", help="network spec JSON file")
     synth.add_argument("--n", type=int, help="number of spins")
@@ -333,13 +339,13 @@ def build_parser() -> _Parser:
     synth.add_argument("--out", dest="output_spin", type=int,
                        help="output spin (1-indexed)")
     synth.add_argument("--coupling", type=float, default=1.0)
-    synth.add_argument("--restarts", type=int, default=100)
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--tf-range", nargs=2, type=float, default=[1.0, 50.0],
-                       metavar=("LO", "HI"))
-    synth.add_argument("--bias-range", nargs=2, type=float, default=[0.0, 10.0],
-                       metavar=("LO", "HI"))
-    synth.add_argument("--tolerance", type=float, default=1e-8)
+    synth.add_argument("--restarts", type=int, default=defaults.restarts)
+    synth.add_argument("--seed", type=int, default=defaults.seed)
+    synth.add_argument("--tf-range", nargs=2, type=float,
+                       default=list(defaults.t_f_range), metavar=("LO", "HI"))
+    synth.add_argument("--bias-range", nargs=2, type=float,
+                       default=list(defaults.bias_range), metavar=("LO", "HI"))
+    synth.add_argument("--tolerance", type=float, default=defaults.tolerance)
     synth.add_argument("--threads", type=_int_at_least(1), default=1,
                        help=THREADS_HELP)
     synth.add_argument("-o", "--output", default="controllers.json")
@@ -352,7 +358,7 @@ def build_parser() -> _Parser:
                            help="network spec JSON (default: <ensemble>.spec.json)")
     analyze_p.add_argument("--records", default="records.csv")
     analyze_p.add_argument("--summaries", default="summaries.csv")
-    analyze_p.add_argument("--pst-tol", type=float, default=1e-12)
+    analyze_p.add_argument("--pst-tol", type=float, default=PST_TOL)
     analyze_p.add_argument("--threads", type=_int_at_least(1), default=1,
                            help=THREADS_HELP)
     analyze_p.set_defaults(func=cmd_analyze)
@@ -370,8 +376,6 @@ def build_parser() -> _Parser:
                         help="ensemble size for the necessity check")
     verify.add_argument("--threads", type=_int_at_least(1), default=1,
                         help=THREADS_HELP)
-    verify.add_argument("--inject-sign-error", action="store_true",
-                        help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -39,6 +39,9 @@ from .sensitivity import SensitivityOperator
 # How far a record's cosines may stray outside [-1, 1] through rounding.
 ANGLE_TOL = 1e-9
 
+# Largest state distance |rf - Phi r0| that still counts as perfect transfer.
+PST_TOL = 1e-12
+
 
 def _frob(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.tensordot(a, b, axes=2))
@@ -137,7 +140,7 @@ def identity_residual(zeta: float, f_n: float, t_f: float, norm_k: float,
 
 
 def pst_check(phi: np.ndarray, r0: np.ndarray, rf: np.ndarray,
-              tol: float = 1e-12) -> bool:
+              tol: float = PST_TOL) -> bool:
     """Whether the flow maps the input exactly onto the target, |rf - Phi r0| <= tol."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")

@@ -5,9 +5,10 @@ with exactly one excited spin, is described by a real symmetric N x N
 matrix: the couplings sit on the off-diagonal (nearest neighbours, plus
 the (1, N) closure for a ring) and the static control biases Delta_n sit
 on the diagonal. Parametric model error enters as a structured direction:
-a single diagonal entry (bias uncertainty, scaled by the local field
-strength) or a symmetric off-diagonal pair (coupling uncertainty, unit
-scale).
+a single diagonal entry (bias uncertainty) or a symmetric off-diagonal
+pair (coupling uncertainty). The kind alone sets the perturbation scale:
+a bias direction scales with the local field strength, a coupling
+direction has unit scale.
 
 Spins are 1-indexed everywhere in this module's public interface.
 """
@@ -28,8 +29,6 @@ TOPOLOGIES = ("ring", "chain")
 
 BIAS = "bias"
 COUPLING = "coupling"
-CONTROL_FIELD = "control_field"
-UNITY = "unity"
 
 _SPEC_KEYS = frozenset(("n", "topology", "j", "in", "out"))
 
@@ -108,30 +107,19 @@ class NetworkSpec:
 
 
 @dataclass(frozen=True)
-class SESHamiltonian:
-    """Controlled single-excitation Hamiltonian: couplings plus bias diagonal."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        _readonly(self.matrix)
-
-
-@dataclass(frozen=True)
 class UncertaintyStructure:
     """One direction of structured Hamiltonian uncertainty.
 
     ``sites`` holds the affected spin (bias kind) or spin pair (coupling
     kind), 1-indexed. The matrix is Hermitian with unit nonzero entries;
     the physical perturbation is ``delta * f * matrix`` where the scale f
-    follows ``scaling_rule``.
+    follows from ``kind`` (``scaling_factor``).
     """
 
     index: int
     kind: str
     sites: tuple[int, ...]
     matrix: np.ndarray
-    scaling_rule: str
 
     def __post_init__(self):
         _readonly(self.matrix)
@@ -148,10 +136,10 @@ def _coupling_template(spec: NetworkSpec) -> np.ndarray:
     return _readonly(h)
 
 
-def build_hamiltonian(spec: NetworkSpec, biases: np.ndarray) -> SESHamiltonian:
+def build_hamiltonian(spec: NetworkSpec, biases: np.ndarray) -> np.ndarray:
     """Assemble the controlled Hamiltonian for ``spec`` with the given bias diagonal.
 
-    The result is a copy of the network's cached, read-only coupling
+    The result is a read-only copy of the network's cached coupling
     template with the biases written on its diagonal. The template's
     off-diagonal entries are assigned symmetrically, so the result is
     bitwise symmetric.
@@ -162,15 +150,14 @@ def build_hamiltonian(spec: NetworkSpec, biases: np.ndarray) -> SESHamiltonian:
         raise ValueError(f"expected {n} biases, got shape {biases.shape}")
     h = _coupling_template(spec).copy()
     h.flat[:: n + 1] = biases
-    return SESHamiltonian(matrix=h)
+    return _readonly(h)
 
 
 def enumerate_structures(spec: NetworkSpec) -> list[UncertaintyStructure]:
     """All uncertainty directions for ``spec``, in canonical order.
 
-    Indices 1..N are the bias sites (field-strength scaling); the
-    couplings follow, (k, k+1) ascending and the ring closure (1, N)
-    last, all with unit scaling.
+    Indices 1..N are the bias sites; the couplings follow, (k, k+1)
+    ascending and the ring closure (1, N) last.
     """
     n = spec.num_spins
     structures = []
@@ -178,13 +165,13 @@ def enumerate_structures(spec: NetworkSpec) -> list[UncertaintyStructure]:
         m = np.zeros((n, n))
         m[site - 1, site - 1] = 1.0
         structures.append(UncertaintyStructure(
-            index=site, kind=BIAS, sites=(site,), matrix=m, scaling_rule=CONTROL_FIELD))
+            index=site, kind=BIAS, sites=(site,), matrix=m))
     for offset, (a, b) in enumerate(spec.coupling_pairs):
         m = np.zeros((n, n))
         m[a - 1, b - 1] = 1.0
         m[b - 1, a - 1] = 1.0
         structures.append(UncertaintyStructure(
-            index=n + 1 + offset, kind=COUPLING, sites=(a, b), matrix=m, scaling_rule=UNITY))
+            index=n + 1 + offset, kind=COUPLING, sites=(a, b), matrix=m))
     return structures
 
 
@@ -195,19 +182,18 @@ def scaling_factor(structure: UncertaintyStructure, controller: "Controller") ->
     field; coupling uncertainty is unit scale. A zero field gives f = 0,
     which downstream turns into an exactly vanishing sensitivity.
     """
-    if structure.scaling_rule == CONTROL_FIELD:
+    if structure.kind == BIAS:
         site = structure.sites[0]
         return abs(float(np.asarray(controller.biases)[site - 1]))
     return 1.0
 
 
-def perturb(ham: SESHamiltonian, structure: UncertaintyStructure, delta: float,
-            controller: "Controller") -> SESHamiltonian:
+def perturb(ham: np.ndarray, structure: UncertaintyStructure, delta: float,
+            controller: "Controller") -> np.ndarray:
     """Hamiltonian displaced by ``delta`` along a scaled uncertainty direction."""
-    n = ham.matrix.shape[0]
+    n = ham.shape[0]
     if structure.matrix.shape != (n, n):
         raise ValueError(f"structure dimension {structure.matrix.shape} does not match "
                          f"Hamiltonian dimension {(n, n)}")
     f = scaling_factor(structure, controller)
-    m = ham.matrix + delta * f * structure.matrix
-    return SESHamiltonian(matrix=m)
+    return _readonly(ham + delta * f * structure.matrix)

@@ -41,6 +41,9 @@ if TYPE_CHECKING:
 # Allowed imaginary residue when a reconstructed operator must be real.
 IMAG_TOL = 1e-9
 
+# Order of the Gauss-Legendre rule in ``quadrature_oracle``.
+QUADRATURE_NODES = 64
+
 
 def _require_skew(a: np.ndarray, what: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
@@ -134,7 +137,7 @@ def _eigensystem(spec: "NetworkSpec",
     sum_j w_j exp(-i E_j t), and its read-out time derivative comes from
     the same phases.
     """
-    e, v = np.linalg.eigh(build_hamiltonian(spec, biases).matrix)
+    e, v = np.linalg.eigh(build_hamiltonian(spec, biases))
     return e, v, v[spec.output_spin - 1] * v[spec.input_spin - 1]
 
 
@@ -237,32 +240,30 @@ def differential_sensitivity(system: "BlochSystem", op: SensitivityOperator,
 
 
 @lru_cache(maxsize=None)
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     # nodes and weights of the rule on [0, 1]; the nodes are symmetric
-    # about 1/2, so node nodes-1-k sits at 1 - s_k
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    # about 1/2, so node QUADRATURE_NODES-1-k sits at 1 - s_k
+    x, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
     return _readonly(0.5 * (x + 1.0)), _readonly(0.5 * w)
 
 
 def quadrature_oracle(a: np.ndarray, s_bloch: np.ndarray, t_f: float,
-                      r0: np.ndarray, rf: np.ndarray, f_n: float,
-                      nodes: int = 64) -> float:
+                      r0: np.ndarray, rf: np.ndarray, f_n: float) -> float:
     """Independent sensitivity evaluation by Gauss-Legendre quadrature.
 
     Integrates rf^T exp(t_f A (1-s)) S exp(t_f A s) r0 over s in [0, 1]
-    with a fixed-order rule. One batched Pade-based ``expm`` call gives
-    exp(t_f A s_k) at every node s_k; since the nodes are symmetric about
-    1/2, the factor exp(t_f A (1-s_k)) is the exponential at the mirrored
-    node. No eigensystem is shared with the closed-form route.
+    with the ``QUADRATURE_NODES``-point rule. One batched Pade-based
+    ``expm`` call gives exp(t_f A s_k) at every node s_k; since the nodes
+    are symmetric about 1/2, the factor exp(t_f A (1-s_k)) is the
+    exponential at the mirrored node. No eigensystem is shared with the
+    closed-form route.
     """
     # imported here so that the closed-form route loads no scipy
     from scipy.linalg import expm
 
-    if nodes < 16:
-        raise ValueError(f"need at least 16 quadrature nodes, got {nodes}")
     a = np.asarray(a, dtype=float)
     s_bloch = np.asarray(s_bloch, dtype=float)
-    pts, wts = _gauss_legendre(nodes)
+    pts, wts = _gauss_legendre()
     exps = expm((t_f * pts)[:, None, None] * a)
     acc = np.einsum("k,ki,ij,kj->", wts, rf @ exps[::-1], s_bloch, exps @ r0)
     return float(-t_f * f_n * acc)

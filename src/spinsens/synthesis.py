@@ -31,6 +31,9 @@ from .sensitivity import _eigensystem, hadamard_core
 # its working point actually gives when an ensemble is read back.
 FIDELITY_TOL = 1e-9
 
+# Iteration cap of one restart's L-BFGS-B ascent.
+MAXITER = 400
+
 
 @dataclass(frozen=True)
 class Controller:
@@ -69,7 +72,6 @@ class SynthesisConfig:
     bias_range: tuple[float, float] = (0.0, 10.0)
     tolerance: float = 1e-8
     seed: int = 0
-    maxiter: int = 400
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -128,7 +130,10 @@ def local_optimize(spec: NetworkSpec, initial_biases: np.ndarray,
     point that is already stationary (a perfect-transfer controller in
     particular) comes back unchanged. The status is "converged" when the
     projected gradient over (biases, t_f) at the returned point is at most
-    ``config.tolerance``, and "maxiter" otherwise.
+    ``config.tolerance`` or its error 1 - F is at most ``FIDELITY_TOL``, and
+    "maxiter" otherwise. Since F <= 1 everywhere, a point of error within
+    ``FIDELITY_TOL`` is a global maximum, even where rounding keeps its
+    gradient above the tolerance.
     """
     # imported here so that analysis, which reads Controller, loads no scipy
     from scipy.optimize import minimize
@@ -145,13 +150,14 @@ def local_optimize(spec: NetworkSpec, initial_biases: np.ndarray,
     bounds = [(lo_b, hi_b)] * spec.num_spins + [(lo_t, hi_t)]
     res = minimize(_negated, x, args=(spec,), jac=True, method="L-BFGS-B",
                    bounds=bounds,
-                   options={"maxiter": config.maxiter, "ftol": 1e-15,
+                   options={"maxiter": MAXITER, "ftol": 1e-15,
                             "gtol": config.tolerance / 10.0})
     if -res.fun > f_start:
         x = np.asarray(res.x, dtype=float)
     f_final, grad = fidelity_objective(spec, x[:-1], x[-1])
     lo, hi = np.array(bounds).T
-    converged = _projected_norm(grad, x, lo, hi) <= config.tolerance
+    converged = (_projected_norm(grad, x, lo, hi) <= config.tolerance
+                 or 1.0 - f_final <= FIDELITY_TOL)
     return Controller(biases=x[:-1], t_f=float(x[-1]), fidelity=min(1.0, f_final),
                       spec=spec, seed=seed, index=index,
                       status="converged" if converged else "maxiter")

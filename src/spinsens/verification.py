@@ -46,6 +46,9 @@ from .synthesis import Controller, SynthesisConfig, synthesize_ensemble, transfe
 INSTANCE_T_RANGE = (0.3, 3.0)
 INSTANCE_BIAS_SCALE = 1.0
 
+# Central-difference step of the three-way check's finite-difference oracle.
+FD_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -88,12 +91,10 @@ def random_spec(rng: np.random.Generator, n: int) -> NetworkSpec:
 
 
 def random_controller(rng: np.random.Generator, spec: NetworkSpec,
-                      t_range: tuple[float, float] = INSTANCE_T_RANGE,
-                      bias_scale: float = INSTANCE_BIAS_SCALE,
                       index: int = 0) -> Controller:
     """Random working point (not optimized); fidelity filled in honestly."""
-    biases = rng.uniform(-bias_scale, bias_scale, spec.num_spins)
-    t_f = float(rng.uniform(*t_range))
+    biases = rng.uniform(-INSTANCE_BIAS_SCALE, INSTANCE_BIAS_SCALE, spec.num_spins)
+    t_f = float(rng.uniform(*INSTANCE_T_RANGE))
     f = transfer_fidelity(spec, biases, t_f)
     return Controller(biases=biases, t_f=t_f, fidelity=float(min(1.0, max(0.0, f))),
                       spec=spec, seed=index, index=index)
@@ -115,7 +116,7 @@ def _structure_images(num_spins: int, topology: str) -> tuple[
 def adjoint_records(controller: Controller,
                     structures: tuple[UncertaintyStructure, ...],
                     s_images: tuple[np.ndarray, ...],
-                    pst_tol: float = 1e-12) -> list[tuple[GeometryRecord, float]]:
+                    ) -> list[tuple[GeometryRecord, float]]:
     """Reference records of one controller from the N^2 x N^2 adjoint picture.
 
     Each record comes with the frame inner product <Phi, K>, zero by
@@ -131,7 +132,7 @@ def adjoint_records(controller: Controller,
     sd = spectral_decompose(system.A)
     phi = propagator_matrix(sd, controller.t_f)
     f_val, _ = fidelity(system.rf, phi, system.r0)
-    pst = pst_check(phi, system.r0, system.rf, pst_tol)
+    pst = pst_check(phi, system.r0, system.rf)
     r_op = io_operator(system.rf, system.r0)
     out = []
     for structure, image in zip(structures, s_images):
@@ -276,13 +277,13 @@ def perturbed_error(controller: Controller, structure: UncertaintyStructure,
     spec = controller.spec
     ham = build_hamiltonian(spec, controller.biases)
     tilted = perturb(ham, structure, delta, controller)
-    u = expm(-1j * tilted.matrix * controller.t_f)
+    u = expm(-1j * tilted * controller.t_f)
     amp = u[spec.output_spin - 1, spec.input_spin - 1]
     return float(1.0 - abs(amp) ** 2)
 
 
 def check_three_way(seed: int, dims: tuple[int, ...] = (2, 3, 4, 5),
-                    per_dim: int = 50, h: float = 1e-5) -> CheckResult:
+                    per_dim: int = 50) -> CheckResult:
     """Closed form vs quadrature vs finite differences on random instances.
 
     Fails when ``dims`` and ``per_dim`` leave no instance to compare.
@@ -303,7 +304,7 @@ def check_three_way(seed: int, dims: tuple[int, ...] = (2, 3, 4, 5),
             quad = quadrature_oracle(system.A, image, controller.t_f,
                                      system.r0, system.rf, record.f_n)
             fd = fd_oracle(lambda st, c, d: perturbed_error(c, st, d),
-                           structure, controller, h)
+                           structure, controller, FD_STEP)
             zeta = record.zeta
             worst_quad = max(worst_quad,
                              abs(quad - zeta) / max(1e-8 * abs(zeta), 1e-10))
@@ -404,8 +405,7 @@ def record_gap(record: GeometryRecord, oracle: GeometryRecord, n: int) -> float:
     return max(gaps)
 
 
-def check_cross_formulation(seed: int, count: int = 100, max_n: int = 6,
-                            flip_sign: bool = False) -> CheckResult:
+def check_cross_formulation(seed: int, count: int = 100, max_n: int = 6) -> CheckResult:
     """Adjoint-picture transfer agrees with Schroedinger propagation, and
     the published records agree with the adjoint-picture reference.
 
@@ -429,11 +429,10 @@ def check_cross_formulation(seed: int, count: int = 100, max_n: int = 6,
         controller = random_controller(rng, spec, index=k)
         ham = build_hamiltonian(spec, controller.biases)
         system = build_bloch_system(ham, spec, controller.t_f)
-        a = -system.A if flip_sign else system.A
-        sd = spectral_decompose(a)
+        sd = spectral_decompose(system.A)
         phi = propagator_matrix(sd, controller.t_f)
         f_bloch, _ = fidelity(system.rf, phi, system.r0)
-        psi_t = expm(-1j * ham.matrix * controller.t_f) @ site_state(n, spec.input_spin)
+        psi_t = expm(-1j * ham * controller.t_f) @ site_state(n, spec.input_spin)
         f_hilbert = float(abs(psi_t[spec.output_spin - 1]) ** 2)
         r_t = state_to_bloch(psi_t / np.linalg.norm(psi_t), system.basis)
         worst_f = max(worst_f, abs(f_bloch - f_hilbert))
@@ -457,8 +456,9 @@ def check_cross_formulation(seed: int, count: int = 100, max_n: int = 6,
 def run_checks(seed: int = 2024, dims: tuple[int, ...] = (2, 3, 4, 5, 6),
                systems_per_dim: int = 14, three_way_per_dim: int = 50,
                cross_count: int = 100, necessity_restarts: int = 40,
-               pst_only: bool = False, inject_sign_error: bool = False) -> list[CheckResult]:
-    """The full suite in report order; flags trim or sabotage it for tests."""
+               pst_only: bool = False) -> list[CheckResult]:
+    """The nine checks in report order, or the perfect-transfer sufficiency
+    check alone with ``pst_only``; the sizes trim the samples."""
     if pst_only:
         return [check_pst_sufficiency()]
     instances = sample_instances(seed, dims=dims, systems_per_dim=systems_per_dim)
@@ -472,7 +472,6 @@ def run_checks(seed: int = 2024, dims: tuple[int, ...] = (2, 3, 4, 5, 6),
         check_necessity(seed, restarts=necessity_restarts),
         check_three_way(seed, dims=tuple(n for n in dims if n <= 5),
                         per_dim=three_way_per_dim),
-        check_cross_formulation(seed, count=cross_count, max_n=max(dims, default=0),
-                                flip_sign=inject_sign_error),
+        check_cross_formulation(seed, count=cross_count, max_n=max(dims, default=0)),
     ]
     return results

@@ -72,7 +72,7 @@ def test_criterion_03_factored_identity(instance_pool, ring4_analysis):
 
 
 def test_criterion_04_three_way_agreement():
-    res = check_three_way(seed=POOL_SEED, dims=(2, 3, 4, 5), per_dim=50, h=1e-5)
+    res = check_three_way(seed=POOL_SEED, dims=(2, 3, 4, 5), per_dim=50)
     report(4, res.passed, res.detail)
 
 

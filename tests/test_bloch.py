@@ -216,7 +216,7 @@ class TestFidelity:
         t_f = 1.7
         system = build_bloch_system(ham, spec, t_f)
         f, e = fidelity(system.rf, propagate(system.A, t_f), system.r0)
-        u = expm(-1j * ham.matrix * t_f)
+        u = expm(-1j * ham * t_f)
         assert f == pytest.approx(abs(u[2, 0]) ** 2, abs=1e-12)
         assert e == 1.0 - f
 

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, file formats, byte-level determinism."""
 
+import hashlib
 import json
 import math
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +281,30 @@ class TestAnalyzeOutputs:
         assert manifest["outputs"][str(records)] == file_sha256(records)
         assert manifest["outputs"][str(summaries)] == file_sha256(summaries)
 
+    def test_manifest_digest_is_of_the_bytes_analyzed(self, tmp_path, monkeypatch):
+        # the controllers file is rewritten right after analyze reads it; the
+        # manifest must carry the digest of the bytes analyzed, not of a
+        # second read. No synth manifest, so the rewrite passes the check.
+        out = run_synth(tmp_path, "g", threads=1)
+        out.with_name("controllers.manifest.json").unlink()
+        analyzed = out.read_bytes()
+
+        def rewrite_after(read):
+            def patched(path, *args, **kwargs):
+                result = read(path, *args, **kwargs)
+                if path == out:
+                    monkeypatch.undo()  # rewrite once, then read plainly
+                    out.write_bytes(analyzed + b"\n")
+                return result
+            return patched
+
+        monkeypatch.setattr(Path, "read_bytes", rewrite_after(Path.read_bytes))
+        monkeypatch.setattr(Path, "read_text", rewrite_after(Path.read_text))
+        records, _ = run_analyze(out, threads=1)
+        manifest = json.loads(records.with_name("records.manifest.json").read_text())
+        assert out.read_bytes() != analyzed
+        assert manifest["inputs"][str(out)] == hashlib.sha256(analyzed).hexdigest()
+
     def test_manifest_counts_pst_and_zero_fidelity_records(self, tmp_path):
         # two-spin chain: F = sin^2 t, so t = pi/2 is perfect transfer and
         # t = pi transfers nothing (F = 1.5e-32, below the zero floor)
@@ -488,9 +514,15 @@ class TestVerifyCommand:
         assert three_way.startswith("FAIL") and three_way.endswith("0 instances")
         assert "verify: 9 checks" in lines[-1]
 
-    def test_injected_convention_error_caught(self, capsys):
-        assert main(["verify", *self.SMALL, "--inject-sign-error"]) == 2
+    def test_injected_convention_error_caught(self, capsys, monkeypatch):
+        # the Hilbert-space reference propagates with exp(+iHt) instead of
+        # exp(-iHt): on a real H the fidelity cannot see the flipped sign,
+        # the propagated state can
+        from spinsens import verification
+        forward = verification.expm
+        monkeypatch.setattr(verification, "expm", lambda m: forward(m.conj()))
+        assert main(["verify", *self.SMALL]) == 2
         out = capsys.readouterr().out
         fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-        assert fails and any("cross-formulation" in line for line in fails)
+        assert len(fails) == 1 and "cross-formulation" in fails[0]
         assert "(seed 5)" in out

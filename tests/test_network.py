@@ -9,8 +9,7 @@ import pytest
 from spinsens import (Controller, NetworkSpec, build_hamiltonian,
                       enumerate_structures, perturb, scaling_factor,
                       transfer_fidelity)
-from spinsens.network import (BIAS, COUPLING, CONTROL_FIELD, UNITY,
-                              _coupling_template)
+from spinsens.network import BIAS, COUPLING, _coupling_template
 
 
 def make_controller(spec, biases, t_f=1.0):
@@ -96,31 +95,31 @@ class TestBuildHamiltonian:
         spec = NetworkSpec(num_spins=3, topology="ring", input_spin=1, output_spin=2)
         ham = build_hamiltonian(spec, np.zeros(3))
         want = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
-        assert np.array_equal(ham.matrix, want)
+        assert np.array_equal(ham, want)
 
     def test_four_chain_tridiagonal(self):
         spec = NetworkSpec(num_spins=4, topology="chain", input_spin=1, output_spin=4)
         ham = build_hamiltonian(spec, np.zeros(4))
-        assert ham.matrix[0, 3] == 0.0 and ham.matrix[3, 0] == 0.0
-        assert np.array_equal(np.diag(ham.matrix, 1), np.ones(3))
+        assert ham[0, 3] == 0.0 and ham[3, 0] == 0.0
+        assert np.array_equal(np.diag(ham, 1), np.ones(3))
 
     def test_four_ring_spectrum(self):
         # circulant eigenvalues 2 cos(2 pi k / 4): {2, 0, 0, -2}
         spec = NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=2)
         ham = build_hamiltonian(spec, np.zeros(4))
-        vals = np.sort(np.linalg.eigvalsh(ham.matrix))
+        vals = np.sort(np.linalg.eigvalsh(ham))
         assert np.allclose(vals, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
     def test_diagonal_is_biases(self):
         spec = NetworkSpec(num_spins=5, topology="chain", input_spin=1, output_spin=5)
         biases = np.array([0.3, -1.2, 4.0, 0.0, 2.5])
         ham = build_hamiltonian(spec, biases)
-        assert np.array_equal(np.diag(ham.matrix), biases)
+        assert np.array_equal(np.diag(ham), biases)
 
     def test_bitwise_symmetric(self, rng):
         spec = NetworkSpec(num_spins=6, topology="ring", input_spin=1, output_spin=4)
         ham = build_hamiltonian(spec, rng.uniform(-5, 5, 6))
-        assert np.array_equal(ham.matrix, ham.matrix.T)
+        assert np.array_equal(ham, ham.T)
 
     def test_dimension_mismatch(self):
         spec = NetworkSpec(num_spins=4, topology="chain", input_spin=1, output_spin=4)
@@ -131,7 +130,7 @@ class TestBuildHamiltonian:
         spec = NetworkSpec(num_spins=3, topology="chain", input_spin=1, output_spin=3)
         ham = build_hamiltonian(spec, np.zeros(3))
         with pytest.raises(ValueError):
-            ham.matrix[0, 0] = 1.0
+            ham[0, 0] = 1.0
 
     @staticmethod
     def _loop_construction(spec, biases):
@@ -152,7 +151,7 @@ class TestBuildHamiltonian:
                                output_spin=n, coupling=coupling)
             biases = rng.uniform(-5, 5, n)
             biases[0] = -0.0
-            got = build_hamiltonian(spec, biases).matrix
+            got = build_hamiltonian(spec, biases)
             want = self._loop_construction(spec, biases)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -167,8 +166,8 @@ class TestBuildHamiltonian:
 
     def test_calls_return_unaliased_matrices(self):
         spec = NetworkSpec(num_spins=5, topology="chain", input_spin=1, output_spin=5)
-        first = build_hamiltonian(spec, np.ones(5)).matrix
-        second = build_hamiltonian(spec, np.full(5, 2.0)).matrix
+        first = build_hamiltonian(spec, np.ones(5))
+        second = build_hamiltonian(spec, np.full(5, 2.0))
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(first, _coupling_template(spec))
         assert np.array_equal(np.diag(first), np.ones(5))
@@ -198,12 +197,11 @@ class TestEnumerateStructures:
         assert len(structures) == 5
         for n, s in enumerate(structures[:3], start=1):
             assert s.kind == BIAS and s.index == n and s.sites == (n,)
-            assert s.scaling_rule == CONTROL_FIELD
             want = np.zeros((3, 3))
             want[n - 1, n - 1] = 1.0
             assert np.array_equal(s.matrix, want)
         for s in structures[3:]:
-            assert s.kind == COUPLING and s.scaling_rule == UNITY
+            assert s.kind == COUPLING
 
     def test_all_traceless(self):
         for topo, n in (("ring", 5), ("chain", 4)):
@@ -239,7 +237,7 @@ class TestPerturb:
         ctl = make_controller(spec, [1.0, 2.0, 3.0, 4.0])
         ham = build_hamiltonian(spec, ctl.biases)
         for s in enumerate_structures(spec):
-            assert np.array_equal(perturb(ham, s, 0.0, ctl).matrix, ham.matrix)
+            assert np.array_equal(perturb(ham, s, 0.0, ctl), ham)
 
     def test_bias_perturbation_scales_with_field(self):
         spec = NetworkSpec(num_spins=4, topology="chain", input_spin=1, output_spin=4)
@@ -247,8 +245,8 @@ class TestPerturb:
         ham = build_hamiltonian(spec, ctl.biases)
         s2 = enumerate_structures(spec)[1]
         tilted = perturb(ham, s2, 0.01, ctl)
-        assert tilted.matrix[1, 1] == pytest.approx(330.0 + 3.3, abs=1e-12)
-        off = tilted.matrix - ham.matrix
+        assert tilted[1, 1] == pytest.approx(330.0 + 3.3, abs=1e-12)
+        off = tilted - ham
         off[1, 1] = 0.0
         assert np.all(off == 0.0)
 
@@ -258,8 +256,8 @@ class TestPerturb:
         ham = build_hamiltonian(spec, ctl.biases)
         s = enumerate_structures(spec)[3]  # coupling (1,2)
         tilted = perturb(ham, s, 0.01, ctl)
-        assert tilted.matrix[0, 1] == pytest.approx(1.01, abs=1e-15)
-        assert tilted.matrix[1, 0] == pytest.approx(1.01, abs=1e-15)
+        assert tilted[0, 1] == pytest.approx(1.01, abs=1e-15)
+        assert tilted[1, 0] == pytest.approx(1.01, abs=1e-15)
 
     def test_frobenius_norm_of_step(self, rng):
         spec = NetworkSpec(num_spins=5, topology="ring", input_spin=2, output_spin=4)
@@ -268,6 +266,6 @@ class TestPerturb:
         for s in enumerate_structures(spec):
             delta = 0.37
             f_n = scaling_factor(s, ctl)
-            step = perturb(ham, s, delta, ctl).matrix - ham.matrix
+            step = perturb(ham, s, delta, ctl) - ham
             assert np.linalg.norm(step) == pytest.approx(
                 abs(delta) * f_n * np.linalg.norm(s.matrix), abs=1e-12)

@@ -13,6 +13,7 @@ from spinsens import Controller, NetworkSpec, adjoint_rep, enumerate_structures
 from spinsens import (build_bloch_system, build_hamiltonian, fidelity_objective,
                       gell_mann_basis, quadrature_oracle, transfer_fidelity)
 from spinsens.analytics import evaluate_controller
+from spinsens.sensitivity import QUADRATURE_NODES
 from spinsens.verification import adjoint_records, record_gap
 
 
@@ -114,10 +115,10 @@ def test_engine_matches_adjoint_records(point):
         assert (r.pst, r.zero_fidelity) == (o.pst, o.zero_fidelity)
 
 
-def per_node_quadrature(a, s_bloch, t_f, r0, rf, f_n, nodes=64):
+def per_node_quadrature(a, s_bloch, t_f, r0, rf, f_n):
     # two independent exponentials per node, exp(t_f A (1-s)) and exp(t_f A s):
     # the evaluation the batched oracle replaced
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
     acc = 0.0
     for s, weight in zip(0.5 * (x + 1.0), 0.5 * w):
         left = expm(t_f * (1.0 - s) * a)

@@ -323,13 +323,6 @@ class TestQuadratureOracle:
         quadrature_oracle(a, s, 1.3, r, r[::-1].copy(), 1.0)
         assert calls == [(64, 9, 9)]
 
-    def test_too_few_nodes_rejected(self, rng):
-        a = random_generator(rng, 2)
-        r = np.zeros(4)
-        r[0] = 1.0
-        with pytest.raises(ValueError):
-            quadrature_oracle(a, a, 1.0, r, r, 1.0, nodes=8)
-
 
 class TestFdOracle:
     def _pst_controller(self):
