@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -72,6 +73,17 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
     return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for a tolerance: a finite float above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
 
 
 def file_sha256(path: Path) -> str:
@@ -358,7 +370,7 @@ def build_parser() -> _Parser:
                            help="network spec JSON (default: <ensemble>.spec.json)")
     analyze_p.add_argument("--records", default="records.csv")
     analyze_p.add_argument("--summaries", default="summaries.csv")
-    analyze_p.add_argument("--pst-tol", type=float, default=PST_TOL)
+    analyze_p.add_argument("--pst-tol", type=_positive_float, default=PST_TOL)
     analyze_p.add_argument("--threads", type=_int_at_least(1), default=1,
                            help=THREADS_HELP)
     analyze_p.set_defaults(func=cmd_analyze)

@@ -16,8 +16,9 @@ Because <Phi, R> = F, |Phi|^2 = N^2 and Phi is orthogonal to K, the
 projection needs only F, k = <R, K> and |K|: |R_S| = hypot(F/N, k/|K|),
 and the component of R_S off the propagator has norm |k|/|K|. The records
 ``analyze`` writes take these scalars from the N x N picture. ``project``
-forms R_S itself from N^2 x N^2 operators; it is the reference route
-that verification checks the records against.
+forms R_S itself from N^2 x N^2 operators, for one direction or a whole
+stack at once; it is the reference route that verification checks the
+records against.
 
 Numerical note: sin phi computed as sqrt(1 - cos^2 phi) would lose half
 the digits when phi is tiny, exactly the regime of near-perfect transfer
@@ -43,8 +44,9 @@ ANGLE_TOL = 1e-9
 PST_TOL = 1e-12
 
 
-def _frob(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.tensordot(a, b, axes=2))
+def _frob(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    # Frobenius inner product over the last two axes; leading axes broadcast
+    return (a * b).sum(axis=(-2, -1))
 
 
 def io_operator(rf: np.ndarray, r0: np.ndarray) -> np.ndarray:
@@ -58,33 +60,39 @@ def io_operator(rf: np.ndarray, r0: np.ndarray) -> np.ndarray:
     return np.outer(rf, r0)
 
 
-def project(r_op: np.ndarray, phi: np.ndarray,
-            op: SensitivityOperator) -> tuple[np.ndarray, float, float]:
+def project(r_op: np.ndarray, phi: np.ndarray, op: SensitivityOperator,
+            ) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
     """Project R onto span{Phi, K}; returns (R_S, |R_S|, |R_S - P_Phi R_S|).
 
     Phi and K are orthogonal, so the projection is the sum of the two
     rescaled components. The third return value is the norm of the part
     of R_S outside the propagator direction, the cancellation-free
-    ingredient for sin phi. An internal check confirms that |R_S|^2
+    ingredient for sin phi. ``op`` may hold a stack of operators
+    (``adjoint_sensitivity_operator`` of a stack of directions): then
+    every return value gains its leading axes, one projection per
+    direction, from one pass. A vanishing |K| anywhere in the stack is
+    rejected, and an internal check confirms per direction that |R_S|^2
     agrees with the sum of squared projection coefficients.
     """
     r_op = np.asarray(r_op, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if op.norm_K <= 0:
+    norm_k = np.asarray(op.norm_K, dtype=float)
+    if (norm_k <= 0).any():
         raise ValueError("projection undefined for a vanishing sensitivity operator")
     n2 = phi.shape[0]
     n = math.isqrt(n2)
     f_coeff = _frob(r_op, phi)
     k_coeff = _frob(r_op, op.K)
-    r_s = (f_coeff / n2) * phi + (k_coeff / op.norm_K ** 2) * op.K
-    norm_rs = float(np.linalg.norm(r_s))
-    frame_sq = (f_coeff / n) ** 2 + (k_coeff / op.norm_K) ** 2
-    if abs(norm_rs ** 2 - frame_sq) > 1e-10 * max(1.0, frame_sq):
+    r_s = (f_coeff / n2) * phi + (k_coeff / norm_k ** 2)[..., None, None] * op.K
+    norm_rs = np.linalg.norm(r_s, axis=(-2, -1))
+    frame_sq = (f_coeff / n) ** 2 + (k_coeff / norm_k) ** 2
+    bad = np.abs(norm_rs ** 2 - frame_sq) > 1e-10 * np.maximum(1.0, frame_sq)
+    if bad.any():
         raise InvariantViolation(
-            f"projection norm {norm_rs**2:.17e} disagrees with frame "
-            f"coefficients {frame_sq:.17e}")
-    perp = r_s - (_frob(r_s, phi) / n2) * phi
-    return r_s, norm_rs, float(np.linalg.norm(perp))
+            f"projection norm {(norm_rs ** 2)[bad].flat[0]:.17e} disagrees with "
+            f"frame coefficients {frame_sq[bad].flat[0]:.17e}")
+    perp = r_s - (_frob(r_s, phi) / n2)[..., None, None] * phi
+    return r_s, norm_rs, np.linalg.norm(perp, axis=(-2, -1))
 
 
 def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,

@@ -15,11 +15,15 @@ The real N^2-dimensional adjoint picture stays as the reference that
 verification checks against: the generator A is skew-symmetric, so iA is
 Hermitian and A = M diag(i lam) M* with real frequencies lam, and
 ``adjoint_sensitivity_operator`` builds K itself by the same recipe one
-level up. Two slower, independent evaluations of the derivative are
-oracles too: fixed-order Gauss-Legendre quadrature of the integral
-representation (one batched Pade-based matrix exponential over the
-symmetric nodes, no shared eigensystem)
-and a central finite difference of the error under full re-propagation.
+level up. It takes a stack of directions (leading axes, plain numpy
+broadcasting), so one call per controller conjugates every structure's
+image, weights it with divided differences computed once, and returns
+every K and |K|; ``differential_sensitivity`` reads out a stack the same
+way. Two slower, independent evaluations of the derivative are oracles
+too: fixed-order Gauss-Legendre quadrature of the integral representation
+(one batched Pade-based matrix exponential of 33 slices for the 64 nodes,
+since exp(-X) = exp(X)^T for skew X; no shared eigensystem) and a central
+finite difference of the error under full re-propagation.
 """
 
 from __future__ import annotations
@@ -46,10 +50,13 @@ QUADRATURE_NODES = 64
 
 
 def _require_skew(a: np.ndarray, what: str) -> np.ndarray:
+    # each matrix of a stack (..., n, n) is checked on its own scale
     a = np.asarray(a, dtype=float)
-    defect = np.linalg.norm(a + a.T)
-    if defect > 1e-9 * max(1.0, np.linalg.norm(a)):
-        raise ValueError(f"{what} must be skew-symmetric (defect {defect:.3e})")
+    defect = np.linalg.norm(a + np.swapaxes(a, -1, -2), axis=(-2, -1))
+    bad = defect > 1e-9 * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    if bad.any():
+        raise ValueError(f"{what} must be skew-symmetric "
+                         f"(defect {defect[bad].flat[0]:.3e})")
     return a
 
 
@@ -197,15 +204,17 @@ def sensitivity_operator(transfer: HilbertTransfer,
 
 @dataclass(frozen=True)
 class SensitivityOperator:
-    """Input-output agnostic sensitivity operator for one uncertainty direction.
+    """Input-output agnostic sensitivity operators for uncertainty directions.
 
-    ``K`` is the real operator and ``norm_K`` its Frobenius norm, computed
-    from the eigenbasis form (direction times divided differences); unitary
-    invariance makes it equal the norm of ``K`` itself.
+    ``K`` holds the real operators, shape (..., N^2, N^2) with one leading
+    index per direction of a stack, and ``norm_K`` their Frobenius norms,
+    shape (...): a float for a single direction. The norms come from the
+    eigenbasis form (direction times divided differences); unitary
+    invariance makes them equal the norms of ``K`` itself.
     """
 
     K: np.ndarray
-    norm_K: float
+    norm_K: float | np.ndarray
 
     def __post_init__(self):
         _readonly(self.K)
@@ -213,30 +222,39 @@ class SensitivityOperator:
 
 def adjoint_sensitivity_operator(spectral: SpectralData, s_bloch: np.ndarray,
                                  t_f: float) -> SensitivityOperator:
-    """Assemble the N^2 x N^2 sensitivity operator for one adjoint-space direction.
+    """Assemble the N^2 x N^2 sensitivity operators of adjoint-space directions.
 
+    ``s_bloch`` is one direction (N^2, N^2) or a stack (..., N^2, N^2);
+    the divided-difference weights are computed once for the whole stack,
+    and the skew-symmetry and imaginary-residue checks hold per direction.
     The reference route for ``sensitivity_operator``: verification and the
     tests compare the records against it.
     """
     s_bloch = _require_skew(s_bloch, "uncertainty direction")
-    z = spectral.M.conj().T @ s_bloch @ spectral.M
-    q = hadamard_core(z, spectral.lam, t_f)
-    k_c = (spectral.M @ q) @ spectral.M.conj().T
-    residue = np.linalg.norm(k_c.imag)
-    if residue > IMAG_TOL:
+    m = spectral.M
+    m_h = m.conj().T
+    q = hadamard_core(m_h @ s_bloch @ m, spectral.lam, t_f)
+    k_c = (m @ q) @ m_h
+    residue = np.linalg.norm(k_c.imag, axis=(-2, -1))
+    if (residue > IMAG_TOL).any():
         raise InvariantViolation(
-            f"sensitivity operator has imaginary residue {residue:.3e}; "
+            f"sensitivity operator has imaginary residue {residue.max():.3e}; "
             "this signals a convention error upstream")
-    norm_k = float(np.sqrt((np.abs(q) ** 2).sum()))
+    norm_k = np.sqrt((np.abs(q) ** 2).sum(axis=(-2, -1)))
     return SensitivityOperator(K=k_c.real.copy(), norm_K=norm_k)
 
 
 def differential_sensitivity(system: "BlochSystem", op: SensitivityOperator,
-                             f_n: float) -> float:
-    """Derivative of the transfer error along a scaled uncertainty direction."""
-    if f_n < 0:
-        raise ValueError(f"scaling factor must be nonnegative, got {f_n}")
-    return float(-system.t_f * f_n * (system.rf @ op.K @ system.r0))
+                             f_n: float | np.ndarray) -> float | np.ndarray:
+    """Derivative of the transfer error along scaled uncertainty directions.
+
+    ``f_n`` broadcasts against the leading axes of ``op.K``: one scaling
+    factor per direction of a stack gives one derivative per direction.
+    """
+    f_n = np.asarray(f_n, dtype=float)
+    if (f_n < 0).any():
+        raise ValueError(f"scaling factor must be nonnegative, got {f_n.min()}")
+    return -system.t_f * f_n * (system.rf @ op.K @ system.r0)
 
 
 @lru_cache(maxsize=None)
@@ -253,10 +271,12 @@ def quadrature_oracle(a: np.ndarray, s_bloch: np.ndarray, t_f: float,
 
     Integrates rf^T exp(t_f A (1-s)) S exp(t_f A s) r0 over s in [0, 1]
     with the ``QUADRATURE_NODES``-point rule. One batched Pade-based
-    ``expm`` call gives exp(t_f A s_k) at every node s_k; since the nodes
-    are symmetric about 1/2, the factor exp(t_f A (1-s_k)) is the
-    exponential at the mirrored node. No eigensystem is shared with the
-    closed-form route.
+    ``expm`` call gives E_k = exp(t_f A s_k) at the nodes below 1/2 and
+    exp(t_f A) itself: 33 exponentials for 64 nodes. A is skew, so
+    exp(-X) = exp(X)^T, and every other factor is a product of these:
+    exp(t_f A (1 - s_k)) = exp(t_f A) E_k^T, and the nodes above 1/2 are
+    the mirrored 1 - s_k. No eigensystem is shared with the closed-form
+    route.
     """
     # imported here so that the closed-form route loads no scipy
     from scipy.linalg import expm
@@ -264,8 +284,15 @@ def quadrature_oracle(a: np.ndarray, s_bloch: np.ndarray, t_f: float,
     a = np.asarray(a, dtype=float)
     s_bloch = np.asarray(s_bloch, dtype=float)
     pts, wts = _gauss_legendre()
-    exps = expm((t_f * pts)[:, None, None] * a)
-    acc = np.einsum("k,ki,ij,kj->", wts, rf @ exps[::-1], s_bloch, exps @ r0)
+    half = QUADRATURE_NODES // 2
+    exps = expm((t_f * np.append(pts[:half], 1.0))[:, None, None] * a)
+    low, full = exps[:half], exps[half]
+    # left and right vectors rf^T exp(t_f A (1-s)) and exp(t_f A s) r0 at
+    # the nodes in ascending order: s_k < 1/2, then 1 - s_k for k descending
+    mirrored = low[::-1]
+    left = np.concatenate([low @ (full.T @ rf), rf @ mirrored])
+    right = np.concatenate([low @ r0, (r0 @ mirrored) @ full.T])
+    acc = np.einsum("k,ki,ij,kj->", wts, left, s_bloch, right)
     return float(-t_f * f_n * acc)
 
 

@@ -11,9 +11,10 @@ always pins the offending instance.
 The records ``analyze`` publishes come from the N x N Hamiltonian, where
 the structural identities hold by construction. ``adjoint_records`` keeps
 the N^2 x N^2 adjoint-picture route (explicit propagator Phi, explicit
-sensitivity operators K, explicit projection) as the reference: the
-structural checks read its records, and the cross-formulation check
-compares the published records with it field by field.
+sensitivity operators K, explicit projection) as the reference, in one
+stacked pass over every structure per controller: the structural checks
+read its records, and the cross-formulation check compares the published
+records with it field by field.
 
 The suite is what `verify` runs from the command line; the acceptance
 tests call the same functions with the documented sample sizes.
@@ -29,15 +30,15 @@ import numpy as np
 from scipy.linalg import expm
 
 from .analytics import _record, analyze, evaluate_controller
-from .bloch import (adjoint_rep, build_bloch_system, fidelity, gell_mann_basis,
-                    site_state, state_to_bloch)
-from .geometry import GeometryRecord, io_operator, project, pst_check
+from .bloch import (BlochSystem, adjoint_rep, build_bloch_system, fidelity,
+                    gell_mann_basis, site_state, state_to_bloch)
+from .geometry import GeometryRecord, _frob, io_operator, project, pst_check
 from .network import (NetworkSpec, UncertaintyStructure, _readonly,
                       build_hamiltonian, enumerate_structures, perturb,
                       scaling_factor)
-from .sensitivity import (adjoint_sensitivity_operator, differential_sensitivity,
-                          fd_oracle, propagator_matrix, quadrature_oracle,
-                          spectral_decompose)
+from .sensitivity import (SpectralData, adjoint_sensitivity_operator,
+                          differential_sensitivity, fd_oracle, propagator_matrix,
+                          quadrature_oracle, spectral_decompose)
 from .synthesis import Controller, SynthesisConfig, synthesize_ensemble, transfer_fidelity
 
 # Randomized instances live on modest time and bias scales so that the
@@ -102,50 +103,61 @@ def random_controller(rng: np.random.Generator, spec: NetworkSpec,
 
 @lru_cache(maxsize=None)
 def _structure_images(num_spins: int, topology: str) -> tuple[
-        tuple[UncertaintyStructure, ...], tuple[np.ndarray, ...]]:
-    # every structure with its adjoint image, as analyze enumerates them;
-    # both depend on the size and topology alone, so each pair is built once
+        tuple[UncertaintyStructure, ...], np.ndarray]:
+    # every structure, as analyze enumerates them, with the read-only stack
+    # (S, N^2, N^2) of their adjoint images; both depend on the size and
+    # topology alone, so each pair is built once
     spec = NetworkSpec(num_spins=num_spins, topology=topology,
                        input_spin=1, output_spin=2)
     structures = tuple(enumerate_structures(spec))
     basis = gell_mann_basis(num_spins)
-    return structures, tuple(_readonly(adjoint_rep(s.matrix, basis))
-                             for s in structures)
+    return structures, _readonly(np.array([adjoint_rep(s.matrix, basis)
+                                           for s in structures]))
+
+
+def _adjoint_frame(controller: Controller) -> tuple[BlochSystem, SpectralData, np.ndarray]:
+    """The adjoint-picture system of one controller, the spectral
+    decomposition of its generator, and the propagator Phi built from it."""
+    system = build_bloch_system(build_hamiltonian(controller.spec, controller.biases),
+                                controller.spec, controller.t_f)
+    spectral = spectral_decompose(system.A)
+    return system, spectral, propagator_matrix(spectral, controller.t_f)
 
 
 def adjoint_records(controller: Controller,
                     structures: tuple[UncertaintyStructure, ...],
-                    s_images: tuple[np.ndarray, ...],
+                    s_images: np.ndarray,
+                    frame: tuple[BlochSystem, SpectralData, np.ndarray] | None = None,
                     ) -> list[tuple[GeometryRecord, float]]:
     """Reference records of one controller from the N^2 x N^2 adjoint picture.
 
     Each record comes with the frame inner product <Phi, K>, zero by
-    lemma 1. The propagator and every sensitivity operator are built from
-    the spectral decomposition of the adjoint generator, and the
-    projection by ``project``; nothing is shared with the N x N route of
-    ``evaluate_controller`` except the assembly of angles from the scale
-    quantities.
+    lemma 1. ``s_images`` holds the adjoint images of ``structures`` in
+    order, a stack (S, N^2, N^2) or a sequence of them. ``frame`` is the
+    controller's ``_adjoint_frame`` when the caller has built it already.
+    The propagator and the sensitivity operators come from the spectral
+    decomposition of the adjoint generator: one call of
+    ``adjoint_sensitivity_operator``, ``project`` and
+    ``differential_sensitivity`` each covers every structure. Nothing is
+    shared with the N x N route of ``evaluate_controller`` except the
+    assembly of angles from the scale quantities.
     """
-    spec = controller.spec
-    ham = build_hamiltonian(spec, controller.biases)
-    system = build_bloch_system(ham, spec, controller.t_f)
-    sd = spectral_decompose(system.A)
-    phi = propagator_matrix(sd, controller.t_f)
+    system, spectral, phi = _adjoint_frame(controller) if frame is None else frame
     f_val, _ = fidelity(system.rf, phi, system.r0)
     pst = pst_check(phi, system.r0, system.rf)
     r_op = io_operator(system.rf, system.r0)
-    out = []
-    for structure, image in zip(structures, s_images):
-        op = adjoint_sensitivity_operator(sd, image, controller.t_f)
-        f_n = scaling_factor(structure, controller)
-        _, norm_rs, perp = project(r_op, phi, op)
-        record = _record(
-            controller, structure, f_val=f_val,
-            zeta=differential_sensitivity(system, op, f_n), f_n=f_n,
-            k_coeff=float(np.tensordot(r_op, op.K, axes=2)),
-            norm_k=op.norm_K, norm_rs=norm_rs, perp=perp, pst=pst)
-        out.append((record, float(np.tensordot(phi, op.K, axes=2))))
-    return out
+    ops = adjoint_sensitivity_operator(spectral, s_images, controller.t_f)
+    f_n = np.array([scaling_factor(s, controller) for s in structures])
+    _, norm_rs, perp = project(r_op, phi, ops)
+    zeta = differential_sensitivity(system, ops, f_n)
+    k_coeff = _frob(r_op, ops.K)
+    tr_phi_k = _frob(phi, ops.K)
+    return [(_record(controller, structure, f_val=f_val, zeta=float(zeta[i]),
+                     f_n=float(f_n[i]), k_coeff=float(k_coeff[i]),
+                     norm_k=float(ops.norm_K[i]), norm_rs=float(norm_rs[i]),
+                     perp=float(perp[i]), pst=pst),
+             float(tr_phi_k[i]))
+            for i, structure in enumerate(structures)]
 
 
 def sample_instances(seed: int, dims: tuple[int, ...] = (2, 3, 4, 5, 6),
@@ -166,9 +178,10 @@ def sample_instances(seed: int, dims: tuple[int, ...] = (2, 3, 4, 5, 6),
             structures, images = _structure_images(spec.num_spins, spec.topology)
             records = evaluate_controller(controller, structures)
             oracle = adjoint_records(controller, structures, images)
+            s_frob = np.linalg.norm(images, axis=(-2, -1))
             out.extend(Instance(spec=spec, record=r, oracle=o, tr_phi_K=tr,
-                                s_frob=float(np.linalg.norm(image)))
-                       for r, (o, tr), image in zip(records, oracle, images))
+                                s_frob=float(norm))
+                       for r, (o, tr), norm in zip(records, oracle, s_frob))
     return out
 
 
@@ -428,9 +441,8 @@ def check_cross_formulation(seed: int, count: int = 100, max_n: int = 6) -> Chec
         spec = random_spec(rng, n)
         controller = random_controller(rng, spec, index=k)
         ham = build_hamiltonian(spec, controller.biases)
-        system = build_bloch_system(ham, spec, controller.t_f)
-        sd = spectral_decompose(system.A)
-        phi = propagator_matrix(sd, controller.t_f)
+        frame = _adjoint_frame(controller)
+        system, _, phi = frame
         f_bloch, _ = fidelity(system.rf, phi, system.r0)
         psi_t = expm(-1j * ham * controller.t_f) @ site_state(n, spec.input_spin)
         f_hilbert = float(abs(psi_t[spec.output_spin - 1]) ** 2)
@@ -439,7 +451,7 @@ def check_cross_formulation(seed: int, count: int = 100, max_n: int = 6) -> Chec
         worst_state = max(worst_state, float(np.linalg.norm(phi @ system.r0 - r_t)))
         structures, images = _structure_images(spec.num_spins, spec.topology)
         for r, (o, _) in zip(evaluate_controller(controller, structures),
-                             adjoint_records(controller, structures, images)):
+                             adjoint_records(controller, structures, images, frame)):
             worst_record = max(worst_record, record_gap(r, o, n))
             flag_mismatches += (r.pst != o.pst) + (r.zero_fidelity != o.zero_fidelity)
     passed = (worst_f <= 1e-10 and worst_state <= 1e-10 and worst_record <= 1.0

@@ -452,6 +452,46 @@ class TestPerfectTransferRows:
             assert math.isnan(float(line.split(",")[2]))
 
 
+class TestPstTolerance:
+    @staticmethod
+    def two_spin_pst(tmp_path):
+        controllers = tmp_path / "pst.json"
+        controllers.write_text(
+            '[{"index": 0, "seed": 0, "tf": 1.5707963267948966, '
+            '"biases": [0, 0], "fidelity": 1}]\n')
+        (tmp_path / "pst.spec.json").write_text(
+            '{"n": 2, "topology": "chain", "j": 1.0, "in": 1, "out": 2}')
+        return controllers
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_not_positive_and_finite_rejected_at_parse_time(self, tmp_path, capsys,
+                                                            value):
+        # a negative or nan tolerance flags nothing, and nan is not valid
+        # JSON in the manifest; both are refused before any file is touched
+        controllers = self.two_spin_pst(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert main(["analyze", str(controllers),
+                     "--records", str(tmp_path / "records.csv"),
+                     "--summaries", str(tmp_path / "summaries.csv"),
+                     f"--pst-tol={value}"]) == 1
+        assert "argument --pst-tol: must be positive and finite" in \
+            capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_explicit_default_flags_perfect_transfer(self, tmp_path):
+        controllers = self.two_spin_pst(tmp_path)
+        records = tmp_path / "records.csv"
+        assert main(["analyze", str(controllers), "--records", str(records),
+                     "--summaries", str(tmp_path / "summaries.csv"),
+                     "--pst-tol", "1e-12"]) == 0
+        rows = records.read_text().splitlines()[1:]
+        flag = RECORD_COLUMNS.index("pst_flag")
+        assert len(rows) == 3
+        assert all(row.split(",")[flag] == "1" for row in rows)
+        manifest = json.loads(tmp_path.joinpath("records.manifest.json").read_text())
+        assert manifest["config"]["pst_tol"] == 1e-12
+
+
 class TestNearZeroFidelity:
     # a random 12-chain controller with F = 3.1e-9: the rounding in F and
     # |R_S| pushed cos phi to 1.0000000085912437, which used to abort analyze
@@ -492,6 +532,13 @@ class TestVerifyCommand:
     def test_small_suite_passes(self, capsys):
         assert main(["verify", *self.SMALL]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_reruns_print_identical_bytes(self, capsys):
+        outs = []
+        for _ in range(2):
+            assert main(["verify", *self.SMALL]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_default_suite_passes_within_budget(self, capsys):
         start = time.monotonic()

@@ -1,17 +1,23 @@
 """Property tests over random networks and controllers: the record
 invariants on the adjoint-picture reference records, the published
-records and the synthesis objective against that reference, and the
-batched quadrature oracle against a node-by-node evaluation."""
+records and the synthesis objective against that reference, the stacked
+reference pass against one call per direction, and the batched
+quadrature oracle against a node-by-node evaluation."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scipy.linalg import expm
 
 from spinsens import Controller, NetworkSpec, adjoint_rep, enumerate_structures
-from spinsens import (build_bloch_system, build_hamiltonian, fidelity_objective,
-                      gell_mann_basis, quadrature_oracle, transfer_fidelity)
+from spinsens import (SensitivityOperator, adjoint_sensitivity_operator,
+                      build_bloch_system, build_hamiltonian,
+                      differential_sensitivity, fidelity_objective,
+                      gell_mann_basis, io_operator, project, propagator_matrix,
+                      quadrature_oracle, scaling_factor, spectral_decompose,
+                      transfer_fidelity)
 from spinsens.analytics import evaluate_controller
 from spinsens.sensitivity import QUADRATURE_NODES
 from spinsens.verification import adjoint_records, record_gap
@@ -113,6 +119,62 @@ def test_engine_matches_adjoint_records(point):
     for r, (o, _) in zip(evaluate_controller(controller, structures), oracle):
         assert record_gap(r, o, spec.num_spins) <= 1.0
         assert (r.pst, r.zero_fidelity) == (o.pst, o.zero_fidelity)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(networks(5), st.data())
+def test_stacked_reference_matches_per_direction_calls(spec, data):
+    # one call over the stack of every structure's image gives what one
+    # call per image gives: K, |K|, <R, K>, |R_S|, its part off Phi, zeta
+    biases = np.array(data.draw(st.lists(
+        st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+        min_size=spec.num_spins, max_size=spec.num_spins)))
+    t_f = data.draw(st.floats(min_value=0.3, max_value=3.0))
+    controller = Controller(biases=biases, t_f=t_f,
+                            fidelity=min(1.0, transfer_fidelity(spec, biases, t_f)),
+                            spec=spec, seed=0, index=0)
+    structures = enumerate_structures(spec)
+    system = build_bloch_system(build_hamiltonian(spec, biases), spec, t_f)
+    sd = spectral_decompose(system.A)
+    phi = propagator_matrix(sd, t_f)
+    r_op = io_operator(system.rf, system.r0)
+    images = np.array([adjoint_rep(s.matrix, system.basis) for s in structures])
+    f_n = np.array([scaling_factor(s, controller) for s in structures])
+
+    stack = adjoint_sensitivity_operator(sd, images, t_f)
+    _, norm_rs, perp = project(r_op, phi, stack)
+    zeta = differential_sensitivity(system, stack, f_n)
+    k_coeff = (r_op * stack.K).sum(axis=(-2, -1))
+    assert stack.K.shape == images.shape
+    for shape in (stack.norm_K.shape, norm_rs.shape, perp.shape, zeta.shape):
+        assert shape == (len(structures),)
+    for i, image in enumerate(images):
+        op = adjoint_sensitivity_operator(sd, image, t_f)
+        _, one_rs, one_perp = project(r_op, phi, op)
+        assert np.linalg.norm(stack.K[i] - op.K) <= 1e-14 * max(1.0, op.norm_K)
+        # each scalar to 1e-14 of the bound Cauchy-Schwarz puts on it, |R| = 1:
+        # numpy may sum a stack in another order, and a sum that cancels to
+        # a small value keeps only the digits of that bound
+        for got, want, bound in (
+                (stack.norm_K[i], op.norm_K, op.norm_K),
+                (k_coeff[i], (r_op * op.K).sum(), op.norm_K),
+                (norm_rs[i], one_rs, 1.0), (perp[i], one_perp, 1.0),
+                (zeta[i], differential_sensitivity(system, op, f_n[i]),
+                 t_f * f_n[i] * op.norm_K)):
+            assert abs(got - want) <= 1e-14 * bound
+
+    # the checks hold per direction: one bad direction anywhere in the
+    # stack is caught
+    pick = data.draw(st.integers(0, len(structures) - 1))
+    bent = images.copy()
+    bent[pick] += np.eye(images.shape[-1])
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        adjoint_sensitivity_operator(sd, bent, t_f)
+    k_zeroed, norm_zeroed = stack.K.copy(), stack.norm_K.copy()
+    k_zeroed[pick], norm_zeroed[pick] = 0.0, 0.0
+    # and a vanishing operator leaves no projection
+    with pytest.raises(ValueError, match="vanishing sensitivity operator"):
+        project(r_op, phi, SensitivityOperator(K=k_zeroed, norm_K=norm_zeroed))
 
 
 def per_node_quadrature(a, s_bloch, t_f, r0, rf, f_n):

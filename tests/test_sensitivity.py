@@ -321,7 +321,7 @@ class TestQuadratureOracle:
         r = np.zeros(9)
         r[0] = 1.0
         quadrature_oracle(a, s, 1.3, r, r[::-1].copy(), 1.0)
-        assert calls == [(64, 9, 9)]
+        assert calls == [(33, 9, 9)]
 
 
 class TestFdOracle:

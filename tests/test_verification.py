@@ -1,11 +1,17 @@
-"""The verification checks on empty instance pools: a check that examined
-nothing fails instead of passing."""
+"""The verification checks on empty instance pools (a check that examined
+nothing fails instead of passing), the reference route's one pass per
+controller, and a misaligned reference that the cross check must catch."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
+from spinsens import verification
 from spinsens.verification import (check_cross_formulation, check_lemma1,
                                    check_lemma2, check_remark1, check_remark2,
-                                   check_theorem1, check_three_way, run_checks)
+                                   check_theorem1, check_three_way, run_checks,
+                                   sample_instances)
 
 STRUCTURAL = (check_lemma1, check_lemma2, check_theorem1, check_remark1,
               check_remark2)
@@ -47,3 +53,42 @@ def test_empty_pools_still_report_nine_checks():
                      "theorem1-identity", "remark1-frame-norm",
                      "remark2-projection-bounds", "three-way-agreement",
                      "cross-formulation"]
+
+
+REFERENCE_STEPS = ("build_bloch_system", "spectral_decompose",
+                   "adjoint_sensitivity_operator", "project")
+
+
+@pytest.mark.parametrize("run, controllers", [
+    (lambda: check_cross_formulation(seed=3, count=6, max_n=4).passed, 6),
+    (lambda: len(sample_instances(3, dims=(2, 4), systems_per_dim=2)) > 0, 4)],
+    ids=["cross-formulation", "sample-instances"])
+def test_reference_route_runs_once_per_controller(monkeypatch, run, controllers):
+    # one adjoint system, one eigensystem, and one stacked operator and
+    # projection pass per controller, whatever its number of structures
+    calls = Counter()
+    for name in REFERENCE_STEPS:
+        def counting(*args, _fn=getattr(verification, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(verification, name, counting)
+    assert run()
+    assert calls == {name: controllers for name in REFERENCE_STEPS}
+
+
+def test_misaligned_structure_images_fail_cross_formulation(monkeypatch):
+    # the reference must pair each structure with its own adjoint image;
+    # two swapped directions of the stack make its records disagree with
+    # the published ones
+    original = verification._structure_images
+
+    def swapped(num_spins, topology):
+        structures, images = original(num_spins, topology)
+        order = np.arange(len(structures))
+        order[[0, 1]] = order[[1, 0]]
+        return structures, images[order]
+
+    assert check_cross_formulation(seed=3, count=10, max_n=4).passed
+    monkeypatch.setattr(verification, "_structure_images", swapped)
+    res = check_cross_formulation(seed=3, count=10, max_n=4)
+    assert (res.label, res.name) == ("FAIL", "cross-formulation")
