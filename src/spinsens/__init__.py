@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "analytics": ("CorrelationSummary", "analyze", "kendall", "pearson"),
-    "bloch": ("BlochSystem", "HermitianBasis", "adjoint_rep",
+    "bloch": ("BlochSystem", "adjoint_rep",
               "build_bloch_system", "fidelity", "gell_mann_basis",
               "site_state", "state_to_bloch"),
     "errors": ("InvariantViolation",),

@@ -10,7 +10,9 @@ The basis generalizes the Pauli set: off-diagonal symmetric and
 antisymmetric pairs, the diagonal ladder, and the scaled identity, all
 normalized to tr(sigma_m sigma_l) = delta_ml. The identity element is
 kept (last) so pure states embed with norm exactly one; its row and
-column of A vanish identically.
+column of A vanish identically. ``gell_mann_basis`` builds the basis once
+per dimension as one read-only (N^2, N, N) array, and ``adjoint_rep`` and
+``state_to_bloch`` both read that array: there is no other basis to pass.
 """
 
 from __future__ import annotations
@@ -24,27 +26,10 @@ from .errors import InvariantViolation
 from .network import NetworkSpec, _readonly
 
 
-@dataclass(frozen=True)
-class HermitianBasis:
-    """Orthonormal Hermitian basis of N x N matrices, identity last.
-
-    ``elements`` has shape (N^2, N, N); ``vec_matrix`` stacks the
-    column-major vectorizations as columns, so passing between the matrix
-    and coherence-vector picture is a single unitary congruence.
-    """
-
-    dim: int
-    elements: np.ndarray
-    vec_matrix: np.ndarray
-
-    def __post_init__(self):
-        _readonly(self.elements)
-        _readonly(self.vec_matrix)
-
-
 @lru_cache(maxsize=None)
-def gell_mann_basis(n: int) -> HermitianBasis:
-    """The generalized Gell-Mann basis for dimension n, scaled orthonormal.
+def gell_mann_basis(n: int) -> np.ndarray:
+    """The generalized Gell-Mann basis for dimension n, scaled orthonormal,
+    as one read-only array of shape (n^2, n, n).
 
     Ordering: symmetric off-diagonal pairs by ascending (j, k), then the
     antisymmetric pairs in the same order, then the n - 1 diagonal
@@ -73,18 +58,18 @@ def gell_mann_basis(n: int) -> HermitianBasis:
         m[l, l] = -l * scale
         elems.append(m)
     elems.append(np.eye(n, dtype=complex) / np.sqrt(n))
-    elements = np.array(elems)
-    vec_matrix = np.stack([e.flatten(order="F") for e in elems], axis=1)
-    return HermitianBasis(dim=n, elements=elements, vec_matrix=vec_matrix)
+    return _readonly(np.array(elems))
 
 
-def adjoint_rep(h: np.ndarray, basis: HermitianBasis | None = None) -> np.ndarray:
+def adjoint_rep(h: np.ndarray) -> np.ndarray:
     """Real skew-symmetric generator of r' = A r for the Hamiltonian h.
 
     Built by conjugating the vectorized commutator superoperator
-    -i(I (x) H - H^T (x) I) into the Hermitian basis. The result is
-    symmetrized exactly and the identity row/column zeroed exactly; both
-    are identities of the construction, enforced to kill roundoff.
+    -i(I (x) H - H^T (x) I) into the Gell-Mann basis, whose column-major
+    vectorizations, stacked as columns, make the congruence unitary. The
+    result is symmetrized exactly and the identity row/column zeroed
+    exactly; both are identities of the construction, enforced to kill
+    roundoff.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -93,13 +78,9 @@ def adjoint_rep(h: np.ndarray, basis: HermitianBasis | None = None) -> np.ndarra
     herm_defect = np.linalg.norm(h - h.conj().T)
     if herm_defect > 1e-10 * max(1.0, np.linalg.norm(h)):
         raise ValueError(f"Hamiltonian must be Hermitian (defect {herm_defect:.3e})")
-    if basis is None:
-        basis = gell_mann_basis(n)
-    if basis.dim != n:
-        raise ValueError(f"basis dimension {basis.dim} does not match Hamiltonian ({n})")
     eye = np.eye(n)
     lv = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    b = basis.vec_matrix
+    b = gell_mann_basis(n).transpose(0, 2, 1).reshape(n * n, n * n).T
     a_c = b.conj().T @ lv @ b
     residue = np.abs(a_c.imag).max()
     if residue > 1e-9 * max(1.0, np.linalg.norm(h)):
@@ -110,18 +91,14 @@ def adjoint_rep(h: np.ndarray, basis: HermitianBasis | None = None) -> np.ndarra
     return a
 
 
-def state_to_bloch(psi: np.ndarray, basis: HermitianBasis | None = None) -> np.ndarray:
+def state_to_bloch(psi: np.ndarray) -> np.ndarray:
     """Coherence vector of a normalized pure state, r_m = <psi|sigma_m|psi>."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     n = psi.size
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"state must be normalized, |psi| = {nrm:.12e}")
-    if basis is None:
-        basis = gell_mann_basis(n)
-    if basis.dim != n:
-        raise ValueError(f"basis dimension {basis.dim} does not match state ({n})")
-    r = np.einsum("mij,i,j->m", basis.elements, psi.conj(), psi)
+    r = np.einsum("mij,i,j->m", gell_mann_basis(n), psi.conj(), psi)
     residue = np.abs(r.imag).max()
     if residue > 1e-12:
         raise InvariantViolation(f"coherence vector has imaginary residue {residue:.3e}")
@@ -137,9 +114,8 @@ def site_state(num_spins: int, site: int) -> np.ndarray:
     return psi
 
 
-def fidelity(rf: np.ndarray, phi: np.ndarray,
-             r0: np.ndarray) -> tuple[float, float]:
-    """Transfer fidelity F = rf . Phi r0 and the error e = 1 - F."""
+def fidelity(rf: np.ndarray, phi: np.ndarray, r0: np.ndarray) -> float:
+    """Transfer fidelity F = rf . Phi r0."""
     mat = np.asarray(phi, dtype=float)
     rf = np.asarray(rf, dtype=float)
     r0 = np.asarray(r0, dtype=float)
@@ -147,8 +123,7 @@ def fidelity(rf: np.ndarray, phi: np.ndarray,
         nrm = np.linalg.norm(r)
         if abs(nrm - 1.0) > 1e-8:
             raise ValueError(f"{name} coherence vector not normalized, |r| = {nrm:.12e}")
-    f = float(rf @ mat @ r0)
-    return f, 1.0 - f
+    return float(rf @ mat @ r0)
 
 
 @dataclass(frozen=True)
@@ -158,7 +133,6 @@ class BlochSystem:
     A: np.ndarray
     r0: np.ndarray
     rf: np.ndarray
-    basis: HermitianBasis
     t_f: float
 
     def __post_init__(self):
@@ -183,8 +157,7 @@ class BlochSystem:
 
 def build_bloch_system(ham: np.ndarray, spec: NetworkSpec, t_f: float) -> BlochSystem:
     """Embed a network Hamiltonian and its transfer endpoints."""
-    basis = gell_mann_basis(spec.num_spins)
-    a = adjoint_rep(ham, basis)
-    r0 = state_to_bloch(site_state(spec.num_spins, spec.input_spin), basis)
-    rf = state_to_bloch(site_state(spec.num_spins, spec.output_spin), basis)
-    return BlochSystem(A=a, r0=r0, rf=rf, basis=basis, t_f=float(t_f))
+    a = adjoint_rep(ham)
+    r0 = state_to_bloch(site_state(spec.num_spins, spec.input_spin))
+    rf = state_to_bloch(site_state(spec.num_spins, spec.output_spin))
+    return BlochSystem(A=a, r0=r0, rf=rf, t_f=float(t_f))

@@ -28,7 +28,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,11 +42,17 @@ from .network import NetworkSpec
 from .synthesis import (FIDELITY_TOL, SynthesisConfig, controllers_from_json,
                         controllers_to_json, f17, synthesize_ensemble)
 
-RECORD_COLUMNS = ("controller_index", "structure_index", "F", "e", "zeta",
-                  "abs_zeta", "f_n", "tf", "norm_K", "norm_Rs", "cos_phi",
-                  "sin_phi", "cos_theta", "identity_residual", "pst_flag")
-SUMMARY_COLUMNS = ("structure_index", "n_records", "pearson_loglog",
-                   "kendall_tau_e_vs_sinphi", "mean_norm_K", "var_norm_K")
+# Each CSV's columns in order, mapped to the field each one is read from.
+RECORD_COLUMNS = {"controller_index": "controller_index",
+                  "structure_index": "structure_index", "F": "F", "e": "e",
+                  "zeta": "zeta", "abs_zeta": "abs_zeta", "f_n": "f_n", "tf": "t_f",
+                  "norm_K": "norm_K", "norm_Rs": "norm_Rs", "cos_phi": "cos_phi",
+                  "sin_phi": "sin_phi", "cos_theta": "cos_theta",
+                  "identity_residual": "identity_residual", "pst_flag": "pst"}
+SUMMARY_COLUMNS = {"structure_index": "structure_index", "n_records": "count",
+                   "pearson_loglog": "pearson_r_loglog",
+                   "kendall_tau_e_vs_sinphi": "kendall_tau",
+                   "mean_norm_K": "mean_norm_K", "var_norm_K": "var_norm_K"}
 SCHEMA_VERSION = 1
 THREADS_HELP = "accepted for compatibility and ignored: every command runs serially"
 
@@ -137,24 +143,24 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def write_records_csv(path: Path, records) -> None:
-    lines = [",".join(RECORD_COLUMNS)]
-    for r in records:
-        lines.append(",".join((
-            str(r.controller_index), str(r.structure_index), f17(r.F),
-            f17(r.e), f17(r.zeta), f17(r.abs_zeta), f17(r.f_n), f17(r.t_f),
-            f17(r.norm_K), f17(r.norm_Rs), f17(r.cos_phi), f17(r.sin_phi),
-            f17(r.cos_theta), f17(r.identity_residual), "1" if r.pst else "0")))
+def _cell(value) -> str:
+    # a flag (bool) or an index as a decimal integer, a float with 17 digits
+    return str(int(value)) if isinstance(value, int) else f17(value)
+
+
+def _write_csv(path: Path, columns: dict, rows) -> None:
+    lines = [",".join(columns)]
+    lines += [",".join(_cell(getattr(row, field)) for field in columns.values())
+              for row in rows]
     _write(path, "\n".join(lines) + "\n")
+
+
+def write_records_csv(path: Path, records) -> None:
+    _write_csv(path, RECORD_COLUMNS, records)
 
 
 def write_summaries_csv(path: Path, summaries) -> None:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for s in summaries:
-        lines.append(",".join((
-            str(s.structure_index), str(s.count), f17(s.pearson_r_loglog),
-            f17(s.kendall_tau), f17(s.mean_norm_K), f17(s.var_norm_K))))
-    _write(path, "\n".join(lines) + "\n")
+    _write_csv(path, SUMMARY_COLUMNS, summaries)
 
 
 def _spec_from_args(args) -> NetworkSpec:
@@ -199,14 +205,7 @@ def cmd_synth(args) -> int:
     manifest = RunManifest(
         command="synth",
         master_seed=config.seed,
-        config={
-            "spec": json.loads(spec.to_json()),
-            "restarts": config.restarts,
-            "t_f_range": list(config.t_f_range),
-            "bias_range": list(config.bias_range),
-            "tolerance": config.tolerance,
-            "seed": config.seed,
-        },
+        config={"spec": json.loads(spec.to_json()), **asdict(config)},
         inputs={},
         outputs={str(out_path): file_sha256(out_path),
                  str(spec_path): file_sha256(spec_path)},
@@ -217,7 +216,7 @@ def cmd_synth(args) -> int:
     _write(manifest_path, manifest.to_json())
     best = ensemble[0]
     print(f"synth: {len(ensemble)} controllers -> {out_path} "
-          f"(best error {1.0 - best.fidelity:.3e})")
+          f"(best error {best.error:.3e})")
     return 0
 
 
@@ -375,6 +374,7 @@ def build_parser() -> _Parser:
                            help=THREADS_HELP)
     analyze_p.set_defaults(func=cmd_analyze)
 
+    # run_checks' default sizes, repeated: importing verification loads scipy
     verify = sub.add_parser("verify", help="run the numerical invariant suite")
     verify.add_argument("--seed", type=int, default=2024)
     verify.add_argument("--n", type=_int_at_least(2), nargs="+", default=None,

@@ -147,13 +147,11 @@ def identity_residual(zeta: float, f_n: float, t_f: float, norm_k: float,
     return float(abs(abs(zeta) - f_n * t_f * norm_k * norm_rs * abs(sin_phi)))
 
 
-def pst_check(phi: np.ndarray, r0: np.ndarray, rf: np.ndarray,
-              tol: float = PST_TOL) -> bool:
-    """Whether the flow maps the input exactly onto the target, |rf - Phi r0| <= tol."""
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    phi = np.asarray(phi, dtype=float)
-    return bool(np.linalg.norm(np.asarray(rf, float) - phi @ np.asarray(r0, float)) <= tol)
+def pst_check(phi: np.ndarray, r0: np.ndarray, rf: np.ndarray) -> bool:
+    """Whether the flow maps the input exactly onto the target,
+    |rf - Phi r0| <= ``PST_TOL``."""
+    gap = np.asarray(rf, float) - np.asarray(phi, float) @ np.asarray(r0, float)
+    return bool(np.linalg.norm(gap) <= PST_TOL)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _json_field(value, key: str, kind: str, what: str):
+    """``value`` of field ``key``, checked to be a JSON ``kind``: "integer" or
+    "number" (an integer or a float); a bool is neither."""
+    if isinstance(value, bool) or not isinstance(
+            value, int if kind == "integer" else (int, float)):
+        raise ValueError(f"{what} field {key!r} has the wrong type: must be a "
+                         f"JSON {kind}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Static description of a spin network and its transfer task."""
@@ -85,20 +95,22 @@ class NetworkSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkSpec":
-        """Parse a network document; unknown keys are rejected, not ignored."""
+        """Parse a network document; unknown keys are rejected, not ignored,
+        and ``n``, ``in``, ``out`` must be JSON integers, ``j`` a number."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("network document must be a JSON object")
         unknown = sorted(set(doc) - _SPEC_KEYS)
         if unknown:
             raise ValueError(f"network document has unknown keys {unknown}")
+        what = "network document"
         try:
             return cls(
-                num_spins=int(doc["n"]),
+                num_spins=_json_field(doc["n"], "n", "integer", what),
                 topology=doc["topology"],
-                input_spin=int(doc["in"]),
-                output_spin=int(doc["out"]),
-                coupling=float(doc.get("j", 1.0)),
+                input_spin=_json_field(doc["in"], "in", "integer", what),
+                output_spin=_json_field(doc["out"], "out", "integer", what),
+                coupling=float(_json_field(doc.get("j", 1.0), "j", "number", what)),
             )
         except KeyError as exc:
             raise ValueError(f"network document is missing key {exc}") from exc

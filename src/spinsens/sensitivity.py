@@ -9,7 +9,8 @@ of V (Najfeld & Havel, Adv. Appl. Math. 16, 1995). The frame coefficient
 <R, K> and the norm |K| of the adjoint-picture sensitivity operator follow
 from the same X at O(N^3) per controller (``sensitivity_operator``). One
 formula gives the divided differences at every gap, degenerate or not
-(see ``hadamard_core``).
+(see ``hadamard_core``); it returns the weights alone, and each route
+multiplies its eigenbasis directions by them.
 
 The real N^2-dimensional adjoint picture stays as the reference that
 verification checks against: the generator A is skew-symmetric, so iA is
@@ -108,10 +109,11 @@ def propagator_matrix(spectral: SpectralData, t_f: float) -> np.ndarray:
     return phi_c.real.copy()
 
 
-def hadamard_core(z: np.ndarray | None, lam: np.ndarray, t_f: float) -> np.ndarray:
-    """Entrywise divided-difference weighting of an eigenbasis direction.
+def hadamard_core(lam: np.ndarray, t_f: float) -> np.ndarray:
+    """Divided differences of exp(i lam t_f), the entrywise weights of an
+    eigenbasis direction.
 
-    Entry (k, l) of the result is z_kl times the divided difference of
+    Entry (k, l) of the result is the divided difference of
     exp(i lam t_f) at (lam_k, lam_l), taken in the cancellation-free form
 
         exp(i lam_k t_f / 2) exp(i lam_l t_f / 2) sin(x) / x,
@@ -122,17 +124,12 @@ def hadamard_core(z: np.ndarray | None, lam: np.ndarray, t_f: float) -> np.ndarr
     its limit exp(i lam_k t_f) at a degenerate pair, and keeps full
     relative accuracy at every gap in between (Higham, Functions of
     Matrices, SIAM 2008, ch. 10). At t_f = 0 every weight is one.
-    ``z=None`` gives the divided differences alone, the same bits as an
-    all-ones z.
     """
     lam = np.asarray(lam, dtype=float)
     half = np.exp(0.5j * t_f * lam)
     x = 0.5 * t_f * (lam[:, None] - lam[None, :])
     sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
-    core = half[:, None] * half
-    if z is None:
-        return core * sinc
-    return np.asarray(z, dtype=complex) * core * sinc
+    return half[:, None] * half * sinc
 
 
 def _eigensystem(spec: "NetworkSpec",
@@ -174,7 +171,7 @@ def hilbert_transfer(spec: "NetworkSpec", biases: np.ndarray,
     """Eigensystem, propagated input and divided differences of one controller."""
     e, v, _ = _eigensystem(spec, biases)
     column = (v * np.exp(-1j * e * t_f)) @ v[spec.input_spin - 1]
-    x = hadamard_core(None, -e, t_f)
+    x = hadamard_core(-e, t_f)
     return HilbertTransfer(e=e, v=v, x=x, column=column,
                            output=spec.output_spin - 1, input=spec.input_spin - 1)
 
@@ -233,7 +230,7 @@ def adjoint_sensitivity_operator(spectral: SpectralData, s_bloch: np.ndarray,
     s_bloch = _require_skew(s_bloch, "uncertainty direction")
     m = spectral.M
     m_h = m.conj().T
-    q = hadamard_core(m_h @ s_bloch @ m, spectral.lam, t_f)
+    q = (m_h @ s_bloch @ m) * hadamard_core(spectral.lam, t_f)
     k_c = (m @ q) @ m_h
     residue = np.linalg.norm(k_c.imag, axis=(-2, -1))
     if (residue > IMAG_TOL).any():

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import NetworkSpec, _readonly
+from .network import NetworkSpec, _json_field, _readonly
 from .sensitivity import _eigensystem, hadamard_core
 
 # How far a stored fidelity may stray from [0, 1], and from the fidelity
@@ -113,7 +113,7 @@ def fidelity_objective(spec: NetworkSpec, biases: np.ndarray,
     e, v, w = _eigensystem(spec, biases)
     phases = np.exp(-1j * e * t_f)
     amp = complex(w @ phases)
-    x = hadamard_core(None, -e, t_f)
+    x = hadamard_core(-e, t_f)
     left = v[spec.output_spin - 1] * v
     right = v * v[spec.input_spin - 1]
     d_amp = np.append(-1j * t_f * ((left @ x) * right).sum(axis=1),
@@ -225,23 +225,31 @@ def controllers_to_json(controllers: list[Controller]) -> str:
 
 
 def controllers_from_json(text: str, spec: NetworkSpec) -> list[Controller]:
-    """Parse a serialized ensemble back into Controller objects."""
+    """Parse a serialized ensemble back into Controller objects; ``index``
+    and ``seed`` must be JSON integers, ``tf``, ``fidelity`` and ``biases``
+    entries JSON numbers."""
     rows = json.loads(text)
     if not isinstance(rows, list):
         raise ValueError("controller file must hold a JSON array")
     out = []
-    for row in rows:
+    for position, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ValueError("controller row must be a JSON object, "
                              f"got {type(row).__name__}")
+        what = f"controller row {position}"
         try:
+            biases = row["biases"]
+            if not isinstance(biases, list):
+                raise ValueError(f"{what} field 'biases' has the wrong type: must be a "
+                                 f"JSON array, got {biases!r}")
             out.append(Controller(
-                biases=np.asarray(row["biases"], dtype=float),
-                t_f=float(row["tf"]),
-                fidelity=float(row["fidelity"]),
+                biases=np.array([_json_field(b, "biases", "number", what)
+                                 for b in biases], dtype=float),
+                t_f=float(_json_field(row["tf"], "tf", "number", what)),
+                fidelity=float(_json_field(row["fidelity"], "fidelity", "number", what)),
                 spec=spec,
-                seed=int(row.get("seed", -1)),
-                index=int(row["index"]),
+                seed=_json_field(row.get("seed", -1), "seed", "integer", what),
+                index=_json_field(row["index"], "index", "integer", what),
                 status="loaded"))
         except KeyError as exc:
             raise ValueError(f"controller row is missing key {exc}") from exc

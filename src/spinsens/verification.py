@@ -17,7 +17,8 @@ read its records, and the cross-formulation check compares the published
 records with it field by field.
 
 The suite is what `verify` runs from the command line; the acceptance
-tests call the same functions with the documented sample sizes.
+tests call the same functions with the documented sample sizes, which
+only ``run_checks`` holds as defaults.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from scipy.linalg import expm
 
 from .analytics import _record, analyze, evaluate_controller
 from .bloch import (BlochSystem, adjoint_rep, build_bloch_system, fidelity,
-                    gell_mann_basis, site_state, state_to_bloch)
+                    site_state, state_to_bloch)
 from .geometry import GeometryRecord, _frob, io_operator, project, pst_check
 from .network import (NetworkSpec, UncertaintyStructure, _readonly,
                       build_hamiltonian, enumerate_structures, perturb,
@@ -110,9 +111,7 @@ def _structure_images(num_spins: int, topology: str) -> tuple[
     spec = NetworkSpec(num_spins=num_spins, topology=topology,
                        input_spin=1, output_spin=2)
     structures = tuple(enumerate_structures(spec))
-    basis = gell_mann_basis(num_spins)
-    return structures, _readonly(np.array([adjoint_rep(s.matrix, basis)
-                                           for s in structures]))
+    return structures, _readonly(np.array([adjoint_rep(s.matrix) for s in structures]))
 
 
 def _adjoint_frame(controller: Controller) -> tuple[BlochSystem, SpectralData, np.ndarray]:
@@ -143,7 +142,7 @@ def adjoint_records(controller: Controller,
     assembly of angles from the scale quantities.
     """
     system, spectral, phi = _adjoint_frame(controller) if frame is None else frame
-    f_val, _ = fidelity(system.rf, phi, system.r0)
+    f_val = fidelity(system.rf, phi, system.r0)
     pst = pst_check(phi, system.r0, system.rf)
     r_op = io_operator(system.rf, system.r0)
     ops = adjoint_sensitivity_operator(spectral, s_images, controller.t_f)
@@ -160,8 +159,7 @@ def adjoint_records(controller: Controller,
             for i, structure in enumerate(structures)]
 
 
-def sample_instances(seed: int, dims: tuple[int, ...] = (2, 3, 4, 5, 6),
-                     systems_per_dim: int = 14) -> list[Instance]:
+def sample_instances(seed: int, dims: tuple[int, ...], systems_per_dim: int) -> list[Instance]:
     """Randomized instance pool shared by the structural checks.
 
     Each instance carries the record ``evaluate_controller`` publishes and
@@ -295,8 +293,7 @@ def perturbed_error(controller: Controller, structure: UncertaintyStructure,
     return float(1.0 - abs(amp) ** 2)
 
 
-def check_three_way(seed: int, dims: tuple[int, ...] = (2, 3, 4, 5),
-                    per_dim: int = 50) -> CheckResult:
+def check_three_way(seed: int, dims: tuple[int, ...], per_dim: int) -> CheckResult:
     """Closed form vs quadrature vs finite differences on random instances.
 
     Fails when ``dims`` and ``per_dim`` leave no instance to compare.
@@ -334,35 +331,45 @@ def check_three_way(seed: int, dims: tuple[int, ...] = (2, 3, 4, 5),
                f"finite differences at {worst_fd:.3e} of their budgets")
 
 
+# Zero-bias perfect-transfer anchors (spins, topology, output spin, t_f), all
+# from spin 1: the two-spin chain, and 1 -> 3 on the 3-chain and on the 4-ring
+# (Christandl et al., PRL 92, 187902, 2004).
+PST_ANCHORS = ((2, "chain", 2, math.pi / 2.0),
+               (3, "chain", 3, math.pi / math.sqrt(2.0)),
+               (4, "ring", 3, math.pi / 2.0))
+
+
 def check_pst_sufficiency() -> CheckResult:
-    """The analytic two-spin perfect transfer point has zero sensitivity."""
-    spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
-    t_f = math.pi / 2.0
-    controller = Controller(biases=np.zeros(2), t_f=t_f,
-                            fidelity=transfer_fidelity(spec, np.zeros(2), t_f),
-                            spec=spec, seed=0, index=0)
-    records = evaluate_controller(controller, enumerate_structures(spec))
-    if not all(r.pst for r in records):
-        return CheckResult(name="theorem2-sufficiency", passed=False,
-                           detail="two-spin point is not perfect transfer")
-    worst_zeta = 0.0
-    worst_rs = 0.0
-    worst_cos = 0.0
-    for r in records:
-        # unit scaling probes the bias structures too; on-site biases are 0
-        zeta_unit = -t_f * r.k_coeff
-        worst_zeta = max(worst_zeta, abs(r.zeta), abs(zeta_unit))
-        worst_rs = max(worst_rs, abs(r.norm_Rs - 0.5))
-        worst_cos = max(worst_cos, abs(r.cos_phi - 1.0))
+    """At each perfect-transfer anchor every published and reference record
+    is insensitive, with |R_S| = 1/N and cos phi = 1."""
+    worst_zeta = worst_rs = worst_cos = 0.0
+    for n, topology, out, t_f in PST_ANCHORS:
+        spec = NetworkSpec(num_spins=n, topology=topology, input_spin=1, output_spin=out)
+        controller = Controller(biases=np.zeros(n), t_f=t_f,
+                                fidelity=transfer_fidelity(spec, np.zeros(n), t_f),
+                                spec=spec, seed=0, index=0)
+        structures, images = _structure_images(n, topology)
+        records = evaluate_controller(controller, structures) + [
+            r for r, _ in adjoint_records(controller, structures, images)]
+        if not all(r.pst for r in records):
+            return CheckResult(name="theorem2-sufficiency", passed=False,
+                               detail=f"{n}-spin {topology} 1 -> {out} at t = "
+                                      f"{t_f:.6g} is not perfect transfer")
+        for r in records:
+            # unit scaling probes the bias structures too; on-site biases are 0
+            worst_zeta = max(worst_zeta, abs(r.zeta), t_f * abs(r.k_coeff))
+            worst_rs = max(worst_rs, abs(r.norm_Rs - 1.0 / n))
+            worst_cos = max(worst_cos, abs(r.cos_phi - 1.0))
     passed = worst_zeta <= 1e-9 and worst_rs <= 1e-9 and worst_cos <= 1e-9
     return CheckResult(
         name="theorem2-sufficiency",
         passed=passed,
-        detail=f"max |zeta| = {worst_zeta:.3e}, |R_S| defect {worst_rs:.3e}, "
+        detail=f"{len(PST_ANCHORS)} anchors, published and reference records: "
+               f"max |zeta| = {worst_zeta:.3e}, max ||R_S| - 1/N| = {worst_rs:.3e}, "
                f"cos phi defect {worst_cos:.3e} (limits 1e-9)")
 
 
-def check_necessity(seed: int, restarts: int = 40) -> CheckResult:
+def check_necessity(seed: int, restarts: int) -> CheckResult:
     """Imperfect transfer implies nonzero sensitivity, desk scale.
 
     On a synthesized ensemble, every record with error inside
@@ -418,7 +425,7 @@ def record_gap(record: GeometryRecord, oracle: GeometryRecord, n: int) -> float:
     return max(gaps)
 
 
-def check_cross_formulation(seed: int, count: int = 100, max_n: int = 6) -> CheckResult:
+def check_cross_formulation(seed: int, count: int, max_n: int) -> CheckResult:
     """Adjoint-picture transfer agrees with Schroedinger propagation, and
     the published records agree with the adjoint-picture reference.
 
@@ -443,10 +450,10 @@ def check_cross_formulation(seed: int, count: int = 100, max_n: int = 6) -> Chec
         ham = build_hamiltonian(spec, controller.biases)
         frame = _adjoint_frame(controller)
         system, _, phi = frame
-        f_bloch, _ = fidelity(system.rf, phi, system.r0)
+        f_bloch = fidelity(system.rf, phi, system.r0)
         psi_t = expm(-1j * ham * controller.t_f) @ site_state(n, spec.input_spin)
         f_hilbert = float(abs(psi_t[spec.output_spin - 1]) ** 2)
-        r_t = state_to_bloch(psi_t / np.linalg.norm(psi_t), system.basis)
+        r_t = state_to_bloch(psi_t / np.linalg.norm(psi_t))
         worst_f = max(worst_f, abs(f_bloch - f_hilbert))
         worst_state = max(worst_state, float(np.linalg.norm(phi @ system.r0 - r_t)))
         structures, images = _structure_images(spec.num_spins, spec.topology)

@@ -29,48 +29,55 @@ class TestGellMannBasis:
     def test_qubit_basis_is_scaled_paulis(self):
         basis = gell_mann_basis(2)
         s = 1.0 / np.sqrt(2.0)
-        for got, want in zip(basis.elements, (X, Y, Z, I2)):
+        for got, want in zip(basis, (X, Y, Z, I2)):
             assert np.allclose(got, s * want, atol=1e-15)
 
     def test_count_and_identity_last(self):
         for n in (2, 3, 4, 5):
             basis = gell_mann_basis(n)
-            assert basis.elements.shape == (n * n, n, n)
-            assert np.allclose(basis.elements[-1], np.eye(n) / np.sqrt(n), atol=1e-15)
+            assert basis.shape == (n * n, n, n)
+            assert np.allclose(basis[-1], np.eye(n) / np.sqrt(n), atol=1e-15)
 
     def test_all_but_identity_traceless(self):
         basis = gell_mann_basis(3)
-        traces = np.einsum("mii->m", basis.elements)
+        traces = np.einsum("mii->m", basis)
         assert np.abs(traces[:-1]).max() < 1e-15
         assert traces[-1] == pytest.approx(np.sqrt(3.0), abs=1e-15)
 
     def test_orthonormal_under_trace_product(self):
         for n in (2, 3, 4, 5):
-            elems = gell_mann_basis(n).elements
+            elems = gell_mann_basis(n)
             gram = np.einsum("mij,lji->ml", elems, elems)
             assert np.abs(gram.imag).max() < 1e-14
             assert np.abs(gram.real - np.eye(n * n)).max() < 1e-12
 
     def test_elements_hermitian(self):
         for n in (2, 3, 4):
-            for e in gell_mann_basis(n).elements:
+            for e in gell_mann_basis(n):
                 assert np.array_equal(e, e.conj().T)
 
     def test_diagonal_ladder_scale(self):
         # second ladder element for n = 3: diag(1, 1, -2)/sqrt(6)
         basis = gell_mann_basis(3)
         want = np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)
-        assert np.allclose(basis.elements[7], want, atol=1e-15)
+        assert np.allclose(basis[7], want, atol=1e-15)
 
     def test_vec_matrix_unitary(self):
+        # the column-major vectorizations, stacked as columns, are unitary
         for n in (2, 3, 4):
-            b = gell_mann_basis(n).vec_matrix
+            b = np.stack([e.flatten(order="F") for e in gell_mann_basis(n)], axis=1)
             assert np.abs(b.conj().T @ b - np.eye(n * n)).max() < 1e-12
 
     def test_vec_matrix_column_major(self):
+        # the reshape adjoint_rep uses is the column-major vectorization
         basis = gell_mann_basis(3)
-        for m, e in enumerate(basis.elements):
-            assert np.array_equal(basis.vec_matrix[:, m], e.flatten(order="F"))
+        b = basis.transpose(0, 2, 1).reshape(9, 9).T
+        for m, e in enumerate(basis):
+            assert np.array_equal(b[:, m], e.flatten(order="F"))
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            gell_mann_basis(3)[0, 0, 0] = 1.0
 
     def test_cached(self):
         assert gell_mann_basis(4) is gell_mann_basis(4)
@@ -122,9 +129,18 @@ class TestAdjointRep:
         with pytest.raises(ValueError):
             adjoint_rep(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_basis_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            adjoint_rep(np.eye(3), basis=gell_mann_basis(2))
+    def test_same_bits_as_explicit_column_stack(self, rng):
+        # the generator conjugated with the explicitly stacked column-major
+        # vectorizations, as a separate vec matrix once formed it
+        for n in range(2, 7):
+            h = random_hermitian(rng, n)
+            b = np.stack([e.flatten(order="F") for e in gell_mann_basis(n)], axis=1)
+            eye = np.eye(n)
+            a_c = b.conj().T @ (-1j * (np.kron(eye, h) - np.kron(h.T, eye))) @ b
+            want = 0.5 * (a_c.real - a_c.real.T)
+            want[-1, :] = 0.0
+            want[:, -1] = 0.0
+            assert np.array_equal(adjoint_rep(h), want)
 
 
 class TestStateToBloch:
@@ -215,22 +231,20 @@ class TestFidelity:
         ham = build_hamiltonian(spec, rng.uniform(-2, 2, 5))
         t_f = 1.7
         system = build_bloch_system(ham, spec, t_f)
-        f, e = fidelity(system.rf, propagate(system.A, t_f), system.r0)
+        f = fidelity(system.rf, propagate(system.A, t_f), system.r0)
         u = expm(-1j * ham * t_f)
         assert f == pytest.approx(abs(u[2, 0]) ** 2, abs=1e-12)
-        assert e == 1.0 - f
 
     def test_perfect_transfer_two_spin_chain(self):
         # unbiased 2-chain transfers perfectly at t = pi/2
         spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
         system = build_bloch_system(build_hamiltonian(spec, np.zeros(2)), spec, np.pi / 2)
-        f, e = fidelity(system.rf, propagate(system.A, system.t_f), system.r0)
-        assert abs(e) < 1e-12
+        f = fidelity(system.rf, propagate(system.A, system.t_f), system.r0)
+        assert abs(1.0 - f) < 1e-12
 
     def test_accepts_plain_matrix(self):
         r = np.array([1.0, 0.0])
-        f, e = fidelity(r, np.eye(2), r)
-        assert f == 1.0 and e == 0.0
+        assert fidelity(r, np.eye(2), r) == 1.0
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
@@ -242,10 +256,8 @@ class TestBlochSystem:
         spec = NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=3)
         system = build_bloch_system(build_hamiltonian(spec, np.zeros(4)), spec, 2.0)
         assert system.A.shape == (16, 16)
-        assert np.array_equal(system.r0,
-                              state_to_bloch(site_state(4, 1), system.basis))
-        assert np.array_equal(system.rf,
-                              state_to_bloch(site_state(4, 3), system.basis))
+        assert np.array_equal(system.r0, state_to_bloch(site_state(4, 1)))
+        assert np.array_equal(system.rf, state_to_bloch(site_state(4, 3)))
         assert system.t_f == 2.0
 
     def test_nonpositive_time_rejected(self):
@@ -258,22 +270,21 @@ class TestBlochSystem:
         r = np.zeros(4)
         r[0] = 1.0
         with pytest.raises(ValueError):
-            BlochSystem(A=np.eye(4), r0=r, rf=r.copy(), basis=gell_mann_basis(2), t_f=1.0)
+            BlochSystem(A=np.eye(4), r0=r, rf=r.copy(), t_f=1.0)
 
     def test_non_unit_endpoint_rejected(self):
         a = adjoint_rep(Z)
         r = np.zeros(4)
         r[0] = 1.0
         with pytest.raises(ValueError):
-            BlochSystem(A=a, r0=2.0 * r, rf=r, basis=gell_mann_basis(2), t_f=1.0)
+            BlochSystem(A=a, r0=2.0 * r, rf=r, t_f=1.0)
 
 
 class TestStructureImages:
     def test_uncertainty_directions_embed_skew(self):
         spec = NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=2)
-        basis = gell_mann_basis(4)
         for s in enumerate_structures(spec):
-            image = adjoint_rep(s.matrix, basis)
+            image = adjoint_rep(s.matrix)
             assert np.array_equal(image, -image.T)
             assert np.all(image[-1, :] == 0.0)
             assert np.linalg.norm(image) > 0.0

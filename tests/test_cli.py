@@ -85,7 +85,8 @@ class TestArgumentHandling:
         assert "kappa" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [
-        "5", '{"n": [4], "topology": "ring", "j": 1.0, "in": 1, "out": 2}'])
+        "5", '{"n": [4], "topology": "ring", "j": 1.0, "in": 1, "out": 2}',
+        '{"n": 4.7, "topology": "ring", "in": 1.9, "out": "2"}'])
     def test_malformed_spec_file_is_validation_error(self, tmp_path, capsys, doc):
         spec = tmp_path / "net.json"
         spec.write_text(doc)
@@ -164,6 +165,9 @@ class TestAnalyzeInputs:
     @pytest.mark.parametrize("doc", [
         "[5]", '[{"index": 0, "tf": [1.0], "biases": [0, 0], "fidelity": 0.5}]',
         '[{"index": null, "tf": 1.0, "biases": [0, 0], "fidelity": 0.5}]',
+        # index 0.9 and seed true, with the fidelity the row's working point gives
+        '[{"index": 0.9, "seed": true, "tf": 1.0, "biases": [0, 0], '
+        '"fidelity": 0.7080734182735712}]',
         *NONFINITE_ROWS, *NONFINITE_TIMES])
     def test_malformed_row_is_validation_error(self, tmp_path, capsys, doc):
         rows = tmp_path / "rows.json"
@@ -485,7 +489,7 @@ class TestPstTolerance:
                      "--summaries", str(tmp_path / "summaries.csv"),
                      "--pst-tol", "1e-12"]) == 0
         rows = records.read_text().splitlines()[1:]
-        flag = RECORD_COLUMNS.index("pst_flag")
+        flag = list(RECORD_COLUMNS).index("pst_flag")
         assert len(rows) == 3
         assert all(row.split(",")[flag] == "1" for row in rows)
         manifest = json.loads(tmp_path.joinpath("records.manifest.json").read_text())

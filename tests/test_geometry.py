@@ -26,7 +26,7 @@ def pipeline(spec, biases, t_f, structure):
                      spec=spec, seed=0, index=0)
     sd = spectral_decompose(system.A)
     phi = propagator_matrix(sd, t_f)
-    s_bloch = adjoint_rep(structure.matrix, system.basis)
+    s_bloch = adjoint_rep(structure.matrix)
     op = adjoint_sensitivity_operator(sd, s_bloch, t_f)
     f_n = scaling_factor(structure, ctl)
     zeta = differential_sensitivity(system, op, f_n)
@@ -209,11 +209,6 @@ class TestPstCheck:
         phi = propagator_matrix(spectral_decompose(system.A), 0.0)
         assert np.abs(phi - np.eye(phi.shape[0])).max() < 1e-12
         assert not pst_check(phi, system.r0, system.rf)
-
-    def test_bad_tolerance_rejected(self):
-        system, phi = self._pst()
-        with pytest.raises(ValueError):
-            pst_check(phi, system.r0, system.rf, tol=0.0)
 
 
 class TestPerfectTransferGeometry:

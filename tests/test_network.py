@@ -67,6 +67,19 @@ class TestNetworkSpec:
             NetworkSpec.from_json(
                 '{"n": [4], "topology": "ring", "j": 1.0, "in": 1, "out": 2}')
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", 4.7), ("n", 4.0), ("n", "4"), ("n", True), ("n", None),
+        ("in", 1.9), ("in", "1"), ("in", True),
+        ("out", "2"), ("out", 2.0), ("out", False),
+        ("j", "1.0"), ("j", True), ("j", None)])
+    def test_field_of_wrong_json_type_rejected_by_name(self, key, value):
+        # an integral j is a JSON number too
+        doc = {"n": 4, "topology": "ring", "j": 1, "in": 1, "out": 2}
+        assert NetworkSpec.from_json(json.dumps(doc)).coupling == 1.0
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"'{key}' has the wrong type"):
+            NetworkSpec.from_json(json.dumps(doc))
+
     def test_bad_topology_rejected(self):
         with pytest.raises(ValueError):
             NetworkSpec(num_spins=3, topology="star", input_spin=1, output_spin=2)

@@ -15,7 +15,7 @@ from spinsens import Controller, NetworkSpec, adjoint_rep, enumerate_structures
 from spinsens import (SensitivityOperator, adjoint_sensitivity_operator,
                       build_bloch_system, build_hamiltonian,
                       differential_sensitivity, fidelity_objective,
-                      gell_mann_basis, io_operator, project, propagator_matrix,
+                      io_operator, project, propagator_matrix,
                       quadrature_oracle, scaling_factor, spectral_decompose,
                       transfer_fidelity)
 from spinsens.analytics import evaluate_controller
@@ -24,8 +24,7 @@ from spinsens.verification import adjoint_records, record_gap
 
 
 def reference_records(controller, structures):
-    basis = gell_mann_basis(controller.spec.num_spins)
-    images = tuple(adjoint_rep(s.matrix, basis) for s in structures)
+    images = tuple(adjoint_rep(s.matrix) for s in structures)
     return adjoint_records(controller, structures, images), images
 
 
@@ -138,7 +137,7 @@ def test_stacked_reference_matches_per_direction_calls(spec, data):
     sd = spectral_decompose(system.A)
     phi = propagator_matrix(sd, t_f)
     r_op = io_operator(system.rf, system.r0)
-    images = np.array([adjoint_rep(s.matrix, system.basis) for s in structures])
+    images = np.array([adjoint_rep(s.matrix) for s in structures])
     f_n = np.array([scaling_factor(s, controller) for s in structures])
 
     stack = adjoint_sensitivity_operator(sd, images, t_f)
@@ -199,7 +198,7 @@ def test_batched_quadrature_matches_per_node_loop(spec, data):
     structures = enumerate_structures(spec)
     structure = structures[data.draw(st.integers(0, len(structures) - 1))]
     system = build_bloch_system(build_hamiltonian(spec, biases), spec, t_f)
-    image = adjoint_rep(structure.matrix, system.basis)
+    image = adjoint_rep(structure.matrix)
     args = (system.A, image, t_f, system.r0, system.rf, 1.0)
     got, want = quadrature_oracle(*args), per_node_quadrature(*args)
     # relative to the value, or to the integrand's bound t_f |S| |r0| |rf|

@@ -10,7 +10,7 @@ from spinsens import (InvariantViolation, NetworkSpec, adjoint_rep,
                       adjoint_sensitivity_operator, build_bloch_system,
                       build_hamiltonian, differential_sensitivity,
                       enumerate_structures, fd_oracle, fidelity,
-                      gell_mann_basis, hadamard_core, hilbert_transfer,
+                      hadamard_core, hilbert_transfer,
                       perturb, propagator_matrix, quadrature_oracle,
                       scaling_factor, sensitivity_operator,
                       spectral_decompose, transfer_fidelity)
@@ -39,7 +39,7 @@ def perturbed_error(structure, controller, delta):
     tilted = perturb(ham, structure, delta, controller)
     system = build_bloch_system(tilted, controller.spec, controller.t_f)
     phi = propagator_matrix(spectral_decompose(system.A), system.t_f)
-    return fidelity(system.rf, phi, system.r0)[1]
+    return 1.0 - fidelity(system.rf, phi, system.r0)
 
 
 class TestSpectralDecompose:
@@ -90,37 +90,33 @@ class TestSpectralDecompose:
 
 
 class TestHadamardCore:
-    def test_time_zero_weight_is_one(self, rng):
-        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    def test_time_zero_weight_is_one(self):
         lam = np.array([-2.0, -1.0, 1.0, 2.0])
-        assert np.array_equal(hadamard_core(z, lam, 0.0), z)
+        assert np.array_equal(hadamard_core(lam, 0.0), np.ones((4, 4)))
 
-    def test_diagonal_entries_carry_phase(self, rng):
-        z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    def test_diagonal_entries_carry_phase(self):
         lam = np.array([-1.0, 0.0, 1.0])
         t = 0.9
-        q = hadamard_core(z, lam, t)
-        assert np.allclose(np.diag(q), np.diag(z) * np.exp(1j * lam * t), atol=1e-14)
+        q = hadamard_core(lam, t)
+        assert np.allclose(np.diag(q), np.exp(1j * lam * t), atol=1e-14)
 
     def test_degenerate_pair_takes_phase_branch(self):
-        z = np.ones((2, 2), dtype=complex)
         lam = np.array([0.7, 0.7])
-        q = hadamard_core(z, lam, 1.3)
+        q = hadamard_core(lam, 1.3)
         assert np.allclose(q, np.exp(1j * 0.7 * 1.3) * np.ones((2, 2)), atol=1e-14)
 
     def test_off_diagonal_magnitude_is_sinc(self):
-        # |q_kl| = |z_kl| |sinc(omega t / 2)| with omega the frequency gap
-        z = np.ones((2, 2), dtype=complex)
+        # |q_kl| = |sinc(omega t / 2)| with omega the frequency gap
         for omega, t in ((2.0, 0.8), (3.5, 1.9), (0.4, 5.0)):
             lam = np.array([0.0, omega])
-            q = hadamard_core(z, lam, t)
+            q = hadamard_core(lam, t)
             want = abs(np.sinc(omega * t / (2.0 * np.pi)))
             assert abs(q[0, 1]) == pytest.approx(want, abs=1e-13)
 
     def test_full_period_zeroes_off_diagonal(self):
         omega = 1.75
         lam = np.array([0.0, omega])
-        q = hadamard_core(np.ones((2, 2), dtype=complex), lam, 2.0 * np.pi / omega)
+        q = hadamard_core(lam, 2.0 * np.pi / omega)
         assert abs(q[0, 1]) < 1e-14
         assert abs(q[1, 0]) < 1e-14
 
@@ -132,7 +128,7 @@ class TestHadamardCore:
         for base in (1.0, 20.0):
             for gap in (0.0, 1e-16, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 10.0):
                 lam = np.array([base, base + gap])
-                q = hadamard_core(np.ones((2, 2), dtype=complex), lam, t)
+                q = hadamard_core(lam, t)
                 a, b = (mpmath.mpf(float(v)) for v in lam)
                 ea, eb = mpmath.expj(a * t), mpmath.expj(b * t)
                 off = ea if a == b else (ea - eb) / (1j * t * (a - b))
@@ -140,23 +136,12 @@ class TestHadamardCore:
                     assert abs(complex(want) - got) <= 1e-13, (base, gap)
 
 
-    def test_none_is_bitwise_all_ones(self, rng):
-        lams = [rng.normal(size=6), np.array([1.0, 1.0, -2.0, 0.0]),
-                np.array([0.0, -0.0, 3.5])]
-        for lam in lams:
-            for t_f in (0.0, 0.7, 13.0):
-                got = hadamard_core(None, lam, t_f)
-                want = hadamard_core(np.ones((lam.size, lam.size)), lam, t_f)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
 class TestSensitivityOperator:
     def _setup(self, rng, n=4, t_f=1.6):
         spec = NetworkSpec(num_spins=n, topology="ring", input_spin=1, output_spin=2)
         system = make_system(spec, rng.uniform(-1, 1, n), t_f)
-        basis = gell_mann_basis(n)
         structure = enumerate_structures(spec)[0]
-        s_bloch = adjoint_rep(structure.matrix, basis)
+        s_bloch = adjoint_rep(structure.matrix)
         return system, spectral_decompose(system.A), s_bloch
 
     def test_real_with_matching_frobenius_norm(self, rng):
@@ -204,7 +189,7 @@ class TestHilbertSensitivity:
         for structure in enumerate_structures(spec):
             k_coeff, norm_k = sensitivity_operator(transfer, structure.matrix)
             op = adjoint_sensitivity_operator(
-                sd, adjoint_rep(structure.matrix, system.basis), t_f)
+                sd, adjoint_rep(structure.matrix), t_f)
             assert norm_k == pytest.approx(op.norm_K, rel=1e-8)
             assert k_coeff == pytest.approx(system.rf @ op.K @ system.r0, abs=1e-12)
 
@@ -214,7 +199,7 @@ class TestDifferentialSensitivity:
         spec = NetworkSpec(num_spins=3, topology="chain", input_spin=1, output_spin=3)
         system = make_system(spec, rng.uniform(-1, 1, 3), 1.2)
         sd = spectral_decompose(system.A)
-        s_bloch = adjoint_rep(enumerate_structures(spec)[0].matrix, system.basis)
+        s_bloch = adjoint_rep(enumerate_structures(spec)[0].matrix)
         op = adjoint_sensitivity_operator(sd, s_bloch, system.t_f)
         assert differential_sensitivity(system, op, 0.0) == 0.0
 
@@ -222,7 +207,7 @@ class TestDifferentialSensitivity:
         spec = NetworkSpec(num_spins=3, topology="chain", input_spin=1, output_spin=3)
         system = make_system(spec, np.zeros(3), 1.0)
         sd = spectral_decompose(system.A)
-        s_bloch = adjoint_rep(enumerate_structures(spec)[0].matrix, system.basis)
+        s_bloch = adjoint_rep(enumerate_structures(spec)[0].matrix)
         op = adjoint_sensitivity_operator(sd, s_bloch, system.t_f)
         with pytest.raises(ValueError):
             differential_sensitivity(system, op, -1.0)
@@ -231,7 +216,7 @@ class TestDifferentialSensitivity:
         spec = NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=3)
         system = make_system(spec, rng.uniform(-1, 1, 4), 2.0)
         sd = spectral_decompose(system.A)
-        s_bloch = adjoint_rep(enumerate_structures(spec)[4].matrix, system.basis)
+        s_bloch = adjoint_rep(enumerate_structures(spec)[4].matrix)
         op = adjoint_sensitivity_operator(sd, s_bloch, system.t_f)
         base = differential_sensitivity(system, op, 1.0)
         assert differential_sensitivity(system, op, 3.0) == pytest.approx(3.0 * base, rel=1e-14)
@@ -247,7 +232,7 @@ class TestDifferentialSensitivity:
         system = make_system(spec, [0.0, 0.0], np.pi / 2.0)
         sd = spectral_decompose(system.A)
         for s in enumerate_structures(spec):
-            s_bloch = adjoint_rep(s.matrix, system.basis)
+            s_bloch = adjoint_rep(s.matrix)
             op = adjoint_sensitivity_operator(sd, s_bloch, system.t_f)
             assert abs(differential_sensitivity(system, op, 1.0)) < 1e-9
 
@@ -269,7 +254,7 @@ class TestOracleAgreement:
             ctl = make_controller(spec, biases, t_f)
             sd = spectral_decompose(system.A)
             for structure in enumerate_structures(spec):
-                s_bloch = adjoint_rep(structure.matrix, system.basis)
+                s_bloch = adjoint_rep(structure.matrix)
                 op = adjoint_sensitivity_operator(sd, s_bloch, t_f)
                 f_n = scaling_factor(structure, ctl)
                 zeta = differential_sensitivity(system, op, f_n)
@@ -283,7 +268,7 @@ class TestOracleAgreement:
             ctl = make_controller(spec, biases, t_f)
             sd = spectral_decompose(system.A)
             for structure in enumerate_structures(spec):
-                s_bloch = adjoint_rep(structure.matrix, system.basis)
+                s_bloch = adjoint_rep(structure.matrix)
                 op = adjoint_sensitivity_operator(sd, s_bloch, t_f)
                 f_n = scaling_factor(structure, ctl)
                 zeta = differential_sensitivity(system, op, f_n)

@@ -14,7 +14,7 @@ from spinsens import (Controller, NetworkSpec, SynthesisConfig, adjoint_rep,
                       enumerate_structures, fidelity_objective,
                       local_optimize, spectral_decompose, synthesize_ensemble,
                       transfer_fidelity)
-from spinsens.synthesis import f17
+from spinsens.synthesis import FIDELITY_TOL, f17
 
 CHAIN2 = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
 RING4 = NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=2)
@@ -83,7 +83,7 @@ class TestFidelityObjective:
         sd = spectral_decompose(system.A)
         _, grad = fidelity_objective(RING4, biases, t_f)
         for site, structure in enumerate(enumerate_structures(RING4)[:4]):
-            s_bloch = adjoint_rep(structure.matrix, system.basis)
+            s_bloch = adjoint_rep(structure.matrix)
             op = adjoint_sensitivity_operator(sd, s_bloch, t_f)
             zeta_unit = differential_sensitivity(system, op, 1.0)
             assert grad[site] == pytest.approx(-zeta_unit, abs=1e-9)
@@ -210,6 +210,20 @@ class TestLocalOptimize:
         assert 1.0 <= ctl.t_f <= 4.0
         assert ctl.seed == 3 and ctl.index == 9
 
+    def test_former_saddle_restart_reaches_perfect_transfer(self):
+        # restart 14 of the 40-restart 4-ring ensemble at seed 22 once
+        # stopped "converged" at a saddle (uniform biases, F = 0.25); the
+        # joint ascent over biases and t_f takes it to perfect transfer
+        config = SynthesisConfig(restarts=40, seed=22)
+        rng = np.random.default_rng(np.random.SeedSequence(22).spawn(40)[14])
+        d0 = rng.uniform(*config.bias_range, RING4.num_spins)
+        t0 = rng.uniform(*config.t_f_range)
+        assert np.allclose(d0, [4.81, 5.14, 4.28, 3.97], atol=5e-3)
+        assert abs(t0 - 15.49) < 5e-3
+        ctl = local_optimize(RING4, d0, t0, config, seed=14, index=14)
+        assert ctl.error <= FIDELITY_TOL
+        assert ctl.status == "converged"
+
 
 class TestSynthesizeEnsemble:
     CONFIG = SynthesisConfig(restarts=8, t_f_range=(1.0, 10.0), seed=11)
@@ -297,6 +311,23 @@ class TestSerialization:
     def test_rejects_missing_key(self):
         with pytest.raises(ValueError):
             controllers_from_json('[{"index": 0, "tf": 1.0}]', RING4)
+
+    @pytest.mark.parametrize("key, value", [
+        ("index", 0.9), ("index", True), ("index", "0"), ("index", None),
+        ("seed", 1.5), ("seed", True), ("seed", "1"),
+        ("tf", "2.0"), ("tf", True), ("tf", None),
+        ("fidelity", "0.5"), ("fidelity", False),
+        ("biases", "0 0 0 0"), ("biases", 1.0), ("biases", [0.0, "1", 0.0, 0.0]),
+        ("biases", [0.0, True, 0.0, 0.0]), ("biases", [0.0, None, 0.0, 0.0])])
+    def test_field_of_wrong_json_type_rejected_by_name(self, key, value):
+        # integral tf and biases are JSON numbers too
+        row = {"index": 0, "seed": 0, "tf": 2, "biases": [0] * 4,
+               "fidelity": transfer_fidelity(RING4, np.zeros(4), 2.0)}
+        loaded, = controllers_from_json(json.dumps([row]), RING4)
+        assert loaded.t_f == 2.0 and np.array_equal(loaded.biases, np.zeros(4))
+        row[key] = value
+        with pytest.raises(ValueError, match=f"'{key}' has the wrong type"):
+            controllers_from_json(json.dumps([row]), RING4)
 
     def test_f17_round_trips(self):
         for x in (np.pi, 1.0 / 3.0, 1e-17, -2.7182818284590451, 0.1):

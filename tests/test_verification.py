@@ -1,6 +1,7 @@
 """The verification checks on empty instance pools (a check that examined
 nothing fails instead of passing), the reference route's one pass per
-controller, and a misaligned reference that the cross check must catch."""
+controller, a misaligned reference that the cross check must catch, and
+the perfect-transfer anchors of the sufficiency check."""
 
 from collections import Counter
 
@@ -9,9 +10,9 @@ import pytest
 
 from spinsens import verification
 from spinsens.verification import (check_cross_formulation, check_lemma1,
-                                   check_lemma2, check_remark1, check_remark2,
-                                   check_theorem1, check_three_way, run_checks,
-                                   sample_instances)
+                                   check_lemma2, check_pst_sufficiency,
+                                   check_remark1, check_remark2, check_theorem1,
+                                   check_three_way, run_checks, sample_instances)
 
 STRUCTURAL = (check_lemma1, check_lemma2, check_theorem1, check_remark1,
               check_remark2)
@@ -23,14 +24,16 @@ def test_structural_check_on_empty_pool_fails(check):
     assert (res.passed, res.detail) == (False, "0 instances")
 
 
-@pytest.mark.parametrize("kwargs", [{"dims": ()}, {"per_dim": 0}])
+@pytest.mark.parametrize("kwargs", [{"dims": (), "per_dim": 50},
+                                    {"dims": (2, 3, 4, 5), "per_dim": 0}])
 def test_three_way_with_no_instances_fails(kwargs):
     res = check_three_way(seed=3, **kwargs)
     assert (res.name, res.passed, res.detail) == ("three-way-agreement", False,
                                                   "0 instances")
 
 
-@pytest.mark.parametrize("kwargs", [{"count": 0}, {"max_n": 1}])
+@pytest.mark.parametrize("kwargs", [{"count": 0, "max_n": 6},
+                                    {"count": 100, "max_n": 1}])
 def test_cross_formulation_with_no_instances_fails(kwargs):
     res = check_cross_formulation(seed=3, **kwargs)
     assert (res.name, res.passed, res.detail) == ("cross-formulation", False,
@@ -92,3 +95,15 @@ def test_misaligned_structure_images_fail_cross_formulation(monkeypatch):
     monkeypatch.setattr(verification, "_structure_images", swapped)
     res = check_cross_formulation(seed=3, count=10, max_n=4)
     assert (res.label, res.name) == ("FAIL", "cross-formulation")
+
+
+def test_sufficiency_covers_every_anchor(monkeypatch):
+    # all three anchors are checked, in both record routes; a detuned read-out
+    # time on the 4-ring leaves no perfect transfer and fails the check
+    res = check_pst_sufficiency()
+    assert res.passed and res.detail.startswith("3 anchors")
+    detuned = verification.PST_ANCHORS[:2] + ((4, "ring", 3, 1.5),)
+    monkeypatch.setattr(verification, "PST_ANCHORS", detuned)
+    res = check_pst_sufficiency()
+    assert (res.label, res.detail) == (
+        "FAIL", "4-spin ring 1 -> 3 at t = 1.5 is not perfect transfer")
