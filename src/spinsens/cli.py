@@ -313,15 +313,10 @@ def cmd_verify(args) -> int:
     # the oracles load scipy; synth and analyze do not need them
     from .verification import run_checks
 
-    dims = tuple(args.n) if args.n else (2, 3, 4, 5, 6)
     results = run_checks(
-        seed=args.seed,
-        dims=dims,
-        systems_per_dim=args.systems_per_dim,
-        three_way_per_dim=args.three_way_per_dim,
-        cross_count=args.cross_count,
-        necessity_restarts=args.restarts,
-        pst_only=args.pst)
+        seed=args.seed, dims=tuple(args.n), systems_per_dim=args.systems_per_dim,
+        three_way_per_dim=args.three_way_per_dim, cross_count=args.cross_count,
+        necessity_restarts=args.restarts, pst_only=args.pst)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{r.label:4s} {r.name:{width}s}  {r.detail}")
@@ -351,7 +346,7 @@ def build_parser() -> _Parser:
                        help="output spin (1-indexed)")
     synth.add_argument("--coupling", type=float, default=1.0)
     synth.add_argument("--restarts", type=int, default=defaults.restarts)
-    synth.add_argument("--seed", type=int, default=defaults.seed)
+    synth.add_argument("--seed", type=_int_at_least(0), default=defaults.seed)
     synth.add_argument("--tf-range", nargs=2, type=float,
                        default=list(defaults.t_f_range), metavar=("LO", "HI"))
     synth.add_argument("--bias-range", nargs=2, type=float,
@@ -374,10 +369,10 @@ def build_parser() -> _Parser:
                            help=THREADS_HELP)
     analyze_p.set_defaults(func=cmd_analyze)
 
-    # run_checks' default sizes, repeated: importing verification loads scipy
+    # verify's default sample sizes live here alone; run_checks has none
     verify = sub.add_parser("verify", help="run the numerical invariant suite")
-    verify.add_argument("--seed", type=int, default=2024)
-    verify.add_argument("--n", type=_int_at_least(2), nargs="+", default=None,
+    verify.add_argument("--seed", type=_int_at_least(0), default=2024)
+    verify.add_argument("--n", type=_int_at_least(2), nargs="+", default=(2, 3, 4, 5, 6),
                         help="restrict instance dimensions")
     verify.add_argument("--pst", action="store_true",
                         help="run only the perfect-transfer sufficiency check")

@@ -48,6 +48,16 @@ def _json_field(value, key: str, kind: str, what: str):
     return value
 
 
+def _integer_fields(obj, *names: str) -> None:
+    """Store the named fields of a frozen dataclass as plain ints; a bool or
+    a value that is not an integer raises ValueError naming the field."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Static description of a spin network and its transfer task."""
@@ -59,6 +69,7 @@ class NetworkSpec:
     coupling: float = 1.0
 
     def __post_init__(self):
+        _integer_fields(self, "num_spins", "input_spin", "output_spin")
         n = self.num_spins
         if n < 2:
             raise ValueError(f"need at least 2 spins, got {n}")

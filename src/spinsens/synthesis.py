@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import NetworkSpec, _json_field, _readonly
+from .network import NetworkSpec, _integer_fields, _json_field, _readonly
 from .sensitivity import _eigensystem, hadamard_core
 
 # How far a stored fidelity may stray from [0, 1], and from the fidelity
@@ -48,6 +48,7 @@ class Controller:
     status: str = "converged"
 
     def __post_init__(self):
+        _integer_fields(self, "seed", "index")
         biases = np.asarray(self.biases, dtype=float).copy()
         object.__setattr__(self, "biases", _readonly(biases))
         if biases.shape != (self.spec.num_spins,):
@@ -74,8 +75,11 @@ class SynthesisConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _integer_fields(self, "restarts", "seed")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("t_f_range", "bias_range"):
             lo, hi = getattr(self, name)
             if not np.isfinite(hi - lo):

@@ -16,14 +16,15 @@ stacked pass over every structure per controller: the structural checks
 read its records, and the cross-formulation check compares the published
 records with it field by field.
 
-The suite is what `verify` runs from the command line; the acceptance
-tests call the same functions with the documented sample sizes, which
-only ``run_checks`` holds as defaults.
+The suite is what `verify` runs from the command line, which alone holds
+the default sample sizes; the acceptance tests call the same functions
+with the documented sizes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,22 +85,21 @@ class Instance:
     s_frob: float
 
 
-def random_spec(rng: np.random.Generator, n: int) -> NetworkSpec:
-    """Random topology and transfer pair for an n-spin network."""
-    topology = "ring" if n >= 3 and rng.random() < 0.5 else "chain"
-    pair = rng.choice(n, size=2, replace=False) + 1
-    return NetworkSpec(num_spins=n, topology=topology,
-                       input_spin=int(pair[0]), output_spin=int(pair[1]))
-
-
-def random_controller(rng: np.random.Generator, spec: NetworkSpec,
-                      index: int = 0) -> Controller:
-    """Random working point (not optimized); fidelity filled in honestly."""
-    biases = rng.uniform(-INSTANCE_BIAS_SCALE, INSTANCE_BIAS_SCALE, spec.num_spins)
-    t_f = float(rng.uniform(*INSTANCE_T_RANGE))
-    f = transfer_fidelity(spec, biases, t_f)
-    return Controller(biases=biases, t_f=t_f, fidelity=float(min(1.0, max(0.0, f))),
-                      spec=spec, seed=index, index=index)
+def _random_controllers(rng: np.random.Generator,
+                        sizes: Iterable[int]) -> Iterator[Controller]:
+    """One random working point (not optimized) per spin count in ``sizes``,
+    drawn lazily from ``rng``, so a caller may draw between two controllers;
+    the fidelity is filled in honestly."""
+    for index, n in enumerate(sizes):
+        topology = "ring" if n >= 3 and rng.random() < 0.5 else "chain"
+        pair = rng.choice(n, size=2, replace=False) + 1
+        spec = NetworkSpec(num_spins=n, topology=topology,
+                           input_spin=int(pair[0]), output_spin=int(pair[1]))
+        biases = rng.uniform(-INSTANCE_BIAS_SCALE, INSTANCE_BIAS_SCALE, n)
+        t_f = float(rng.uniform(*INSTANCE_T_RANGE))
+        f = transfer_fidelity(spec, biases, t_f)
+        yield Controller(biases=biases, t_f=t_f, fidelity=float(min(1.0, max(0.0, f))),
+                         spec=spec, seed=index, index=index)
 
 
 @lru_cache(maxsize=None)
@@ -124,23 +124,23 @@ def _adjoint_frame(controller: Controller) -> tuple[BlochSystem, SpectralData, n
 
 
 def adjoint_records(controller: Controller,
-                    structures: tuple[UncertaintyStructure, ...],
-                    s_images: np.ndarray,
                     frame: tuple[BlochSystem, SpectralData, np.ndarray] | None = None,
                     ) -> list[tuple[GeometryRecord, float]]:
     """Reference records of one controller from the N^2 x N^2 adjoint picture.
 
-    Each record comes with the frame inner product <Phi, K>, zero by
-    lemma 1. ``s_images`` holds the adjoint images of ``structures`` in
-    order, a stack (S, N^2, N^2) or a sequence of them. ``frame`` is the
-    controller's ``_adjoint_frame`` when the caller has built it already.
-    The propagator and the sensitivity operators come from the spectral
+    One record per structure of ``_structure_images``, in the order
+    ``analyze`` enumerates them, each with the frame inner product
+    <Phi, K>, zero by lemma 1. ``frame`` is the controller's
+    ``_adjoint_frame`` when the caller has built it already. The
+    propagator and the sensitivity operators come from the spectral
     decomposition of the adjoint generator: one call of
     ``adjoint_sensitivity_operator``, ``project`` and
     ``differential_sensitivity`` each covers every structure. Nothing is
     shared with the N x N route of ``evaluate_controller`` except the
     assembly of angles from the scale quantities.
     """
+    structures, s_images = _structure_images(controller.spec.num_spins,
+                                             controller.spec.topology)
     system, spectral, phi = _adjoint_frame(controller) if frame is None else frame
     f_val = fidelity(system.rf, phi, system.r0)
     pst = pst_check(phi, system.r0, system.rf)
@@ -159,6 +159,16 @@ def adjoint_records(controller: Controller,
             for i, structure in enumerate(structures)]
 
 
+def _record_pairs(controller: Controller,
+                  frame: tuple[BlochSystem, SpectralData, np.ndarray] | None = None,
+                  ) -> list[tuple[GeometryRecord, GeometryRecord, float]]:
+    """Per structure, the record ``evaluate_controller`` publishes, the
+    ``adjoint_records`` reference record and its <Phi, K>."""
+    structures, _ = _structure_images(controller.spec.num_spins, controller.spec.topology)
+    return [(r, o, tr) for r, (o, tr) in zip(evaluate_controller(controller, structures),
+                                              adjoint_records(controller, frame))]
+
+
 def sample_instances(seed: int, dims: tuple[int, ...], systems_per_dim: int) -> list[Instance]:
     """Randomized instance pool shared by the structural checks.
 
@@ -167,19 +177,13 @@ def sample_instances(seed: int, dims: tuple[int, ...], systems_per_dim: int) -> 
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out: list[Instance] = []
-    idx = 0
-    for n in dims:
-        for _ in range(systems_per_dim):
-            spec = random_spec(rng, n)
-            controller = random_controller(rng, spec, index=idx)
-            idx += 1
-            structures, images = _structure_images(spec.num_spins, spec.topology)
-            records = evaluate_controller(controller, structures)
-            oracle = adjoint_records(controller, structures, images)
-            s_frob = np.linalg.norm(images, axis=(-2, -1))
-            out.extend(Instance(spec=spec, record=r, oracle=o, tr_phi_K=tr,
-                                s_frob=float(norm))
-                       for r, (o, tr), norm in zip(records, oracle, s_frob))
+    for controller in _random_controllers(
+            rng, (n for n in dims for _ in range(systems_per_dim))):
+        spec = controller.spec
+        _, images = _structure_images(spec.num_spins, spec.topology)
+        s_frob = np.linalg.norm(images, axis=(-2, -1))
+        out.extend(Instance(spec=spec, record=r, oracle=o, tr_phi_K=tr, s_frob=float(norm))
+                   for (r, o, tr), norm in zip(_record_pairs(controller), s_frob))
     return out
 
 
@@ -282,7 +286,7 @@ def check_remark2(instances: list[Instance]) -> CheckResult:
         detail=f"{len(instances)} instances inside [F/N - 1e-12, 1/N + 1e-10]")
 
 
-def perturbed_error(controller: Controller, structure: UncertaintyStructure,
+def perturbed_error(structure: UncertaintyStructure, controller: Controller,
                     delta: float) -> float:
     """Error of the perturbed Hamiltonian under full re-propagation."""
     spec = controller.spec
@@ -294,40 +298,32 @@ def perturbed_error(controller: Controller, structure: UncertaintyStructure,
 
 
 def check_three_way(seed: int, dims: tuple[int, ...], per_dim: int) -> CheckResult:
-    """Closed form vs quadrature vs finite differences on random instances.
-
-    Fails when ``dims`` and ``per_dim`` leave no instance to compare.
-    """
+    """Closed form vs quadrature vs finite differences on random instances
+    of up to 5 spins, one drawn structure each; fails when there are none."""
+    sizes = [n for n in dims if n <= 5 for _ in range(per_dim)]
+    if not sizes:
+        return _no_instances("three-way-agreement")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     worst_quad = worst_fd = 0.0
-    total = 0
-    for n in dims:
-        for k in range(per_dim):
-            spec = random_spec(rng, n)
-            controller = random_controller(rng, spec, index=k)
-            structures, images = _structure_images(n, spec.topology)
-            pick = int(rng.integers(len(structures)))
-            structure, image = structures[pick], images[pick]
-            record, = evaluate_controller(controller, (structure,))
-            system = build_bloch_system(
-                build_hamiltonian(spec, controller.biases), spec, controller.t_f)
-            quad = quadrature_oracle(system.A, image, controller.t_f,
-                                     system.r0, system.rf, record.f_n)
-            fd = fd_oracle(lambda st, c, d: perturbed_error(c, st, d),
-                           structure, controller, FD_STEP)
-            zeta = record.zeta
-            worst_quad = max(worst_quad,
-                             abs(quad - zeta) / max(1e-8 * abs(zeta), 1e-10))
-            worst_fd = max(worst_fd,
-                           abs(fd - zeta) / max(1e-6 * abs(zeta), 1e-8))
-            total += 1
-    if not total:
-        return _no_instances("three-way-agreement")
+    for controller in _random_controllers(rng, sizes):
+        spec = controller.spec
+        structures, images = _structure_images(spec.num_spins, spec.topology)
+        pick = int(rng.integers(len(structures)))
+        structure, image = structures[pick], images[pick]
+        record, = evaluate_controller(controller, (structure,))
+        system = build_bloch_system(
+            build_hamiltonian(spec, controller.biases), spec, controller.t_f)
+        quad = quadrature_oracle(system.A, image, controller.t_f,
+                                 system.r0, system.rf, record.f_n)
+        fd = fd_oracle(perturbed_error, structure, controller, FD_STEP)
+        zeta = record.zeta
+        worst_quad = max(worst_quad, abs(quad - zeta) / max(1e-8 * abs(zeta), 1e-10))
+        worst_fd = max(worst_fd, abs(fd - zeta) / max(1e-6 * abs(zeta), 1e-8))
     passed = worst_quad <= 1.0 and worst_fd <= 1.0
     return CheckResult(
         name="three-way-agreement",
         passed=passed,
-        detail=f"{total} instances; quadrature at {worst_quad:.3e} and "
+        detail=f"{len(sizes)} instances; quadrature at {worst_quad:.3e} and "
                f"finite differences at {worst_fd:.3e} of their budgets")
 
 
@@ -348,9 +344,7 @@ def check_pst_sufficiency() -> CheckResult:
         controller = Controller(biases=np.zeros(n), t_f=t_f,
                                 fidelity=transfer_fidelity(spec, np.zeros(n), t_f),
                                 spec=spec, seed=0, index=0)
-        structures, images = _structure_images(n, topology)
-        records = evaluate_controller(controller, structures) + [
-            r for r, _ in adjoint_records(controller, structures, images)]
+        records = [r for pair in _record_pairs(controller) for r in pair[:2]]
         if not all(r.pst for r in records):
             return CheckResult(name="theorem2-sufficiency", passed=False,
                                detail=f"{n}-spin {topology} 1 -> {out} at t = "
@@ -425,7 +419,7 @@ def record_gap(record: GeometryRecord, oracle: GeometryRecord, n: int) -> float:
     return max(gaps)
 
 
-def check_cross_formulation(seed: int, count: int, max_n: int) -> CheckResult:
+def check_cross_formulation(seed: int, count: int, dims: tuple[int, ...]) -> CheckResult:
     """Adjoint-picture transfer agrees with Schroedinger propagation, and
     the published records agree with the adjoint-picture reference.
 
@@ -434,19 +428,17 @@ def check_cross_formulation(seed: int, count: int, max_n: int) -> CheckResult:
     cannot see on real Hamiltonians (swapping input and output there
     gives the same transfer probability). Every record of each controller
     is then compared field by field (``record_gap``), and its perfect
-    transfer and zero-fidelity flags must match. Fails when ``count`` and
-    ``max_n`` leave no instance to compare.
+    transfer and zero-fidelity flags must match. The controllers take their
+    sizes from ``dims`` in turn; fails when none is left to compare.
     """
-    dims = [n for n in range(2, max_n + 1)]
     if count < 1 or not dims:
         return _no_instances("cross-formulation")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     worst_f = worst_state = worst_record = 0.0
     flag_mismatches = 0
-    for k in range(count):
-        n = dims[k % len(dims)]
-        spec = random_spec(rng, n)
-        controller = random_controller(rng, spec, index=k)
+    for controller in _random_controllers(rng, (dims[k % len(dims)] for k in range(count))):
+        spec = controller.spec
+        n = spec.num_spins
         ham = build_hamiltonian(spec, controller.biases)
         frame = _adjoint_frame(controller)
         system, _, phi = frame
@@ -456,9 +448,7 @@ def check_cross_formulation(seed: int, count: int, max_n: int) -> CheckResult:
         r_t = state_to_bloch(psi_t / np.linalg.norm(psi_t))
         worst_f = max(worst_f, abs(f_bloch - f_hilbert))
         worst_state = max(worst_state, float(np.linalg.norm(phi @ system.r0 - r_t)))
-        structures, images = _structure_images(spec.num_spins, spec.topology)
-        for r, (o, _) in zip(evaluate_controller(controller, structures),
-                             adjoint_records(controller, structures, images, frame)):
+        for r, o, _ in _record_pairs(controller, frame):
             worst_record = max(worst_record, record_gap(r, o, n))
             flag_mismatches += (r.pst != o.pst) + (r.zero_fidelity != o.zero_fidelity)
     passed = (worst_f <= 1e-10 and worst_state <= 1e-10 and worst_record <= 1.0
@@ -472,16 +462,16 @@ def check_cross_formulation(seed: int, count: int, max_n: int) -> CheckResult:
                f"mismatches")
 
 
-def run_checks(seed: int = 2024, dims: tuple[int, ...] = (2, 3, 4, 5, 6),
-               systems_per_dim: int = 14, three_way_per_dim: int = 50,
-               cross_count: int = 100, necessity_restarts: int = 40,
+def run_checks(seed: int, dims: tuple[int, ...], systems_per_dim: int,
+               three_way_per_dim: int, cross_count: int, necessity_restarts: int,
                pst_only: bool = False) -> list[CheckResult]:
     """The nine checks in report order, or the perfect-transfer sufficiency
-    check alone with ``pst_only``; the sizes trim the samples."""
+    check alone with ``pst_only``. Every randomized check draws from ``seed``,
+    the pool ones from ``dims``; ``spinsens verify`` holds the default sizes."""
     if pst_only:
         return [check_pst_sufficiency()]
     instances = sample_instances(seed, dims=dims, systems_per_dim=systems_per_dim)
-    results = [
+    return [
         check_lemma1(instances),
         check_lemma2(instances),
         check_theorem1(instances),
@@ -489,8 +479,6 @@ def run_checks(seed: int = 2024, dims: tuple[int, ...] = (2, 3, 4, 5, 6),
         check_remark2(instances),
         check_pst_sufficiency(),
         check_necessity(seed, restarts=necessity_restarts),
-        check_three_way(seed, dims=tuple(n for n in dims if n <= 5),
-                        per_dim=three_way_per_dim),
-        check_cross_formulation(seed, count=cross_count, max_n=max(dims, default=0)),
+        check_three_way(seed, dims=dims, per_dim=three_way_per_dim),
+        check_cross_formulation(seed, count=cross_count, dims=dims),
     ]
-    return results

@@ -146,7 +146,7 @@ def test_criterion_08_ensemble_statistics(ring4_ensemble, ring4_analysis):
 
 
 def test_criterion_09_fidelity_cross_formulation():
-    res = check_cross_formulation(seed=POOL_SEED, count=100, max_n=6)
+    res = check_cross_formulation(seed=POOL_SEED, count=100, dims=(2, 3, 4, 5, 6))
     report(9, res.passed, res.detail)
 
 

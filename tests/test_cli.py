@@ -113,6 +113,18 @@ class TestArgumentHandling:
         assert main([*argv, "--threads", "0"]) == 1
         assert "--threads: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["synth", *RING_FLAGS], ["verify", "--pst"]])
+    @pytest.mark.parametrize("value, message", [("-1", "must be >= 0, got -1"),
+                                                ("1.5", "not an integer")])
+    def test_seed_checked_at_parse_time(self, tmp_path, monkeypatch, capsys, argv,
+                                        value, message):
+        # a bad seed fails before any work: nothing printed, no file written
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--seed", value]) == 1
+        captured = capsys.readouterr()
+        assert f"argument --seed: {message}" in captured.err
+        assert captured.out == "" and not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--systems-per-dim", "0", "must be >= 1"),
         ("--three-way-per-dim", "0", "must be >= 1"),

@@ -80,6 +80,21 @@ class TestNetworkSpec:
         with pytest.raises(ValueError, match=f"'{key}' has the wrong type"):
             NetworkSpec.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_spins", 4.0), ("num_spins", True), ("input_spin", True),
+        ("input_spin", 1.5), ("output_spin", 2.0), ("output_spin", "2")])
+    def test_integer_field_of_wrong_type_rejected_by_name(self, field, value):
+        fields = {"num_spins": 4, "topology": "ring", "input_spin": 1, "output_spin": 2}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            NetworkSpec(**{**fields, field: value})
+
+    def test_numpy_integers_stored_as_ints(self):
+        spec = NetworkSpec(num_spins=np.int64(4), topology="ring",
+                           input_spin=np.int32(1), output_spin=np.int64(3))
+        assert json.loads(spec.to_json()) == {"n": 4, "topology": "ring", "j": 1.0,
+                                              "in": 1, "out": 3}
+        assert type(spec.num_spins) is int
+
     def test_bad_topology_rejected(self):
         with pytest.raises(ValueError):
             NetworkSpec(num_spins=3, topology="star", input_spin=1, output_spin=2)

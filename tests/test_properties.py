@@ -20,12 +20,12 @@ from spinsens import (SensitivityOperator, adjoint_sensitivity_operator,
                       transfer_fidelity)
 from spinsens.analytics import evaluate_controller
 from spinsens.sensitivity import QUADRATURE_NODES
-from spinsens.verification import adjoint_records, record_gap
+from spinsens.verification import _structure_images, adjoint_records, record_gap
 
 
-def reference_records(controller, structures):
-    images = tuple(adjoint_rep(s.matrix) for s in structures)
-    return adjoint_records(controller, structures, images), images
+def reference_records(controller):
+    spec = controller.spec
+    return adjoint_records(controller), _structure_images(spec.num_spins, spec.topology)[1]
 
 
 @st.composite
@@ -55,8 +55,7 @@ def controllers(draw):
 @given(controllers())
 def test_record_invariants(controller):
     n = controller.spec.num_spins
-    structures = tuple(enumerate_structures(controller.spec))
-    oracle, images = reference_records(controller, structures)
+    oracle, images = reference_records(controller)
     for (r, tr_phi_k), image in zip(oracle, images):
         # lemma 1: the propagator and K are Frobenius orthogonal
         assert abs(tr_phi_k) <= 1e-9 * n * n
@@ -97,8 +96,8 @@ def test_objective_matches_adjoint_records(point):
     f, grad = fidelity_objective(spec, biases, t_f)
     controller = Controller(biases=biases, t_f=t_f, fidelity=min(1.0, f),
                             spec=spec, seed=0, index=0)
-    oracle, _ = reference_records(controller, tuple(enumerate_structures(spec))[:n])
-    for site, (r, _) in enumerate(oracle):
+    oracle, _ = reference_records(controller)
+    for site, (r, _) in enumerate(oracle[:n]):
         assert abs(f - r.F) <= 1e-9
         expected = t_f * r.k_coeff
         assert abs(grad[site] - expected) <= 1e-9 * max(1.0, abs(expected))
@@ -114,7 +113,7 @@ def test_engine_matches_adjoint_records(point):
                             fidelity=min(1.0, transfer_fidelity(spec, biases, t_f)),
                             spec=spec, seed=0, index=0)
     structures = tuple(enumerate_structures(spec))
-    oracle, _ = reference_records(controller, structures)
+    oracle, _ = reference_records(controller)
     for r, (o, _) in zip(evaluate_controller(controller, structures), oracle):
         assert record_gap(r, o, spec.num_spins) <= 1.0
         assert (r.pst, r.zero_fidelity) == (o.pst, o.zero_fidelity)

@@ -108,6 +108,14 @@ class TestController:
             Controller(biases=np.zeros(2), t_f=1.0, fidelity=1.5,
                        spec=CHAIN2, seed=0, index=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("index", 0.9), ("index", True), ("seed", True), ("seed", 1.0)])
+    def test_integer_field_of_wrong_type_rejected_by_name(self, field, value):
+        fields = {"biases": np.zeros(2), "t_f": 1.0, "fidelity": 0.5,
+                  "spec": CHAIN2, "seed": 0, "index": 0}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Controller(**{**fields, field: value})
+
     def test_biases_read_only(self):
         c = Controller(biases=np.zeros(2), t_f=1.0, fidelity=0.5,
                        spec=CHAIN2, seed=0, index=0)
@@ -133,6 +141,16 @@ class TestSynthesisConfig:
             SynthesisConfig(bias_range=(2.0, 2.0))
         with pytest.raises(ValueError):
             SynthesisConfig(tolerance=0.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("restarts", True, "restarts must be an integer"),
+        ("restarts", 2.0, "restarts must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", False, "seed must be an integer"),
+        ("seed", -1, "seed must be >= 0")])
+    def test_integer_field_checked_by_name(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SynthesisConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("t_f_range", (1.0, np.inf)), ("t_f_range", (1.0, np.nan)),

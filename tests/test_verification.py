@@ -1,8 +1,10 @@
 """The verification checks on empty instance pools (a check that examined
-nothing fails instead of passing), the reference route's one pass per
-controller, a misaligned reference that the cross check must catch, and
-the perfect-transfer anchors of the sufficiency check."""
+nothing fails instead of passing), the controllers the pool checks draw,
+the reference route's one pass per controller, a misaligned reference
+that the cross check must catch, and the perfect-transfer anchors of the
+sufficiency check."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -25,6 +27,7 @@ def test_structural_check_on_empty_pool_fails(check):
 
 
 @pytest.mark.parametrize("kwargs", [{"dims": (), "per_dim": 50},
+                                    {"dims": (6,), "per_dim": 50},
                                     {"dims": (2, 3, 4, 5), "per_dim": 0}])
 def test_three_way_with_no_instances_fails(kwargs):
     res = check_three_way(seed=3, **kwargs)
@@ -32,8 +35,8 @@ def test_three_way_with_no_instances_fails(kwargs):
                                                   "0 instances")
 
 
-@pytest.mark.parametrize("kwargs", [{"count": 0, "max_n": 6},
-                                    {"count": 100, "max_n": 1}])
+@pytest.mark.parametrize("kwargs", [{"count": 0, "dims": (2, 3, 4, 5, 6)},
+                                    {"count": 100, "dims": ()}])
 def test_cross_formulation_with_no_instances_fails(kwargs):
     res = check_cross_formulation(seed=3, **kwargs)
     assert (res.name, res.passed, res.detail) == ("cross-formulation", False,
@@ -42,7 +45,7 @@ def test_cross_formulation_with_no_instances_fails(kwargs):
 
 def test_one_instance_each_passes():
     assert check_three_way(seed=3, dims=(3,), per_dim=1).passed
-    assert check_cross_formulation(seed=3, count=1, max_n=3).passed
+    assert check_cross_formulation(seed=3, count=1, dims=(2, 3)).passed
 
 
 def test_empty_pools_still_report_nine_checks():
@@ -58,12 +61,48 @@ def test_empty_pools_still_report_nine_checks():
                      "cross-formulation"]
 
 
+@pytest.fixture
+def evaluated(monkeypatch):
+    # every (controller, structures) pair handed to evaluate_controller
+    calls = []
+    evaluate = verification.evaluate_controller
+
+    def recording(controller, structures):
+        calls.append((controller, structures))
+        return evaluate(controller, structures)
+    monkeypatch.setattr(verification, "evaluate_controller", recording)
+    return calls
+
+
+def test_pool_draws_pinned(evaluated):
+    # the controllers of the pool checks at seed 2024 with the benchmark's
+    # sizes, in order: spins, topology, transfer pair, biases, t_f and the
+    # structures evaluated, which for three-way is its one drawn structure
+    dims = (2, 3, 4, 5, 6)
+    sample_instances(2024, dims=dims, systems_per_dim=4)
+    check_three_way(2024, dims=dims, per_dim=12)
+    check_cross_formulation(2024, count=25, dims=dims)
+    digest = hashlib.sha256()
+    for c, structures in evaluated:
+        digest.update(repr((c.spec.num_spins, c.spec.topology, c.spec.input_spin,
+                            c.spec.output_spin, c.biases.tolist(), c.t_f,
+                            [s.index for s in structures])).encode())
+    assert len(evaluated) == 5 * 4 + 4 * 12 + 25
+    assert digest.hexdigest() == (
+        "2f0aa57ea1cff6aeba9e7c206b70f2a1ad0a7f086c68c226eb52b375b2229a6c")
+
+
+def test_cross_formulation_draws_only_requested_dims(evaluated):
+    assert check_cross_formulation(seed=3, count=4, dims=(3,)).passed
+    assert [c.spec.num_spins for c, _ in evaluated] == [3, 3, 3, 3]
+
+
 REFERENCE_STEPS = ("build_bloch_system", "spectral_decompose",
                    "adjoint_sensitivity_operator", "project")
 
 
 @pytest.mark.parametrize("run, controllers", [
-    (lambda: check_cross_formulation(seed=3, count=6, max_n=4).passed, 6),
+    (lambda: check_cross_formulation(seed=3, count=6, dims=(2, 3, 4)).passed, 6),
     (lambda: len(sample_instances(3, dims=(2, 4), systems_per_dim=2)) > 0, 4)],
     ids=["cross-formulation", "sample-instances"])
 def test_reference_route_runs_once_per_controller(monkeypatch, run, controllers):
@@ -91,9 +130,9 @@ def test_misaligned_structure_images_fail_cross_formulation(monkeypatch):
         order[[0, 1]] = order[[1, 0]]
         return structures, images[order]
 
-    assert check_cross_formulation(seed=3, count=10, max_n=4).passed
+    assert check_cross_formulation(seed=3, count=10, dims=(2, 3, 4)).passed
     monkeypatch.setattr(verification, "_structure_images", swapped)
-    res = check_cross_formulation(seed=3, count=10, max_n=4)
+    res = check_cross_formulation(seed=3, count=10, dims=(2, 3, 4))
     assert (res.label, res.name) == ("FAIL", "cross-formulation")
 
 
