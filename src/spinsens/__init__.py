@@ -22,18 +22,17 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "analytics": ("CorrelationSummary", "analyze", "kendall", "pearson"),
-    "bloch": ("BlochSystem", "adjoint_rep",
-              "build_bloch_system", "fidelity", "gell_mann_basis",
-              "site_state", "state_to_bloch"),
+    "bloch": ("BlochSystem", "adjoint_rep", "build_bloch_system",
+              "gell_mann_basis", "site_state", "state_to_bloch"),
     "errors": ("InvariantViolation",),
     "geometry": ("GeometryRecord", "angles", "identity_residual",
-                 "io_operator", "project", "pst_check"),
+                 "project", "pst_check"),
     "network": ("NetworkSpec", "UncertaintyStructure",
                 "build_hamiltonian", "enumerate_structures", "perturb",
                 "scaling_factor"),
     "sensitivity": ("HilbertTransfer", "SensitivityOperator", "SpectralData",
-                    "adjoint_sensitivity_operator", "differential_sensitivity",
-                    "fd_oracle", "hadamard_core", "hilbert_transfer",
+                    "adjoint_sensitivity_operator", "fd_oracle",
+                    "hadamard_core", "hilbert_transfer",
                     "propagator_matrix", "quadrature_oracle",
                     "sensitivity_operator", "spectral_decompose"),
     "synthesis": ("Controller", "SynthesisConfig", "controllers_from_json",

@@ -114,18 +114,6 @@ def site_state(num_spins: int, site: int) -> np.ndarray:
     return psi
 
 
-def fidelity(rf: np.ndarray, phi: np.ndarray, r0: np.ndarray) -> float:
-    """Transfer fidelity F = rf . Phi r0."""
-    mat = np.asarray(phi, dtype=float)
-    rf = np.asarray(rf, dtype=float)
-    r0 = np.asarray(r0, dtype=float)
-    for name, r in (("initial", r0), ("target", rf)):
-        nrm = np.linalg.norm(r)
-        if abs(nrm - 1.0) > 1e-8:
-            raise ValueError(f"{name} coherence vector not normalized, |r| = {nrm:.12e}")
-    return float(rf @ mat @ r0)
-
-
 @dataclass(frozen=True)
 class BlochSystem:
     """A transfer problem in the adjoint picture: generator, ends, read-out time."""

@@ -3,9 +3,11 @@
 synth writes a controller ensemble as JSON with a spec sidecar and a run
 manifest; analyze turns an ensemble into figure-ready records and
 summaries CSV; verify runs the numerical invariant suite and reports a
-pass/fail table. All floats in data files carry 17 significant digits,
-all randomness flows from the master seed, and nothing wall-clock
-dependent lands in a data file, so reruns are byte-identical. The run
+pass/fail table. Floats in the controller file and the CSV tables carry
+17 significant digits; the spec sidecar and the manifests are written by
+``json.dumps``, whose shortest round-trip repr is exact as well. All
+randomness flows from the master seed, and nothing wall-clock dependent
+lands in a data file, so reruns are byte-identical. The run
 manifest carries the config hash plus the SHA-256 of every data file it
 produced; it is the one file with a timestamp. The synth manifest also
 counts the kept controllers by optimizer status and the duplicate
@@ -17,7 +19,7 @@ output path that is one of its inputs, the synth manifest or another
 output.
 
 Exit codes: 0 success, 1 validation error, 2 invariant failure,
-3 input/output error.
+3 input/output error, a file that is not JSON included.
 """
 
 from __future__ import annotations
@@ -276,11 +278,8 @@ def cmd_analyze(args) -> int:
         raise IOError(f"cannot read inputs: {exc}") from exc
     inputs = {str(controllers_path): controllers_digest, str(spec_path): spec_digest}
     _check_against_manifest(synth_manifest, inputs)
-    try:
-        spec = NetworkSpec.from_json(spec_text)
-        controllers = controllers_from_json(controllers_text, spec)
-    except json.JSONDecodeError as exc:
-        raise IOError(f"corrupt input file: {exc}") from exc
+    spec = NetworkSpec.from_json(spec_text)
+    controllers = controllers_from_json(controllers_text, spec)
     if not controllers:
         raise CommandLineError(f"no controllers in {controllers_path}")
 
@@ -395,6 +394,10 @@ def main(argv=None) -> int:
     except CommandLineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except json.JSONDecodeError as exc:
+        # a ValueError, but a file that is not JSON is an input/output error
+        print(f"i/o error: corrupt input file: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -38,24 +38,37 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_number(value, kind: str) -> bool:
+    # the one number rule of the JSON readers and the constructors: kind
+    # "integer" takes Python's and numpy's integers, "number" floats too;
+    # a bool is neither
+    types = (int, np.integer) if kind == "integer" else (int, np.integer, float, np.floating)
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _json_field(value, key: str, kind: str, what: str):
     """``value`` of field ``key``, checked to be a JSON ``kind``: "integer" or
     "number" (an integer or a float); a bool is neither."""
-    if isinstance(value, bool) or not isinstance(
-            value, int if kind == "integer" else (int, float)):
+    if not _is_number(value, kind):
         raise ValueError(f"{what} field {key!r} has the wrong type: must be a "
                          f"JSON {kind}, got {value!r}")
     return value
 
 
-def _integer_fields(obj, *names: str) -> None:
-    """Store the named fields of a frozen dataclass as plain ints; a bool or
-    a value that is not an integer raises ValueError naming the field."""
+def _number(value, kind: str, name: str) -> int | float:
+    """``value`` of field ``name`` as a plain int (``kind`` "integer") or a
+    float ("number"); a value the number rule refuses raises ValueError
+    naming the field."""
+    if not _is_number(value, kind):
+        noun = "an integer" if kind == "integer" else "a real number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return int(value) if kind == "integer" else float(value)
+
+
+def _number_fields(obj, kind: str, *names: str) -> None:
+    """Store the named fields of a frozen dataclass through ``_number``."""
     for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(obj, name, int(value))
+        object.__setattr__(obj, name, _number(getattr(obj, name), kind, name))
 
 
 @dataclass(frozen=True)
@@ -69,7 +82,8 @@ class NetworkSpec:
     coupling: float = 1.0
 
     def __post_init__(self):
-        _integer_fields(self, "num_spins", "input_spin", "output_spin")
+        _number_fields(self, "integer", "num_spins", "input_spin", "output_spin")
+        _number_fields(self, "number", "coupling")
         n = self.num_spins
         if n < 2:
             raise ValueError(f"need at least 2 spins, got {n}")
@@ -121,7 +135,7 @@ class NetworkSpec:
                 topology=doc["topology"],
                 input_spin=_json_field(doc["in"], "in", "integer", what),
                 output_spin=_json_field(doc["out"], "out", "integer", what),
-                coupling=float(_json_field(doc.get("j", 1.0), "j", "number", what)),
+                coupling=_json_field(doc.get("j", 1.0), "j", "number", what),
             )
         except KeyError as exc:
             raise ValueError(f"network document is missing key {exc}") from exc

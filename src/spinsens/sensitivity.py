@@ -19,12 +19,13 @@ Hermitian and A = M diag(i lam) M* with real frequencies lam, and
 level up. It takes a stack of directions (leading axes, plain numpy
 broadcasting), so one call per controller conjugates every structure's
 image, weights it with divided differences computed once, and returns
-every K and |K|; ``differential_sensitivity`` reads out a stack the same
-way. Two slower, independent evaluations of the derivative are oracles
-too: fixed-order Gauss-Legendre quadrature of the integral representation
-(one batched Pade-based matrix exponential of 33 slices for the 64 nodes,
-since exp(-X) = exp(X)^T for skew X; no shared eigensystem) and a central
-finite difference of the error under full re-propagation.
+every K and |K|; verification reads k = rf . K r0 and zeta = -t_f f_n k
+off the whole stack in one product. Two slower, independent evaluations
+of the derivative are oracles too: fixed-order Gauss-Legendre quadrature
+of the integral representation (one batched Pade-based matrix exponential
+of 33 slices for the 64 nodes, since exp(-X) = exp(X)^T for skew X; no
+shared eigensystem) and a central finite difference of the error under
+full re-propagation.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .errors import InvariantViolation
 from .network import _readonly, build_hamiltonian
 
 if TYPE_CHECKING:
-    from .bloch import BlochSystem
     from .network import NetworkSpec, UncertaintyStructure
     from .synthesis import Controller
 
@@ -239,19 +239,6 @@ def adjoint_sensitivity_operator(spectral: SpectralData, s_bloch: np.ndarray,
             "this signals a convention error upstream")
     norm_k = np.sqrt((np.abs(q) ** 2).sum(axis=(-2, -1)))
     return SensitivityOperator(K=k_c.real.copy(), norm_K=norm_k)
-
-
-def differential_sensitivity(system: "BlochSystem", op: SensitivityOperator,
-                             f_n: float | np.ndarray) -> float | np.ndarray:
-    """Derivative of the transfer error along scaled uncertainty directions.
-
-    ``f_n`` broadcasts against the leading axes of ``op.K``: one scaling
-    factor per direction of a stack gives one derivative per direction.
-    """
-    f_n = np.asarray(f_n, dtype=float)
-    if (f_n < 0).any():
-        raise ValueError(f"scaling factor must be nonnegative, got {f_n.min()}")
-    return -system.t_f * f_n * (system.rf @ op.K @ system.r0)
 
 
 @lru_cache(maxsize=None)

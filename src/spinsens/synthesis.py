@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import NetworkSpec, _integer_fields, _json_field, _readonly
+from .network import NetworkSpec, _json_field, _number, _number_fields, _readonly
 from .sensitivity import _eigensystem, hadamard_core
 
 # How far a stored fidelity may stray from [0, 1], and from the fidelity
@@ -48,7 +48,8 @@ class Controller:
     status: str = "converged"
 
     def __post_init__(self):
-        _integer_fields(self, "seed", "index")
+        _number_fields(self, "integer", "seed", "index")
+        _number_fields(self, "number", "t_f", "fidelity")
         biases = np.asarray(self.biases, dtype=float).copy()
         object.__setattr__(self, "biases", _readonly(biases))
         if biases.shape != (self.spec.num_spins,):
@@ -75,13 +76,15 @@ class SynthesisConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _integer_fields(self, "restarts", "seed")
+        _number_fields(self, "integer", "restarts", "seed")
+        _number_fields(self, "number", "tolerance")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("t_f_range", "bias_range"):
-            lo, hi = getattr(self, name)
+            lo, hi = (_number(end, "number", f"{name} end") for end in getattr(self, name))
+            object.__setattr__(self, name, (lo, hi))
             if not np.isfinite(hi - lo):
                 raise ValueError(f"{name} needs finite ends and a finite width, "
                                  f"got ({lo}, {hi})")
@@ -249,8 +252,8 @@ def controllers_from_json(text: str, spec: NetworkSpec) -> list[Controller]:
             out.append(Controller(
                 biases=np.array([_json_field(b, "biases", "number", what)
                                  for b in biases], dtype=float),
-                t_f=float(_json_field(row["tf"], "tf", "number", what)),
-                fidelity=float(_json_field(row["fidelity"], "fidelity", "number", what)),
+                t_f=_json_field(row["tf"], "tf", "number", what),
+                fidelity=_json_field(row["fidelity"], "fidelity", "number", what),
                 spec=spec,
                 seed=_json_field(row.get("seed", -1), "seed", "integer", what),
                 index=_json_field(row["index"], "index", "integer", what),

@@ -12,9 +12,13 @@ The records ``analyze`` publishes come from the N x N Hamiltonian, where
 the structural identities hold by construction. ``adjoint_records`` keeps
 the N^2 x N^2 adjoint-picture route (explicit propagator Phi, explicit
 sensitivity operators K, explicit projection) as the reference, in one
-stacked pass over every structure per controller: the structural checks
-read its records, and the cross-formulation check compares the published
-records with it field by field.
+stacked pass over every structure per controller that reads F and
+<R, K> off the frame once each: the structural checks read its records,
+and the cross-formulation check compares the published records with it
+field by field. The frame identities are checked here alone: a reference
+record whose |R_S|^2 strays from (F/N)^2 + (k/|K|)^2, or whose |cos theta|
+strays from sin phi, fails the remark-1 or theorem-1 check instead of
+aborting the run.
 
 The suite is what `verify` runs from the command line, which alone holds
 the default sample sizes; the acceptance tests call the same functions
@@ -32,15 +36,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from .analytics import _record, analyze, evaluate_controller
-from .bloch import (BlochSystem, adjoint_rep, build_bloch_system, fidelity,
-                    site_state, state_to_bloch)
-from .geometry import GeometryRecord, _frob, io_operator, project, pst_check
+from .bloch import (BlochSystem, adjoint_rep, build_bloch_system, site_state,
+                    state_to_bloch)
+from .geometry import GeometryRecord, _frob, project, pst_check
 from .network import (NetworkSpec, UncertaintyStructure, _readonly,
                       build_hamiltonian, enumerate_structures, perturb,
                       scaling_factor)
-from .sensitivity import (SpectralData, adjoint_sensitivity_operator,
-                          differential_sensitivity, fd_oracle, propagator_matrix,
-                          quadrature_oracle, spectral_decompose)
+from .sensitivity import (SpectralData, adjoint_sensitivity_operator, fd_oracle,
+                          propagator_matrix, quadrature_oracle, spectral_decompose)
 from .synthesis import Controller, SynthesisConfig, synthesize_ensemble, transfer_fidelity
 
 # Randomized instances live on modest time and bias scales so that the
@@ -134,22 +137,23 @@ def adjoint_records(controller: Controller,
     ``_adjoint_frame`` when the caller has built it already. The
     propagator and the sensitivity operators come from the spectral
     decomposition of the adjoint generator: one call of
-    ``adjoint_sensitivity_operator``, ``project`` and
-    ``differential_sensitivity`` each covers every structure. Nothing is
-    shared with the N x N route of ``evaluate_controller`` except the
-    assembly of angles from the scale quantities.
+    ``adjoint_sensitivity_operator`` covers every structure. The frame is
+    read out once: F = rf . Phi r0, then one stacked product gives
+    k = <R, K> = rf . K r0 per structure, zeta = -t_f f_n k, and one
+    ``project`` call assembles every R_S from F and k. Nothing is shared
+    with the N x N route of ``evaluate_controller`` except the assembly
+    of angles from the scale quantities.
     """
     structures, s_images = _structure_images(controller.spec.num_spins,
                                              controller.spec.topology)
     system, spectral, phi = _adjoint_frame(controller) if frame is None else frame
-    f_val = fidelity(system.rf, phi, system.r0)
+    f_val = float(system.rf @ phi @ system.r0)
     pst = pst_check(phi, system.r0, system.rf)
-    r_op = io_operator(system.rf, system.r0)
     ops = adjoint_sensitivity_operator(spectral, s_images, controller.t_f)
     f_n = np.array([scaling_factor(s, controller) for s in structures])
-    _, norm_rs, perp = project(r_op, phi, ops)
-    zeta = differential_sensitivity(system, ops, f_n)
-    k_coeff = _frob(r_op, ops.K)
+    k_coeff = system.rf @ ops.K @ system.r0
+    zeta = -controller.t_f * f_n * k_coeff
+    _, norm_rs, perp = project(f_val, k_coeff, phi, ops)
     tr_phi_k = _frob(phi, ops.K)
     return [(_record(controller, structure, f_val=f_val, zeta=float(zeta[i]),
                      f_n=float(f_n[i]), k_coeff=float(k_coeff[i]),
@@ -226,18 +230,34 @@ def check_lemma2(instances: list[Instance]) -> CheckResult:
     return CheckResult(name="lemma2-norm-bounds", passed=not bad, detail=detail)
 
 
+def _angle_allowance(n: int, record: GeometryRecord) -> float:
+    # tolerance of a record's angles: 1e-8 plus the conditioning allowance
+    # 8 n^2 eps / |R_S| of ``angles``
+    return 1e-8 + 8.0 * n * n * np.finfo(float).eps / record.norm_Rs
+
+
 def check_theorem1(instances: list[Instance]) -> CheckResult:
-    """|zeta| equals the factored form within 1e-8 * max(1, |zeta|)."""
-    records = [i.oracle for i in instances if not i.oracle.zero_fidelity]
+    """|zeta| equals the factored form within 1e-8 * max(1, |zeta|), and
+    the two routes to the alignment agree, |cos theta| = sin phi, within
+    the angle allowance wherever the scale f_n t_f |K| |R_S| resolves
+    cos theta (a normal float)."""
+    records = [(i.spec.num_spins, i.oracle) for i in instances
+               if not i.oracle.zero_fidelity]
     if not records:
         return _no_instances("theorem1-identity")
     skipped = len(instances) - len(records)
     worst = max(r.identity_residual / (1e-8 * max(1.0, r.abs_zeta))
-                for r in records)
+                for _, r in records)
+    misaligned = sum(abs(abs(r.cos_theta) - r.sin_phi) > _angle_allowance(n, r)
+                     for n, r in records
+                     if r.t_f * r.f_n * r.norm_K * r.norm_Rs >= np.finfo(float).tiny)
     detail = f"{len(records)} records, worst residual at {worst:.3e} of budget"
     if skipped:
         detail += f", {skipped} zero-fidelity records left out"
-    return CheckResult(name="theorem1-identity", passed=worst <= 1.0, detail=detail)
+    if misaligned:
+        detail += f", {misaligned} with |cos theta| and sin phi apart"
+    return CheckResult(name="theorem1-identity", passed=worst <= 1.0 and not misaligned,
+                       detail=detail)
 
 
 def check_remark1(instances: list[Instance]) -> CheckResult:
@@ -413,7 +433,7 @@ def record_gap(record: GeometryRecord, oracle: GeometryRecord, n: int) -> float:
                  (record.norm_K, oracle.norm_K)):
         gaps.append(abs(a - b) / (1e-9 * max(1.0, abs(b))))
     if not (record.zero_fidelity or oracle.zero_fidelity):
-        allowance = 1e-8 + 8.0 * n * n * np.finfo(float).eps / oracle.norm_Rs
+        allowance = _angle_allowance(n, oracle)
         gaps += [abs(record.sin_phi - oracle.sin_phi) / allowance,
                  abs(record.cos_phi - oracle.cos_phi) / allowance]
     return max(gaps)
@@ -442,13 +462,15 @@ def check_cross_formulation(seed: int, count: int, dims: tuple[int, ...]) -> Che
         ham = build_hamiltonian(spec, controller.biases)
         frame = _adjoint_frame(controller)
         system, _, phi = frame
-        f_bloch = fidelity(system.rf, phi, system.r0)
+        pairs = _record_pairs(controller, frame)
+        # the reference F = rf . Phi r0, which every record of the controller carries
+        f_bloch = pairs[0][1].F
         psi_t = expm(-1j * ham * controller.t_f) @ site_state(n, spec.input_spin)
         f_hilbert = float(abs(psi_t[spec.output_spin - 1]) ** 2)
         r_t = state_to_bloch(psi_t / np.linalg.norm(psi_t))
         worst_f = max(worst_f, abs(f_bloch - f_hilbert))
         worst_state = max(worst_state, float(np.linalg.norm(phi @ system.r0 - r_t)))
-        for r, o, _ in _record_pairs(controller, frame):
+        for r, o, _ in pairs:
             worst_record = max(worst_record, record_gap(r, o, n))
             flag_mismatches += (r.pst != o.pst) + (r.zero_fidelity != o.zero_fidelity)
     passed = (worst_f <= 1e-10 and worst_state <= 1e-10 and worst_record <= 1.0

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinsens import (BlochSystem, NetworkSpec, adjoint_rep, build_bloch_system,
-                      build_hamiltonian, enumerate_structures, fidelity,
-                      gell_mann_basis, propagator_matrix, site_state,
-                      spectral_decompose, state_to_bloch)
+from spinsens import (BlochSystem, Controller, NetworkSpec, adjoint_rep,
+                      build_bloch_system, build_hamiltonian,
+                      enumerate_structures, gell_mann_basis,
+                      propagator_matrix, site_state, spectral_decompose,
+                      state_to_bloch)
+from spinsens.verification import adjoint_records
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -226,29 +228,26 @@ class TestPropagator:
 
 
 class TestFidelity:
+    # the fidelity F = rf . Phi r0 that the adjoint-picture reference
+    # records carry
+    @staticmethod
+    def reference_fidelity(spec, biases, t_f):
+        controller = Controller(biases=biases, t_f=t_f, fidelity=0.0, spec=spec,
+                                seed=0, index=0)
+        return adjoint_records(controller)[0][0].F
+
     def test_matches_hilbert_amplitude(self, rng):
         spec = NetworkSpec(num_spins=5, topology="ring", input_spin=1, output_spin=3)
-        ham = build_hamiltonian(spec, rng.uniform(-2, 2, 5))
+        biases = rng.uniform(-2, 2, 5)
         t_f = 1.7
-        system = build_bloch_system(ham, spec, t_f)
-        f = fidelity(system.rf, propagate(system.A, t_f), system.r0)
-        u = expm(-1j * ham * t_f)
-        assert f == pytest.approx(abs(u[2, 0]) ** 2, abs=1e-12)
+        u = expm(-1j * build_hamiltonian(spec, biases) * t_f)
+        assert self.reference_fidelity(spec, biases, t_f) == pytest.approx(
+            abs(u[2, 0]) ** 2, abs=1e-12)
 
     def test_perfect_transfer_two_spin_chain(self):
         # unbiased 2-chain transfers perfectly at t = pi/2
         spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
-        system = build_bloch_system(build_hamiltonian(spec, np.zeros(2)), spec, np.pi / 2)
-        f = fidelity(system.rf, propagate(system.A, system.t_f), system.r0)
-        assert abs(1.0 - f) < 1e-12
-
-    def test_accepts_plain_matrix(self):
-        r = np.array([1.0, 0.0])
-        assert fidelity(r, np.eye(2), r) == 1.0
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            fidelity(np.array([2.0, 0.0]), np.eye(2), np.array([1.0, 0.0]))
+        assert abs(1.0 - self.reference_fidelity(spec, np.zeros(2), np.pi / 2)) < 1e-12
 
 
 class TestBlochSystem:

@@ -154,6 +154,14 @@ class TestAnalyzeInputs:
         assert main(["analyze", str(bad)]) == 3
         assert "corrupt" in capsys.readouterr().err
 
+    def test_synth_spec_not_json_is_io_error(self, tmp_path, capsys):
+        spec = tmp_path / "net.json"
+        spec.write_text("n = 4")
+        out = tmp_path / "c.json"
+        assert main(["synth", "--spec", str(spec), "--restarts", "2", "-o", str(out)]) == 3
+        assert "corrupt" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json"]
+
     def test_row_missing_key_is_validation_error(self, tmp_path):
         bad = tmp_path / "rows.json"
         bad.write_text('[{"index": 0, "tf": 1.0}]')
@@ -576,6 +584,21 @@ class TestVerifyCommand:
         three_way, = [line for line in checks if "three-way-agreement" in line]
         assert three_way.startswith("FAIL") and three_way.endswith("0 instances")
         assert "verify: 9 checks" in lines[-1]
+
+    def test_frame_defect_reported_as_failures(self, capsys, monkeypatch):
+        # a reference propagator off by a factor 1.0001 breaks the frame
+        # identities of the reference records; verify still prints every
+        # check and reports the defect on the theorem-1 and remark-1 lines
+        from spinsens import verification
+        exact = verification.propagator_matrix
+        monkeypatch.setattr(verification, "propagator_matrix",
+                            lambda *args: 1.0001 * exact(*args))
+        assert main(["verify", *self.SMALL]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        checks = [line for line in lines if line[:4] in ("PASS", "WARN", "FAIL")]
+        assert len(checks) == 9
+        failed = {line.split()[1] for line in checks if line.startswith("FAIL")}
+        assert {"theorem1-identity", "remark1-frame-norm"} <= failed
 
     def test_injected_convention_error_caught(self, capsys, monkeypatch):
         # the Hilbert-space reference propagates with exp(+iHt) instead of

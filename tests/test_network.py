@@ -88,6 +88,19 @@ class TestNetworkSpec:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             NetworkSpec(**{**fields, field: value})
 
+    @pytest.mark.parametrize("value", [True, "1.0", None])
+    def test_coupling_of_wrong_type_rejected_by_name(self, value):
+        with pytest.raises(ValueError, match="coupling must be a real number"):
+            NetworkSpec(num_spins=3, topology="chain", input_spin=1, output_spin=3,
+                        coupling=value)
+
+    def test_integral_coupling_stored_as_float(self):
+        # stored as the float the JSON reader gives back
+        spec = NetworkSpec(num_spins=3, topology="chain", input_spin=1, output_spin=3,
+                           coupling=np.int64(2))
+        assert type(spec.coupling) is float
+        assert NetworkSpec.from_json(spec.to_json()) == spec
+
     def test_numpy_integers_stored_as_ints(self):
         spec = NetworkSpec(num_spins=np.int64(4), topology="ring",
                            input_spin=np.int32(1), output_spin=np.int64(3))

@@ -14,13 +14,12 @@ from scipy.linalg import expm
 from spinsens import Controller, NetworkSpec, adjoint_rep, enumerate_structures
 from spinsens import (SensitivityOperator, adjoint_sensitivity_operator,
                       build_bloch_system, build_hamiltonian,
-                      differential_sensitivity, fidelity_objective,
-                      io_operator, project, propagator_matrix,
-                      quadrature_oracle, scaling_factor, spectral_decompose,
+                      fidelity_objective, project, quadrature_oracle,
                       transfer_fidelity)
 from spinsens.analytics import evaluate_controller
 from spinsens.sensitivity import QUADRATURE_NODES
-from spinsens.verification import _structure_images, adjoint_records, record_gap
+from spinsens.verification import (_adjoint_frame, _structure_images,
+                                   adjoint_records, record_gap)
 
 
 def reference_records(controller):
@@ -123,7 +122,9 @@ def test_engine_matches_adjoint_records(point):
 @given(networks(5), st.data())
 def test_stacked_reference_matches_per_direction_calls(spec, data):
     # one call over the stack of every structure's image gives what one
-    # call per image gives: K, |K|, <R, K>, |R_S|, its part off Phi, zeta
+    # call per image gives: K, |K|, |R_S| and its part off Phi; and the
+    # reference records read <R, K> = rf . K r0 and zeta off the stack as
+    # one direction at a time would
     biases = np.array(data.draw(st.lists(
         st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
         min_size=spec.num_spins, max_size=spec.num_spins)))
@@ -132,33 +133,34 @@ def test_stacked_reference_matches_per_direction_calls(spec, data):
                             fidelity=min(1.0, transfer_fidelity(spec, biases, t_f)),
                             spec=spec, seed=0, index=0)
     structures = enumerate_structures(spec)
-    system = build_bloch_system(build_hamiltonian(spec, biases), spec, t_f)
-    sd = spectral_decompose(system.A)
-    phi = propagator_matrix(sd, t_f)
-    r_op = io_operator(system.rf, system.r0)
+    frame = _adjoint_frame(controller)
+    system, sd, phi = frame
+    records = [r for r, _ in adjoint_records(controller, frame)]
+    f_val = records[0].F
+    k_coeff = np.array([r.k_coeff for r in records])
     images = np.array([adjoint_rep(s.matrix) for s in structures])
-    f_n = np.array([scaling_factor(s, controller) for s in structures])
 
     stack = adjoint_sensitivity_operator(sd, images, t_f)
-    _, norm_rs, perp = project(r_op, phi, stack)
-    zeta = differential_sensitivity(system, stack, f_n)
-    k_coeff = (r_op * stack.K).sum(axis=(-2, -1))
+    _, norm_rs, perp = project(f_val, k_coeff, phi, stack)
     assert stack.K.shape == images.shape
-    for shape in (stack.norm_K.shape, norm_rs.shape, perp.shape, zeta.shape):
+    for shape in (stack.norm_K.shape, norm_rs.shape, perp.shape):
         assert shape == (len(structures),)
-    for i, image in enumerate(images):
+    for i, (image, record) in enumerate(zip(images, records)):
         op = adjoint_sensitivity_operator(sd, image, t_f)
-        _, one_rs, one_perp = project(r_op, phi, op)
+        k_one = float(system.rf @ op.K @ system.r0)
+        _, one_rs, one_perp = project(f_val, k_one, phi, op)
         assert np.linalg.norm(stack.K[i] - op.K) <= 1e-14 * max(1.0, op.norm_K)
-        # each scalar to 1e-14 of the bound Cauchy-Schwarz puts on it, |R| = 1:
-        # numpy may sum a stack in another order, and a sum that cancels to
-        # a small value keeps only the digits of that bound
+        # each scalar to 1e-14 of the bound Cauchy-Schwarz puts on it,
+        # |r0| = |rf| = 1: numpy may sum a stack in another order, and a sum
+        # that cancels to a small value keeps only the digits of that bound
         for got, want, bound in (
                 (stack.norm_K[i], op.norm_K, op.norm_K),
-                (k_coeff[i], (r_op * op.K).sum(), op.norm_K),
-                (norm_rs[i], one_rs, 1.0), (perp[i], one_perp, 1.0),
-                (zeta[i], differential_sensitivity(system, op, f_n[i]),
-                 t_f * f_n[i] * op.norm_K)):
+                (record.norm_K, op.norm_K, op.norm_K),
+                (record.k_coeff, k_one, op.norm_K),
+                (norm_rs[i], one_rs, 1.0), (record.norm_Rs, one_rs, 1.0),
+                (perp[i], one_perp, 1.0),
+                (record.zeta, -t_f * record.f_n * k_one,
+                 t_f * record.f_n * op.norm_K)):
             assert abs(got - want) <= 1e-14 * bound
 
     # the checks hold per direction: one bad direction anywhere in the
@@ -172,7 +174,7 @@ def test_stacked_reference_matches_per_direction_calls(spec, data):
     k_zeroed[pick], norm_zeroed[pick] = 0.0, 0.0
     # and a vanishing operator leaves no projection
     with pytest.raises(ValueError, match="vanishing sensitivity operator"):
-        project(r_op, phi, SensitivityOperator(K=k_zeroed, norm_K=norm_zeroed))
+        project(f_val, k_coeff, phi, SensitivityOperator(K=k_zeroed, norm_K=norm_zeroed))
 
 
 def per_node_quadrature(a, s_bloch, t_f, r0, rf, f_n):

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinsens import (Controller, NetworkSpec, SynthesisConfig, adjoint_rep,
-                      adjoint_sensitivity_operator, build_bloch_system,
-                      build_hamiltonian, controllers_from_json,
-                      controllers_to_json, differential_sensitivity,
-                      enumerate_structures, fidelity_objective,
-                      local_optimize, spectral_decompose, synthesize_ensemble,
+from spinsens import (Controller, NetworkSpec, SynthesisConfig,
+                      build_hamiltonian, controllers_from_json, controllers_to_json,
+                      fidelity_objective, local_optimize, synthesize_ensemble,
                       transfer_fidelity)
 from spinsens.synthesis import FIDELITY_TOL, f17
+from spinsens.verification import adjoint_records
 
 CHAIN2 = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
 RING4 = NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=2)
@@ -77,16 +75,15 @@ class TestFidelityObjective:
         assert np.abs(grad).max() <= 1e-9
 
     def test_gradient_is_unit_scale_bias_sensitivity(self, rng):
+        # the gradient along bias n is minus the unit-scaled sensitivity
+        # -t_f <R, K_n> of the bias direction's reference record
         biases = rng.uniform(0, 5, 4)
         t_f = 1.3
-        system = build_bloch_system(build_hamiltonian(RING4, biases), RING4, t_f)
-        sd = spectral_decompose(system.A)
-        _, grad = fidelity_objective(RING4, biases, t_f)
-        for site, structure in enumerate(enumerate_structures(RING4)[:4]):
-            s_bloch = adjoint_rep(structure.matrix)
-            op = adjoint_sensitivity_operator(sd, s_bloch, t_f)
-            zeta_unit = differential_sensitivity(system, op, 1.0)
-            assert grad[site] == pytest.approx(-zeta_unit, abs=1e-9)
+        f, grad = fidelity_objective(RING4, biases, t_f)
+        controller = Controller(biases=biases, t_f=t_f, fidelity=min(1.0, f),
+                                spec=RING4, seed=0, index=0)
+        for site, (record, _) in enumerate(adjoint_records(controller)[:4]):
+            assert grad[site] == pytest.approx(t_f * record.k_coeff, abs=1e-9)
 
 
 class TestController:
@@ -114,6 +111,14 @@ class TestController:
         fields = {"biases": np.zeros(2), "t_f": 1.0, "fidelity": 0.5,
                   "spec": CHAIN2, "seed": 0, "index": 0}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Controller(**{**fields, field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_f", True), ("t_f", "1.0"), ("fidelity", True), ("fidelity", None)])
+    def test_real_field_of_wrong_type_rejected_by_name(self, field, value):
+        fields = {"biases": np.zeros(2), "t_f": 1.0, "fidelity": 0.5,
+                  "spec": CHAIN2, "seed": 0, "index": 0}
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
             Controller(**{**fields, field: value})
 
     def test_biases_read_only(self):
@@ -151,6 +156,24 @@ class TestSynthesisConfig:
     def test_integer_field_checked_by_name(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             SynthesisConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("tolerance", True, "tolerance must be a real number"),
+        ("t_f_range", (True, 5.0), "t_f_range end must be a real number"),
+        ("t_f_range", (1.0, "5"), "t_f_range end must be a real number"),
+        ("bias_range", (False, 1.0), "bias_range end must be a real number"),
+        ("bias_range", (0.0, None), "bias_range end must be a real number")])
+    def test_real_field_of_wrong_type_rejected_by_name(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SynthesisConfig(**{field: value})
+
+    def test_integral_values_stored_as_floats(self):
+        config = SynthesisConfig(t_f_range=(1, 5), bias_range=(np.int64(0), 2),
+                                 tolerance=np.float32(0.5))
+        assert (config.t_f_range, config.bias_range, config.tolerance) == (
+            (1.0, 5.0), (0.0, 2.0), 0.5)
+        assert all(type(v) is float for v in (*config.t_f_range, *config.bias_range,
+                                               config.tolerance))
 
     @pytest.mark.parametrize("field, value", [
         ("t_f_range", (1.0, np.inf)), ("t_f_range", (1.0, np.nan)),

@@ -1,10 +1,13 @@
 """The verification checks on empty instance pools (a check that examined
 nothing fails instead of passing), the controllers the pool checks draw,
 the reference route's one pass per controller, a misaligned reference
-that the cross check must catch, and the perfect-transfer anchors of the
+that the cross check must catch, a reference record whose two routes to
+the alignment disagree, and the perfect-transfer anchors of the
 sufficiency check."""
 
+import dataclasses
 import hashlib
+import math
 from collections import Counter
 
 import numpy as np
@@ -146,3 +149,20 @@ def test_sufficiency_covers_every_anchor(monkeypatch):
     res = check_pst_sufficiency()
     assert (res.label, res.detail) == (
         "FAIL", "4-spin ring 1 -> 3 at t = 1.5 is not perfect transfer")
+
+
+@pytest.mark.parametrize("factor, passed", [(0.5, True), (2.0, False)])
+def test_theorem1_checks_alignment_of_reference_records(factor, passed):
+    # |cos theta| (from zeta) and sin phi (from the projection) must agree
+    # within 1e-8 + 8 N^2 eps / |R_S| on every reference record; a record
+    # that keeps its identity residual but parts them fails theorem 1
+    instances = sample_instances(3, dims=(3,), systems_per_dim=2)
+    assert check_theorem1(instances).passed
+    i = next(i for i in instances if i.oracle.f_n > 0 and i.oracle.sin_phi < 0.5)
+    r = i.oracle
+    allowance = 1e-8 + 8.0 * i.spec.num_spins ** 2 * np.finfo(float).eps / r.norm_Rs
+    cos_theta = math.copysign(r.sin_phi + factor * allowance, r.cos_theta)
+    bent = dataclasses.replace(i, oracle=dataclasses.replace(r, cos_theta=cos_theta))
+    res = check_theorem1(instances + [bent])
+    assert (res.name, res.passed) == ("theorem1-identity", passed)
+    assert res.detail.endswith("1 with |cos theta| and sin phi apart") != passed
