@@ -5,7 +5,11 @@ manifest; analyze turns an ensemble into figure-ready records and
 summaries CSV; verify runs the numerical invariant suite and reports a
 pass/fail table. Floats in the controller file and the CSV tables carry
 17 significant digits; the spec sidecar and the manifests are written by
-``json.dumps``, whose shortest round-trip repr is exact as well. All
+``json.dumps``, whose shortest round-trip repr is exact as well. Each CSV
+row is rendered by one format string built from the column types that
+``RECORD_COLUMNS`` and ``SUMMARY_COLUMNS`` declare: "%.17g" for a float
+(the text of ``synthesis.f17``, nan and infinities included) and "%d"
+for an index, a count or a flag. All
 randomness flows from the master seed, and nothing wall-clock dependent
 lands in a data file, so reruns are byte-identical. The run
 manifest carries the config hash plus the SHA-256 of every data file it
@@ -14,7 +18,8 @@ counts the kept controllers by optimizer status and the duplicate
 restarts dropped, and gives their best and median error; the analyze
 manifest counts the perfect-transfer and zero-fidelity records. When a
 synth manifest sits next to the controllers, analyze checks its inputs
-against the digests it records. Analyze refuses, before writing, an
+against the digests it records, and its manifest counts the inputs so
+checked (0 without a synth manifest). Analyze refuses, before writing, an
 output path that is one of its inputs, the synth manifest or another
 output.
 
@@ -32,6 +37,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -42,19 +48,26 @@ from .errors import InvariantViolation
 from .geometry import PST_TOL
 from .network import NetworkSpec
 from .synthesis import (FIDELITY_TOL, SynthesisConfig, controllers_from_json,
-                        controllers_to_json, f17, synthesize_ensemble)
+                        controllers_to_json, synthesize_ensemble)
 
-# Each CSV's columns in order, mapped to the field each one is read from.
-RECORD_COLUMNS = {"controller_index": "controller_index",
-                  "structure_index": "structure_index", "F": "F", "e": "e",
-                  "zeta": "zeta", "abs_zeta": "abs_zeta", "f_n": "f_n", "tf": "t_f",
-                  "norm_K": "norm_K", "norm_Rs": "norm_Rs", "cos_phi": "cos_phi",
-                  "sin_phi": "sin_phi", "cos_theta": "cos_theta",
-                  "identity_residual": "identity_residual", "pst_flag": "pst"}
-SUMMARY_COLUMNS = {"structure_index": "structure_index", "n_records": "count",
-                   "pearson_loglog": "pearson_r_loglog",
-                   "kendall_tau_e_vs_sinphi": "kendall_tau",
-                   "mean_norm_K": "mean_norm_K", "var_norm_K": "var_norm_K"}
+# Each CSV's columns in order, mapped to the field each one is read from
+# and the type it is written as: an int (a bool flag too) as a decimal
+# integer, a float with 17 significant digits.
+RECORD_COLUMNS = {"controller_index": ("controller_index", int),
+                  "structure_index": ("structure_index", int),
+                  "F": ("F", float), "e": ("e", float), "zeta": ("zeta", float),
+                  "abs_zeta": ("abs_zeta", float), "f_n": ("f_n", float),
+                  "tf": ("t_f", float), "norm_K": ("norm_K", float),
+                  "norm_Rs": ("norm_Rs", float), "cos_phi": ("cos_phi", float),
+                  "sin_phi": ("sin_phi", float), "cos_theta": ("cos_theta", float),
+                  "identity_residual": ("identity_residual", float),
+                  "pst_flag": ("pst", bool)}
+SUMMARY_COLUMNS = {"structure_index": ("structure_index", int),
+                   "n_records": ("count", int),
+                   "pearson_loglog": ("pearson_r_loglog", float),
+                   "kendall_tau_e_vs_sinphi": ("kendall_tau", float),
+                   "mean_norm_K": ("mean_norm_K", float),
+                   "var_norm_K": ("var_norm_K", float)}
 SCHEMA_VERSION = 1
 THREADS_HELP = "accepted for compatibility and ignored: every command runs serially"
 
@@ -145,15 +158,13 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _cell(value) -> str:
-    # a flag (bool) or an index as a decimal integer, a float with 17 digits
-    return str(int(value)) if isinstance(value, int) else f17(value)
-
-
 def _write_csv(path: Path, columns: dict, rows) -> None:
+    # one format string per table; "%d" % True is "1"
+    row_format = ",".join("%.17g" if kind is float else "%d"
+                          for _, kind in columns.values())
+    fields = attrgetter(*(field for field, _ in columns.values()))
     lines = [",".join(columns)]
-    lines += [",".join(_cell(getattr(row, field)) for field in columns.values())
-              for row in rows]
+    lines += [row_format % fields(row) for row in rows]
     _write(path, "\n".join(lines) + "\n")
 
 
@@ -222,8 +233,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _check_against_manifest(manifest_path: Path, inputs: dict) -> None:
-    """Compare input digests with the synth manifest next to the controllers.
+def _check_against_manifest(manifest_path: Path, inputs: dict) -> int:
+    """Compare input digests with the synth manifest next to the controllers;
+    returns how many inputs were compared.
 
     ``inputs`` maps each input path to its SHA-256. Synth keys its outputs
     by the path it was given, so entries are matched by file name; a file
@@ -231,16 +243,22 @@ def _check_against_manifest(manifest_path: Path, inputs: dict) -> None:
     nothing is.
     """
     if not manifest_path.exists():
-        return
+        return 0
     try:
         outputs = json.loads(manifest_path.read_text(encoding="utf-8"))["outputs"]
         expected = {Path(name).name: digest for name, digest in outputs.items()}
     except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
         raise IOError(f"corrupt manifest {manifest_path}: {exc!r}") from exc
+    checked = 0
     for path, digest in inputs.items():
-        if expected.get(Path(path).name, digest) != digest:
+        recorded = expected.get(Path(path).name)
+        if recorded is None:
+            continue
+        if recorded != digest:
             raise ValueError(f"{path} does not match the SHA-256 that "
                              f"{manifest_path} records for it")
+        checked += 1
+    return checked
 
 
 def _refuse_overwrites(reads: dict, writes: dict) -> None:
@@ -277,7 +295,7 @@ def cmd_analyze(args) -> int:
     except OSError as exc:
         raise IOError(f"cannot read inputs: {exc}") from exc
     inputs = {str(controllers_path): controllers_digest, str(spec_path): spec_digest}
-    _check_against_manifest(synth_manifest, inputs)
+    checked = _check_against_manifest(synth_manifest, inputs)
     spec = NetworkSpec.from_json(spec_text)
     controllers = controllers_from_json(controllers_text, spec)
     if not controllers:
@@ -301,7 +319,8 @@ def cmd_analyze(args) -> int:
         outputs={str(records_path): file_sha256(records_path),
                  str(summaries_path): file_sha256(summaries_path)},
         counts={"pst_records": sum(r.pst for r in records),
-                "zero_fidelity_records": sum(r.zero_fidelity for r in records)})
+                "zero_fidelity_records": sum(r.zero_fidelity for r in records),
+                "inputs_checked_against_manifest": checked})
     _write(manifest_path, manifest.to_json())
     print(f"analyze: {len(records)} records over {len(summaries)} structures "
           f"-> {records_path}, {summaries_path}")

@@ -33,6 +33,7 @@ cancellation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,11 @@ ANGLE_TOL = 1e-9
 
 # Largest state distance |rf - Phi r0| that still counts as perfect transfer.
 PST_TOL = 1e-12
+
+# Machine epsilon and the smallest normal float, for the conditioning
+# allowance of the angles and the scale below which cos theta is 0.
+EPS = sys.float_info.epsilon
+TINY = sys.float_info.min
 
 
 def _frob(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -101,10 +107,9 @@ def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,
         raise ValueError("angles undefined for a vanishing projection")
     if norm_k <= 0:
         raise ValueError("angles undefined for a vanishing sensitivity operator")
-    eps = np.finfo(float).eps
     # F and |R_S| each carry O(n^2 eps) absolute error, which near zero
     # fidelity is large relative to both
-    slack = 8.0 * n * n * eps / norm_rs
+    slack = 8.0 * n * n * EPS / norm_rs
     cos_phi = fidelity / (n * norm_rs)
     overshoot = abs(cos_phi) - 1.0
     if overshoot > ANGLE_TOL:
@@ -115,7 +120,7 @@ def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,
         cos_phi = math.copysign(1.0, cos_phi)
     sin_phi = min(1.0, norm_rs_perp / norm_rs)
     scale = t_f * f_n * norm_k * norm_rs
-    cos_theta = -zeta / scale if scale >= np.finfo(float).tiny else 0.0
+    cos_theta = -zeta / scale if scale >= TINY else 0.0
     return float(cos_phi), float(sin_phi), float(cos_theta)
 
 

@@ -30,6 +30,7 @@ full re-propagation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
@@ -150,8 +151,11 @@ class HilbertTransfer:
     """One working point in the N x N picture, shared by every direction.
 
     ``e`` holds the eigenvalues E of H, ``v`` its eigenvectors as columns,
-    ``x`` the divided differences of exp(-i E t_f) at E, and ``column`` the
-    propagated input U[:, in]; ``output`` and ``input`` are 0-based sites.
+    ``x`` the divided differences of exp(-i E t_f) at E, ``column`` the
+    propagated input U[:, in], and ``output`` the 0-based output site.
+    The rest is what every direction's ``sensitivity_operator`` reads and
+    is computed once per controller: ``x_sq`` = |X|^2, the output and
+    input rows of V as complex rows, and ``amp_conj`` = conj(U_oi).
     """
 
     e: np.ndarray
@@ -159,10 +163,14 @@ class HilbertTransfer:
     x: np.ndarray
     column: np.ndarray
     output: int
-    input: int
+    x_sq: np.ndarray
+    out_row: np.ndarray
+    in_row: np.ndarray
+    amp_conj: np.complex128
 
     def __post_init__(self):
-        for a in (self.e, self.v, self.x, self.column):
+        for a in (self.e, self.v, self.x, self.column, self.x_sq,
+                  self.out_row, self.in_row):
             _readonly(a)
 
 
@@ -170,10 +178,14 @@ def hilbert_transfer(spec: "NetworkSpec", biases: np.ndarray,
                      t_f: float) -> HilbertTransfer:
     """Eigensystem, propagated input and divided differences of one controller."""
     e, v, _ = _eigensystem(spec, biases)
-    column = (v * np.exp(-1j * e * t_f)) @ v[spec.input_spin - 1]
+    out, inp = spec.output_spin - 1, spec.input_spin - 1
+    column = (v * np.exp(-1j * e * t_f)) @ v[inp]
     x = hadamard_core(-e, t_f)
-    return HilbertTransfer(e=e, v=v, x=x, column=column,
-                           output=spec.output_spin - 1, input=spec.input_spin - 1)
+    return HilbertTransfer(e=e, v=v, x=x, column=column, output=out,
+                           x_sq=x.real ** 2 + x.imag ** 2,
+                           out_row=v[out].astype(complex),
+                           in_row=v[inp].astype(complex),
+                           amp_conj=np.conj(column[out]))
 
 
 def sensitivity_operator(transfer: HilbertTransfer,
@@ -192,11 +204,11 @@ def sensitivity_operator(transfer: HilbertTransfer,
     v = transfer.v
     n = v.shape[0]
     s_hat = v.T @ s_matrix @ v
-    y = v[transfer.output] @ (s_hat * transfer.x) @ v[transfer.input]
-    k_coeff = 2.0 * float((np.conj(transfer.column[transfer.output]) * y).imag)
-    s_hat[np.diag_indices(n)] -= np.trace(s_matrix) / n
-    x_sq = transfer.x.real ** 2 + transfer.x.imag ** 2
-    return k_coeff, float(np.sqrt(2.0 * n * (s_hat ** 2 * x_sq).sum()))
+    y = transfer.out_row @ (s_hat * transfer.x) @ transfer.in_row
+    k_coeff = 2.0 * float((transfer.amp_conj * y).imag)
+    # the diagonal as a strided view of the flat matrix
+    s_hat.reshape(-1)[::n + 1] -= s_matrix.trace() / n
+    return k_coeff, math.sqrt(2.0 * n * float((s_hat ** 2 * transfer.x_sq).sum()))
 
 
 @dataclass(frozen=True)

@@ -153,15 +153,22 @@ def local_optimize(spec: NetworkSpec, initial_biases: np.ndarray,
     if not lo_t <= x[-1] <= hi_t:
         raise ValueError("initial read-out time outside the configured bounds")
 
-    f_start = transfer_fidelity(spec, x[:-1], x[-1])
+    # every (F, grad F) of the ascent, keyed by the point's bytes: the first
+    # is the start, and the point returned was evaluated on the way. After
+    # a line search stops abnormally, res.fun and res.jac belong to the
+    # last point tried, not to res.x, so only the acceptance reads res.fun
+    evaluated: dict[bytes, tuple[float, np.ndarray]] = {}
     bounds = [(lo_b, hi_b)] * spec.num_spins + [(lo_t, hi_t)]
-    res = minimize(_negated, x, args=(spec,), jac=True, method="L-BFGS-B",
-                   bounds=bounds,
+    res = minimize(_negated, x, args=(spec, evaluated), jac=True,
+                   method="L-BFGS-B", bounds=bounds,
                    options={"maxiter": MAXITER, "ftol": 1e-15,
                             "gtol": config.tolerance / 10.0})
-    if -res.fun > f_start:
+    start = next(iter(evaluated.values()))
+    if -res.fun > start[0]:
         x = np.asarray(res.x, dtype=float)
-    f_final, grad = fidelity_objective(spec, x[:-1], x[-1])
+        f_final, grad = evaluated[x.tobytes()]
+    else:
+        f_final, grad = start
     lo, hi = np.array(bounds).T
     converged = (_projected_norm(grad, x, lo, hi) <= config.tolerance
                  or 1.0 - f_final <= FIDELITY_TOL)
@@ -170,8 +177,10 @@ def local_optimize(spec: NetworkSpec, initial_biases: np.ndarray,
                       status="converged" if converged else "maxiter")
 
 
-def _negated(x: np.ndarray, spec: NetworkSpec):
+def _negated(x: np.ndarray, spec: NetworkSpec,
+             evaluated: dict[bytes, tuple[float, np.ndarray]]):
     f, g = fidelity_objective(spec, x[:-1], x[-1])
+    evaluated[x.tobytes()] = (f, g)
     return -f, -g
 
 

@@ -38,7 +38,7 @@ from scipy.linalg import expm
 from .analytics import _record, analyze, evaluate_controller
 from .bloch import (BlochSystem, adjoint_rep, build_bloch_system, site_state,
                     state_to_bloch)
-from .geometry import GeometryRecord, _frob, project, pst_check
+from .geometry import EPS, TINY, GeometryRecord, _frob, project, pst_check
 from .network import (NetworkSpec, UncertaintyStructure, _readonly,
                       build_hamiltonian, enumerate_structures, perturb,
                       scaling_factor)
@@ -233,7 +233,7 @@ def check_lemma2(instances: list[Instance]) -> CheckResult:
 def _angle_allowance(n: int, record: GeometryRecord) -> float:
     # tolerance of a record's angles: 1e-8 plus the conditioning allowance
     # 8 n^2 eps / |R_S| of ``angles``
-    return 1e-8 + 8.0 * n * n * np.finfo(float).eps / record.norm_Rs
+    return 1e-8 + 8.0 * n * n * EPS / record.norm_Rs
 
 
 def check_theorem1(instances: list[Instance]) -> CheckResult:
@@ -250,7 +250,7 @@ def check_theorem1(instances: list[Instance]) -> CheckResult:
                 for _, r in records)
     misaligned = sum(abs(abs(r.cos_theta) - r.sin_phi) > _angle_allowance(n, r)
                      for n, r in records
-                     if r.t_f * r.f_n * r.norm_K * r.norm_Rs >= np.finfo(float).tiny)
+                     if r.t_f * r.f_n * r.norm_K * r.norm_Rs >= TINY)
     detail = f"{len(records)} records, worst residual at {worst:.3e} of budget"
     if skipped:
         detail += f", {skipped} zero-fidelity records left out"

@@ -2,14 +2,18 @@
 
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import spinsens
 from spinsens import (Controller, NetworkSpec, analyze, enumerate_structures,
                       kendall, pearson, transfer_fidelity)
+from spinsens import analytics
 from spinsens.analytics import TF_CONDITION_LIMIT, evaluate_controller
 from spinsens.verification import _structure_images, adjoint_records
 
@@ -60,7 +64,69 @@ class TestPearson:
             pearson([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+def kendall_by_rows(x, y) -> float:
+    """Tau-b from its definition, one row of pairs (i, j > i) at a time."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    concordant_minus_discordant = tied_x = tied_y = 0
+    for i in range(n - 1):
+        sx = np.sign(x[i + 1:] - x[i])
+        sy = np.sign(y[i + 1:] - y[i])
+        concordant_minus_discordant += int((sx * sy).sum())
+        tied_x += int((sx == 0).sum())
+        tied_y += int((sy == 0).sum())
+    n0 = n * (n - 1) // 2
+    denom = math.sqrt(float(n0 - tied_x) * float(n0 - tied_y))
+    if denom == 0.0:
+        return float("nan")
+    return float(np.clip(concordant_minus_discordant / denom, -1.0, 1.0))
+
+
+def samples(values):
+    return st.lists(values, min_size=2, max_size=40)
+
+
+# few distinct values make heavy ties, down to every pair tied
+TIED = st.integers(0, 3).map(float)
+SPREAD = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
 class TestKendall:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data(), st.sampled_from([TIED, SPREAD]), st.sampled_from([TIED, SPREAD]),
+           st.integers(1, 100))
+    def test_equals_row_loop_definition(self, data, x_values, y_values, block_cells):
+        # block_cells below n^2 splits the sign matrices into many blocks,
+        # down to one row each
+        x = data.draw(samples(x_values))
+        y = data.draw(st.lists(y_values, min_size=len(x), max_size=len(x)))
+        expected = kendall_by_rows(x, y)
+        with mock.patch.object(analytics, "KENDALL_BLOCK_CELLS", block_cells):
+            got = kendall(x, y)
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+    def test_all_pairs_tied_in_both_is_nan(self):
+        assert math.isnan(kendall_by_rows([2.0] * 5, [1.0] * 5))
+        assert math.isnan(kendall([2.0] * 5, [1.0] * 5))
+
+    def test_sample_spanning_several_blocks(self):
+        rng = np.random.default_rng(7)
+        n = 1200
+        assert analytics.KENDALL_BLOCK_CELLS // n < n
+        x = rng.integers(0, 40, size=n).astype(float)
+        y = x + rng.integers(0, 60, size=n)
+        assert kendall(x, y) == kendall_by_rows(x, y)
+
+    def test_equal_infinities_tied(self):
+        inf = math.inf
+        assert kendall([inf, 1.0, inf, 2.0], [3.0, 1.0, 4.0, 2.0]) == \
+            kendall([9.0, 1.0, 9.0, 2.0], [3.0, 1.0, 4.0, 2.0])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            kendall([1.0, math.nan, 2.0], [1.0, 2.0, 3.0])
+
     def test_perfect_orders(self):
         assert kendall([1, 2, 3], [10, 20, 30]) == 1.0
         assert kendall([1, 2, 3], [30, 20, 10]) == -1.0

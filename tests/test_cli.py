@@ -6,13 +6,17 @@ import math
 import re
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from spinsens import NetworkSpec, transfer_fidelity
+from spinsens import (Controller, NetworkSpec, SynthesisConfig, analyze,
+                      synthesize_ensemble, transfer_fidelity)
 from spinsens.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, config_hash,
-                          file_sha256, main)
+                          file_sha256, main, write_records_csv,
+                          write_summaries_csv)
+from spinsens.synthesis import f17
 
 RING_FLAGS = ["--n", "4", "--topology", "ring", "--in", "1", "--out", "2"]
 
@@ -43,6 +47,33 @@ def run_analyze(controllers_path, threads):
                  "--summaries", str(summaries), "--threads", str(threads)])
     assert code == 0
     return records, summaries
+
+
+def chain12_ensemble():
+    # eight random 12-spin chain controllers drawn like the synth defaults
+    spec = NetworkSpec(num_spins=12, topology="chain", input_spin=1, output_spin=12)
+    rng = np.random.default_rng(12)
+    ensemble = []
+    for i in range(8):
+        biases = rng.uniform(0.0, 10.0, 12)
+        t_f = float(rng.uniform(1.0, 50.0))
+        f = transfer_fidelity(spec, biases, t_f)
+        ensemble.append(Controller(biases=biases, t_f=t_f, fidelity=min(1.0, max(0.0, f)),
+                                   spec=spec, seed=i, index=i))
+    return ensemble
+
+
+ANALYZE_PINS = {
+    "chain12": chain12_ensemble,
+    "ring4": lambda: synthesize_ensemble(
+        NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=2),
+        SynthesisConfig(restarts=40, seed=0)),
+}
+
+
+def checked_count(records):
+    manifest = json.loads(records.with_name(records.stem + ".manifest.json").read_text())
+    return manifest["counts"]["inputs_checked_against_manifest"]
 
 
 class TestArgumentHandling:
@@ -344,7 +375,54 @@ class TestAnalyzeOutputs:
             '{"n": 2, "topology": "chain", "j": 1.0, "in": 1, "out": 2}')
         records, _ = run_analyze(controllers, threads=1)
         manifest = json.loads(records.with_name("records.manifest.json").read_text())
-        assert manifest["counts"] == {"pst_records": 3, "zero_fidelity_records": 3}
+        assert manifest["counts"] == {"pst_records": 3, "zero_fidelity_records": 3,
+                                      "inputs_checked_against_manifest": 0}
+
+
+class TestTableFormat:
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e308,
+               2.2250738585072014e-308, 1.0 / 3.0, np.float64(-2.5e-17),
+               np.float64(math.nan), 3, np.int64(-4), True]
+
+    @staticmethod
+    def cell(value):
+        # a flag or an index as a decimal integer, a float with 17 digits
+        return str(int(value)) if isinstance(value, int) else f17(value)
+
+    def rows(self, columns, ints, flags):
+        # every special value once in every float column, next to integer
+        # and flag cells of the types the records and summaries carry
+        rows = []
+        for i, value in enumerate(self.SPECIAL):
+            row = {}
+            for field, kind in columns.values():
+                if kind is float:
+                    row[field] = value
+                elif kind is bool:
+                    row[field] = flags[i % len(flags)]
+                else:
+                    row[field] = ints[i % len(ints)]
+            rows.append(SimpleNamespace(**row))
+        return rows
+
+    @pytest.mark.parametrize("write, columns", [
+        (write_records_csv, RECORD_COLUMNS), (write_summaries_csv, SUMMARY_COLUMNS)])
+    def test_cells_render_as_f17_and_int(self, tmp_path, write, columns):
+        rows = self.rows(columns, ints=[0, 7, np.int64(12), 123456789],
+                         flags=[True, False, np.bool_(True), np.bool_(False)])
+        write(tmp_path / "t.csv", rows)
+        expected = [",".join(columns)] + [
+            ",".join(self.cell(getattr(row, field)) for field, _ in columns.values())
+            for row in rows]
+        assert (tmp_path / "t.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
+    def test_special_floats_spelled_out(self, tmp_path):
+        rows = self.rows(SUMMARY_COLUMNS, ints=[1], flags=[True])
+        write_summaries_csv(tmp_path / "t.csv", rows)
+        cells = [line.split(",")[2]
+                 for line in (tmp_path / "t.csv").read_text().splitlines()[1:]]
+        assert cells[:8] == ["nan", "inf", "-inf", "-0", "0", "4.9406564584124654e-324",
+                             "1e+308", "-1e+308"]
 
 
 class TestSynthManifestCheck:
@@ -374,6 +452,25 @@ class TestSynthManifestCheck:
                      "--summaries", str(tmp_path / "s.csv")])
         assert code == 1
         assert str(sidecar) in capsys.readouterr().err
+
+    def test_both_inputs_checked_counted(self, tmp_path):
+        records, _ = run_analyze(run_synth(tmp_path, "two", threads=1), threads=1)
+        assert checked_count(records) == 2
+
+    def test_spec_the_manifest_does_not_list_not_counted(self, tmp_path):
+        out = run_synth(tmp_path, "one", threads=1)
+        spec = tmp_path / "other.spec.json"
+        spec.write_bytes(out.with_name("controllers.spec.json").read_bytes())
+        records = tmp_path / "r.csv"
+        assert main(["analyze", str(out), "--spec", str(spec), "--records", str(records),
+                     "--summaries", str(tmp_path / "s.csv")]) == 0
+        assert checked_count(records) == 1
+
+    def test_no_manifest_nothing_counted(self, tmp_path):
+        out = run_synth(tmp_path, "none", threads=1)
+        out.with_name("controllers.manifest.json").unlink()
+        records, _ = run_analyze(out, threads=1)
+        assert checked_count(records) == 0
 
     @pytest.mark.parametrize("doc", ["[{", "[]", '{"outputs": 5}'])
     def test_corrupt_manifest_is_io_error(self, tmp_path, capsys, doc):
@@ -431,6 +528,20 @@ class TestDeterminism:
             records, summaries = run_analyze(out, threads=threads)
             tables.append((records.read_bytes(), summaries.read_bytes()))
         assert tables[0] == tables[1] == tables[2]
+
+    @pytest.mark.parametrize("ensemble, digests", [
+        ("chain12", ("edbc6512ab23664d0ffaa247ef092f579d5e8d09f03087d41812900ef50899cd",
+                     "8abfee00eefb5a72b77270fd3b4ada08c3fd5eceb656f2dbabde39551693f425")),
+        ("ring4", ("a9b074f27e670882263dedc1b87c684b477acd8ad49cb2bf6d96640786fad0d8",
+                   "f63881d04dd37aae063dd8d67401358867b0fc9cd161991e93cdca1389fb4d0e"))])
+    def test_analyze_tables_bytes_unchanged(self, tmp_path, ensemble, digests):
+        # SHA-256 of records.csv and summaries.csv as commit "One read-out
+        # of the adjoint frame" wrote them; faster rewrites of the records,
+        # the statistics or the table writer must keep every byte
+        records, summaries = analyze(ANALYZE_PINS[ensemble]())
+        write_records_csv(tmp_path / "r.csv", records)
+        write_summaries_csv(tmp_path / "s.csv", summaries)
+        assert (file_sha256(tmp_path / "r.csv"), file_sha256(tmp_path / "s.csv")) == digests
 
     def test_manifests_identical_up_to_timestamp(self, tmp_path):
         m = []

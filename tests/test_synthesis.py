@@ -224,6 +224,48 @@ class TestLocalOptimize:
         local_optimize(RING4, rng.uniform(0, 6, 4), 2.0, config)
         assert calls == ["L-BFGS-B"]
 
+    def test_ascent_ends_are_not_evaluated_again(self, monkeypatch):
+        # F at the start and (F, grad F) at the returned point come from the
+        # ascent's own evaluations: one objective call per optimizer
+        # evaluation, and no fidelity evaluated beside them
+        import scipy.optimize
+
+        import spinsens.synthesis as synthesis
+        objective_calls = []
+        real_objective = synthesis.fidelity_objective
+
+        def counting(*args):
+            objective_calls.append(args)
+            return real_objective(*args)
+
+        def forbidden(*args):
+            raise AssertionError("transfer_fidelity called by the synthesis")
+
+        nfev = []
+        real_minimize = scipy.optimize.minimize
+
+        def recording(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        per_restart = []
+        real_local = synthesis.local_optimize
+
+        def restart(*args, **kwargs):
+            before = len(objective_calls)
+            ctl = real_local(*args, **kwargs)
+            per_restart.append(len(objective_calls) - before)
+            return ctl
+
+        monkeypatch.setattr(synthesis, "fidelity_objective", counting)
+        monkeypatch.setattr(synthesis, "transfer_fidelity", forbidden)
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        monkeypatch.setattr(synthesis, "local_optimize", restart)
+        synthesize_ensemble(RING4, SynthesisConfig(restarts=12, seed=2))
+        assert len(per_restart) == 12
+        assert per_restart == nfev
+
     def test_read_out_time_reaches_interior_maximum(self, monkeypatch):
         # two-spin chain at ~zero bias: F = sin^2 t has its only maximum in
         # [1.5, 1.6] at pi/2, and every start must reach it however far
