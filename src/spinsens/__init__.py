@@ -22,16 +22,14 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "analytics": ("CorrelationSummary", "analyze", "kendall", "pearson"),
-    "bloch": ("BlochSystem", "adjoint_rep", "build_bloch_system",
-              "gell_mann_basis", "site_state", "state_to_bloch"),
+    "bloch": ("adjoint_rep", "gell_mann_basis", "site_state", "state_to_bloch"),
     "errors": ("InvariantViolation",),
     "geometry": ("GeometryRecord", "angles", "identity_residual",
                  "project", "pst_check"),
     "network": ("NetworkSpec", "UncertaintyStructure",
                 "build_hamiltonian", "enumerate_structures", "perturb",
                 "scaling_factor"),
-    "sensitivity": ("HilbertTransfer", "SensitivityOperator", "SpectralData",
-                    "adjoint_sensitivity_operator", "fd_oracle",
+    "sensitivity": ("HilbertTransfer", "adjoint_sensitivity_operator", "fd_oracle",
                     "hadamard_core", "hilbert_transfer",
                     "propagator_matrix", "quadrature_oracle",
                     "sensitivity_operator", "spectral_decompose"),

@@ -161,14 +161,14 @@ def _record(controller: Controller, structure: UncertaintyStructure, *,
 
 def evaluate_controller(controller: Controller,
                         structures: tuple[UncertaintyStructure, ...],
-                        pst_tol: float = PST_TOL) -> list[GeometryRecord]:
+                        ) -> list[GeometryRecord]:
     """All geometry records of one controller, one per structure.
 
     F = |U_oi|^2 from the propagated input column. Per structure,
     ``sensitivity_operator`` gives k = <R, K> and |K|; then
     zeta = -t_f f_n k, |R_S| = hypot(F/N, k/|K|), and the part of R_S off
     the propagator has norm |k|/|K|. The transfer counts as perfect when
-    |rf - Phi r0| = sqrt(2 leak (F + leak)) <= ``pst_tol``, with leak the
+    |rf - Phi r0| = sqrt(2 leak (F + leak)) <= ``PST_TOL``, with leak the
     population off the output site; unlike 1 - F this keeps its digits
     at perfect transfer.
 
@@ -187,7 +187,7 @@ def evaluate_controller(controller: Controller,
     probs = np.abs(transfer.column) ** 2
     f_val = float(probs[transfer.output])
     leak = float(np.delete(probs, transfer.output).sum())
-    pst = math.sqrt(2.0 * leak * (f_val + leak)) <= pst_tol
+    pst = math.sqrt(2.0 * leak * (f_val + leak)) <= PST_TOL
     records = []
     for structure in structures:
         k_coeff, norm_k = sensitivity_operator(transfer, structure.matrix)
@@ -230,7 +230,7 @@ def summarize_structure(records: list[GeometryRecord],
         var_norm_K=float(norms.var()))
 
 
-def analyze(controllers: list[Controller], *, pst_tol: float = PST_TOL,
+def analyze(controllers: list[Controller],
             ) -> tuple[list[GeometryRecord], list[CorrelationSummary]]:
     """Records for every (controller, structure) pair plus per-structure stats.
 
@@ -247,7 +247,7 @@ def analyze(controllers: list[Controller], *, pst_tol: float = PST_TOL,
     structures = enumerate_structures(spec)
 
     records = [rec for c in controllers
-               for rec in evaluate_controller(c, structures, pst_tol)]
+               for rec in evaluate_controller(c, structures)]
     # records[j::S] are the records of the j-th of the S structures
     summaries = [summarize_structure(records[j::len(structures)], s.index)
                  for j, s in enumerate(structures)]

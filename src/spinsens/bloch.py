@@ -13,17 +13,22 @@ kept (last) so pure states embed with norm exactly one; its row and
 column of A vanish identically. ``gell_mann_basis`` builds the basis once
 per dimension as one read-only (N^2, N, N) array, and ``adjoint_rep`` and
 ``state_to_bloch`` both read that array: there is no other basis to pass.
+
+The adjoint picture is verification's reference, and its callers hold
+plain arrays: the generator A from ``adjoint_rep`` and the endpoint
+vectors r0 and rf from ``state_to_bloch`` of ``site_state``. Each is
+checked where it is made: A is antisymmetrized exactly, and a coherence
+vector is taken only of a normalized state, so it has unit norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .network import NetworkSpec, _readonly
+from .network import _readonly
 
 
 @lru_cache(maxsize=None)
@@ -112,40 +117,3 @@ def site_state(num_spins: int, site: int) -> np.ndarray:
     psi = np.zeros(num_spins, dtype=complex)
     psi[site - 1] = 1.0
     return psi
-
-
-@dataclass(frozen=True)
-class BlochSystem:
-    """A transfer problem in the adjoint picture: generator, ends, read-out time."""
-
-    A: np.ndarray
-    r0: np.ndarray
-    rf: np.ndarray
-    t_f: float
-
-    def __post_init__(self):
-        a = np.asarray(self.A, dtype=float)
-        r0 = np.asarray(self.r0, dtype=float)
-        rf = np.asarray(self.rf, dtype=float)
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "r0", r0)
-        object.__setattr__(self, "rf", rf)
-        for arr in (a, r0, rf):
-            _readonly(arr)
-        if self.t_f <= 0:
-            raise ValueError(f"read-out time must be positive, got {self.t_f}")
-        skew = np.linalg.norm(a + a.T)
-        if skew > 1e-9 * max(1.0, np.linalg.norm(a)):
-            raise ValueError(f"generator must be skew-symmetric (defect {skew:.3e})")
-        for name, r in (("r0", r0), ("rf", rf)):
-            nrm = np.linalg.norm(r)
-            if abs(nrm - 1.0) > 1e-8:
-                raise ValueError(f"{name} must be a unit coherence vector, |r| = {nrm:.12e}")
-
-
-def build_bloch_system(ham: np.ndarray, spec: NetworkSpec, t_f: float) -> BlochSystem:
-    """Embed a network Hamiltonian and its transfer endpoints."""
-    a = adjoint_rep(ham)
-    r0 = state_to_bloch(site_state(spec.num_spins, spec.input_spin))
-    rf = state_to_bloch(site_state(spec.num_spins, spec.output_spin))
-    return BlochSystem(A=a, r0=r0, rf=rf, t_f=float(t_f))

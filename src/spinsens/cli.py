@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -94,17 +93,6 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
     return parse
-
-
-def _positive_float(text: str) -> float:
-    """argparse type for a tolerance: a finite float above zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
 
 
 def file_sha256(path: Path) -> str:
@@ -177,24 +165,26 @@ def write_summaries_csv(path: Path, summaries) -> None:
 
 
 def _spec_from_args(args) -> NetworkSpec:
+    flags = (("--n", args.n), ("--topology", args.topology),
+             ("--in", args.input_spin), ("--out", args.output_spin))
     if args.spec is not None:
-        if args.n is not None or args.topology is not None \
-                or args.input_spin is not None or args.output_spin is not None:
-            raise CommandLineError("give either --spec or the --n/--topology/"
-                                   "--in/--out flags, not both")
+        given = [flag for flag, val in flags + (("--coupling", args.coupling),)
+                 if val is not None]
+        if given:
+            raise CommandLineError("give either --spec or the network flags, "
+                                   "not both: --spec with " + ", ".join(given))
         try:
             text = Path(args.spec).read_text(encoding="utf-8")
         except OSError as exc:
             raise IOError(f"cannot read network spec: {exc}") from exc
         return NetworkSpec.from_json(text)
-    missing = [flag for flag, val in (("--n", args.n), ("--topology", args.topology),
-                                      ("--in", args.input_spin), ("--out", args.output_spin))
-               if val is None]
+    missing = [flag for flag, val in flags if val is None]
     if missing:
         raise CommandLineError("missing required flags: " + ", ".join(missing))
     return NetworkSpec(num_spins=args.n, topology=args.topology,
                        input_spin=args.input_spin, output_spin=args.output_spin,
-                       coupling=args.coupling)
+                       coupling=NetworkSpec.coupling if args.coupling is None
+                       else args.coupling)
 
 
 def cmd_synth(args) -> int:
@@ -301,7 +291,7 @@ def cmd_analyze(args) -> int:
     if not controllers:
         raise CommandLineError(f"no controllers in {controllers_path}")
 
-    records, summaries = analyze(controllers, pst_tol=args.pst_tol)
+    records, summaries = analyze(controllers)
     per_controller = len(records) // len(controllers)
     for c, r in zip(controllers, records[::per_controller]):
         if abs(c.fidelity - r.F) > FIDELITY_TOL:
@@ -312,7 +302,7 @@ def cmd_analyze(args) -> int:
     manifest = RunManifest(
         command="analyze",
         master_seed=-1,
-        config={"pst_tol": args.pst_tol,
+        config={"pst_tol": PST_TOL,
                 "columns": list(RECORD_COLUMNS),
                 "summary_columns": list(SUMMARY_COLUMNS)},
         inputs=inputs,
@@ -362,7 +352,8 @@ def build_parser() -> _Parser:
                        help="input spin (1-indexed)")
     synth.add_argument("--out", dest="output_spin", type=int,
                        help="output spin (1-indexed)")
-    synth.add_argument("--coupling", type=float, default=1.0)
+    synth.add_argument("--coupling", type=float,
+                       help="uniform coupling J (default 1.0)")
     synth.add_argument("--restarts", type=int, default=defaults.restarts)
     synth.add_argument("--seed", type=_int_at_least(0), default=defaults.seed)
     synth.add_argument("--tf-range", nargs=2, type=float,
@@ -382,7 +373,6 @@ def build_parser() -> _Parser:
                            help="network spec JSON (default: <ensemble>.spec.json)")
     analyze_p.add_argument("--records", default="records.csv")
     analyze_p.add_argument("--summaries", default="summaries.csv")
-    analyze_p.add_argument("--pst-tol", type=_positive_float, default=PST_TOL)
     analyze_p.add_argument("--threads", type=_int_at_least(1), default=1,
                            help=THREADS_HELP)
     analyze_p.set_defaults(func=cmd_analyze)

@@ -16,12 +16,13 @@ Because <Phi, R> = F, |Phi|^2 = N^2 and Phi is orthogonal to K, the
 projection needs only F, k = <R, K> and |K|: |R_S| = hypot(F/N, k/|K|),
 and the component of R_S off the propagator has norm |k|/|K|. The records
 ``analyze`` writes take these scalars from the N x N picture. ``project``
-assembles R_S itself from F, k and the N^2 x N^2 operators Phi and K,
-for one direction or a whole stack at once, and never forms R; it is the
-reference route that verification checks the records against. The frame
-identities (remark 1 above, and |cos theta| = sin phi) are not asserted
-here: verification's remark-1 and theorem-1 checks test the reference
-records for them and report a defect as a failed check.
+assembles R_S itself from F, k, |K| and the N^2 x N^2 operators Phi and
+K, all plain arrays, for one direction or a whole stack at once, and
+never forms R; it is the reference route that verification checks the
+records against. The frame identities (remark 1 above, and
+|cos theta| = sin phi) are not asserted here: verification's remark-1
+and theorem-1 checks test the reference records for them and report a
+defect as a failed check.
 
 Numerical note: sin phi computed as sqrt(1 - cos^2 phi) would lose half
 the digits when phi is tiny, exactly the regime of near-perfect transfer
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .sensitivity import SensitivityOperator
 
 # How far a record's cosines may stray outside [-1, 1] through rounding.
 ANGLE_TOL = 1e-9
@@ -59,7 +59,7 @@ def _frob(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 
 
 def project(f_coeff: float, k_coeff: float | np.ndarray, phi: np.ndarray,
-            op: SensitivityOperator,
+            k_op: np.ndarray, norm_k: float | np.ndarray,
             ) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
     """Project R onto span{Phi, K}; returns (R_S, |R_S|, |R_S - P_Phi R_S|).
 
@@ -68,20 +68,20 @@ def project(f_coeff: float, k_coeff: float | np.ndarray, phi: np.ndarray,
     from the frame coefficients F = <R, Phi> and k = <R, K> without
     forming R. The third return value is the norm of the part of R_S
     outside the propagator direction, the cancellation-free ingredient
-    for sin phi. ``op`` may hold a stack of operators
-    (``adjoint_sensitivity_operator`` of a stack of directions), with one
-    k per direction: then every return value gains its leading axes, one
-    projection per direction, from one pass. A vanishing |K| anywhere in
-    the stack is rejected. The norms are taken of the assembled matrices,
+    for sin phi. ``k_op`` and ``norm_k`` are K and |K| as
+    ``adjoint_sensitivity_operator`` returns them; they may hold a stack of
+    operators, with one k per direction: then every return value gains
+    its leading axes, one projection per direction, from one pass. A
+    vanishing |K| anywhere in the stack is rejected. The norms are taken of the assembled matrices,
     so verification's remark-1 check compares them with the coefficients.
     """
     phi = np.asarray(phi, dtype=float)
     k_coeff = np.asarray(k_coeff, dtype=float)
-    norm_k = np.asarray(op.norm_K, dtype=float)
+    norm_k = np.asarray(norm_k, dtype=float)
     if (norm_k <= 0).any():
         raise ValueError("projection undefined for a vanishing sensitivity operator")
     n2 = phi.shape[0]
-    r_s = (f_coeff / n2) * phi + (k_coeff / norm_k ** 2)[..., None, None] * op.K
+    r_s = (f_coeff / n2) * phi + (k_coeff / norm_k ** 2)[..., None, None] * k_op
     perp = r_s - (_frob(r_s, phi) / n2)[..., None, None] * phi
     return r_s, np.linalg.norm(r_s, axis=(-2, -1)), np.linalg.norm(perp, axis=(-2, -1))
 

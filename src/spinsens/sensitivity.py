@@ -14,13 +14,15 @@ multiplies its eigenbasis directions by them.
 
 The real N^2-dimensional adjoint picture stays as the reference that
 verification checks against: the generator A is skew-symmetric, so iA is
-Hermitian and A = M diag(i lam) M* with real frequencies lam, and
-``adjoint_sensitivity_operator`` builds K itself by the same recipe one
-level up. It takes a stack of directions (leading axes, plain numpy
-broadcasting), so one call per controller conjugates every structure's
-image, weights it with divided differences computed once, and returns
-every K and |K|; verification reads k = rf . K r0 and zeta = -t_f f_n k
-off the whole stack in one product. Two slower, independent evaluations
+Hermitian and A = M diag(i lam) M* with real frequencies lam.
+``spectral_decompose`` returns lam and M as two read-only arrays, and
+``propagator_matrix`` and ``adjoint_sensitivity_operator`` take them as
+they are; the latter builds K itself by the same recipe one level up. It
+takes a stack of directions (leading axes, plain numpy broadcasting), so
+one call per controller conjugates every structure's image, weights it
+with divided differences computed once, and returns every K and |K|;
+verification reads k = rf . K r0 and zeta = -t_f f_n k off the whole
+stack in one product. Two slower, independent evaluations
 of the derivative are oracles too: fixed-order Gauss-Legendre quadrature
 of the integral representation (one batched Pade-based matrix exponential
 of 33 slices for the 64 nodes, since exp(-X) = exp(X)^T for skew X; no
@@ -62,9 +64,9 @@ def _require_skew(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigensystem of a skew-symmetric generator: A = M diag(i lam) M*.
+def spectral_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition A = M diag(i lam) M* of a skew-symmetric matrix,
+    via the Hermitian iA; returns (lam, M), both read-only.
 
     ``lam`` is real and ascending and ``M`` is unitary, with columns as
     the eigensolver returns them: no phase or order within a degenerate
@@ -75,17 +77,6 @@ class SpectralData:
     columns cancels too. The eigensolver is deterministic for a given
     input, so reruns still give the same bytes.
     """
-
-    M: np.ndarray
-    lam: np.ndarray
-
-    def __post_init__(self):
-        _readonly(self.M)
-        _readonly(self.lam)
-
-
-def spectral_decompose(a: np.ndarray) -> SpectralData:
-    """Eigendecomposition of a skew-symmetric matrix via the Hermitian iA."""
     a = _require_skew(a, "generator")
     mu, vec = np.linalg.eigh(1j * a)
     lam = -mu[::-1] + 0.0
@@ -97,13 +88,12 @@ def spectral_decompose(a: np.ndarray) -> SpectralData:
     recon = np.linalg.norm((m * (1j * lam)) @ m.conj().T - a)
     if recon > 1e-9 * max(1.0, np.linalg.norm(a)):
         raise InvariantViolation(f"spectral reconstruction failed (residual {recon:.3e})")
-    return SpectralData(M=m, lam=lam)
+    return _readonly(lam), _readonly(m)
 
 
-def propagator_matrix(spectral: SpectralData, t_f: float) -> np.ndarray:
-    """Real orthogonal exp(A t_f) assembled from the shared eigensystem."""
-    phases = np.exp(1j * spectral.lam * t_f)
-    phi_c = (spectral.M * phases) @ spectral.M.conj().T
+def propagator_matrix(lam: np.ndarray, m: np.ndarray, t_f: float) -> np.ndarray:
+    """Real orthogonal exp(A t_f) assembled from the eigensystem (lam, M) of A."""
+    phi_c = (m * np.exp(1j * lam * t_f)) @ m.conj().T
     residue = np.abs(phi_c.imag).max()
     if residue > IMAG_TOL:
         raise InvariantViolation(f"propagator has imaginary residue {residue:.3e}")
@@ -211,38 +201,24 @@ def sensitivity_operator(transfer: HilbertTransfer,
     return k_coeff, math.sqrt(2.0 * n * float((s_hat ** 2 * transfer.x_sq).sum()))
 
 
-@dataclass(frozen=True)
-class SensitivityOperator:
-    """Input-output agnostic sensitivity operators for uncertainty directions.
+def adjoint_sensitivity_operator(lam: np.ndarray, m: np.ndarray, s_bloch: np.ndarray,
+                                 t_f: float) -> tuple[np.ndarray, float | np.ndarray]:
+    """The N^2 x N^2 sensitivity operators K of adjoint-space directions and
+    their Frobenius norms |K|, from the eigensystem (lam, M) of the generator.
 
-    ``K`` holds the real operators, shape (..., N^2, N^2) with one leading
-    index per direction of a stack, and ``norm_K`` their Frobenius norms,
-    shape (...): a float for a single direction. The norms come from the
-    eigenbasis form (direction times divided differences); unitary
-    invariance makes them equal the norms of ``K`` itself.
-    """
-
-    K: np.ndarray
-    norm_K: float | np.ndarray
-
-    def __post_init__(self):
-        _readonly(self.K)
-
-
-def adjoint_sensitivity_operator(spectral: SpectralData, s_bloch: np.ndarray,
-                                 t_f: float) -> SensitivityOperator:
-    """Assemble the N^2 x N^2 sensitivity operators of adjoint-space directions.
-
-    ``s_bloch`` is one direction (N^2, N^2) or a stack (..., N^2, N^2);
-    the divided-difference weights are computed once for the whole stack,
-    and the skew-symmetry and imaginary-residue checks hold per direction.
-    The reference route for ``sensitivity_operator``: verification and the
-    tests compare the records against it.
+    ``s_bloch`` is one direction (N^2, N^2) or a stack (..., N^2, N^2).
+    K, read-only, has the same shape, and |K| has the leading axes (a float
+    for a single direction). The divided-difference weights are computed
+    once for the whole stack, and the skew-symmetry and imaginary-residue
+    checks hold per direction. The norms come from the eigenbasis form
+    (direction times divided differences); unitary invariance makes them
+    equal the norms of K itself. The reference route for
+    ``sensitivity_operator``: verification and the tests compare the
+    records against it.
     """
     s_bloch = _require_skew(s_bloch, "uncertainty direction")
-    m = spectral.M
     m_h = m.conj().T
-    q = (m_h @ s_bloch @ m) * hadamard_core(spectral.lam, t_f)
+    q = (m_h @ s_bloch @ m) * hadamard_core(lam, t_f)
     k_c = (m @ q) @ m_h
     residue = np.linalg.norm(k_c.imag, axis=(-2, -1))
     if (residue > IMAG_TOL).any():
@@ -250,7 +226,7 @@ def adjoint_sensitivity_operator(spectral: SpectralData, s_bloch: np.ndarray,
             f"sensitivity operator has imaginary residue {residue.max():.3e}; "
             "this signals a convention error upstream")
     norm_k = np.sqrt((np.abs(q) ** 2).sum(axis=(-2, -1)))
-    return SensitivityOperator(K=k_c.real.copy(), norm_K=norm_k)
+    return _readonly(k_c.real.copy()), norm_k
 
 
 @lru_cache(maxsize=None)

@@ -11,9 +11,11 @@ always pins the offending instance.
 The records ``analyze`` publishes come from the N x N Hamiltonian, where
 the structural identities hold by construction. ``adjoint_records`` keeps
 the N^2 x N^2 adjoint-picture route (explicit propagator Phi, explicit
-sensitivity operators K, explicit projection) as the reference, in one
-stacked pass over every structure per controller that reads F and
-<R, K> off the frame once each: the structural checks read its records,
+sensitivity operators K, explicit projection) as the reference, over
+plain arrays: a controller's frame is the tuple (r0, rf, lam, M, Phi) of
+its endpoints, its generator's eigensystem and its propagator. One
+stacked pass over every structure per controller reads F and <R, K> off
+the frame once each: the structural checks read its records,
 and the cross-formulation check compares the published records with it
 field by field. The frame identities are checked here alone: a reference
 record whose |R_S|^2 strays from (F/N)^2 + (k/|K|)^2, or whose |cos theta|
@@ -36,14 +38,13 @@ import numpy as np
 from scipy.linalg import expm
 
 from .analytics import _record, analyze, evaluate_controller
-from .bloch import (BlochSystem, adjoint_rep, build_bloch_system, site_state,
-                    state_to_bloch)
+from .bloch import adjoint_rep, site_state, state_to_bloch
 from .geometry import EPS, TINY, GeometryRecord, _frob, project, pst_check
 from .network import (NetworkSpec, UncertaintyStructure, _readonly,
                       build_hamiltonian, enumerate_structures, perturb,
                       scaling_factor)
-from .sensitivity import (SpectralData, adjoint_sensitivity_operator, fd_oracle,
-                          propagator_matrix, quadrature_oracle, spectral_decompose)
+from .sensitivity import (adjoint_sensitivity_operator, fd_oracle, propagator_matrix,
+                          quadrature_oracle, spectral_decompose)
 from .synthesis import Controller, SynthesisConfig, synthesize_ensemble, transfer_fidelity
 
 # Randomized instances live on modest time and bias scales so that the
@@ -117,17 +118,24 @@ def _structure_images(num_spins: int, topology: str) -> tuple[
     return structures, _readonly(np.array([adjoint_rep(s.matrix) for s in structures]))
 
 
-def _adjoint_frame(controller: Controller) -> tuple[BlochSystem, SpectralData, np.ndarray]:
-    """The adjoint-picture system of one controller, the spectral
-    decomposition of its generator, and the propagator Phi built from it."""
-    system = build_bloch_system(build_hamiltonian(controller.spec, controller.biases),
-                                controller.spec, controller.t_f)
-    spectral = spectral_decompose(system.A)
-    return system, spectral, propagator_matrix(spectral, controller.t_f)
+def _endpoints(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Coherence vectors r0 and rf of the input and output sites."""
+    return (state_to_bloch(site_state(spec.num_spins, spec.input_spin)),
+            state_to_bloch(site_state(spec.num_spins, spec.output_spin)))
+
+
+def _adjoint_frame(controller: Controller) -> tuple[np.ndarray, ...]:
+    """(r0, rf, lam, M, Phi) of one controller: its endpoints, the
+    eigensystem A = M diag(i lam) M* of its adjoint generator, and the
+    propagator Phi = exp(A t_f) built from it."""
+    lam, m = spectral_decompose(
+        adjoint_rep(build_hamiltonian(controller.spec, controller.biases)))
+    return (*_endpoints(controller.spec), lam, m,
+            propagator_matrix(lam, m, controller.t_f))
 
 
 def adjoint_records(controller: Controller,
-                    frame: tuple[BlochSystem, SpectralData, np.ndarray] | None = None,
+                    frame: tuple[np.ndarray, ...] | None = None,
                     ) -> list[tuple[GeometryRecord, float]]:
     """Reference records of one controller from the N^2 x N^2 adjoint picture.
 
@@ -146,25 +154,25 @@ def adjoint_records(controller: Controller,
     """
     structures, s_images = _structure_images(controller.spec.num_spins,
                                              controller.spec.topology)
-    system, spectral, phi = _adjoint_frame(controller) if frame is None else frame
-    f_val = float(system.rf @ phi @ system.r0)
-    pst = pst_check(phi, system.r0, system.rf)
-    ops = adjoint_sensitivity_operator(spectral, s_images, controller.t_f)
+    r0, rf, lam, m, phi = _adjoint_frame(controller) if frame is None else frame
+    f_val = float(rf @ phi @ r0)
+    pst = pst_check(phi, r0, rf)
+    k_op, norm_k = adjoint_sensitivity_operator(lam, m, s_images, controller.t_f)
     f_n = np.array([scaling_factor(s, controller) for s in structures])
-    k_coeff = system.rf @ ops.K @ system.r0
+    k_coeff = rf @ k_op @ r0
     zeta = -controller.t_f * f_n * k_coeff
-    _, norm_rs, perp = project(f_val, k_coeff, phi, ops)
-    tr_phi_k = _frob(phi, ops.K)
+    _, norm_rs, perp = project(f_val, k_coeff, phi, k_op, norm_k)
+    tr_phi_k = _frob(phi, k_op)
     return [(_record(controller, structure, f_val=f_val, zeta=float(zeta[i]),
                      f_n=float(f_n[i]), k_coeff=float(k_coeff[i]),
-                     norm_k=float(ops.norm_K[i]), norm_rs=float(norm_rs[i]),
+                     norm_k=float(norm_k[i]), norm_rs=float(norm_rs[i]),
                      perp=float(perp[i]), pst=pst),
              float(tr_phi_k[i]))
             for i, structure in enumerate(structures)]
 
 
 def _record_pairs(controller: Controller,
-                  frame: tuple[BlochSystem, SpectralData, np.ndarray] | None = None,
+                  frame: tuple[np.ndarray, ...] | None = None,
                   ) -> list[tuple[GeometryRecord, GeometryRecord, float]]:
     """Per structure, the record ``evaluate_controller`` publishes, the
     ``adjoint_records`` reference record and its <Phi, K>."""
@@ -331,10 +339,9 @@ def check_three_way(seed: int, dims: tuple[int, ...], per_dim: int) -> CheckResu
         pick = int(rng.integers(len(structures)))
         structure, image = structures[pick], images[pick]
         record, = evaluate_controller(controller, (structure,))
-        system = build_bloch_system(
-            build_hamiltonian(spec, controller.biases), spec, controller.t_f)
-        quad = quadrature_oracle(system.A, image, controller.t_f,
-                                 system.r0, system.rf, record.f_n)
+        r0, rf = _endpoints(spec)
+        quad = quadrature_oracle(adjoint_rep(build_hamiltonian(spec, controller.biases)),
+                                 image, controller.t_f, r0, rf, record.f_n)
         fd = fd_oracle(perturbed_error, structure, controller, FD_STEP)
         zeta = record.zeta
         worst_quad = max(worst_quad, abs(quad - zeta) / max(1e-8 * abs(zeta), 1e-10))
@@ -461,7 +468,7 @@ def check_cross_formulation(seed: int, count: int, dims: tuple[int, ...]) -> Che
         n = spec.num_spins
         ham = build_hamiltonian(spec, controller.biases)
         frame = _adjoint_frame(controller)
-        system, _, phi = frame
+        r0, _, _, _, phi = frame
         pairs = _record_pairs(controller, frame)
         # the reference F = rf . Phi r0, which every record of the controller carries
         f_bloch = pairs[0][1].F
@@ -469,7 +476,7 @@ def check_cross_formulation(seed: int, count: int, dims: tuple[int, ...]) -> Che
         f_hilbert = float(abs(psi_t[spec.output_spin - 1]) ** 2)
         r_t = state_to_bloch(psi_t / np.linalg.norm(psi_t))
         worst_f = max(worst_f, abs(f_bloch - f_hilbert))
-        worst_state = max(worst_state, float(np.linalg.norm(phi @ system.r0 - r_t)))
+        worst_state = max(worst_state, float(np.linalg.norm(phi @ r0 - r_t)))
         for r, o, _ in pairs:
             worst_record = max(worst_record, record_gap(r, o, n))
             flag_mismatches += (r.pst != o.pst) + (r.zero_fidelity != o.zero_fidelity)

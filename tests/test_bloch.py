@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinsens import (BlochSystem, Controller, NetworkSpec, adjoint_rep,
-                      build_bloch_system, build_hamiltonian,
+from spinsens import (Controller, NetworkSpec, adjoint_rep, build_hamiltonian,
                       enumerate_structures, gell_mann_basis,
                       propagator_matrix, site_state, spectral_decompose,
                       state_to_bloch)
-from spinsens.verification import adjoint_records
+from spinsens.verification import _adjoint_frame, adjoint_records
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -188,7 +187,7 @@ class TestSiteState:
 
 
 def propagate(a, t):
-    return propagator_matrix(spectral_decompose(a), t)
+    return propagator_matrix(*spectral_decompose(a), t)
 
 
 class TestPropagator:
@@ -202,10 +201,10 @@ class TestPropagator:
 
     def test_group_property(self, rng):
         a = self._generator(rng)
-        sd = spectral_decompose(a)
-        p1 = propagator_matrix(sd, 0.9)
-        p2 = propagator_matrix(sd, 1.7)
-        p12 = propagator_matrix(sd, 2.6)
+        lam, m = spectral_decompose(a)
+        p1 = propagator_matrix(lam, m, 0.9)
+        p2 = propagator_matrix(lam, m, 1.7)
+        p12 = propagator_matrix(lam, m, 2.6)
         assert np.abs(p12 - p2 @ p1).max() < 1e-12
 
     def test_time_zero_is_identity(self, rng):
@@ -250,33 +249,20 @@ class TestFidelity:
         assert abs(1.0 - self.reference_fidelity(spec, np.zeros(2), np.pi / 2)) < 1e-12
 
 
-class TestBlochSystem:
+class TestAdjointFrame:
     def test_build_shapes(self):
+        # verification's frame (r0, rf, lam, M, Phi) of one controller, all
+        # plain arrays
         spec = NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=3)
-        system = build_bloch_system(build_hamiltonian(spec, np.zeros(4)), spec, 2.0)
-        assert system.A.shape == (16, 16)
-        assert np.array_equal(system.r0, state_to_bloch(site_state(4, 1)))
-        assert np.array_equal(system.rf, state_to_bloch(site_state(4, 3)))
-        assert system.t_f == 2.0
-
-    def test_nonpositive_time_rejected(self):
-        spec = NetworkSpec(num_spins=3, topology="chain", input_spin=1, output_spin=3)
-        ham = build_hamiltonian(spec, np.zeros(3))
-        with pytest.raises(ValueError):
-            build_bloch_system(ham, spec, 0.0)
-
-    def test_non_skew_generator_rejected(self):
-        r = np.zeros(4)
-        r[0] = 1.0
-        with pytest.raises(ValueError):
-            BlochSystem(A=np.eye(4), r0=r, rf=r.copy(), t_f=1.0)
-
-    def test_non_unit_endpoint_rejected(self):
-        a = adjoint_rep(Z)
-        r = np.zeros(4)
-        r[0] = 1.0
-        with pytest.raises(ValueError):
-            BlochSystem(A=a, r0=2.0 * r, rf=r, t_f=1.0)
+        controller = Controller(biases=np.zeros(4), t_f=2.0, fidelity=0.0, spec=spec,
+                                seed=0, index=0)
+        r0, rf, lam, m, phi = _adjoint_frame(controller)
+        assert np.array_equal(r0, state_to_bloch(site_state(4, 1)))
+        assert np.array_equal(rf, state_to_bloch(site_state(4, 3)))
+        assert lam.shape == (16,) and m.shape == phi.shape == (16, 16)
+        a = adjoint_rep(build_hamiltonian(spec, np.zeros(4)))
+        assert np.array_equal(phi, propagate(a, 2.0))
+        assert not (lam.flags.writeable or m.flags.writeable)
 
 
 class TestStructureImages:

@@ -98,6 +98,22 @@ class TestArgumentHandling:
         spec.write_text('{"n": 4, "topology": "ring", "j": 1.0, "in": 1, "out": 2}')
         assert main(["synth", "--spec", str(spec), "--n", "4"]) == 1
 
+    def test_spec_and_coupling_conflict(self, tmp_path, capsys):
+        # the spec file's j would silently win over the flag
+        spec = tmp_path / "net.json"
+        spec.write_text('{"n": 4, "topology": "ring", "j": 1.0, "in": 1, "out": 2}')
+        out = tmp_path / "run" / "controllers.json"
+        assert main(["synth", "--spec", str(spec), "--coupling", "2.5",
+                     "--restarts", "1", "-o", str(out)]) == 1
+        assert "--coupling" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [spec]
+
+    def test_coupling_defaults_to_unity_without_spec(self, tmp_path):
+        out = tmp_path / "controllers.json"
+        assert main(["synth", *RING_FLAGS, "--restarts", "1", "-o", str(out)]) == 0
+        assert out.with_name("controllers.spec.json").read_bytes() == (
+            b'{"n": 4, "topology": "ring", "j": 1.0, "in": 1, "out": 2}')
+
     def test_invalid_network_is_validation_error(self, capsys):
         assert main(["synth", "--n", "4", "--topology", "ring",
                      "--in", "1", "--out", "1"]) == 1
@@ -598,27 +614,11 @@ class TestPstTolerance:
             '{"n": 2, "topology": "chain", "j": 1.0, "in": 1, "out": 2}')
         return controllers
 
-    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-    def test_not_positive_and_finite_rejected_at_parse_time(self, tmp_path, capsys,
-                                                            value):
-        # a negative or nan tolerance flags nothing, and nan is not valid
-        # JSON in the manifest; both are refused before any file is touched
-        controllers = self.two_spin_pst(tmp_path)
-        before = sorted(tmp_path.iterdir())
-        assert main(["analyze", str(controllers),
-                     "--records", str(tmp_path / "records.csv"),
-                     "--summaries", str(tmp_path / "summaries.csv"),
-                     f"--pst-tol={value}"]) == 1
-        assert "argument --pst-tol: must be positive and finite" in \
-            capsys.readouterr().err
-        assert sorted(tmp_path.iterdir()) == before
-
     def test_explicit_default_flags_perfect_transfer(self, tmp_path):
         controllers = self.two_spin_pst(tmp_path)
         records = tmp_path / "records.csv"
         assert main(["analyze", str(controllers), "--records", str(records),
-                     "--summaries", str(tmp_path / "summaries.csv"),
-                     "--pst-tol", "1e-12"]) == 0
+                     "--summaries", str(tmp_path / "summaries.csv")]) == 0
         rows = records.read_text().splitlines()[1:]
         flag = list(RECORD_COLUMNS).index("pst_flag")
         assert len(rows) == 3

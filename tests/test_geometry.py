@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from spinsens import (GeometryRecord, InvariantViolation, NetworkSpec,
-                      SensitivityOperator, adjoint_rep,
-                      adjoint_sensitivity_operator, angles,
-                      build_bloch_system, build_hamiltonian,
-                      enumerate_structures, identity_residual, project,
-                      propagator_matrix, pst_check, quadrature_oracle,
-                      spectral_decompose, transfer_fidelity)
+                      adjoint_rep, adjoint_sensitivity_operator, angles,
+                      build_hamiltonian, enumerate_structures,
+                      identity_residual, project, propagator_matrix,
+                      pst_check, quadrature_oracle, transfer_fidelity)
 from spinsens.synthesis import Controller
 from spinsens.verification import _adjoint_frame, adjoint_records
 
@@ -25,13 +23,15 @@ def decompositions(spec, biases, t_f):
                      fidelity=min(1.0, max(0.0, transfer_fidelity(spec, biases, t_f))),
                      spec=spec, seed=0, index=0)
     frame = _adjoint_frame(ctl)
-    system, sd, phi = frame
+    r0, rf, lam, m, phi = frame
+    a = adjoint_rep(build_hamiltonian(spec, biases))
     for structure, (record, _) in zip(enumerate_structures(spec),
                                       adjoint_records(ctl, frame)):
         s_bloch = adjoint_rep(structure.matrix)
-        op = adjoint_sensitivity_operator(sd, s_bloch, t_f)
-        r_s, norm_rs, perp = project(record.F, record.k_coeff, phi, op)
-        yield dict(system=system, phi=phi, s_bloch=s_bloch, op=op, f_n=record.f_n,
+        k_op, norm_k = adjoint_sensitivity_operator(lam, m, s_bloch, t_f)
+        r_s, norm_rs, perp = project(record.F, record.k_coeff, phi, k_op, norm_k)
+        yield dict(a=a, r0=r0, rf=rf, t_f=t_f, phi=phi, s_bloch=s_bloch, k_op=k_op,
+                   norm_k=norm_k, f_n=record.f_n,
                    zeta=record.zeta, F=record.F, k_coeff=record.k_coeff, r_s=r_s,
                    norm_rs=norm_rs, perp=perp, cos_phi=record.cos_phi,
                    sin_phi=record.sin_phi, cos_theta=record.cos_theta)
@@ -58,27 +58,25 @@ class TestIoOperator:
 class TestProject:
     def test_norm_splits_over_frame(self, rng):
         for out, spec in ring_cases(rng, count=3):
-            op = out["op"]
             n = spec.num_spins
-            frame_sq = (out["F"] / n) ** 2 + (out["k_coeff"] / op.norm_K) ** 2
+            frame_sq = (out["F"] / n) ** 2 + (out["k_coeff"] / out["norm_k"]) ** 2
             assert out["norm_rs"] ** 2 == pytest.approx(frame_sq, abs=1e-10)
 
     def test_k_pairing_recovers_sensitivity(self, rng):
         # k = rf . K r0 read out of the operator gives the derivative that
         # quadrature of the integral representation gives
         for out, spec in ring_cases(rng, count=3):
-            system = out["system"]
-            ref = quadrature_oracle(system.A, out["s_bloch"], system.t_f, system.r0,
-                                    system.rf, out["f_n"])
-            assert -system.t_f * out["f_n"] * out["k_coeff"] == pytest.approx(
+            ref = quadrature_oracle(out["a"], out["s_bloch"], out["t_f"], out["r0"],
+                                    out["rf"], out["f_n"])
+            assert -out["t_f"] * out["f_n"] * out["k_coeff"] == pytest.approx(
                 ref, abs=max(1e-10, 1e-8 * abs(ref)))
 
     def test_projection_fixes_its_image(self, rng):
         for out, _ in ring_cases(rng, count=2):
-            r_s, phi, op = out["r_s"], out["phi"], out["op"]
+            r_s, phi, k_op = out["r_s"], out["phi"], out["k_op"]
             again, norm_again, _ = project(float(np.tensordot(r_s, phi, axes=2)),
-                                           float(np.tensordot(r_s, op.K, axes=2)),
-                                           phi, op)
+                                           float(np.tensordot(r_s, k_op, axes=2)),
+                                           phi, k_op, out["norm_k"])
             assert np.abs(again - out["r_s"]).max() < 1e-12
             assert norm_again == pytest.approx(out["norm_rs"], abs=1e-12)
 
@@ -89,9 +87,8 @@ class TestProject:
             assert abs(float(np.tensordot(perp_mat, out["phi"], axes=2))) < 1e-10
 
     def test_vanishing_operator_rejected(self):
-        zero_op = SensitivityOperator(K=np.zeros((4, 4)), norm_K=0.0)
         with pytest.raises(ValueError):
-            project(1.0, 0.0, np.eye(4), zero_op)
+            project(1.0, 0.0, np.eye(4), np.zeros((4, 4)), 0.0)
 
 
 class TestAngles:
@@ -153,35 +150,33 @@ class TestIdentityResidual:
 
     def test_pipeline_residual_tiny(self, rng):
         for out, _ in ring_cases(rng, count=4):
-            res = identity_residual(out["zeta"], out["f_n"], out["system"].t_f,
-                                    out["op"].norm_K, out["norm_rs"], out["sin_phi"])
+            res = identity_residual(out["zeta"], out["f_n"], out["t_f"],
+                                    out["norm_k"], out["norm_rs"], out["sin_phi"])
             assert res <= 1e-8 * max(1.0, abs(out["zeta"]))
 
 
 class TestPstCheck:
-    def _pst(self):
+    @staticmethod
+    def _frame(t_f):
+        # (r0, rf, lam, M, Phi) of the unbiased 2-chain read out at t_f
         spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
-        system = build_bloch_system(build_hamiltonian(spec, np.zeros(2)), spec,
-                                    np.pi / 2.0)
-        sd = spectral_decompose(system.A)
-        return system, propagator_matrix(sd, system.t_f)
+        return _adjoint_frame(Controller(biases=np.zeros(2), t_f=t_f, fidelity=0.0,
+                                         spec=spec, seed=0, index=0))
 
     def test_analytic_transfer_flags(self):
-        system, phi = self._pst()
-        assert pst_check(phi, system.r0, system.rf)
+        r0, rf, _, _, phi = self._frame(np.pi / 2.0)
+        assert pst_check(phi, r0, rf)
 
     def test_detuned_transfer_does_not_flag(self):
-        spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
-        system = build_bloch_system(build_hamiltonian(spec, np.zeros(2)), spec, 1.3)
-        phi = propagator_matrix(spectral_decompose(system.A), 1.3)
-        assert not pst_check(phi, system.r0, system.rf)
+        r0, rf, _, _, phi = self._frame(1.3)
+        assert not pst_check(phi, r0, rf)
 
     def test_identity_propagator_does_not_flag(self):
         # zero evolution leaves the input state at the input site
-        system, _ = self._pst()
-        phi = propagator_matrix(spectral_decompose(system.A), 0.0)
+        r0, rf, lam, m, _ = self._frame(np.pi / 2.0)
+        phi = propagator_matrix(lam, m, 0.0)
         assert np.abs(phi - np.eye(phi.shape[0])).max() < 1e-12
-        assert not pst_check(phi, system.r0, system.rf)
+        assert not pst_check(phi, r0, rf)
 
 
 class TestPerfectTransferGeometry:

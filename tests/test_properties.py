@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from spinsens import Controller, NetworkSpec, adjoint_rep, enumerate_structures
-from spinsens import (SensitivityOperator, adjoint_sensitivity_operator,
-                      build_bloch_system, build_hamiltonian,
+from spinsens import (adjoint_sensitivity_operator, build_hamiltonian,
                       fidelity_objective, project, quadrature_oracle,
                       transfer_fidelity)
 from spinsens.analytics import evaluate_controller
 from spinsens.sensitivity import QUADRATURE_NODES
-from spinsens.verification import (_adjoint_frame, _structure_images,
+from spinsens.verification import (_adjoint_frame, _endpoints, _structure_images,
                                    adjoint_records, record_gap)
 
 
@@ -134,33 +133,33 @@ def test_stacked_reference_matches_per_direction_calls(spec, data):
                             spec=spec, seed=0, index=0)
     structures = enumerate_structures(spec)
     frame = _adjoint_frame(controller)
-    system, sd, phi = frame
+    r0, rf, lam, m, phi = frame
     records = [r for r, _ in adjoint_records(controller, frame)]
     f_val = records[0].F
     k_coeff = np.array([r.k_coeff for r in records])
     images = np.array([adjoint_rep(s.matrix) for s in structures])
 
-    stack = adjoint_sensitivity_operator(sd, images, t_f)
-    _, norm_rs, perp = project(f_val, k_coeff, phi, stack)
-    assert stack.K.shape == images.shape
-    for shape in (stack.norm_K.shape, norm_rs.shape, perp.shape):
+    k_stack, norm_stack = adjoint_sensitivity_operator(lam, m, images, t_f)
+    _, norm_rs, perp = project(f_val, k_coeff, phi, k_stack, norm_stack)
+    assert k_stack.shape == images.shape
+    for shape in (norm_stack.shape, norm_rs.shape, perp.shape):
         assert shape == (len(structures),)
     for i, (image, record) in enumerate(zip(images, records)):
-        op = adjoint_sensitivity_operator(sd, image, t_f)
-        k_one = float(system.rf @ op.K @ system.r0)
-        _, one_rs, one_perp = project(f_val, k_one, phi, op)
-        assert np.linalg.norm(stack.K[i] - op.K) <= 1e-14 * max(1.0, op.norm_K)
+        k_op, norm_k = adjoint_sensitivity_operator(lam, m, image, t_f)
+        k_one = float(rf @ k_op @ r0)
+        _, one_rs, one_perp = project(f_val, k_one, phi, k_op, norm_k)
+        assert np.linalg.norm(k_stack[i] - k_op) <= 1e-14 * max(1.0, norm_k)
         # each scalar to 1e-14 of the bound Cauchy-Schwarz puts on it,
         # |r0| = |rf| = 1: numpy may sum a stack in another order, and a sum
         # that cancels to a small value keeps only the digits of that bound
         for got, want, bound in (
-                (stack.norm_K[i], op.norm_K, op.norm_K),
-                (record.norm_K, op.norm_K, op.norm_K),
-                (record.k_coeff, k_one, op.norm_K),
+                (norm_stack[i], norm_k, norm_k),
+                (record.norm_K, norm_k, norm_k),
+                (record.k_coeff, k_one, norm_k),
                 (norm_rs[i], one_rs, 1.0), (record.norm_Rs, one_rs, 1.0),
                 (perp[i], one_perp, 1.0),
                 (record.zeta, -t_f * record.f_n * k_one,
-                 t_f * record.f_n * op.norm_K)):
+                 t_f * record.f_n * norm_k)):
             assert abs(got - want) <= 1e-14 * bound
 
     # the checks hold per direction: one bad direction anywhere in the
@@ -169,12 +168,12 @@ def test_stacked_reference_matches_per_direction_calls(spec, data):
     bent = images.copy()
     bent[pick] += np.eye(images.shape[-1])
     with pytest.raises(ValueError, match="skew-symmetric"):
-        adjoint_sensitivity_operator(sd, bent, t_f)
-    k_zeroed, norm_zeroed = stack.K.copy(), stack.norm_K.copy()
+        adjoint_sensitivity_operator(lam, m, bent, t_f)
+    k_zeroed, norm_zeroed = k_stack.copy(), norm_stack.copy()
     k_zeroed[pick], norm_zeroed[pick] = 0.0, 0.0
     # and a vanishing operator leaves no projection
     with pytest.raises(ValueError, match="vanishing sensitivity operator"):
-        project(f_val, k_coeff, phi, SensitivityOperator(K=k_zeroed, norm_K=norm_zeroed))
+        project(f_val, k_coeff, phi, k_zeroed, norm_zeroed)
 
 
 def per_node_quadrature(a, s_bloch, t_f, r0, rf, f_n):
@@ -198,12 +197,11 @@ def test_batched_quadrature_matches_per_node_loop(spec, data):
     t_f = data.draw(st.floats(min_value=0.3, max_value=3.0))
     structures = enumerate_structures(spec)
     structure = structures[data.draw(st.integers(0, len(structures) - 1))]
-    system = build_bloch_system(build_hamiltonian(spec, biases), spec, t_f)
+    r0, rf = _endpoints(spec)
     image = adjoint_rep(structure.matrix)
-    args = (system.A, image, t_f, system.r0, system.rf, 1.0)
+    args = (adjoint_rep(build_hamiltonian(spec, biases)), image, t_f, r0, rf, 1.0)
     got, want = quadrature_oracle(*args), per_node_quadrature(*args)
     # relative to the value, or to the integrand's bound t_f |S| |r0| |rf|
     # where the integral cancels to near zero
-    scale = t_f * np.linalg.norm(image) * np.linalg.norm(system.r0) \
-        * np.linalg.norm(system.rf)
+    scale = t_f * np.linalg.norm(image) * np.linalg.norm(r0) * np.linalg.norm(rf)
     assert abs(got - want) <= 1e-12 * max(abs(want), scale)

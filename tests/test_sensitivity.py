@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from spinsens import (NetworkSpec, adjoint_rep,
-                      adjoint_sensitivity_operator, build_bloch_system,
+                      adjoint_sensitivity_operator,
                       build_hamiltonian, enumerate_structures, fd_oracle,
                       hadamard_core, hilbert_transfer,
                       perturb, propagator_matrix, quadrature_oracle,
                       sensitivity_operator,
                       spectral_decompose, transfer_fidelity)
 from spinsens.synthesis import Controller
-from spinsens.verification import adjoint_records
+from spinsens.verification import _endpoints, adjoint_records
 
 
 def random_generator(rng, n):
@@ -20,9 +20,10 @@ def random_generator(rng, n):
     return adjoint_rep(0.5 * (h + h.conj().T))
 
 
-def make_system(spec, biases, t_f):
+def make_system(spec, biases):
+    # the adjoint generator A and the endpoints r0, rf of one working point
     ham = build_hamiltonian(spec, np.asarray(biases, dtype=float))
-    return build_bloch_system(ham, spec, t_f)
+    return (adjoint_rep(ham), *_endpoints(spec))
 
 
 def make_controller(spec, biases, t_f):
@@ -35,56 +36,58 @@ def make_controller(spec, biases, t_f):
 def perturbed_error(structure, controller, delta):
     ham = build_hamiltonian(controller.spec, controller.biases)
     tilted = perturb(ham, structure, delta, controller)
-    system = build_bloch_system(tilted, controller.spec, controller.t_f)
-    phi = propagator_matrix(spectral_decompose(system.A), system.t_f)
-    return 1.0 - float(system.rf @ phi @ system.r0)
+    r0, rf = _endpoints(controller.spec)
+    phi = propagator_matrix(*spectral_decompose(adjoint_rep(tilted)), controller.t_f)
+    return 1.0 - float(rf @ phi @ r0)
 
 
 class TestSpectralDecompose:
     def test_zero_generator_gives_identity(self):
-        sd = spectral_decompose(np.zeros((4, 4)))
-        assert np.array_equal(sd.lam, np.zeros(4))
+        lam, m = spectral_decompose(np.zeros((4, 4)))
+        assert np.array_equal(lam, np.zeros(4))
         # any basis of the one eigenspace will do; eigh's is a permutation
-        assert np.isin(sd.M, (0.0, 1.0)).all()
-        assert np.array_equal(sd.M.sum(axis=0), np.ones(4))
-        assert np.array_equal(sd.M.sum(axis=1), np.ones(4))
-        assert np.array_equal(propagator_matrix(sd, 1.7), np.eye(4))
+        assert np.isin(m, (0.0, 1.0)).all()
+        assert np.array_equal(m.sum(axis=0), np.ones(4))
+        assert np.array_equal(m.sum(axis=1), np.ones(4))
+        assert np.array_equal(propagator_matrix(lam, m, 1.7), np.eye(4))
 
     def test_two_spin_chain_frequencies(self):
         spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
-        system = make_system(spec, [0.0, 0.0], 1.0)
-        sd = spectral_decompose(system.A)
-        assert np.allclose(sd.lam, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
+        a, _, _ = make_system(spec, [0.0, 0.0])
+        lam, _ = spectral_decompose(a)
+        assert np.allclose(lam, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
     def test_frequencies_real_ascending_and_paired(self, rng):
         a = random_generator(rng, 3)
-        sd = spectral_decompose(a)
-        assert np.all(np.diff(sd.lam) >= 0)
+        lam, _ = spectral_decompose(a)
+        assert np.all(np.diff(lam) >= 0)
         # skew-symmetric real matrices have frequencies in +/- pairs
-        assert np.allclose(sd.lam, -sd.lam[::-1], atol=1e-10)
+        assert np.allclose(lam, -lam[::-1], atol=1e-10)
 
     def test_reconstruction_and_unitarity(self, rng):
         a = random_generator(rng, 4)
-        sd = spectral_decompose(a)
+        lam, m = spectral_decompose(a)
         n2 = a.shape[0]
-        assert np.linalg.norm(sd.M.conj().T @ sd.M - np.eye(n2)) < 1e-12
-        assert np.linalg.norm((sd.M * (1j * sd.lam)) @ sd.M.conj().T - a) < 1e-11
+        assert np.linalg.norm(m.conj().T @ m - np.eye(n2)) < 1e-12
+        assert np.linalg.norm((m * (1j * lam)) @ m.conj().T - a) < 1e-11
 
     def test_deterministic(self, rng):
         a = random_generator(rng, 3)
-        sd1 = spectral_decompose(a)
-        sd2 = spectral_decompose(a.copy())
-        assert np.array_equal(sd1.lam, sd2.lam)
-        assert np.array_equal(sd1.M, sd2.M)
+        lam1, m1 = spectral_decompose(a)
+        lam2, m2 = spectral_decompose(a.copy())
+        assert np.array_equal(lam1, lam2)
+        assert np.array_equal(m1, m2)
 
     def test_non_skew_rejected(self):
         with pytest.raises(ValueError):
             spectral_decompose(np.eye(3))
 
     def test_output_read_only(self, rng):
-        sd = spectral_decompose(random_generator(rng, 2))
+        lam, m = spectral_decompose(random_generator(rng, 2))
         with pytest.raises(ValueError):
-            sd.lam[0] = 1.0
+            lam[0] = 1.0
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
 
 
 class TestHadamardCore:
@@ -137,42 +140,43 @@ class TestHadamardCore:
 class TestSensitivityOperator:
     def _setup(self, rng, n=4, t_f=1.6):
         spec = NetworkSpec(num_spins=n, topology="ring", input_spin=1, output_spin=2)
-        system = make_system(spec, rng.uniform(-1, 1, n), t_f)
+        a, _, _ = make_system(spec, rng.uniform(-1, 1, n))
         structure = enumerate_structures(spec)[0]
         s_bloch = adjoint_rep(structure.matrix)
-        return system, spectral_decompose(system.A), s_bloch
+        return spectral_decompose(a), s_bloch, t_f
 
     def test_real_with_matching_frobenius_norm(self, rng):
-        system, sd, s_bloch = self._setup(rng)
-        op = adjoint_sensitivity_operator(sd, s_bloch, system.t_f)
-        assert op.K.dtype == np.float64
-        assert op.norm_K == pytest.approx(np.linalg.norm(op.K), abs=1e-9)
+        (lam, m), s_bloch, t_f = self._setup(rng)
+        k_op, norm_k = adjoint_sensitivity_operator(lam, m, s_bloch, t_f)
+        assert k_op.dtype == np.float64
+        assert not k_op.flags.writeable
+        assert norm_k == pytest.approx(np.linalg.norm(k_op), abs=1e-9)
         # the divided differences have unit magnitude at most
-        assert 0.0 < op.norm_K <= np.linalg.norm(s_bloch) + 1e-9
+        assert 0.0 < norm_k <= np.linalg.norm(s_bloch) + 1e-9
 
     def test_orthogonal_to_propagator(self, rng):
         # the frame inner product <Phi, K> vanishes identically
-        system, sd, s_bloch = self._setup(rng)
-        op = adjoint_sensitivity_operator(sd, s_bloch, system.t_f)
-        phi = propagator_matrix(sd, system.t_f)
-        assert abs(np.tensordot(phi, op.K)) < 1e-12 * max(1.0, op.norm_K)
+        (lam, m), s_bloch, t_f = self._setup(rng)
+        k_op, norm_k = adjoint_sensitivity_operator(lam, m, s_bloch, t_f)
+        phi = propagator_matrix(lam, m, t_f)
+        assert abs(np.tensordot(phi, k_op)) < 1e-12 * max(1.0, norm_k)
 
     def test_pullback_skew(self, rng):
         # the operator seen from the rotating frame, Phi^T K, is skew
-        system, sd, s_bloch = self._setup(rng)
-        op = adjoint_sensitivity_operator(sd, s_bloch, system.t_f)
-        w = propagator_matrix(sd, system.t_f).T @ op.K
-        assert np.linalg.norm(w + w.T) < 1e-9 * max(1.0, op.norm_K)
+        (lam, m), s_bloch, t_f = self._setup(rng)
+        k_op, norm_k = adjoint_sensitivity_operator(lam, m, s_bloch, t_f)
+        w = propagator_matrix(lam, m, t_f).T @ k_op
+        assert np.linalg.norm(w + w.T) < 1e-9 * max(1.0, norm_k)
 
     def test_time_zero_recovers_direction(self, rng):
-        system, sd, s_bloch = self._setup(rng)
-        op = adjoint_sensitivity_operator(sd, s_bloch, 0.0)
-        assert np.abs(op.K - s_bloch).max() < 1e-12
+        (lam, m), s_bloch, _ = self._setup(rng)
+        k_op, _ = adjoint_sensitivity_operator(lam, m, s_bloch, 0.0)
+        assert np.abs(k_op - s_bloch).max() < 1e-12
 
     def test_non_skew_direction_rejected(self, rng):
-        system, sd, _ = self._setup(rng)
+        (lam, m), _, t_f = self._setup(rng)
         with pytest.raises(ValueError):
-            adjoint_sensitivity_operator(sd, np.eye(16), system.t_f)
+            adjoint_sensitivity_operator(lam, m, np.eye(16), t_f)
 
 
 class TestHilbertSensitivity:
@@ -182,14 +186,14 @@ class TestHilbertSensitivity:
         spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
         t_f = np.pi * (1.0 + 1e-6)
         transfer = hilbert_transfer(spec, np.zeros(2), t_f)
-        system = make_system(spec, np.zeros(2), t_f)
-        sd = spectral_decompose(system.A)
+        a, r0, rf = make_system(spec, np.zeros(2))
+        lam, m = spectral_decompose(a)
         for structure in enumerate_structures(spec):
             k_coeff, norm_k = sensitivity_operator(transfer, structure.matrix)
-            op = adjoint_sensitivity_operator(
-                sd, adjoint_rep(structure.matrix), t_f)
-            assert norm_k == pytest.approx(op.norm_K, rel=1e-8)
-            assert k_coeff == pytest.approx(system.rf @ op.K @ system.r0, abs=1e-12)
+            k_op, ref_norm = adjoint_sensitivity_operator(
+                lam, m, adjoint_rep(structure.matrix), t_f)
+            assert norm_k == pytest.approx(ref_norm, rel=1e-8)
+            assert k_coeff == pytest.approx(rf @ k_op @ r0, abs=1e-12)
 
 
 class TestDifferentialSensitivity:
@@ -224,11 +228,11 @@ class TestOracleAgreement:
 
     def test_closed_form_matches_quadrature(self, rng):
         for spec, biases, t_f in self._cases(rng):
-            system = make_system(spec, biases, t_f)
+            a, r0, rf = make_system(spec, biases)
             records = adjoint_records(make_controller(spec, biases, t_f))
             for structure, (record, _) in zip(enumerate_structures(spec), records):
-                ref = quadrature_oracle(system.A, adjoint_rep(structure.matrix), t_f,
-                                        system.r0, system.rf, record.f_n)
+                ref = quadrature_oracle(a, adjoint_rep(structure.matrix), t_f,
+                                        r0, rf, record.f_n)
                 assert record.zeta == pytest.approx(ref, abs=max(1e-10, 1e-8 * abs(ref)))
 
     def test_closed_form_matches_finite_difference(self, rng):

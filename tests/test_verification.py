@@ -1,6 +1,7 @@
 """The verification checks on empty instance pools (a check that examined
 nothing fails instead of passing), the controllers the pool checks draw,
-the reference route's one pass per controller, a misaligned reference
+the bytes of the reference records, the reference route's one pass per
+controller, a misaligned reference
 that the cross check must catch, a reference record whose two routes to
 the alignment disagree, and the perfect-transfer anchors of the
 sufficiency check."""
@@ -13,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from spinsens import verification
+from spinsens import Controller, NetworkSpec, transfer_fidelity, verification
 from spinsens.verification import (check_cross_formulation, check_lemma1,
                                    check_lemma2, check_pst_sufficiency,
                                    check_remark1, check_remark2, check_theorem1,
@@ -95,12 +96,36 @@ def test_pool_draws_pinned(evaluated):
         "2f0aa57ea1cff6aeba9e7c206b70f2a1ad0a7f086c68c226eb52b375b2229a6c")
 
 
+def test_reference_records_pinned():
+    # every field of every adjoint_records record and its <Phi, K>, on the
+    # seed-2024 pool at the benchmark's sizes and at the perfect-transfer
+    # anchors; floats enter by repr, which is exact
+    rng = np.random.default_rng(np.random.SeedSequence(2024))
+    controllers = list(verification._random_controllers(
+        rng, (n for n in (2, 3, 4, 5, 6) for _ in range(4))))
+    for n, topology, out, t_f in verification.PST_ANCHORS:
+        spec = NetworkSpec(num_spins=n, topology=topology, input_spin=1,
+                           output_spin=out)
+        controllers.append(Controller(
+            biases=np.zeros(n), t_f=t_f, spec=spec, seed=0, index=0,
+            fidelity=transfer_fidelity(spec, np.zeros(n), t_f)))
+    digest = hashlib.sha256()
+    rows = 0
+    for controller in controllers:
+        for record, tr_phi_k in verification.adjoint_records(controller):
+            digest.update(repr((dataclasses.astuple(record), tr_phi_k)).encode())
+            rows += 1
+    assert rows == 166
+    assert digest.hexdigest() == (
+        "50605ab8d1e1c2bb87d02bf9e37ddd4357fef739083876e3c75c1cd986d9d453")
+
+
 def test_cross_formulation_draws_only_requested_dims(evaluated):
     assert check_cross_formulation(seed=3, count=4, dims=(3,)).passed
     assert [c.spec.num_spins for c, _ in evaluated] == [3, 3, 3, 3]
 
 
-REFERENCE_STEPS = ("build_bloch_system", "spectral_decompose",
+REFERENCE_STEPS = ("adjoint_rep", "spectral_decompose",
                    "adjoint_sensitivity_operator", "project")
 
 
@@ -109,8 +134,13 @@ REFERENCE_STEPS = ("build_bloch_system", "spectral_decompose",
     (lambda: len(sample_instances(3, dims=(2, 4), systems_per_dim=2)) > 0, 4)],
     ids=["cross-formulation", "sample-instances"])
 def test_reference_route_runs_once_per_controller(monkeypatch, run, controllers):
-    # one adjoint system, one eigensystem, and one stacked operator and
-    # projection pass per controller, whatever its number of structures
+    # one generator, one eigensystem, and one stacked operator and
+    # projection pass per controller, whatever its number of structures;
+    # the structure images are built first, so that adjoint_rep counts
+    # generators alone
+    for n in (2, 3, 4):
+        for topology in ("chain", "ring") if n >= 3 else ("chain",):
+            verification._structure_images(n, topology)
     calls = Counter()
     for name in REFERENCE_STEPS:
         def counting(*args, _fn=getattr(verification, name), _name=name, **kwargs):
