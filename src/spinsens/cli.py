@@ -34,7 +34,7 @@ import hashlib
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
@@ -46,8 +46,9 @@ from .analytics import analyze
 from .errors import InvariantViolation
 from .geometry import PST_TOL
 from .network import NetworkSpec
-from .synthesis import (FIDELITY_TOL, SynthesisConfig, controllers_from_json,
-                        controllers_to_json, synthesize_ensemble)
+from .synthesis import (FIDELITY_TOL, TOLERANCE, SynthesisConfig,
+                        controllers_from_json, controllers_to_json,
+                        synthesize_ensemble)
 
 # Each CSV's columns in order, mapped to the field each one is read from
 # and the type it is written as: an int (a bool flag too) as a decimal
@@ -121,7 +122,7 @@ class RunManifest:
     config: dict
     inputs: dict
     outputs: dict
-    counts: dict | None = None
+    counts: dict
 
     def to_json(self) -> str:
         body = {
@@ -134,9 +135,8 @@ class RunManifest:
             "config_hash": config_hash(self.config),
             "inputs": self.inputs,
             "outputs": self.outputs,
+            "counts": self.counts,
         }
-        if self.counts is not None:
-            body["counts"] = self.counts
         return json.dumps(body, indent=1, sort_keys=False) + "\n"
 
 
@@ -164,41 +164,16 @@ def write_summaries_csv(path: Path, summaries) -> None:
     _write_csv(path, SUMMARY_COLUMNS, summaries)
 
 
-def _spec_from_args(args) -> NetworkSpec:
-    flags = (("--n", args.n), ("--topology", args.topology),
-             ("--in", args.input_spin), ("--out", args.output_spin))
-    if args.spec is not None:
-        given = [flag for flag, val in flags + (("--coupling", args.coupling),)
-                 if val is not None]
-        if given:
-            raise CommandLineError("give either --spec or the network flags, "
-                                   "not both: --spec with " + ", ".join(given))
-        try:
-            text = Path(args.spec).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IOError(f"cannot read network spec: {exc}") from exc
-        return NetworkSpec.from_json(text)
-    missing = [flag for flag, val in flags if val is None]
-    if missing:
-        raise CommandLineError("missing required flags: " + ", ".join(missing))
-    return NetworkSpec(num_spins=args.n, topology=args.topology,
-                       input_spin=args.input_spin, output_spin=args.output_spin,
-                       coupling=NetworkSpec.coupling if args.coupling is None
-                       else args.coupling)
-
-
 def cmd_synth(args) -> int:
-    spec = _spec_from_args(args)
+    spec = NetworkSpec(num_spins=args.n, topology=args.topology,
+                       input_spin=args.input_spin, output_spin=args.output_spin,
+                       coupling=args.coupling)
     config = SynthesisConfig(
         restarts=args.restarts,
         t_f_range=tuple(args.tf_range),
         bias_range=tuple(args.bias_range),
-        tolerance=args.tolerance,
         seed=args.seed)
     ensemble = synthesize_ensemble(spec, config)
-    if not ensemble:
-        raise CommandLineError("synthesis produced no controllers; "
-                               "check ranges and restart count")
 
     out_path = Path(args.output)
     spec_path = out_path.with_name(out_path.stem + ".spec.json")
@@ -208,7 +183,10 @@ def cmd_synth(args) -> int:
     manifest = RunManifest(
         command="synth",
         master_seed=config.seed,
-        config={"spec": json.loads(spec.to_json()), **asdict(config)},
+        # the fixed tolerance keeps its place among the settings
+        config={"spec": json.loads(spec.to_json()), "restarts": config.restarts,
+                "t_f_range": config.t_f_range, "bias_range": config.bias_range,
+                "tolerance": TOLERANCE, "seed": config.seed},
         inputs={},
         outputs={str(out_path): file_sha256(out_path),
                  str(spec_path): file_sha256(spec_path)},
@@ -324,7 +302,7 @@ def cmd_verify(args) -> int:
     results = run_checks(
         seed=args.seed, dims=tuple(args.n), systems_per_dim=args.systems_per_dim,
         three_way_per_dim=args.three_way_per_dim, cross_count=args.cross_count,
-        necessity_restarts=args.restarts, pst_only=args.pst)
+        necessity_restarts=args.restarts)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{r.label:4s} {r.name:{width}s}  {r.detail}")
@@ -345,22 +323,20 @@ def build_parser() -> _Parser:
 
     defaults = SynthesisConfig()
     synth = sub.add_parser("synth", help="synthesize a controller ensemble")
-    synth.add_argument("--spec", help="network spec JSON file")
-    synth.add_argument("--n", type=int, help="number of spins")
-    synth.add_argument("--topology", choices=("chain", "ring"))
-    synth.add_argument("--in", dest="input_spin", type=int,
+    synth.add_argument("--n", type=int, required=True, help="number of spins")
+    synth.add_argument("--topology", choices=("chain", "ring"), required=True)
+    synth.add_argument("--in", dest="input_spin", type=int, required=True,
                        help="input spin (1-indexed)")
-    synth.add_argument("--out", dest="output_spin", type=int,
+    synth.add_argument("--out", dest="output_spin", type=int, required=True,
                        help="output spin (1-indexed)")
-    synth.add_argument("--coupling", type=float,
-                       help="uniform coupling J (default 1.0)")
+    synth.add_argument("--coupling", type=float, default=NetworkSpec.coupling,
+                       help="uniform coupling J (default %(default)s)")
     synth.add_argument("--restarts", type=int, default=defaults.restarts)
     synth.add_argument("--seed", type=_int_at_least(0), default=defaults.seed)
     synth.add_argument("--tf-range", nargs=2, type=float,
                        default=list(defaults.t_f_range), metavar=("LO", "HI"))
     synth.add_argument("--bias-range", nargs=2, type=float,
                        default=list(defaults.bias_range), metavar=("LO", "HI"))
-    synth.add_argument("--tolerance", type=float, default=defaults.tolerance)
     synth.add_argument("--threads", type=_int_at_least(1), default=1,
                        help=THREADS_HELP)
     synth.add_argument("-o", "--output", default="controllers.json")
@@ -382,8 +358,6 @@ def build_parser() -> _Parser:
     verify.add_argument("--seed", type=_int_at_least(0), default=2024)
     verify.add_argument("--n", type=_int_at_least(2), nargs="+", default=(2, 3, 4, 5, 6),
                         help="restrict instance dimensions")
-    verify.add_argument("--pst", action="store_true",
-                        help="run only the perfect-transfer sufficiency check")
     verify.add_argument("--systems-per-dim", type=_int_at_least(1), default=14)
     verify.add_argument("--three-way-per-dim", type=_int_at_least(1), default=50)
     verify.add_argument("--cross-count", type=_int_at_least(1), default=100)

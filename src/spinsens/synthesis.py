@@ -34,6 +34,9 @@ FIDELITY_TOL = 1e-9
 # Iteration cap of one restart's L-BFGS-B ascent.
 MAXITER = 400
 
+# Projected-gradient size at which a restart counts as converged.
+TOLERANCE = 1e-8
+
 
 @dataclass(frozen=True)
 class Controller:
@@ -72,12 +75,10 @@ class SynthesisConfig:
     restarts: int = 100
     t_f_range: tuple[float, float] = (1.0, 50.0)
     bias_range: tuple[float, float] = (0.0, 10.0)
-    tolerance: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
         _number_fields(self, "integer", "restarts", "seed")
-        _number_fields(self, "number", "tolerance")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
@@ -94,8 +95,6 @@ class SynthesisConfig:
             raise ValueError("read-out range must be positive")
         if not self.bias_range[0] < self.bias_range[1]:
             raise ValueError(f"empty bias range {self.bias_range}")
-        if not 0 < self.tolerance < np.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 def transfer_fidelity(spec: NetworkSpec, biases: np.ndarray, t_f: float) -> float:
@@ -137,7 +136,7 @@ def local_optimize(spec: NetworkSpec, initial_biases: np.ndarray,
     point that is already stationary (a perfect-transfer controller in
     particular) comes back unchanged. The status is "converged" when the
     projected gradient over (biases, t_f) at the returned point is at most
-    ``config.tolerance`` or its error 1 - F is at most ``FIDELITY_TOL``, and
+    ``TOLERANCE`` or its error 1 - F is at most ``FIDELITY_TOL``, and
     "maxiter" otherwise. Since F <= 1 everywhere, a point of error within
     ``FIDELITY_TOL`` is a global maximum, even where rounding keeps its
     gradient above the tolerance.
@@ -162,7 +161,7 @@ def local_optimize(spec: NetworkSpec, initial_biases: np.ndarray,
     res = minimize(_negated, x, args=(spec, evaluated), jac=True,
                    method="L-BFGS-B", bounds=bounds,
                    options={"maxiter": MAXITER, "ftol": 1e-15,
-                            "gtol": config.tolerance / 10.0})
+                            "gtol": TOLERANCE / 10.0})
     start = next(iter(evaluated.values()))
     if -res.fun > start[0]:
         x = np.asarray(res.x, dtype=float)
@@ -170,7 +169,7 @@ def local_optimize(spec: NetworkSpec, initial_biases: np.ndarray,
     else:
         f_final, grad = start
     lo, hi = np.array(bounds).T
-    converged = (_projected_norm(grad, x, lo, hi) <= config.tolerance
+    converged = (_projected_norm(grad, x, lo, hi) <= TOLERANCE
                  or 1.0 - f_final <= FIDELITY_TOL)
     return Controller(biases=x[:-1], t_f=float(x[-1]), fidelity=min(1.0, f_final),
                       spec=spec, seed=seed, index=index,

@@ -492,13 +492,11 @@ def check_cross_formulation(seed: int, count: int, dims: tuple[int, ...]) -> Che
 
 
 def run_checks(seed: int, dims: tuple[int, ...], systems_per_dim: int,
-               three_way_per_dim: int, cross_count: int, necessity_restarts: int,
-               pst_only: bool = False) -> list[CheckResult]:
-    """The nine checks in report order, or the perfect-transfer sufficiency
-    check alone with ``pst_only``. Every randomized check draws from ``seed``,
-    the pool ones from ``dims``; ``spinsens verify`` holds the default sizes."""
-    if pst_only:
-        return [check_pst_sufficiency()]
+               three_way_per_dim: int, cross_count: int,
+               necessity_restarts: int) -> list[CheckResult]:
+    """The nine checks in report order. Every randomized check draws from
+    ``seed``, the pool ones from ``dims``; ``spinsens verify`` holds the
+    default sizes."""
     instances = sample_instances(seed, dims=dims, systems_per_dim=systems_per_dim)
     return [
         check_lemma1(instances),

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file formats, byte-level determinism."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -13,12 +14,15 @@ import pytest
 
 from spinsens import (Controller, NetworkSpec, SynthesisConfig, analyze,
                       synthesize_ensemble, transfer_fidelity)
-from spinsens.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, config_hash,
-                          file_sha256, main, write_records_csv,
+from spinsens.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, build_parser,
+                          config_hash, file_sha256, main, write_records_csv,
                           write_summaries_csv)
 from spinsens.synthesis import f17
 
 RING_FLAGS = ["--n", "4", "--topology", "ring", "--in", "1", "--out", "2"]
+README = Path(__file__).resolve().parents[1] / "README.md"
+# a command-line flag written in prose: "--tf-range", "-o"
+FLAG = re.compile(r"(?<![\w-])--?[a-z][\w-]*")
 
 # parseable documents whose numbers are not finite; json reads null in a
 # float array as nan
@@ -91,22 +95,8 @@ class TestArgumentHandling:
 
     def test_missing_network_flags(self, capsys):
         assert main(["synth", "--n", "4"]) == 1
-        assert "missing required flags" in capsys.readouterr().err
-
-    def test_spec_and_flags_conflict(self, tmp_path):
-        spec = tmp_path / "net.json"
-        spec.write_text('{"n": 4, "topology": "ring", "j": 1.0, "in": 1, "out": 2}')
-        assert main(["synth", "--spec", str(spec), "--n", "4"]) == 1
-
-    def test_spec_and_coupling_conflict(self, tmp_path, capsys):
-        # the spec file's j would silently win over the flag
-        spec = tmp_path / "net.json"
-        spec.write_text('{"n": 4, "topology": "ring", "j": 1.0, "in": 1, "out": 2}')
-        out = tmp_path / "run" / "controllers.json"
-        assert main(["synth", "--spec", str(spec), "--coupling", "2.5",
-                     "--restarts", "1", "-o", str(out)]) == 1
-        assert "--coupling" in capsys.readouterr().err
-        assert sorted(tmp_path.iterdir()) == [spec]
+        assert ("the following arguments are required: --topology, --in, --out"
+                in capsys.readouterr().err)
 
     def test_coupling_defaults_to_unity_without_spec(self, tmp_path):
         out = tmp_path / "controllers.json"
@@ -119,31 +109,51 @@ class TestArgumentHandling:
                      "--in", "1", "--out", "1"]) == 1
         assert "differ" in capsys.readouterr().err
 
-    def test_nonzero_kappa_rejected(self, capsys):
+    @pytest.mark.parametrize("argv, flag", [
         # no ZZ term is modelled, so there is no flag for one
-        assert main(["synth", *RING_FLAGS, "--kappa", "0.5"]) == 1
-        assert "unrecognized arguments: --kappa" in capsys.readouterr().err
+        (["synth", *RING_FLAGS, "--kappa", "0.5"], "--kappa"),
+        # the network comes from the network flags alone, the optimizer
+        # tolerance is fixed, and verify always runs all nine checks
+        (["synth", *RING_FLAGS, "--spec", "net.json"], "--spec"),
+        (["synth", *RING_FLAGS, "--tolerance", "1e-6"], "--tolerance"),
+        (["verify", "--pst"], "--pst")],
+        ids=["synth-kappa", "synth-spec", "synth-tolerance", "verify-pst"])
+    def test_unmodelled_or_removed_flag_rejected(self, tmp_path, monkeypatch, capsys,
+                                                 argv, flag):
+        # nothing printed, no file written
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag}" in captured.err
+        assert captured.out == "" and not any(tmp_path.iterdir())
 
-    def test_spec_file_with_unknown_key_rejected(self, tmp_path, capsys):
-        spec = tmp_path / "net.json"
-        spec.write_text('{"n": 4, "topology": "ring", "j": 1.0, "in": 1, "out": 2, '
-                        '"kappa": 0.5}')
-        assert main(["synth", "--spec", str(spec), "--restarts", "1"]) == 1
-        assert "kappa" in capsys.readouterr().err
+    @staticmethod
+    def analyze_with_spec(tmp_path, monkeypatch, doc):
+        # analyze --spec FILE: the network file given by path, not the sidecar
+        monkeypatch.chdir(tmp_path)
+        Path("rows.json").write_text(
+            '[{"index": 0, "tf": 1.0, "biases": [0, 0], "fidelity": 0.5}]')
+        Path("net.json").write_text(doc)
+        return main(["analyze", "rows.json", "--spec", "net.json"])
+
+    def test_spec_file_with_unknown_key_rejected(self, tmp_path, monkeypatch, capsys):
+        doc = '{"n": 2, "topology": "chain", "j": 1.0, "in": 1, "out": 2, "kappa": 0.5}'
+        assert self.analyze_with_spec(tmp_path, monkeypatch, doc) == 1
+        assert "unknown keys ['kappa']" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json", "rows.json"]
 
     @pytest.mark.parametrize("doc", [
         "5", '{"n": [4], "topology": "ring", "j": 1.0, "in": 1, "out": 2}',
         '{"n": 4.7, "topology": "ring", "in": 1.9, "out": "2"}'])
-    def test_malformed_spec_file_is_validation_error(self, tmp_path, capsys, doc):
-        spec = tmp_path / "net.json"
-        spec.write_text(doc)
-        assert main(["synth", "--spec", str(spec), "--restarts", "1"]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+    def test_malformed_spec_file_is_validation_error(self, tmp_path, monkeypatch, capsys,
+                                                     doc):
+        assert self.analyze_with_spec(tmp_path, monkeypatch, doc) == 1
+        assert capsys.readouterr().err.startswith("error: network document")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json", "rows.json"]
 
     @pytest.mark.parametrize("flags, field", [
         (["--tf-range", "1", "inf"], "t_f_range"),
-        (["--bias-range", "0", "inf"], "bias_range"),
-        (["--tolerance", "inf"], "tolerance")])
+        (["--bias-range", "0", "inf"], "bias_range")])
     def test_non_finite_synth_settings_rejected(self, tmp_path, capsys, flags, field):
         out = tmp_path / "controllers.json"
         assert main(["synth", *RING_FLAGS, "--restarts", "1", *flags,
@@ -153,14 +163,14 @@ class TestArgumentHandling:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["synth", *RING_FLAGS], ["analyze", "absent.json"], ["verify", "--pst"]])
+        ["synth", *RING_FLAGS], ["analyze", "absent.json"], ["verify"]])
     def test_threads_below_one_rejected_at_parse_time(self, capsys, argv):
         # --threads changes nothing, but a bad value still fails before any
         # work or file access
         assert main([*argv, "--threads", "0"]) == 1
         assert "--threads: must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["synth", *RING_FLAGS], ["verify", "--pst"]])
+    @pytest.mark.parametrize("argv", [["synth", *RING_FLAGS], ["verify"]])
     @pytest.mark.parametrize("value, message", [("-1", "must be >= 0, got -1"),
                                                 ("1.5", "not an integer")])
     def test_seed_checked_at_parse_time(self, tmp_path, monkeypatch, capsys, argv,
@@ -189,6 +199,31 @@ class TestArgumentHandling:
         assert "argument --n: must be >= 2, got 1" in capsys.readouterr().err
 
 
+class TestReadmeFlags:
+    @staticmethod
+    def sections():
+        # each "### " section of the README, up to the next "## " or "### "
+        text = README.read_text(encoding="utf-8")
+        return dict(re.findall(r"^### (.+?)\n(.*?)(?=^#{2,3} |\Z)", text, re.M | re.S))
+
+    @pytest.mark.parametrize("command", ["synth", "analyze", "verify"])
+    def test_section_names_the_parser_options(self, command):
+        sub, = [a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        options = [a.option_strings for a in sub.choices[command]._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        sections = self.sections()
+        section, = [body for title, body in sections.items()
+                    if title.startswith(f"`spinsens {command}`")]
+        named = set(FLAG.findall(section))
+        # a stale flag in the section, then an option neither it nor the
+        # shared section documents (-o stands for --output)
+        known = {flag for strings in options for flag in strings}
+        assert sorted(f for f in named if f.startswith("--") and f not in known) == []
+        named |= set(FLAG.findall(sections["Threads, exit codes"]))
+        assert [strings for strings in options if not named & set(strings)] == []
+
+
 class TestAnalyzeInputs:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.json")]) == 3
@@ -202,12 +237,14 @@ class TestAnalyzeInputs:
         assert "corrupt" in capsys.readouterr().err
 
     def test_synth_spec_not_json_is_io_error(self, tmp_path, capsys):
-        spec = tmp_path / "net.json"
-        spec.write_text("n = 4")
-        out = tmp_path / "c.json"
-        assert main(["synth", "--spec", str(spec), "--restarts", "2", "-o", str(out)]) == 3
+        # the network sidecar, which synth writes next to its controllers
+        rows = tmp_path / "rows.json"
+        rows.write_text('[{"index": 0, "tf": 1.0, "biases": [0, 0], "fidelity": 0.5}]')
+        (tmp_path / "rows.spec.json").write_text("n = 4")
+        assert main(["analyze", str(rows), "--records", str(tmp_path / "r.csv"),
+                     "--summaries", str(tmp_path / "s.csv")]) == 3
         assert "corrupt" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.json", "rows.spec.json"]
 
     def test_row_missing_key_is_validation_error(self, tmp_path):
         bad = tmp_path / "rows.json"
@@ -307,6 +344,20 @@ class TestSynthOutputs:
         errors = [1.0 - row["fidelity"] for row in rows]
         assert counts["best_error"] == errors[0] == min(errors)
         assert counts["median_error"] == float(np.median(errors))
+
+    def test_manifest_config_pinned(self, tmp_path, monkeypatch):
+        # the config at the CI argv, keys in the order the manifest writes
+        # them, and its hash: either changing changes the manifest bytes
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", *RING_FLAGS, "--restarts", "8", "--seed", "3",
+                     "-o", "c.json"]) == 0
+        manifest = json.loads((tmp_path / "c.manifest.json").read_text())
+        expected = {"spec": {"n": 4, "topology": "ring", "j": 1.0, "in": 1, "out": 2},
+                    "restarts": 8, "t_f_range": [1.0, 50.0], "bias_range": [0.0, 10.0],
+                    "tolerance": 1e-08, "seed": 3}
+        assert json.dumps(manifest["config"]) == json.dumps(expected)
+        assert manifest["config_hash"] == (
+            "4ce3c251dde7255f3c66c74481656c7c7d9293badc360b697e73c8f97e4b38c8")
 
     def test_manifest_counts_dropped_duplicates(self, tmp_path):
         # restarts in a 1e-9 bias box and a narrow read-out window often
@@ -658,11 +709,6 @@ class TestVerifyCommand:
     SMALL = ["--n", "2", "3", "--systems-per-dim", "3", "--three-way-per-dim", "3",
              "--cross-count", "10", "--restarts", "2", "--seed", "5",
              "--threads", "2"]
-
-    def test_pst_only_passes(self, capsys):
-        assert main(["verify", "--n", "2", "--pst"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "verify:" in out
 
     def test_small_suite_passes(self, capsys):
         assert main(["verify", *self.SMALL]) == 0
