@@ -9,9 +9,9 @@ explain when high fidelity and low sensitivity coexist.
 
 Public names resolve lazily (PEP 562): ``import spinsens`` loads no
 submodule, and ``spinsens.<name>`` imports the one module that defines
-the name on first use. Only the oracles in ``verification`` and
-``sensitivity.quadrature_oracle`` and the optimizer in ``synthesis``
-load scipy, so analysis alone needs numpy only. Resolved names are not
+the name on first use. Only the oracles in ``verification``,
+``sensitivity.quadrature_oracle`` and ``sensitivity.fd_oracle``, and the
+optimizer in ``synthesis`` load scipy, so analysis alone needs numpy only. Resolved names are not
 cached here: each lookup reads the home module's current attribute, so
 a patch of that attribute, and its restore, show through the package.
 """

@@ -1,13 +1,14 @@
 """Ensemble tables: geometry records and per-structure correlation stats.
 
 For every (controller, uncertainty structure) pair the pipeline computes
-the full geometric decomposition (fidelity, sensitivity, frame norms and
-angles) as one record. Every record comes from ``eigh`` of the N x N
-Hamiltonian, once per controller, plus one O(N^3) contraction per
-structure (``sensitivity.sensitivity_operator``); no N^2 x N^2 operator
-is formed. The adjoint-picture route that builds Phi and K explicitly is
-kept in ``verification`` as the reference these records are checked
-against.
+the scale quantities of the geometric decomposition (fidelity,
+sensitivity, frame coefficient and norms) in the N x N picture, and
+``GeometryRecord.assemble`` turns them into one record, angles included.
+The scale quantities come from ``eigh`` of the N x N Hamiltonian, once
+per controller, plus one O(N^3) contraction per structure
+(``sensitivity.sensitivity_operator``); no N^2 x N^2 operator is formed.
+The adjoint-picture route that builds Phi and K explicitly is kept in
+``verification`` as the reference these records are checked against.
 
 Per structure, two statistics summarize the ensemble: the Pearson
 correlation of log error against log absolute sensitivity, and the
@@ -31,14 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PST_TOL, GeometryRecord, angles, identity_residual
+from .geometry import PST_TOL, GeometryRecord
 from .network import UncertaintyStructure, enumerate_structures, scaling_factor
 from .sensitivity import hilbert_transfer, sensitivity_operator
 from .synthesis import Controller
-
-# Below this fidelity the angle decomposition is numerically meaningless;
-# records are kept but angle fields carry nan and are excluded from stats.
-ZERO_FIDELITY_FLOOR = 1e-12
 
 # Largest accepted t_f * max|E|. The phases exp(-iEt) carry an absolute
 # error of about eps * t_f * max|E|, so at this bound they keep about eight
@@ -124,41 +121,6 @@ def kendall(x, y) -> float:
     return max(-1.0, min(1.0, sign_products // 2 / denom))
 
 
-def _record(controller: Controller, structure: UncertaintyStructure, *,
-            f_val: float, zeta: float, f_n: float, k_coeff: float,
-            norm_k: float, norm_rs: float, perp: float,
-            pst: bool) -> GeometryRecord:
-    # angles and the identity residual from the scale quantities; shared
-    # with the adjoint-picture reference route in verification
-    if f_val < ZERO_FIDELITY_FLOOR or norm_rs <= 0.0:
-        cos_phi = sin_phi = cos_theta = residual = float("nan")
-        zero_fid = True
-    else:
-        cos_phi, sin_phi, cos_theta = angles(
-            f_val, zeta, controller.spec.num_spins, norm_rs, norm_k, f_n,
-            controller.t_f, norm_rs_perp=perp)
-        residual = identity_residual(zeta, f_n, controller.t_f, norm_k,
-                                     norm_rs, sin_phi)
-        zero_fid = False
-    return GeometryRecord(
-        controller_index=controller.index,
-        structure_index=structure.index,
-        F=f_val,
-        e=1.0 - f_val,
-        zeta=zeta,
-        f_n=f_n,
-        t_f=controller.t_f,
-        norm_K=norm_k,
-        norm_Rs=norm_rs,
-        k_coeff=k_coeff,
-        cos_phi=cos_phi,
-        sin_phi=sin_phi,
-        cos_theta=cos_theta,
-        identity_residual=residual,
-        pst=pst,
-        zero_fidelity=zero_fid)
-
-
 def evaluate_controller(controller: Controller,
                         structures: tuple[UncertaintyStructure, ...],
                         ) -> list[GeometryRecord]:
@@ -193,9 +155,9 @@ def evaluate_controller(controller: Controller,
         k_coeff, norm_k = sensitivity_operator(transfer, structure.matrix)
         f_n = scaling_factor(structure, controller)
         perp = abs(k_coeff) / norm_k
-        records.append(_record(
-            controller, structure, f_val=f_val, zeta=-t_f * f_n * k_coeff,
-            f_n=f_n, k_coeff=k_coeff, norm_k=norm_k,
+        records.append(GeometryRecord.assemble(
+            controller.index, structure.index, n, t_f, f_val=f_val,
+            zeta=-t_f * f_n * k_coeff, f_n=f_n, k_coeff=k_coeff, norm_k=norm_k,
             norm_rs=math.hypot(f_val / n, perp), perp=perp, pst=pst))
     return records
 

@@ -34,7 +34,6 @@ import hashlib
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
@@ -115,29 +114,22 @@ def config_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    master_seed: int
-    config: dict
-    inputs: dict
-    outputs: dict
-    counts: dict
-
-    def to_json(self) -> str:
-        body = {
-            "schema_version": SCHEMA_VERSION,
-            "tool": f"spinsens {__version__}",
-            "command": self.command,
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-            "master_seed": self.master_seed,
-            "config": self.config,
-            "config_hash": config_hash(self.config),
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "counts": self.counts,
-        }
-        return json.dumps(body, indent=1, sort_keys=False) + "\n"
+def _manifest_json(*, command: str, master_seed: int, config: dict, inputs: dict,
+                   outputs: dict, counts: dict) -> str:
+    """Text of a run manifest; ``created_utc`` is its one timestamp."""
+    body = {
+        "schema_version": SCHEMA_VERSION,
+        "tool": f"spinsens {__version__}",
+        "command": command,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "master_seed": master_seed,
+        "config": config,
+        "config_hash": config_hash(config),
+        "inputs": inputs,
+        "outputs": outputs,
+        "counts": counts,
+    }
+    return json.dumps(body, indent=1, sort_keys=False) + "\n"
 
 
 def _write(path: Path, text: str) -> None:
@@ -180,7 +172,7 @@ def cmd_synth(args) -> int:
     manifest_path = out_path.with_name(out_path.stem + ".manifest.json")
     _write(out_path, controllers_to_json(ensemble))
     _write(spec_path, spec.to_json())
-    manifest = RunManifest(
+    _write(manifest_path, _manifest_json(
         command="synth",
         master_seed=config.seed,
         # the fixed tolerance keeps its place among the settings
@@ -193,8 +185,7 @@ def cmd_synth(args) -> int:
         counts={"duplicates_dropped": config.restarts - len(ensemble),
                 "status": dict(sorted(Counter(c.status for c in ensemble).items())),
                 "best_error": ensemble[0].error,
-                "median_error": float(np.median([c.error for c in ensemble]))})
-    _write(manifest_path, manifest.to_json())
+                "median_error": float(np.median([c.error for c in ensemble]))}))
     best = ensemble[0]
     print(f"synth: {len(ensemble)} controllers -> {out_path} "
           f"(best error {best.error:.3e})")
@@ -277,7 +268,7 @@ def cmd_analyze(args) -> int:
                              f"but its working point gives {r.F!r}")
     write_records_csv(records_path, records)
     write_summaries_csv(summaries_path, summaries)
-    manifest = RunManifest(
+    _write(manifest_path, _manifest_json(
         command="analyze",
         master_seed=-1,
         config={"pst_tol": PST_TOL,
@@ -288,8 +279,7 @@ def cmd_analyze(args) -> int:
                  str(summaries_path): file_sha256(summaries_path)},
         counts={"pst_records": sum(r.pst for r in records),
                 "zero_fidelity_records": sum(r.zero_fidelity for r in records),
-                "inputs_checked_against_manifest": checked})
-    _write(manifest_path, manifest.to_json())
+                "inputs_checked_against_manifest": checked}))
     print(f"analyze: {len(records)} records over {len(summaries)} structures "
           f"-> {records_path}, {summaries_path}")
     return 0

@@ -52,6 +52,10 @@ PST_TOL = 1e-12
 EPS = sys.float_info.epsilon
 TINY = sys.float_info.min
 
+# Below this fidelity the angle decomposition is numerically meaningless;
+# records are kept but angle fields carry nan and are excluded from stats.
+ZERO_FIDELITY_FLOOR = 1e-12
+
 
 def _frob(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     # Frobenius inner product over the last two axes; leading axes broadcast
@@ -86,17 +90,31 @@ def project(f_coeff: float, k_coeff: float | np.ndarray, phi: np.ndarray,
     return r_s, np.linalg.norm(r_s, axis=(-2, -1)), np.linalg.norm(perp, axis=(-2, -1))
 
 
+def scale_product(f_n: float, t_f: float, norm_k: float, norm_rs: float) -> float:
+    """The scale f_n t_f |K| |R_S| of the identity |zeta| = scale * |sin phi|."""
+    return f_n * t_f * norm_k * norm_rs
+
+
+def angle_slack(n: int, norm_rs: float) -> float:
+    """Conditioning allowance 8 n^2 eps / |R_S| of a record's angles.
+
+    F and |R_S| each carry O(n^2 eps) absolute error, which near zero
+    fidelity is large relative to both.
+    """
+    return 8.0 * n * n * EPS / norm_rs
+
+
 def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,
            f_n: float, t_f: float, *,
            norm_rs_perp: float) -> tuple[float, float, float]:
     """Frame angles (cos phi, sin phi, cos theta) of one record.
 
     cos phi comes from the fidelity. An overshoot of [-1, 1] beyond
-    ``ANGLE_TOL`` is clamped when it lies within the conditioning allowance
-    8 n^2 eps / |R_S|, which only near-zero fidelity reaches, and raises
-    otherwise. sin phi is |R_S - P_Phi R_S| / |R_S|, from the orthogonal
-    component ``project`` reports, and cos theta comes from the
-    sensitivity, -zeta / (f_n t_f |K| |R_S|). Below a normal-float scale
+    ``ANGLE_TOL`` is clamped when it lies within ``angle_slack``, which
+    only near-zero fidelity reaches, and raises otherwise. sin phi is
+    |R_S - P_Phi R_S| / |R_S|, from the orthogonal component ``project``
+    reports, and cos theta comes from the sensitivity,
+    -zeta / ``scale_product``. Below a normal-float scale
     (f_n = 0, or a subnormal f_n) the sensitivity is zero at working
     precision and cos theta is reported as 0. The two routes agree up to
     sign, |cos theta| = sin phi; on the N x N records both sides are
@@ -107,9 +125,7 @@ def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,
         raise ValueError("angles undefined for a vanishing projection")
     if norm_k <= 0:
         raise ValueError("angles undefined for a vanishing sensitivity operator")
-    # F and |R_S| each carry O(n^2 eps) absolute error, which near zero
-    # fidelity is large relative to both
-    slack = 8.0 * n * n * EPS / norm_rs
+    slack = angle_slack(n, norm_rs)
     cos_phi = fidelity / (n * norm_rs)
     overshoot = abs(cos_phi) - 1.0
     if overshoot > ANGLE_TOL:
@@ -119,7 +135,7 @@ def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,
                 f"conditioning allowance {slack:.3e}")
         cos_phi = math.copysign(1.0, cos_phi)
     sin_phi = min(1.0, norm_rs_perp / norm_rs)
-    scale = t_f * f_n * norm_k * norm_rs
+    scale = scale_product(f_n, t_f, norm_k, norm_rs)
     cos_theta = -zeta / scale if scale >= TINY else 0.0
     return float(cos_phi), float(sin_phi), float(cos_theta)
 
@@ -127,7 +143,7 @@ def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,
 def identity_residual(zeta: float, f_n: float, t_f: float, norm_k: float,
                       norm_rs: float, sin_phi: float) -> float:
     """Defect of |zeta| = f_n t_f |K| |R_S| sin phi for one record."""
-    return float(abs(abs(zeta) - f_n * t_f * norm_k * norm_rs * abs(sin_phi)))
+    return float(abs(abs(zeta) - scale_product(f_n, t_f, norm_k, norm_rs) * abs(sin_phi)))
 
 
 def pst_check(phi: np.ndarray, r0: np.ndarray, rf: np.ndarray) -> bool:
@@ -172,6 +188,30 @@ class GeometryRecord:
         if math.isfinite(self.cos_theta) and abs(self.cos_theta) > 1.0 + ANGLE_TOL:
             raise ValueError(f"cos theta {self.cos_theta} outside [-1, 1]")
 
+    @classmethod
+    def assemble(cls, controller_index: int, structure_index: int, n: int, t_f: float,
+                 *, f_val: float, zeta: float, f_n: float, k_coeff: float,
+                 norm_k: float, norm_rs: float, perp: float,
+                 pst: bool) -> "GeometryRecord":
+        """The record of one (controller, structure) pair of an n-spin
+        network, from its scale quantities; ``perp`` is the norm of the
+        part of R_S off the propagator. A fidelity below
+        ``ZERO_FIDELITY_FLOOR`` or a vanishing |R_S| gives a zero-fidelity
+        record with nan angles and residual."""
+        if f_val < ZERO_FIDELITY_FLOOR or norm_rs <= 0.0:
+            cos_phi = sin_phi = cos_theta = residual = float("nan")
+            zero_fid = True
+        else:
+            cos_phi, sin_phi, cos_theta = angles(
+                f_val, zeta, n, norm_rs, norm_k, f_n, t_f, norm_rs_perp=perp)
+            residual = identity_residual(zeta, f_n, t_f, norm_k, norm_rs, sin_phi)
+            zero_fid = False
+        return cls(controller_index=controller_index, structure_index=structure_index,
+                   F=f_val, e=1.0 - f_val, zeta=zeta, f_n=f_n, t_f=t_f,
+                   norm_K=norm_k, norm_Rs=norm_rs, k_coeff=k_coeff,
+                   cos_phi=cos_phi, sin_phi=sin_phi, cos_theta=cos_theta,
+                   identity_residual=residual, pst=pst, zero_fidelity=zero_fid)
+
     @property
     def abs_zeta(self) -> float:
         return abs(self.zeta)
@@ -179,4 +219,4 @@ class GeometryRecord:
     @property
     def bound_product(self) -> float:
         """The factored form f_n t_f |K| |R_S| |sin phi|."""
-        return self.f_n * self.t_f * self.norm_K * self.norm_Rs * abs(self.sin_phi)
+        return scale_product(self.f_n, self.t_f, self.norm_K, self.norm_Rs) * abs(self.sin_phi)

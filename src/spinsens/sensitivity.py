@@ -27,7 +27,8 @@ of the derivative are oracles too: fixed-order Gauss-Legendre quadrature
 of the integral representation (one batched Pade-based matrix exponential
 of 33 slices for the 64 nodes, since exp(-X) = exp(X)^T for skew X; no
 shared eigensystem) and a central finite difference of the error under
-full re-propagation.
+full re-propagation (``fd_oracle``: two Pade-based matrix exponentials of
+the displaced N x N Hamiltonian, at the fixed step ``FD_STEP``).
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .network import _readonly, build_hamiltonian
+from .network import _readonly, build_hamiltonian, perturb
 
 if TYPE_CHECKING:
     from .network import NetworkSpec, UncertaintyStructure
@@ -51,6 +52,9 @@ IMAG_TOL = 1e-9
 
 # Order of the Gauss-Legendre rule in ``quadrature_oracle``.
 QUADRATURE_NODES = 64
+
+# Central-difference step of ``fd_oracle``.
+FD_STEP = 1e-5
 
 
 def _require_skew(a: np.ndarray, what: str) -> np.ndarray:
@@ -268,17 +272,22 @@ def quadrature_oracle(a: np.ndarray, s_bloch: np.ndarray, t_f: float,
     return float(-t_f * f_n * acc)
 
 
-def fd_oracle(system_builder: Callable[["UncertaintyStructure", "Controller", float], float],
-              structure: "UncertaintyStructure", controller: "Controller",
-              h: float) -> float:
+def fd_oracle(structure: "UncertaintyStructure", controller: "Controller") -> float:
     """Central finite difference of the error under full re-propagation.
 
-    ``system_builder(structure, controller, delta)`` must return the
-    transfer error of the perturbed Hamiltonian; the derivative estimate
-    is (e(+h) - e(-h)) / 2h with truncation error O(h^2).
+    The error 1 - |U_oi|^2 of the Hamiltonian displaced by +-``FD_STEP``
+    along the scaled structure, each from one Pade-based ``expm`` of the
+    N x N Hamiltonian; the derivative estimate is
+    (e(+h) - e(-h)) / 2h, h = ``FD_STEP``, with truncation error O(h^2).
     """
-    if not 1e-7 <= abs(h) <= 1e-4:
-        raise ValueError(f"step size must lie in [1e-7, 1e-4], got {h}")
-    e_plus = system_builder(structure, controller, +h)
-    e_minus = system_builder(structure, controller, -h)
-    return float((e_plus - e_minus) / (2.0 * h))
+    # imported here so that the closed-form route loads no scipy
+    from scipy.linalg import expm
+
+    spec = controller.spec
+    ham = build_hamiltonian(spec, controller.biases)
+
+    def error(delta: float) -> float:
+        u = expm(-1j * perturb(ham, structure, delta, controller) * controller.t_f)
+        return float(1.0 - abs(u[spec.output_spin - 1, spec.input_spin - 1]) ** 2)
+
+    return float((error(+FD_STEP) - error(-FD_STEP)) / (2.0 * FD_STEP))

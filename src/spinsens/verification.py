@@ -6,7 +6,10 @@ factorization) or an independent computational route (Hilbert-space
 propagation, quadrature of the integral representation, finite
 differences of the re-propagated error). Checks sample randomized
 networks and controllers from a seeded generator, so a failure report
-always pins the offending instance.
+always pins the offending instance. This module only compares: both
+routes build their records with ``GeometryRecord.assemble``, the scale
+and the angle allowance come from ``geometry``, and the oracles from
+``sensitivity``.
 
 The records ``analyze`` publishes come from the N x N Hamiltonian, where
 the structural identities hold by construction. ``adjoint_records`` keeps
@@ -37,12 +40,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .analytics import _record, analyze, evaluate_controller
+from .analytics import analyze, evaluate_controller
 from .bloch import adjoint_rep, site_state, state_to_bloch
-from .geometry import EPS, TINY, GeometryRecord, _frob, project, pst_check
+from .geometry import (TINY, GeometryRecord, _frob, angle_slack, project, pst_check,
+                       scale_product)
 from .network import (NetworkSpec, UncertaintyStructure, _readonly,
-                      build_hamiltonian, enumerate_structures, perturb,
-                      scaling_factor)
+                      build_hamiltonian, enumerate_structures, scaling_factor)
 from .sensitivity import (adjoint_sensitivity_operator, fd_oracle, propagator_matrix,
                           quadrature_oracle, spectral_decompose)
 from .synthesis import Controller, SynthesisConfig, synthesize_ensemble, transfer_fidelity
@@ -52,9 +55,6 @@ from .synthesis import Controller, SynthesisConfig, synthesize_ensemble, transfe
 # fixed-order quadrature both stay far below the agreement tolerances.
 INSTANCE_T_RANGE = (0.3, 3.0)
 INSTANCE_BIAS_SCALE = 1.0
-
-# Central-difference step of the three-way check's finite-difference oracle.
-FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,9 @@ def adjoint_records(controller: Controller,
     read out once: F = rf . Phi r0, then one stacked product gives
     k = <R, K> = rf . K r0 per structure, zeta = -t_f f_n k, and one
     ``project`` call assembles every R_S from F and k. Nothing is shared
-    with the N x N route of ``evaluate_controller`` except the assembly
-    of angles from the scale quantities.
+    with the N x N route of ``evaluate_controller`` except
+    ``GeometryRecord.assemble``, which turns the scale quantities into
+    a record.
     """
     structures, s_images = _structure_images(controller.spec.num_spins,
                                              controller.spec.topology)
@@ -163,10 +164,12 @@ def adjoint_records(controller: Controller,
     zeta = -controller.t_f * f_n * k_coeff
     _, norm_rs, perp = project(f_val, k_coeff, phi, k_op, norm_k)
     tr_phi_k = _frob(phi, k_op)
-    return [(_record(controller, structure, f_val=f_val, zeta=float(zeta[i]),
-                     f_n=float(f_n[i]), k_coeff=float(k_coeff[i]),
-                     norm_k=float(norm_k[i]), norm_rs=float(norm_rs[i]),
-                     perp=float(perp[i]), pst=pst),
+    n = controller.spec.num_spins
+    return [(GeometryRecord.assemble(
+                controller.index, structure.index, n, controller.t_f, f_val=f_val,
+                zeta=float(zeta[i]), f_n=float(f_n[i]), k_coeff=float(k_coeff[i]),
+                norm_k=float(norm_k[i]), norm_rs=float(norm_rs[i]),
+                perp=float(perp[i]), pst=pst),
              float(tr_phi_k[i]))
             for i, structure in enumerate(structures)]
 
@@ -240,8 +243,13 @@ def check_lemma2(instances: list[Instance]) -> CheckResult:
 
 def _angle_allowance(n: int, record: GeometryRecord) -> float:
     # tolerance of a record's angles: 1e-8 plus the conditioning allowance
-    # 8 n^2 eps / |R_S| of ``angles``
-    return 1e-8 + 8.0 * n * n * EPS / record.norm_Rs
+    # of ``angles``
+    return 1e-8 + angle_slack(n, record.norm_Rs)
+
+
+def _identity_budget(record: GeometryRecord) -> float:
+    # tolerance of a record's identity residual
+    return 1e-8 * max(1.0, record.abs_zeta)
 
 
 def check_theorem1(instances: list[Instance]) -> CheckResult:
@@ -254,11 +262,10 @@ def check_theorem1(instances: list[Instance]) -> CheckResult:
     if not records:
         return _no_instances("theorem1-identity")
     skipped = len(instances) - len(records)
-    worst = max(r.identity_residual / (1e-8 * max(1.0, r.abs_zeta))
-                for _, r in records)
+    worst = max(r.identity_residual / _identity_budget(r) for _, r in records)
     misaligned = sum(abs(abs(r.cos_theta) - r.sin_phi) > _angle_allowance(n, r)
                      for n, r in records
-                     if r.t_f * r.f_n * r.norm_K * r.norm_Rs >= TINY)
+                     if scale_product(r.f_n, r.t_f, r.norm_K, r.norm_Rs) >= TINY)
     detail = f"{len(records)} records, worst residual at {worst:.3e} of budget"
     if skipped:
         detail += f", {skipped} zero-fidelity records left out"
@@ -314,17 +321,6 @@ def check_remark2(instances: list[Instance]) -> CheckResult:
         detail=f"{len(instances)} instances inside [F/N - 1e-12, 1/N + 1e-10]")
 
 
-def perturbed_error(structure: UncertaintyStructure, controller: Controller,
-                    delta: float) -> float:
-    """Error of the perturbed Hamiltonian under full re-propagation."""
-    spec = controller.spec
-    ham = build_hamiltonian(spec, controller.biases)
-    tilted = perturb(ham, structure, delta, controller)
-    u = expm(-1j * tilted * controller.t_f)
-    amp = u[spec.output_spin - 1, spec.input_spin - 1]
-    return float(1.0 - abs(amp) ** 2)
-
-
 def check_three_way(seed: int, dims: tuple[int, ...], per_dim: int) -> CheckResult:
     """Closed form vs quadrature vs finite differences on random instances
     of up to 5 spins, one drawn structure each; fails when there are none."""
@@ -342,7 +338,7 @@ def check_three_way(seed: int, dims: tuple[int, ...], per_dim: int) -> CheckResu
         r0, rf = _endpoints(spec)
         quad = quadrature_oracle(adjoint_rep(build_hamiltonian(spec, controller.biases)),
                                  image, controller.t_f, r0, rf, record.f_n)
-        fd = fd_oracle(perturbed_error, structure, controller, FD_STEP)
+        fd = fd_oracle(structure, controller)
         zeta = record.zeta
         worst_quad = max(worst_quad, abs(quad - zeta) / max(1e-8 * abs(zeta), 1e-10))
         worst_fd = max(worst_fd, abs(fd - zeta) / max(1e-6 * abs(zeta), 1e-8))
@@ -407,7 +403,7 @@ def check_necessity(seed: int, restarts: int) -> CheckResult:
                   if r.abs_zeta < 1e-12 and r.sin_phi > 1e-8]
     residual_bad = [r for r in records
                     if math.isfinite(r.identity_residual)
-                    and r.identity_residual > 1e-8 * max(1.0, r.abs_zeta)]
+                    and r.identity_residual > _identity_budget(r)]
     passed = not violations and not residual_bad and bool(eligible)
     if violations:
         r = violations[0]

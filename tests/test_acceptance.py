@@ -20,6 +20,7 @@ from spinsens.network import COUPLING
 from spinsens.verification import (check_cross_formulation,
                                    check_pst_sufficiency, check_three_way,
                                    sample_instances)
+from test_imports import fresh
 
 POOL_SEED = 20240814
 
@@ -154,19 +155,27 @@ def test_criterion_10_byte_determinism(tmp_path):
     flags = ["--n", "4", "--topology", "ring", "--in", "1", "--out", "2",
              "--restarts", "8", "--seed", "42", "--tf-range", "1", "10"]
     ensembles, tables = [], []
-    for name, threads in (("run1", 1), ("run2", 1), ("run4", 4)):
+    # in this interpreter with --threads 1, 1 and 4, then without --threads
+    # in two fresh interpreters whose string hashing is seeded 0 and 1
+    for name, threads, hash_seed in (("run1", 1, None), ("run2", 1, None),
+                                     ("run4", 4, None), ("hash0", None, 0),
+                                     ("hash1", None, 1)):
         out = tmp_path / name / "controllers.json"
         records = out.with_name("records.csv")
         summaries = out.with_name("summaries.csv")
-        assert main(["synth", *flags, "--threads", str(threads),
-                     "-o", str(out)]) == 0
-        assert main(["analyze", str(out), "--records", str(records),
-                     "--summaries", str(summaries),
-                     "--threads", str(threads)]) == 0
+        threads_flag = [] if threads is None else ["--threads", str(threads)]
+        argvs = (["synth", *flags, *threads_flag, "-o", str(out)],
+                 ["analyze", str(out), "--records", str(records),
+                  "--summaries", str(summaries), *threads_flag])
+        if hash_seed is not None:
+            fresh("import spinsens.cli\n" + "".join(
+                f"assert spinsens.cli.main({argv!r}) == 0\n" for argv in argvs),
+                hash_seed=hash_seed)
+        else:
+            assert all(main(argv) == 0 for argv in argvs)
         ensembles.append(out.read_bytes())
         tables.append(records.read_bytes() + summaries.read_bytes())
-    ok = (ensembles[0] == ensembles[1] == ensembles[2]
-          and tables[0] == tables[1] == tables[2])
+    ok = len(set(ensembles)) == 1 and len(set(tables)) == 1
     n_rows = len(json.loads(ensembles[0]))
     report(10, ok, f"{n_rows} controllers, ensemble and tables byte-identical "
-                   f"across 2 runs and threads {{1, 4}}")
+                   f"across 2 runs, threads {{1, 4}} and PYTHONHASHSEED {{0, 1}}")

@@ -18,6 +18,7 @@ from spinsens.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, build_parser,
                           config_hash, file_sha256, main, write_records_csv,
                           write_summaries_csv)
 from spinsens.synthesis import f17
+from test_imports import fresh
 
 RING_FLAGS = ["--n", "4", "--topology", "ring", "--in", "1", "--out", "2"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -35,22 +36,34 @@ NONFINITE_TIMES = [
     '[{"index": 0, "tf": 1e309, "biases": [0, 0], "fidelity": 0.5}]']
 
 
+def threads_flag(threads):
+    # no flag at all for threads=None
+    return [] if threads is None else ["--threads", str(threads)]
+
+
+def synth_argv(out, threads, restarts=6, seed=3):
+    return ["synth", *RING_FLAGS, "--restarts", str(restarts), "--seed", str(seed),
+            "--tf-range", "1", "10", *threads_flag(threads), "-o", str(out)]
+
+
+def analyze_argv(controllers_path, threads):
+    # the tables land next to the controllers
+    return ["analyze", str(controllers_path),
+            "--records", str(controllers_path.with_name("records.csv")),
+            "--summaries", str(controllers_path.with_name("summaries.csv")),
+            *threads_flag(threads)]
+
+
 def run_synth(tmp_path, name, threads, restarts=6, seed=3):
     out = tmp_path / name / "controllers.json"
-    code = main(["synth", *RING_FLAGS, "--restarts", str(restarts),
-                 "--seed", str(seed), "--tf-range", "1", "10",
-                 "--threads", str(threads), "-o", str(out)])
-    assert code == 0
+    assert main(synth_argv(out, threads, restarts, seed)) == 0
     return out
 
 
 def run_analyze(controllers_path, threads):
-    records = controllers_path.with_name("records.csv")
-    summaries = controllers_path.with_name("summaries.csv")
-    code = main(["analyze", str(controllers_path), "--records", str(records),
-                 "--summaries", str(summaries), "--threads", str(threads)])
-    assert code == 0
-    return records, summaries
+    assert main(analyze_argv(controllers_path, threads)) == 0
+    return (controllers_path.with_name("records.csv"),
+            controllers_path.with_name("summaries.csv"))
 
 
 def chain12_ensemble():
@@ -596,6 +609,18 @@ class TestDeterminism:
             tables.append((records.read_bytes(), summaries.read_bytes()))
         assert tables[0] == tables[1] == tables[2]
 
+        # without --threads, in fresh interpreters whose string hashing is
+        # seeded two ways
+        for hash_seed in (0, 1):
+            out = tmp_path / f"hash{hash_seed}" / "controllers.json"
+            fresh("import spinsens.cli\n"
+                  f"assert spinsens.cli.main({synth_argv(out, None)!r}) == 0\n"
+                  f"assert spinsens.cli.main({analyze_argv(out, None)!r}) == 0",
+                  hash_seed=hash_seed)
+            assert out.read_bytes() == blobs[0]
+            assert (out.with_name("records.csv").read_bytes(),
+                    out.with_name("summaries.csv").read_bytes()) == tables[0]
+
     @pytest.mark.parametrize("ensemble, digests", [
         ("chain12", ("edbc6512ab23664d0ffaa247ef092f579d5e8d09f03087d41812900ef50899cd",
                      "8abfee00eefb5a72b77270fd3b4ada08c3fd5eceb656f2dbabde39551693f425")),
@@ -609,6 +634,21 @@ class TestDeterminism:
         write_records_csv(tmp_path / "r.csv", records)
         write_summaries_csv(tmp_path / "s.csv", summaries)
         assert (file_sha256(tmp_path / "r.csv"), file_sha256(tmp_path / "s.csv")) == digests
+
+    @pytest.mark.parametrize("seed, digest", [
+        (2024, "0bddc78a43b908853fc8bd6f6c840b48d0d45566c8ec718bfdf054166f0df235"),
+        (5, "5dbb2f3684d2b6a088b6fb89627582f429bc3bb414956fb2663d318e1db0ba6b"),
+        (77, "cdcea0f5c4b6187d40ec98e1d25a4d2ab83dc12a35bbea341067190750c7a46a")])
+    def test_verify_stdout_unchanged(self, capsys, seed, digest):
+        # SHA-256 of verify's report at the benchmark's sizes, as commit
+        # "One way in for each setting" printed it; moving a record rule
+        # or an oracle between modules must keep every byte
+        capsys.readouterr()
+        assert main(["verify", "--threads", "2", "--seed", str(seed),
+                     "--restarts", "40", "--systems-per-dim", "4",
+                     "--three-way-per-dim", "12", "--cross-count", "25"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
 
     def test_manifests_identical_up_to_timestamp(self, tmp_path):
         m = []

@@ -9,6 +9,7 @@ session (scipy included) leaks into what it measures.
 
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,11 +27,13 @@ _CONCURRENT_LOADED = ("sorted(m for m in sys.modules "
                       "if m == 'concurrent' or m.startswith('concurrent.'))")
 
 
-def fresh(body: str) -> str:
-    """stdout of ``body`` run in a new interpreter that imports from SRC."""
+def fresh(body: str, hash_seed: int | None = None) -> str:
+    """stdout of ``body`` run in a new interpreter that imports from SRC,
+    with PYTHONHASHSEED set to ``hash_seed`` when one is given."""
     code = f"import sys\nsys.path.insert(0, {SRC!r})\n{body}"
+    env = None if hash_seed is None else dict(os.environ, PYTHONHASHSEED=str(hash_seed))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, env=env)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
