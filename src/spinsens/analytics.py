@@ -1,12 +1,11 @@
 """Ensemble tables: geometry records and per-structure correlation stats.
 
-For every (controller, uncertainty structure) pair the pipeline computes
-the scale quantities of the geometric decomposition (fidelity,
-sensitivity, frame coefficient and norms) in the N x N picture, and
-``GeometryRecord.assemble`` turns them into one record, angles included.
-The scale quantities come from ``eigh`` of the N x N Hamiltonian, once
-per controller, plus one O(N^3) contraction per structure
-(``sensitivity.sensitivity_operator``); no N^2 x N^2 operator is formed.
+For every (controller, uncertainty structure) pair the pipeline measures
+the fidelity, the frame coefficient and the norms in the N x N picture,
+and ``GeometryRecord.assemble`` turns them into one record, deriving f_n,
+zeta and the angles from the pair. The measurements come from ``eigh`` of
+the N x N Hamiltonian, once per controller, plus one O(N^3) contraction
+per structure (``sensitivity_operator``); no N^2 x N^2 operator is formed.
 The adjoint-picture route that builds Phi and K explicitly is kept in
 ``verification`` as the reference these records are checked against.
 
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PST_TOL, GeometryRecord
-from .network import UncertaintyStructure, enumerate_structures, scaling_factor
+from .network import UncertaintyStructure, enumerate_structures
 from .sensitivity import hilbert_transfer, sensitivity_operator
 from .synthesis import Controller
 
@@ -127,9 +126,9 @@ def evaluate_controller(controller: Controller,
     """All geometry records of one controller, one per structure.
 
     F = |U_oi|^2 from the propagated input column. Per structure,
-    ``sensitivity_operator`` gives k = <R, K> and |K|; then
-    zeta = -t_f f_n k, |R_S| = hypot(F/N, k/|K|), and the part of R_S off
-    the propagator has norm |k|/|K|. The transfer counts as perfect when
+    ``sensitivity_operator`` gives k = <R, K> and |K|; |R_S| is
+    hypot(F/N, k/|K|) and its part off the propagator has norm |k|/|K|
+    (``assemble`` derives f_n and zeta). The transfer counts as perfect when
     |rf - Phi r0| = sqrt(2 leak (F + leak)) <= ``PST_TOL``, with leak the
     population off the output site; unlike 1 - F this keeps its digits
     at perfect transfer.
@@ -153,11 +152,9 @@ def evaluate_controller(controller: Controller,
     records = []
     for structure in structures:
         k_coeff, norm_k = sensitivity_operator(transfer, structure.matrix)
-        f_n = scaling_factor(structure, controller)
         perp = abs(k_coeff) / norm_k
         records.append(GeometryRecord.assemble(
-            controller.index, structure.index, n, t_f, f_val=f_val,
-            zeta=-t_f * f_n * k_coeff, f_n=f_n, k_coeff=k_coeff, norm_k=norm_k,
+            controller, structure, f_val=f_val, k_coeff=k_coeff, norm_k=norm_k,
             norm_rs=math.hypot(f_val / n, perp), perp=perp, pst=pst))
     return records
 

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytics import analyze
+from .analytics import TF_CONDITION_LIMIT, analyze
 from .errors import InvariantViolation
 from .geometry import PST_TOL
 from .network import NetworkSpec
@@ -165,6 +165,14 @@ def cmd_synth(args) -> int:
         t_f_range=tuple(args.tf_range),
         bias_range=tuple(args.bias_range),
         seed=args.seed)
+    # Gershgorin: every eigenvalue of H obeys |E| <= max|bias| + 2|J| on a
+    # chain or a ring, so above this analyze could refuse what synth writes
+    radius = max(map(abs, config.bias_range)) + 2.0 * abs(spec.coupling)
+    if config.t_f_range[1] * radius > TF_CONDITION_LIMIT:
+        raise CommandLineError(
+            f"--tf-range upper end {config.t_f_range[1]!r} times the spectral "
+            f"radius bound {radius!r} of H is {config.t_f_range[1] * radius:.3e}, "
+            f"above {TF_CONDITION_LIMIT:.0e}, the most analyze accepts")
     ensemble = synthesize_ensemble(spec, config)
 
     out_path = Path(args.output)

@@ -15,7 +15,9 @@ which factors the sensitivity into scale terms and a pure alignment term.
 Because <Phi, R> = F, |Phi|^2 = N^2 and Phi is orthogonal to K, the
 projection needs only F, k = <R, K> and |K|: |R_S| = hypot(F/N, k/|K|),
 and the component of R_S off the propagator has norm |k|/|K|. The records
-``analyze`` writes take these scalars from the N x N picture. ``project``
+``analyze`` writes take these scalars from the N x N picture. Every record
+is made by ``GeometryRecord.assemble`` from its (controller, structure)
+pair; f_n and zeta = -t_f f_n k are derived there alone. ``project``
 assembles R_S itself from F, k, |K| and the N^2 x N^2 operators Phi and
 K, all plain arrays, for one direction or a whole stack at once, and
 never forms R; it is the reference route that verification checks the
@@ -36,10 +38,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvariantViolation
+from .network import UncertaintyStructure, scaling_factor
+
+if TYPE_CHECKING:
+    from .synthesis import Controller
 
 # How far a record's cosines may stray outside [-1, 1] through rounding.
 ANGLE_TOL = 1e-9
@@ -189,15 +196,18 @@ class GeometryRecord:
             raise ValueError(f"cos theta {self.cos_theta} outside [-1, 1]")
 
     @classmethod
-    def assemble(cls, controller_index: int, structure_index: int, n: int, t_f: float,
-                 *, f_val: float, zeta: float, f_n: float, k_coeff: float,
-                 norm_k: float, norm_rs: float, perp: float,
-                 pst: bool) -> "GeometryRecord":
-        """The record of one (controller, structure) pair of an n-spin
-        network, from its scale quantities; ``perp`` is the norm of the
-        part of R_S off the propagator. A fidelity below
+    def assemble(cls, controller: "Controller", structure: UncertaintyStructure, *,
+                 f_val: float, k_coeff: float, norm_k: float, norm_rs: float,
+                 perp: float, pst: bool) -> "GeometryRecord":
+        """The record of one (controller, structure) pair from what its route
+        measures; ``perp`` is the norm of the part of R_S off the propagator.
+        The pair gives the indices, n, t_f, f_n = ``scaling_factor`` and
+        zeta = -t_f f_n k, made here alone. A fidelity below
         ``ZERO_FIDELITY_FLOOR`` or a vanishing |R_S| gives a zero-fidelity
         record with nan angles and residual."""
+        n, t_f = controller.spec.num_spins, controller.t_f
+        f_n = scaling_factor(structure, controller)
+        zeta = -t_f * f_n * k_coeff
         if f_val < ZERO_FIDELITY_FLOOR or norm_rs <= 0.0:
             cos_phi = sin_phi = cos_theta = residual = float("nan")
             zero_fid = True
@@ -206,7 +216,7 @@ class GeometryRecord:
                 f_val, zeta, n, norm_rs, norm_k, f_n, t_f, norm_rs_perp=perp)
             residual = identity_residual(zeta, f_n, t_f, norm_k, norm_rs, sin_phi)
             zero_fid = False
-        return cls(controller_index=controller_index, structure_index=structure_index,
+        return cls(controller_index=controller.index, structure_index=structure.index,
                    F=f_val, e=1.0 - f_val, zeta=zeta, f_n=f_n, t_f=t_f,
                    norm_K=norm_k, norm_Rs=norm_rs, k_coeff=k_coeff,
                    cos_phi=cos_phi, sin_phi=sin_phi, cos_theta=cos_theta,

@@ -21,8 +21,8 @@ they are; the latter builds K itself by the same recipe one level up. It
 takes a stack of directions (leading axes, plain numpy broadcasting), so
 one call per controller conjugates every structure's image, weights it
 with divided differences computed once, and returns every K and |K|;
-verification reads k = rf . K r0 and zeta = -t_f f_n k off the whole
-stack in one product. Two slower, independent evaluations
+verification reads every k = rf . K r0 off the whole stack in one
+product. Two slower, independent evaluations
 of the derivative are oracles too: fixed-order Gauss-Legendre quadrature
 of the integral representation (one batched Pade-based matrix exponential
 of 33 slices for the 64 nodes, since exp(-X) = exp(X)^T for skew X; no

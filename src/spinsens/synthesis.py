@@ -242,32 +242,40 @@ def controllers_to_json(controllers: list[Controller]) -> str:
 def controllers_from_json(text: str, spec: NetworkSpec) -> list[Controller]:
     """Parse a serialized ensemble back into Controller objects; ``index``
     and ``seed`` must be JSON integers, ``tf``, ``fidelity`` and ``biases``
-    entries JSON numbers."""
+    entries JSON numbers. Every error names the row ("controller row N",
+    counted from 0), and two rows with one index are rejected by name."""
     rows = json.loads(text)
     if not isinstance(rows, list):
         raise ValueError("controller file must hold a JSON array")
     out = []
+    row_of_index: dict[int, int] = {}
     for position, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ValueError("controller row must be a JSON object, "
-                             f"got {type(row).__name__}")
         what = f"controller row {position}"
+        if not isinstance(row, dict):
+            raise ValueError(f"{what} must be a JSON object, got {type(row).__name__}")
         try:
             biases = row["biases"]
             if not isinstance(biases, list):
                 raise ValueError(f"{what} field 'biases' has the wrong type: must be a "
                                  f"JSON array, got {biases!r}")
-            out.append(Controller(
+            fields = dict(
                 biases=np.array([_json_field(b, "biases", "number", what)
                                  for b in biases], dtype=float),
                 t_f=_json_field(row["tf"], "tf", "number", what),
                 fidelity=_json_field(row["fidelity"], "fidelity", "number", what),
-                spec=spec,
                 seed=_json_field(row.get("seed", -1), "seed", "integer", what),
-                index=_json_field(row["index"], "index", "integer", what),
-                status="loaded"))
+                index=_json_field(row["index"], "index", "integer", what))
         except KeyError as exc:
-            raise ValueError(f"controller row is missing key {exc}") from exc
+            raise ValueError(f"{what} is missing key {exc}") from exc
         except (TypeError, OverflowError) as exc:
-            raise ValueError(f"controller row has a field of the wrong type: {exc}") from exc
+            raise ValueError(f"{what} has a field of the wrong type: {exc}") from exc
+        try:
+            controller = Controller(spec=spec, status="loaded", **fields)
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from exc
+        first = row_of_index.setdefault(controller.index, position)
+        if first != position:
+            raise ValueError(f"controller rows {first} and {position} share "
+                             f"index {controller.index}")
+        out.append(controller)
     return out

@@ -7,9 +7,10 @@ propagation, quadrature of the integral representation, finite
 differences of the re-propagated error). Checks sample randomized
 networks and controllers from a seeded generator, so a failure report
 always pins the offending instance. This module only compares: both
-routes build their records with ``GeometryRecord.assemble``, the scale
-and the angle allowance come from ``geometry``, and the oracles from
-``sensitivity``.
+routes build their records with ``GeometryRecord.assemble``, which
+derives f_n and zeta from the pair, and ``_instances`` pairs them up; the
+scale and the angle allowance come from ``geometry``, and the oracles
+from ``sensitivity``.
 
 The records ``analyze`` publishes come from the N x N Hamiltonian, where
 the structural identities hold by construction. ``adjoint_records`` keeps
@@ -45,7 +46,7 @@ from .bloch import adjoint_rep, site_state, state_to_bloch
 from .geometry import (TINY, GeometryRecord, _frob, angle_slack, project, pst_check,
                        scale_product)
 from .network import (NetworkSpec, UncertaintyStructure, _readonly,
-                      build_hamiltonian, enumerate_structures, scaling_factor)
+                      build_hamiltonian, enumerate_structures)
 from .sensitivity import (adjoint_sensitivity_operator, fd_oracle, propagator_matrix,
                           quadrature_oracle, spectral_decompose)
 from .synthesis import Controller, SynthesisConfig, synthesize_ensemble, transfer_fidelity
@@ -75,7 +76,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Instance:
-    """One randomized (controller, structure) pair.
+    """One (controller, structure) pair, as ``_instances`` builds it.
 
     ``record`` is the published record, ``oracle`` the adjoint-picture
     reference record with its <Phi, K> in ``tr_phi_K``, and ``s_frob`` the
@@ -147,11 +148,11 @@ def adjoint_records(controller: Controller,
     decomposition of the adjoint generator: one call of
     ``adjoint_sensitivity_operator`` covers every structure. The frame is
     read out once: F = rf . Phi r0, then one stacked product gives
-    k = <R, K> = rf . K r0 per structure, zeta = -t_f f_n k, and one
-    ``project`` call assembles every R_S from F and k. Nothing is shared
-    with the N x N route of ``evaluate_controller`` except
-    ``GeometryRecord.assemble``, which turns the scale quantities into
-    a record.
+    k = <R, K> = rf . K r0 per structure, and one ``project`` call
+    assembles every R_S from F and k. Nothing is shared with the N x N
+    route of ``evaluate_controller`` except ``GeometryRecord.assemble``,
+    which derives f_n and zeta from the pair and turns the measurements
+    into a record.
     """
     structures, s_images = _structure_images(controller.spec.num_spins,
                                              controller.spec.topology)
@@ -159,47 +160,36 @@ def adjoint_records(controller: Controller,
     f_val = float(rf @ phi @ r0)
     pst = pst_check(phi, r0, rf)
     k_op, norm_k = adjoint_sensitivity_operator(lam, m, s_images, controller.t_f)
-    f_n = np.array([scaling_factor(s, controller) for s in structures])
     k_coeff = rf @ k_op @ r0
-    zeta = -controller.t_f * f_n * k_coeff
     _, norm_rs, perp = project(f_val, k_coeff, phi, k_op, norm_k)
-    tr_phi_k = _frob(phi, k_op)
-    n = controller.spec.num_spins
-    return [(GeometryRecord.assemble(
-                controller.index, structure.index, n, controller.t_f, f_val=f_val,
-                zeta=float(zeta[i]), f_n=float(f_n[i]), k_coeff=float(k_coeff[i]),
-                norm_k=float(norm_k[i]), norm_rs=float(norm_rs[i]),
-                perp=float(perp[i]), pst=pst),
-             float(tr_phi_k[i]))
-            for i, structure in enumerate(structures)]
+    return [(GeometryRecord.assemble(controller, structure, f_val=f_val, k_coeff=k,
+                                     norm_k=nk, norm_rs=rs, perp=p, pst=pst), tr)
+            for structure, k, nk, rs, p, tr in zip(
+                structures, k_coeff.tolist(), norm_k.tolist(), norm_rs.tolist(),
+                perp.tolist(), _frob(phi, k_op).tolist())]
 
 
-def _record_pairs(controller: Controller,
-                  frame: tuple[np.ndarray, ...] | None = None,
-                  ) -> list[tuple[GeometryRecord, GeometryRecord, float]]:
-    """Per structure, the record ``evaluate_controller`` publishes, the
-    ``adjoint_records`` reference record and its <Phi, K>."""
-    structures, _ = _structure_images(controller.spec.num_spins, controller.spec.topology)
-    return [(r, o, tr) for r, (o, tr) in zip(evaluate_controller(controller, structures),
-                                              adjoint_records(controller, frame))]
+def _instances(controller: Controller,
+               frame: tuple[np.ndarray, ...] | None = None) -> list[Instance]:
+    """Per structure, the record ``evaluate_controller`` publishes paired
+    with the ``adjoint_records`` reference record, its <Phi, K> and |S|_F.
+    ``frame`` is passed on to ``adjoint_records``."""
+    spec = controller.spec
+    structures, images = _structure_images(spec.num_spins, spec.topology)
+    return [Instance(spec=spec, record=r, oracle=o, tr_phi_K=tr, s_frob=norm)
+            for r, (o, tr), norm in zip(
+                evaluate_controller(controller, structures),
+                adjoint_records(controller, frame),
+                np.linalg.norm(images, axis=(-2, -1)).tolist())]
 
 
 def sample_instances(seed: int, dims: tuple[int, ...], systems_per_dim: int) -> list[Instance]:
-    """Randomized instance pool shared by the structural checks.
-
-    Each instance carries the record ``evaluate_controller`` publishes and
-    the adjoint-picture reference record of the same pair.
-    """
+    """Randomized instance pool shared by the structural checks: the
+    ``_instances`` of ``systems_per_dim`` random controllers per size."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    out: list[Instance] = []
-    for controller in _random_controllers(
-            rng, (n for n in dims for _ in range(systems_per_dim))):
-        spec = controller.spec
-        _, images = _structure_images(spec.num_spins, spec.topology)
-        s_frob = np.linalg.norm(images, axis=(-2, -1))
-        out.extend(Instance(spec=spec, record=r, oracle=o, tr_phi_K=tr, s_frob=float(norm))
-                   for (r, o, tr), norm in zip(_record_pairs(controller), s_frob))
-    return out
+    return [instance for controller in _random_controllers(
+                rng, (n for n in dims for _ in range(systems_per_dim)))
+            for instance in _instances(controller)]
 
 
 def _no_instances(name: str) -> CheckResult:
@@ -367,7 +357,7 @@ def check_pst_sufficiency() -> CheckResult:
         controller = Controller(biases=np.zeros(n), t_f=t_f,
                                 fidelity=transfer_fidelity(spec, np.zeros(n), t_f),
                                 spec=spec, seed=0, index=0)
-        records = [r for pair in _record_pairs(controller) for r in pair[:2]]
+        records = [r for i in _instances(controller) for r in (i.record, i.oracle)]
         if not all(r.pst for r in records):
             return CheckResult(name="theorem2-sufficiency", passed=False,
                                detail=f"{n}-spin {topology} 1 -> {out} at t = "
@@ -465,15 +455,16 @@ def check_cross_formulation(seed: int, count: int, dims: tuple[int, ...]) -> Che
         ham = build_hamiltonian(spec, controller.biases)
         frame = _adjoint_frame(controller)
         r0, _, _, _, phi = frame
-        pairs = _record_pairs(controller, frame)
+        instances = _instances(controller, frame)
         # the reference F = rf . Phi r0, which every record of the controller carries
-        f_bloch = pairs[0][1].F
+        f_bloch = instances[0].oracle.F
         psi_t = expm(-1j * ham * controller.t_f) @ site_state(n, spec.input_spin)
         f_hilbert = float(abs(psi_t[spec.output_spin - 1]) ** 2)
         r_t = state_to_bloch(psi_t / np.linalg.norm(psi_t))
         worst_f = max(worst_f, abs(f_bloch - f_hilbert))
         worst_state = max(worst_state, float(np.linalg.norm(phi @ r0 - r_t)))
-        for r, o, _ in pairs:
+        for i in instances:
+            r, o = i.record, i.oracle
             worst_record = max(worst_record, record_gap(r, o, n))
             flag_mismatches += (r.pst != o.pst) + (r.zero_fidelity != o.zero_fidelity)
     passed = (worst_f <= 1e-10 and worst_state <= 1e-10 and worst_record <= 1.0

@@ -233,7 +233,8 @@ class TestFidelity:
     def reference_fidelity(spec, biases, t_f):
         controller = Controller(biases=biases, t_f=t_f, fidelity=0.0, spec=spec,
                                 seed=0, index=0)
-        return adjoint_records(controller)[0][0].F
+        record, _ = adjoint_records(controller)[0]
+        return record.F
 
     def test_matches_hilbert_amplitude(self, rng):
         spec = NetworkSpec(num_spins=5, topology="ring", input_spin=1, output_spin=3)

@@ -175,6 +175,24 @@ class TestArgumentHandling:
         assert err.startswith("error:") and field in err
         assert not out.exists()
 
+    def test_synth_refuses_read_out_range_analyze_would_refuse(self, tmp_path, capsys):
+        # on the 4-ring |E| <= max|bias| + 2|J| = 12, and 1e9 * 12 > 1e8
+        out = tmp_path / "over.json"
+        assert main(["synth", *RING_FLAGS, "--restarts", "3",
+                     "--tf-range", "1e8", "1e9", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tf-range") and "1e+08" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_synth_below_the_read_out_bound_is_analyzable(self, tmp_path):
+        # 8e6 * 12 = 9.6e7 stays under 1e8, so every controller synth
+        # writes passes analyze's phase guard
+        out = tmp_path / "wide.json"
+        assert main(["synth", *RING_FLAGS, "--restarts", "2", "--seed", "1",
+                     "--tf-range", "1", "8e6", "-o", str(out)]) == 0
+        assert main(["analyze", str(out), "--records", str(tmp_path / "r.csv"),
+                     "--summaries", str(tmp_path / "s.csv")]) == 0
+
     @pytest.mark.parametrize("argv", [
         ["synth", *RING_FLAGS], ["analyze", "absent.json"], ["verify"]])
     def test_threads_below_one_rejected_at_parse_time(self, capsys, argv):
@@ -235,6 +253,16 @@ class TestReadmeFlags:
         assert sorted(f for f in named if f.startswith("--") and f not in known) == []
         named |= set(FLAG.findall(sections["Threads, exit codes"]))
         assert [strings for strings in options if not named & set(strings)] == []
+
+
+class TestReadmeQuickStart:
+    def test_library_quick_start_runs(self, capsys):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+        block, = re.findall(r"```python\n(.*?)```", section, re.S)
+        exec(compile(block, "README quick start", "exec"), {})
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"error \S+  sensitivity \S+  factored \S+\n", out), out
 
 
 class TestAnalyzeInputs:
@@ -298,6 +326,35 @@ class TestAnalyzeInputs:
             assert "biases" in err
         if doc in NONFINITE_TIMES:
             assert "read-out time" in err
+
+    GOOD_ROW = '{"index": 7, "tf": 1.0, "biases": [0, 0], "fidelity": 0.7080734182735712}'
+
+    def analyze_rows(self, tmp_path, rows):
+        # analyze a 2-chain ensemble of the given JSON rows; returns the
+        # exit code and stderr
+        path = tmp_path / "rows.json"
+        path.write_text("[" + ", ".join(rows) + "]")
+        (tmp_path / "rows.spec.json").write_text(
+            '{"n": 2, "topology": "chain", "j": 1.0, "in": 1, "out": 2}')
+        return main(["analyze", str(path), "--records", str(tmp_path / "r.csv"),
+                     "--summaries", str(tmp_path / "s.csv")])
+
+    @pytest.mark.parametrize("row, message", [
+        ('{"index": 0, "tf": 1.0, "biases": [0, 0, 0], "fidelity": 0.5}',
+         "error: controller row 1: expected 2 biases, got shape (3,)"),
+        ('{"index": 0, "tf": -1, "biases": [0, 0], "fidelity": 0.5}',
+         "error: controller row 1: read-out time must be positive")])
+    def test_bad_row_named_in_error(self, tmp_path, capsys, row, message):
+        assert self.analyze_rows(tmp_path, [self.GOOD_ROW, row]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_repeated_index_rejected_naming_both_rows(self, tmp_path, capsys):
+        other = self.GOOD_ROW.replace('"index": 7', '"index": 8')
+        assert self.analyze_rows(tmp_path, [self.GOOD_ROW, other, other]) == 1
+        assert capsys.readouterr().err == "error: controller rows 1 and 2 share index 8\n"
+        assert not (tmp_path / "r.csv").exists()
+        assert self.analyze_rows(tmp_path, [self.GOOD_ROW, other]) == 0
 
     def test_stored_fidelity_mismatch_is_validation_error(self, tmp_path, capsys):
         # the two-spin chain at t_f = 1 transfers sin^2(1) = 0.708, not 0.5

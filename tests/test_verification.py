@@ -3,8 +3,9 @@ nothing fails instead of passing), the controllers the pool checks draw,
 the bytes of the reference records, the reference route's one pass per
 controller, a misaligned reference
 that the cross check must catch, a reference record whose two routes to
-the alignment disagree, and the perfect-transfer anchors of the
-sufficiency check."""
+the alignment disagree, the perfect-transfer anchors of the
+sufficiency check, and the report branch of every check for a record
+that breaks it."""
 
 import dataclasses
 import hashlib
@@ -15,10 +16,12 @@ import numpy as np
 import pytest
 
 from spinsens import Controller, NetworkSpec, transfer_fidelity, verification
+from spinsens.cli import main
 from spinsens.verification import (check_cross_formulation, check_lemma1,
-                                   check_lemma2, check_pst_sufficiency,
-                                   check_remark1, check_remark2, check_theorem1,
-                                   check_three_way, run_checks, sample_instances)
+                                   check_lemma2, check_necessity,
+                                   check_pst_sufficiency, check_remark1,
+                                   check_remark2, check_theorem1, check_three_way,
+                                   run_checks, sample_instances)
 
 STRUCTURAL = (check_lemma1, check_lemma2, check_theorem1, check_remark1,
               check_remark2)
@@ -196,3 +199,87 @@ def test_theorem1_checks_alignment_of_reference_records(factor, passed):
     res = check_theorem1(instances + [bent])
     assert (res.name, res.passed) == ("theorem1-identity", passed)
     assert res.detail.endswith("1 with |cos theta| and sin phi apart") != passed
+
+
+@pytest.fixture(scope="module")
+def pool():
+    # a small pool on which every structural check passes
+    instances = sample_instances(3, dims=(3,), systems_per_dim=2)
+    for check in STRUCTURAL:
+        assert check(instances).label == "PASS"
+    return instances
+
+
+def bend(pool, at, **oracle_fields):
+    # the pool with the reference record of instance ``at`` changed
+    i = pool[at]
+    return (pool[:at] + [dataclasses.replace(i, oracle=dataclasses.replace(
+        i.oracle, **oracle_fields))] + pool[at + 1:])
+
+
+@pytest.mark.parametrize("excess, label", [(1e-9, "WARN"), (0.0, "PASS")])
+def test_remark2_upper_bound_only_warns(pool, capsys, monkeypatch, excess, label):
+    n = pool[5].spec.num_spins
+    res = check_remark2(bend(pool, 5, norm_Rs=1.0 / n + excess))
+    assert (res.name, res.passed, res.label) == ("remark2-projection-bounds", True, label)
+    if label == "PASS":
+        return
+    o = pool[5].oracle
+    assert res.detail.startswith(
+        f"upper bound exceeded on 1 instances (observation, not a theorem): "
+        f"controller {o.controller_index} structure {o.structure_index} ")
+    # verify prints the warning, counts it, and exits with 0
+    monkeypatch.setattr(verification, "run_checks", lambda **kwargs: [res])
+    assert main(["verify", "--seed", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("WARN remark2-projection-bounds  upper bound exceeded")
+    assert lines[1] == "verify: 1 checks, 1 passed, 1 warnings (seed 5)"
+
+
+def test_remark2_lower_bound_fails(pool):
+    o = pool[5].oracle
+    n = pool[5].spec.num_spins
+    low = o.F / n - 1e-11
+    res = check_remark2(bend(pool, 5, norm_Rs=low))
+    assert (res.label, res.detail) == (
+        "FAIL", f"lower bound broken at controller {o.controller_index} structure "
+                f"{o.structure_index}: |R_S| = {low:.12e} < F/N = {o.F / n:.12e}")
+
+
+def test_lemma2_reports_first_violation(pool):
+    i = pool[4]
+    o = i.oracle
+    res = check_lemma2(bend(pool, 4, norm_K=2.0 * i.s_frob))
+    assert (res.label, res.detail) == (
+        "FAIL", f"1 violations; first at controller {o.controller_index} structure "
+                f"{o.structure_index}: |K| = {2.0 * i.s_frob:.6e}, "
+                f"|S|_F = {i.s_frob:.6e}")
+
+
+def test_theorem1_counts_zero_fidelity_records_left_out(pool):
+    res = check_theorem1(bend(pool, 3, zero_fidelity=True))
+    assert res.passed
+    assert res.detail.startswith(f"{len(pool) - 1} records, worst residual at ")
+    assert res.detail.endswith(", 1 zero-fidelity records left out")
+
+
+@pytest.mark.parametrize("fields, passed, detail", [
+    ({}, True, "1 eligible records of 1, min |zeta| = 1.000e+00"),
+    ({"zeta": 1e-13}, False, "controller 3 structure 2: e = 1.000e-01 but "
+                             "|zeta| = 1.000e-13 with sin phi = 5.000e-01"),
+    ({"identity_residual": 5e-9}, True,
+     "1 eligible records of 1, min |zeta| = 1.000e+00"),
+    ({"identity_residual": 2e-8}, False,
+     "identity residual 2.000e-08 at controller 3 structure 2"),
+    ({"F": 0.4, "e": 0.6}, False,
+     "no records in the eligible error band; enlarge the ensemble")])
+def test_necessity_report_branches(pool, monkeypatch, fields, passed, detail):
+    # one record inside the band [1e-6, 0.5] with f_n >= 0.1, |zeta| = 1 and
+    # a residual budget of 1e-8, changed by ``fields``
+    base = {"controller_index": 3, "structure_index": 2, "F": 0.9, "e": 0.1,
+            "zeta": 1.0, "f_n": 1.0, "sin_phi": 0.5, "identity_residual": 0.0}
+    record = dataclasses.replace(pool[0].record, **{**base, **fields})
+    monkeypatch.setattr(verification, "synthesize_ensemble", lambda spec, config: [])
+    monkeypatch.setattr(verification, "analyze", lambda ensemble: ([record], []))
+    res = check_necessity(seed=0, restarts=1)
+    assert (res.name, res.passed, res.detail) == ("theorem2-necessity", passed, detail)
