@@ -24,8 +24,7 @@ _HOMES = {
     "analytics": ("CorrelationSummary", "analyze", "kendall", "pearson"),
     "bloch": ("adjoint_rep", "gell_mann_basis", "site_state", "state_to_bloch"),
     "errors": ("InvariantViolation",),
-    "geometry": ("GeometryRecord", "angles", "identity_residual",
-                 "project", "pst_check"),
+    "geometry": ("GeometryRecord", "angles", "identity_residual", "project"),
     "network": ("NetworkSpec", "UncertaintyStructure",
                 "build_hamiltonian", "enumerate_structures", "perturb",
                 "scaling_factor"),

@@ -3,9 +3,10 @@
 For every (controller, uncertainty structure) pair the pipeline measures
 the fidelity, the frame coefficient and the norms in the N x N picture,
 and ``GeometryRecord.assemble`` turns them into one record, deriving f_n,
-zeta and the angles from the pair. The measurements come from ``eigh`` of
-the N x N Hamiltonian, once per controller, plus one O(N^3) contraction
-per structure (``sensitivity_operator``); no N^2 x N^2 operator is formed.
+zeta, the angles and the perfect-transfer flag. The measurements come
+from ``eigh`` of the N x N Hamiltonian, once per controller, plus one
+O(N^3) contraction per structure (``sensitivity_operator``); no N^2 x N^2
+operator is formed.
 The adjoint-picture route that builds Phi and K explicitly is kept in
 ``verification`` as the reference these records are checked against.
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PST_TOL, GeometryRecord
+from .geometry import GeometryRecord
 from .network import UncertaintyStructure, enumerate_structures
 from .sensitivity import hilbert_transfer, sensitivity_operator
 from .synthesis import Controller
@@ -128,10 +129,10 @@ def evaluate_controller(controller: Controller,
     F = |U_oi|^2 from the propagated input column. Per structure,
     ``sensitivity_operator`` gives k = <R, K> and |K|; |R_S| is
     hypot(F/N, k/|K|) and its part off the propagator has norm |k|/|K|
-    (``assemble`` derives f_n and zeta). The transfer counts as perfect when
-    |rf - Phi r0| = sqrt(2 leak (F + leak)) <= ``PST_TOL``, with leak the
-    population off the output site; unlike 1 - F this keeps its digits
-    at perfect transfer.
+    (``assemble`` derives f_n and zeta). The state distance that
+    ``assemble`` compares with ``PST_TOL`` is |rf - Phi r0| =
+    sqrt(2 leak (F + leak)), with leak the population off the output
+    site; unlike 1 - F this keeps its digits at perfect transfer.
 
     Raises ValueError when t_f * max|E| exceeds ``TF_CONDITION_LIMIT``.
     """
@@ -148,14 +149,14 @@ def evaluate_controller(controller: Controller,
     probs = np.abs(transfer.column) ** 2
     f_val = float(probs[transfer.output])
     leak = float(np.delete(probs, transfer.output).sum())
-    pst = math.sqrt(2.0 * leak * (f_val + leak)) <= PST_TOL
+    gap = math.sqrt(2.0 * leak * (f_val + leak))
     records = []
     for structure in structures:
         k_coeff, norm_k = sensitivity_operator(transfer, structure.matrix)
         perp = abs(k_coeff) / norm_k
         records.append(GeometryRecord.assemble(
             controller, structure, f_val=f_val, k_coeff=k_coeff, norm_k=norm_k,
-            norm_rs=math.hypot(f_val / n, perp), perp=perp, pst=pst))
+            norm_rs=math.hypot(f_val / n, perp), perp=perp, gap=gap))
     return records
 
 

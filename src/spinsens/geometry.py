@@ -17,11 +17,12 @@ projection needs only F, k = <R, K> and |K|: |R_S| = hypot(F/N, k/|K|),
 and the component of R_S off the propagator has norm |k|/|K|. The records
 ``analyze`` writes take these scalars from the N x N picture. Every record
 is made by ``GeometryRecord.assemble`` from its (controller, structure)
-pair; f_n and zeta = -t_f f_n k are derived there alone. ``project``
-assembles R_S itself from F, k, |K| and the N^2 x N^2 operators Phi and
-K, all plain arrays, for one direction or a whole stack at once, and
-never forms R; it is the reference route that verification checks the
-records against. The frame identities (remark 1 above, and
+pair; f_n, zeta = -t_f f_n k and the perfect-transfer flag (the state
+distance |rf - Phi r0| its route measured <= ``PST_TOL``) are derived
+there alone. ``project`` assembles R_S itself from F, k, |K| and the
+N^2 x N^2 operators Phi and K, all plain arrays, for one direction or a
+whole stack at once, and never forms R; it is the reference route that
+verification checks the records against. The frame identities (remark 1 above, and
 |cos theta| = sin phi) are not asserted here: verification's remark-1
 and theorem-1 checks test the reference records for them and report a
 defect as a failed check.
@@ -153,13 +154,6 @@ def identity_residual(zeta: float, f_n: float, t_f: float, norm_k: float,
     return float(abs(abs(zeta) - scale_product(f_n, t_f, norm_k, norm_rs) * abs(sin_phi)))
 
 
-def pst_check(phi: np.ndarray, r0: np.ndarray, rf: np.ndarray) -> bool:
-    """Whether the flow maps the input exactly onto the target,
-    |rf - Phi r0| <= ``PST_TOL``."""
-    gap = np.asarray(rf, float) - np.asarray(phi, float) @ np.asarray(r0, float)
-    return bool(np.linalg.norm(gap) <= PST_TOL)
-
-
 @dataclass(frozen=True)
 class GeometryRecord:
     """One (controller, uncertainty) row of the geometric decomposition.
@@ -198,11 +192,12 @@ class GeometryRecord:
     @classmethod
     def assemble(cls, controller: "Controller", structure: UncertaintyStructure, *,
                  f_val: float, k_coeff: float, norm_k: float, norm_rs: float,
-                 perp: float, pst: bool) -> "GeometryRecord":
+                 perp: float, gap: float) -> "GeometryRecord":
         """The record of one (controller, structure) pair from what its route
-        measures; ``perp`` is the norm of the part of R_S off the propagator.
-        The pair gives the indices, n, t_f, f_n = ``scaling_factor`` and
-        zeta = -t_f f_n k, made here alone. A fidelity below
+        measures; ``perp`` is the norm of the part of R_S off the propagator,
+        ``gap`` the state distance |rf - Phi r0|. The pair gives the indices,
+        n, t_f, f_n = ``scaling_factor`` and zeta = -t_f f_n k, and ``gap`` <=
+        ``PST_TOL`` flags perfect transfer, made here alone. A fidelity below
         ``ZERO_FIDELITY_FLOOR`` or a vanishing |R_S| gives a zero-fidelity
         record with nan angles and residual."""
         n, t_f = controller.spec.num_spins, controller.t_f
@@ -218,9 +213,9 @@ class GeometryRecord:
             zero_fid = False
         return cls(controller_index=controller.index, structure_index=structure.index,
                    F=f_val, e=1.0 - f_val, zeta=zeta, f_n=f_n, t_f=t_f,
-                   norm_K=norm_k, norm_Rs=norm_rs, k_coeff=k_coeff,
-                   cos_phi=cos_phi, sin_phi=sin_phi, cos_theta=cos_theta,
-                   identity_residual=residual, pst=pst, zero_fidelity=zero_fid)
+                   norm_K=norm_k, norm_Rs=norm_rs, k_coeff=k_coeff, cos_phi=cos_phi,
+                   sin_phi=sin_phi, cos_theta=cos_theta, identity_residual=residual,
+                   pst=gap <= PST_TOL, zero_fidelity=zero_fid)
 
     @property
     def abs_zeta(self) -> float:

@@ -16,6 +16,7 @@ Spins are 1-indexed everywhere in this module's public interface.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -30,7 +31,9 @@ TOPOLOGIES = ("ring", "chain")
 BIAS = "bias"
 COUPLING = "coupling"
 
-_SPEC_KEYS = frozenset(("n", "topology", "j", "in", "out"))
+# The keys of a network document, as written, and their JSON kinds; "j" is optional.
+SPEC_KINDS = {"n": "integer", "topology": "string", "j": "number",
+              "in": "integer", "out": "integer"}
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -40,19 +43,46 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def _is_number(value, kind: str) -> bool:
     # the one number rule of the JSON readers and the constructors: kind
-    # "integer" takes Python's and numpy's integers, "number" floats too;
-    # a bool is neither
+    # "integer" takes Python's and numpy's integers, "number" floats too and
+    # the integers a float holds; a bool is neither
     types = (int, np.integer) if kind == "integer" else (int, np.integer, float, np.floating)
-    return isinstance(value, types) and not isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, types):
+        return False
+    return kind == "integer" or not isinstance(value, int) or abs(value) <= sys.float_info.max
 
 
 def _json_field(value, key: str, kind: str, what: str):
-    """``value`` of field ``key``, checked to be a JSON ``kind``: "integer" or
-    "number" (an integer or a float); a bool is neither."""
-    if not _is_number(value, kind):
+    """``value`` of field ``key``, checked to be a JSON ``kind``: "integer",
+    "number" (an integer or a float), "string" or "array of numbers"; a
+    bool is none of them."""
+    if kind == "string":
+        ok = isinstance(value, str)
+    elif kind == "array of numbers":
+        ok = isinstance(value, list) and all(_is_number(v, "number") for v in value)
+    else:
+        ok = _is_number(value, kind)
+    if not ok:
         raise ValueError(f"{what} field {key!r} has the wrong type: must be a "
                          f"JSON {kind}, got {value!r}")
     return value
+
+
+def _json_object(doc, kinds: dict[str, str], what: str,
+                 optional: tuple[str, ...] = ()) -> dict:
+    """The fields of the JSON object ``doc``, which may hold the keys of
+    ``kinds``, each checked by ``_json_field`` against its kind there.
+    Unknown keys are rejected, listed sorted; of the missing keys not in
+    ``optional``, the first in the order of ``kinds`` is named."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(kinds))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}")
+    for key in kinds:
+        if key not in doc and key not in optional:
+            raise ValueError(f"{what} is missing key {key!r}")
+    return {key: _json_field(doc[key], key, kind, what)
+            for key, kind in kinds.items() if key in doc}
 
 
 def _number(value, kind: str, name: str) -> int | float:
@@ -120,27 +150,12 @@ class NetworkSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkSpec":
-        """Parse a network document; unknown keys are rejected, not ignored,
-        and ``n``, ``in``, ``out`` must be JSON integers, ``j`` a number."""
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("network document must be a JSON object")
-        unknown = sorted(set(doc) - _SPEC_KEYS)
-        if unknown:
-            raise ValueError(f"network document has unknown keys {unknown}")
-        what = "network document"
-        try:
-            return cls(
-                num_spins=_json_field(doc["n"], "n", "integer", what),
-                topology=doc["topology"],
-                input_spin=_json_field(doc["in"], "in", "integer", what),
-                output_spin=_json_field(doc["out"], "out", "integer", what),
-                coupling=_json_field(doc.get("j", 1.0), "j", "number", what),
-            )
-        except KeyError as exc:
-            raise ValueError(f"network document is missing key {exc}") from exc
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"network document has a field of the wrong type: {exc}") from exc
+        """Parse a network document with the keys and kinds of ``SPEC_KINDS``;
+        unknown keys are rejected, not ignored."""
+        doc = _json_object(json.loads(text), SPEC_KINDS, "network document",
+                           optional=("j",))
+        return cls(num_spins=doc["n"], topology=doc["topology"], input_spin=doc["in"],
+                   output_spin=doc["out"], coupling=doc.get("j", 1.0))
 
 
 @dataclass(frozen=True)

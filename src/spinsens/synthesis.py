@@ -24,12 +24,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import NetworkSpec, _json_field, _number, _number_fields, _readonly
+from .network import NetworkSpec, _json_object, _number, _number_fields, _readonly
 from .sensitivity import _eigensystem, hadamard_core
 
 # How far a stored fidelity may stray from [0, 1], and from the fidelity
 # its working point actually gives when an ensemble is read back.
 FIDELITY_TOL = 1e-9
+
+# The keys of a controller row, as written, and their JSON kinds; "seed" is optional.
+ROW_KINDS = {"index": "integer", "seed": "integer", "tf": "number",
+             "biases": "array of numbers", "fidelity": "number"}
 
 # Iteration cap of one restart's L-BFGS-B ascent.
 MAXITER = 400
@@ -240,10 +244,10 @@ def controllers_to_json(controllers: list[Controller]) -> str:
 
 
 def controllers_from_json(text: str, spec: NetworkSpec) -> list[Controller]:
-    """Parse a serialized ensemble back into Controller objects; ``index``
-    and ``seed`` must be JSON integers, ``tf``, ``fidelity`` and ``biases``
-    entries JSON numbers. Every error names the row ("controller row N",
-    counted from 0), and two rows with one index are rejected by name."""
+    """Parse a serialized ensemble back into Controller objects; each row
+    holds the keys and kinds of ``ROW_KINDS``, and unknown keys are
+    rejected. Every error names the row ("controller row N", counted
+    from 0), and two rows with one index are rejected by name."""
     rows = json.loads(text)
     if not isinstance(rows, list):
         raise ValueError("controller file must hold a JSON array")
@@ -251,26 +255,11 @@ def controllers_from_json(text: str, spec: NetworkSpec) -> list[Controller]:
     row_of_index: dict[int, int] = {}
     for position, row in enumerate(rows):
         what = f"controller row {position}"
-        if not isinstance(row, dict):
-            raise ValueError(f"{what} must be a JSON object, got {type(row).__name__}")
+        fields = _json_object(row, ROW_KINDS, what, optional=("seed",))
         try:
-            biases = row["biases"]
-            if not isinstance(biases, list):
-                raise ValueError(f"{what} field 'biases' has the wrong type: must be a "
-                                 f"JSON array, got {biases!r}")
-            fields = dict(
-                biases=np.array([_json_field(b, "biases", "number", what)
-                                 for b in biases], dtype=float),
-                t_f=_json_field(row["tf"], "tf", "number", what),
-                fidelity=_json_field(row["fidelity"], "fidelity", "number", what),
-                seed=_json_field(row.get("seed", -1), "seed", "integer", what),
-                index=_json_field(row["index"], "index", "integer", what))
-        except KeyError as exc:
-            raise ValueError(f"{what} is missing key {exc}") from exc
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"{what} has a field of the wrong type: {exc}") from exc
-        try:
-            controller = Controller(spec=spec, status="loaded", **fields)
+            controller = Controller(
+                spec=spec, status="loaded", index=fields["index"], seed=fields.get("seed", -1),
+                t_f=fields["tf"], biases=fields["biases"], fidelity=fields["fidelity"])
         except ValueError as exc:
             raise ValueError(f"{what}: {exc}") from exc
         first = row_of_index.setdefault(controller.index, position)

@@ -8,9 +8,9 @@ differences of the re-propagated error). Checks sample randomized
 networks and controllers from a seeded generator, so a failure report
 always pins the offending instance. This module only compares: both
 routes build their records with ``GeometryRecord.assemble``, which
-derives f_n and zeta from the pair, and ``_instances`` pairs them up; the
-scale and the angle allowance come from ``geometry``, and the oracles
-from ``sensitivity``.
+derives f_n, zeta and the perfect-transfer flag from what each route
+measures, and ``_instances`` pairs them up; the scale and the angle
+allowance come from ``geometry``, and the oracles from ``sensitivity``.
 
 The records ``analyze`` publishes come from the N x N Hamiltonian, where
 the structural identities hold by construction. ``adjoint_records`` keeps
@@ -43,8 +43,7 @@ from scipy.linalg import expm
 
 from .analytics import analyze, evaluate_controller
 from .bloch import adjoint_rep, site_state, state_to_bloch
-from .geometry import (TINY, GeometryRecord, _frob, angle_slack, project, pst_check,
-                       scale_product)
+from .geometry import TINY, GeometryRecord, _frob, angle_slack, project, scale_product
 from .network import (NetworkSpec, UncertaintyStructure, _readonly,
                       build_hamiltonian, enumerate_structures)
 from .sensitivity import (adjoint_sensitivity_operator, fd_oracle, propagator_matrix,
@@ -149,21 +148,21 @@ def adjoint_records(controller: Controller,
     ``adjoint_sensitivity_operator`` covers every structure. The frame is
     read out once: F = rf . Phi r0, then one stacked product gives
     k = <R, K> = rf . K r0 per structure, and one ``project`` call
-    assembles every R_S from F and k. Nothing is shared with the N x N
-    route of ``evaluate_controller`` except ``GeometryRecord.assemble``,
-    which derives f_n and zeta from the pair and turns the measurements
-    into a record.
+    assembles every R_S from F and k; so is |rf - Phi r0|. Nothing is
+    shared with the N x N route of ``evaluate_controller`` except
+    ``GeometryRecord.assemble``, which derives f_n, zeta and the
+    perfect-transfer flag and turns the measurements into a record.
     """
     structures, s_images = _structure_images(controller.spec.num_spins,
                                              controller.spec.topology)
     r0, rf, lam, m, phi = _adjoint_frame(controller) if frame is None else frame
     f_val = float(rf @ phi @ r0)
-    pst = pst_check(phi, r0, rf)
+    gap = float(np.linalg.norm(rf - phi @ r0))
     k_op, norm_k = adjoint_sensitivity_operator(lam, m, s_images, controller.t_f)
     k_coeff = rf @ k_op @ r0
     _, norm_rs, perp = project(f_val, k_coeff, phi, k_op, norm_k)
     return [(GeometryRecord.assemble(controller, structure, f_val=f_val, k_coeff=k,
-                                     norm_k=nk, norm_rs=rs, perp=p, pst=pst), tr)
+                                     norm_k=nk, norm_rs=rs, perp=p, gap=gap), tr)
             for structure, k, nk, rs, p, tr in zip(
                 structures, k_coeff.tolist(), norm_k.tolist(), norm_rs.tolist(),
                 perp.tolist(), _frob(phi, k_op).tolist())]

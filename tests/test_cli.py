@@ -17,7 +17,8 @@ from spinsens import (Controller, NetworkSpec, SynthesisConfig, analyze,
 from spinsens.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, build_parser,
                           config_hash, file_sha256, main, write_records_csv,
                           write_summaries_csv)
-from spinsens.synthesis import f17
+from spinsens.network import SPEC_KINDS
+from spinsens.synthesis import ROW_KINDS, f17
 from test_imports import fresh
 
 RING_FLAGS = ["--n", "4", "--topology", "ring", "--in", "1", "--out", "2"]
@@ -265,6 +266,20 @@ class TestReadmeQuickStart:
         assert re.fullmatch(r"error \S+  sensitivity \S+  factored \S+\n", out), out
 
 
+class TestReadmeInputKeys:
+    @pytest.mark.parametrize("lead, kinds, optional", [
+        ("The spec file holds the keys", SPEC_KINDS, ["j"]),
+        ("Each controller row holds the keys", ROW_KINDS, ["seed"])],
+        ids=["spec", "row"])
+    def test_key_list_is_the_reader_declaration(self, lead, kinds, optional):
+        # the keys the README lists, with their kinds, in declaration order
+        text = " ".join(README.read_text(encoding="utf-8").split())
+        listing = text.split(lead, 1)[1].split(";", 1)[0]
+        keys = re.findall(r"`(\w+)` \(([^,)]+)(, optional)?\)", listing)
+        assert [(key, kind) for key, kind, _ in keys] == list(kinds.items())
+        assert [key for key, _, opt in keys if opt] == optional
+
+
 class TestAnalyzeInputs:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.json")]) == 3
@@ -343,7 +358,11 @@ class TestAnalyzeInputs:
         ('{"index": 0, "tf": 1.0, "biases": [0, 0, 0], "fidelity": 0.5}',
          "error: controller row 1: expected 2 biases, got shape (3,)"),
         ('{"index": 0, "tf": -1, "biases": [0, 0], "fidelity": 0.5}',
-         "error: controller row 1: read-out time must be positive")])
+         "error: controller row 1: read-out time must be positive"),
+        ('{"index": 0, "seeds": 1, "tf": 1.0, "biases": [0, 0], "fidelity": 0.5}',
+         "error: controller row 1 has unknown keys ['seeds']"),
+        ('{"index": 0, "tf": 1' + "0" * 400 + ', "biases": [0, 0], "fidelity": 0.5}',
+         "error: controller row 1 field 'tf' has the wrong type")])
     def test_bad_row_named_in_error(self, tmp_path, capsys, row, message):
         assert self.analyze_rows(tmp_path, [self.GOOD_ROW, row]) == 1
         assert capsys.readouterr().err.startswith(message)

@@ -8,8 +8,10 @@ import pytest
 from spinsens import (GeometryRecord, InvariantViolation, NetworkSpec,
                       adjoint_rep, adjoint_sensitivity_operator, angles,
                       build_hamiltonian, enumerate_structures,
-                      identity_residual, project, propagator_matrix,
-                      pst_check, quadrature_oracle, transfer_fidelity)
+                      identity_residual, project, quadrature_oracle,
+                      transfer_fidelity)
+from spinsens.analytics import evaluate_controller
+from spinsens.geometry import PST_TOL
 from spinsens.synthesis import Controller
 from spinsens.verification import _adjoint_frame, adjoint_records
 
@@ -155,28 +157,42 @@ class TestIdentityResidual:
             assert res <= 1e-8 * max(1.0, abs(out["zeta"]))
 
 
-class TestPstCheck:
-    @staticmethod
-    def _frame(t_f):
-        # (r0, rf, lam, M, Phi) of the unbiased 2-chain read out at t_f
-        spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
-        return _adjoint_frame(Controller(biases=np.zeros(2), t_f=t_f, fidelity=0.0,
-                                         spec=spec, seed=0, index=0))
+CHAIN2 = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
 
-    def test_analytic_transfer_flags(self):
-        r0, rf, _, _, phi = self._frame(np.pi / 2.0)
-        assert pst_check(phi, r0, rf)
 
-    def test_detuned_transfer_does_not_flag(self):
-        r0, rf, _, _, phi = self._frame(1.3)
-        assert not pst_check(phi, r0, rf)
+def chain2_controller(t_f):
+    # the unbiased 2-chain read out at t_f
+    fidelity = transfer_fidelity(CHAIN2, np.zeros(2), t_f)
+    return Controller(biases=np.zeros(2), t_f=t_f, fidelity=min(1.0, fidelity),
+                      spec=CHAIN2, seed=0, index=0)
 
-    def test_identity_propagator_does_not_flag(self):
-        # zero evolution leaves the input state at the input site
-        r0, rf, lam, m, _ = self._frame(np.pi / 2.0)
-        phi = propagator_matrix(lam, m, 0.0)
-        assert np.abs(phi - np.eye(phi.shape[0])).max() < 1e-12
-        assert not pst_check(phi, r0, rf)
+
+class TestPerfectTransferFlag:
+    # the flag ``assemble`` sets from the state distance |rf - Phi r0| that
+    # each route measures: the published route and the adjoint reference
+    @pytest.mark.parametrize("t_f, flagged", [
+        (np.pi / 2.0, True),
+        (1.3, False),
+        # the excitation is back on the input site
+        (np.pi, False)],
+        ids=["analytic-transfer", "detuned", "back-on-input"])
+    def test_both_routes_flag_the_record(self, t_f, flagged):
+        ctl = chain2_controller(t_f)
+        published = [r.pst for r in evaluate_controller(ctl, enumerate_structures(CHAIN2))]
+        reference = [r.pst for r, _ in adjoint_records(ctl)]
+        assert published == reference == [flagged] * 3
+
+    def test_gap_at_the_tolerance_is_perfect_transfer(self):
+        ctl = chain2_controller(1.3)
+        coupling = enumerate_structures(CHAIN2)[2]
+
+        def flag(gap):
+            return GeometryRecord.assemble(
+                ctl, coupling, f_val=0.5, k_coeff=0.1, norm_k=1.0,
+                norm_rs=math.hypot(0.25, 0.1), perp=0.1, gap=gap).pst
+
+        assert flag(PST_TOL) is True
+        assert flag(math.nextafter(PST_TOL, 1.0)) is False
 
 
 class TestPerfectTransferGeometry:

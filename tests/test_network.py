@@ -71,7 +71,8 @@ class TestNetworkSpec:
         ("n", 4.7), ("n", 4.0), ("n", "4"), ("n", True), ("n", None),
         ("in", 1.9), ("in", "1"), ("in", True),
         ("out", "2"), ("out", 2.0), ("out", False),
-        ("j", "1.0"), ("j", True), ("j", None)])
+        ("j", "1.0"), ("j", True), ("j", None), ("j", 10 ** 400),
+        ("topology", 5), ("topology", ["ring"])])
     def test_field_of_wrong_json_type_rejected_by_name(self, key, value):
         # an integral j is a JSON number too
         doc = {"n": 4, "topology": "ring", "j": 1, "in": 1, "out": 2}
@@ -88,7 +89,7 @@ class TestNetworkSpec:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             NetworkSpec(**{**fields, field: value})
 
-    @pytest.mark.parametrize("value", [True, "1.0", None])
+    @pytest.mark.parametrize("value", [True, "1.0", None, 10 ** 400])
     def test_coupling_of_wrong_type_rejected_by_name(self, value):
         with pytest.raises(ValueError, match="coupling must be a real number"):
             NetworkSpec(num_spins=3, topology="chain", input_spin=1, output_spin=3,

@@ -392,10 +392,11 @@ class TestSerialization:
     @pytest.mark.parametrize("key, value", [
         ("index", 0.9), ("index", True), ("index", "0"), ("index", None),
         ("seed", 1.5), ("seed", True), ("seed", "1"),
-        ("tf", "2.0"), ("tf", True), ("tf", None),
+        ("tf", "2.0"), ("tf", True), ("tf", None), ("tf", -10 ** 400),
         ("fidelity", "0.5"), ("fidelity", False),
         ("biases", "0 0 0 0"), ("biases", 1.0), ("biases", [0.0, "1", 0.0, 0.0]),
-        ("biases", [0.0, True, 0.0, 0.0]), ("biases", [0.0, None, 0.0, 0.0])])
+        ("biases", [0.0, True, 0.0, 0.0]), ("biases", [0.0, None, 0.0, 0.0]),
+        ("biases", [0.0, 10 ** 400, 0.0, 0.0])])
     def test_field_of_wrong_json_type_rejected_by_name(self, key, value):
         # integral tf and biases are JSON numbers too
         row = {"index": 0, "seed": 0, "tf": 2, "biases": [0] * 4,
