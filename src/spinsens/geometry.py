@@ -22,10 +22,12 @@ distance |rf - Phi r0| its route measured <= ``PST_TOL``) are derived
 there alone. ``project`` assembles R_S itself from F, k, |K| and the
 N^2 x N^2 operators Phi and K, all plain arrays, for one direction or a
 whole stack at once, and never forms R; it is the reference route that
-verification checks the records against. The frame identities (remark 1 above, and
-|cos theta| = sin phi) are not asserted here: verification's remark-1
-and theorem-1 checks test the reference records for them and report a
-defect as a failed check.
+verification checks the records against. Nothing here judges the frame:
+``angles`` reports the cosines as computed, unclamped, and neither the
+frame identities (remark 1 above, and |cos theta| = sin phi) nor
+|cos| <= 1 is asserted. Verification's remark-1, remark-2 and theorem-1
+checks test the reference records for them and report a defect, in
+either direction, as a failed check.
 
 Numerical note: sin phi computed as sqrt(1 - cos^2 phi) would lose half
 the digits when phi is tiny, exactly the regime of near-perfect transfer
@@ -36,28 +38,21 @@ cancellation.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvariantViolation
 from .network import UncertaintyStructure, scaling_factor
 
 if TYPE_CHECKING:
     from .synthesis import Controller
 
-# How far a record's cosines may stray outside [-1, 1] through rounding.
-ANGLE_TOL = 1e-9
-
 # Largest state distance |rf - Phi r0| that still counts as perfect transfer.
 PST_TOL = 1e-12
 
-# Machine epsilon and the smallest normal float, for the conditioning
-# allowance of the angles and the scale below which cos theta is 0.
-EPS = sys.float_info.epsilon
+# The smallest normal float: below this scale cos theta is reported as 0.
 TINY = sys.float_info.min
 
 # Below this fidelity the angle decomposition is numerically meaningless;
@@ -103,45 +98,28 @@ def scale_product(f_n: float, t_f: float, norm_k: float, norm_rs: float) -> floa
     return f_n * t_f * norm_k * norm_rs
 
 
-def angle_slack(n: int, norm_rs: float) -> float:
-    """Conditioning allowance 8 n^2 eps / |R_S| of a record's angles.
-
-    F and |R_S| each carry O(n^2 eps) absolute error, which near zero
-    fidelity is large relative to both.
-    """
-    return 8.0 * n * n * EPS / norm_rs
-
-
 def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,
            f_n: float, t_f: float, *,
            norm_rs_perp: float) -> tuple[float, float, float]:
     """Frame angles (cos phi, sin phi, cos theta) of one record.
 
-    cos phi comes from the fidelity. An overshoot of [-1, 1] beyond
-    ``ANGLE_TOL`` is clamped when it lies within ``angle_slack``, which
-    only near-zero fidelity reaches, and raises otherwise. sin phi is
-    |R_S - P_Phi R_S| / |R_S|, from the orthogonal component ``project``
-    reports, and cos theta comes from the sensitivity,
-    -zeta / ``scale_product``. Below a normal-float scale
-    (f_n = 0, or a subnormal f_n) the sensitivity is zero at working
-    precision and cos theta is reported as 0. The two routes agree up to
-    sign, |cos theta| = sin phi; on the N x N records both sides are
-    |k| / (|K| |R_S|), and verification's theorem-1 check tests the
-    reference records for it.
+    cos phi = F / (n |R_S|) comes from the fidelity and is reported as
+    computed: a frame defect that pushes it past 1 shows in verification's
+    checks, not here. sin phi is |R_S - P_Phi R_S| / |R_S|, from the
+    orthogonal component ``project`` reports; an orthogonal projection
+    never exceeds its input, so capping it at 1 only trims rounding.
+    cos theta comes from the sensitivity, -zeta / ``scale_product``. Below
+    a normal-float scale (f_n = 0, or a subnormal f_n) the sensitivity is
+    zero at working precision and cos theta is reported as 0. The two
+    routes agree up to sign, |cos theta| = sin phi; on the N x N records
+    both sides are |k| / (|K| |R_S|), and verification's theorem-1 check
+    tests the reference records for it.
     """
     if not norm_rs > 0:
         raise ValueError("angles undefined for a vanishing projection")
     if norm_k <= 0:
         raise ValueError("angles undefined for a vanishing sensitivity operator")
-    slack = angle_slack(n, norm_rs)
     cos_phi = fidelity / (n * norm_rs)
-    overshoot = abs(cos_phi) - 1.0
-    if overshoot > ANGLE_TOL:
-        if overshoot > slack:
-            raise InvariantViolation(
-                f"cos phi = {cos_phi:.17e} outside [-1, 1] beyond the "
-                f"conditioning allowance {slack:.3e}")
-        cos_phi = math.copysign(1.0, cos_phi)
     sin_phi = min(1.0, norm_rs_perp / norm_rs)
     scale = scale_product(f_n, t_f, norm_k, norm_rs)
     cos_theta = -zeta / scale if scale >= TINY else 0.0
@@ -184,10 +162,6 @@ class GeometryRecord:
     def __post_init__(self):
         if self.norm_K <= 0:
             raise ValueError("norm_K must be positive")
-        if math.isfinite(self.cos_phi) and abs(self.cos_phi) > 1.0 + ANGLE_TOL:
-            raise ValueError(f"cos phi {self.cos_phi} outside [-1, 1]")
-        if math.isfinite(self.cos_theta) and abs(self.cos_theta) > 1.0 + ANGLE_TOL:
-            raise ValueError(f"cos theta {self.cos_theta} outside [-1, 1]")
 
     @classmethod
     def assemble(cls, controller: "Controller", structure: UncertaintyStructure, *,

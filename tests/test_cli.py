@@ -858,20 +858,63 @@ class TestVerifyCommand:
         assert three_way.startswith("FAIL") and three_way.endswith("0 instances")
         assert "verify: 9 checks" in lines[-1]
 
-    def test_frame_defect_reported_as_failures(self, capsys, monkeypatch):
-        # a reference propagator off by a factor 1.0001 breaks the frame
-        # identities of the reference records; verify still prints every
-        # check and reports the defect on the theorem-1 and remark-1 lines
+    @pytest.mark.parametrize("target, factor, lower_bound_broken", [
+        ("propagator_matrix", 1.0001, False),
+        ("propagator_matrix", 0.9999, True),
+        ("adjoint_sensitivity_operator", 0.99, False),
+        ("adjoint_sensitivity_operator", 1.01, False)],
+        ids=["phi-x1.0001", "phi-x0.9999", "k-x0.99", "k-x1.01"])
+    def test_frame_defect_reported_as_failures(self, capsys, monkeypatch, target,
+                                               factor, lower_bound_broken):
+        # a reference propagator or sensitivity operator off by a constant
+        # factor breaks the frame identities of the reference records and
+        # pushes the cosines above 1 or below it; either way verify prints
+        # every check and reports the defect on the theorem-1 and remark-1
+        # lines, and on the remark-2 line when |R_S| falls below F/N
         from spinsens import verification
-        exact = verification.propagator_matrix
-        monkeypatch.setattr(verification, "propagator_matrix",
-                            lambda *args: 1.0001 * exact(*args))
+        exact = getattr(verification, target)
+
+        def mutated(*args):
+            if target == "propagator_matrix":
+                return factor * exact(*args)
+            # K scaled, |K| kept as the operator's norm comes back
+            k_op, norm_k = exact(*args)
+            return factor * k_op, norm_k
+
+        monkeypatch.setattr(verification, target, mutated)
         assert main(["verify", *self.SMALL]) == 2
         lines = capsys.readouterr().out.splitlines()
         checks = [line for line in lines if line[:4] in ("PASS", "WARN", "FAIL")]
         assert len(checks) == 9
+        assert lines[-1].startswith("verify: 9 checks")
         failed = {line.split()[1] for line in checks if line.startswith("FAIL")}
         assert {"theorem1-identity", "remark1-frame-norm"} <= failed
+        remark2, = [line for line in checks if "remark2-projection-bounds" in line]
+        assert (remark2.startswith("FAIL")
+                and "lower bound broken" in remark2) == lower_bound_broken
+
+    def test_shared_weights_defect_caught_by_three_way_alone(self, capsys, monkeypatch):
+        # both routes, and synth, take their divided differences from
+        # hadamard_core, so cross-formulation cannot see a defect there;
+        # quadrature and finite differences can. At SMALL the three-way
+        # instances (2 and 3 spins) have distinct eigenvalues, so a sinc
+        # argument off by a factor 1.0001 reaches them
+        from spinsens import sensitivity
+        from test_analytics import TestHotPath
+
+        def bent(lam, t_f):
+            lam = np.asarray(lam, dtype=float)
+            half = np.exp(0.5j * t_f * lam)
+            x = 1.0001 * 0.5 * t_f * (lam[:, None] - lam[None, :])
+            sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+            return half[:, None] * half * sinc
+
+        TestHotPath.patch_everywhere(monkeypatch, sensitivity.hadamard_core, bent)
+        assert main(["verify", *self.SMALL]) == 2
+        checks = {line.split()[1]: line[:4] for line in capsys.readouterr().out.splitlines()
+                  if line[:4] in ("PASS", "WARN", "FAIL")}
+        assert checks["three-way-agreement"] == "FAIL"
+        assert checks["cross-formulation"] == "PASS"
 
     def test_injected_convention_error_caught(self, capsys, monkeypatch):
         # the Hilbert-space reference propagates with exp(+iHt) instead of

