@@ -194,14 +194,17 @@ def build_hamiltonian(spec: NetworkSpec, biases: np.ndarray) -> np.ndarray:
     The result is a read-only copy of the network's cached coupling
     template with the biases written on its diagonal. The template's
     off-diagonal entries are assigned symmetrically, so the result is
-    bitwise symmetric.
+    bitwise symmetric. A stack (..., N) of bias vectors gives the stack
+    (..., N, N) of their Hamiltonians.
     """
     n = spec.num_spins
     biases = np.asarray(biases, dtype=float)
-    if biases.shape != (n,):
+    if biases.shape[-1:] != (n,):
         raise ValueError(f"expected {n} biases, got shape {biases.shape}")
-    h = _coupling_template(spec).copy()
-    h.flat[:: n + 1] = biases
+    lead = biases.shape[:-1]
+    h = np.broadcast_to(_coupling_template(spec), lead + (n, n)).copy()
+    # the diagonals as strided views of the flat matrices
+    h.reshape(lead + (n * n,))[..., :: n + 1] = biases
     return _readonly(h)
 
 

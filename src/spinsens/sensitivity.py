@@ -104,7 +104,7 @@ def propagator_matrix(lam: np.ndarray, m: np.ndarray, t_f: float) -> np.ndarray:
     return phi_c.real.copy()
 
 
-def hadamard_core(lam: np.ndarray, t_f: float) -> np.ndarray:
+def hadamard_core(lam: np.ndarray, t_f: float | np.ndarray) -> np.ndarray:
     """Divided differences of exp(i lam t_f), the entrywise weights of an
     eigenbasis direction.
 
@@ -119,12 +119,16 @@ def hadamard_core(lam: np.ndarray, t_f: float) -> np.ndarray:
     its limit exp(i lam_k t_f) at a degenerate pair, and keeps full
     relative accuracy at every gap in between (Higham, Functions of
     Matrices, SIAM 2008, ch. 10). At t_f = 0 every weight is one.
+
+    A stack (..., n) of spectra with read-out times of shape (...) gives
+    the stack (..., n, n) of their weights.
     """
     lam = np.asarray(lam, dtype=float)
+    t_f = np.asarray(t_f, dtype=float)[..., None]
     half = np.exp(0.5j * t_f * lam)
-    x = 0.5 * t_f * (lam[:, None] - lam[None, :])
+    x = 0.5 * t_f[..., None] * (lam[..., :, None] - lam[..., None, :])
     sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
-    return half[:, None] * half * sinc
+    return half[..., :, None] * half[..., None, :] * sinc
 
 
 def _eigensystem(spec: "NetworkSpec",
@@ -134,10 +138,11 @@ def _eigensystem(spec: "NetworkSpec",
 
     The amplitude U_oi at any read-out time is then the phase sum
     sum_j w_j exp(-i E_j t), and its read-out time derivative comes from
-    the same phases.
+    the same phases. A stack (..., N) of bias vectors gives stacked
+    results from one stacked ``eigh``.
     """
     e, v = np.linalg.eigh(build_hamiltonian(spec, biases))
-    return e, v, v[spec.output_spin - 1] * v[spec.input_spin - 1]
+    return e, v, v[..., spec.output_spin - 1, :] * v[..., spec.input_spin - 1, :]
 
 
 @dataclass(frozen=True)

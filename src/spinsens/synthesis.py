@@ -3,7 +3,11 @@
 A controller is a vector of on-site biases plus a read-out time. Each
 restart draws a random initial point and runs one bounded quasi-Newton
 ascent (L-BFGS-B; Byrd, Lu, Nocedal & Zhu 1995) over the biases and the
-read-out time together, inside the configured boxes. Fidelity and its
+read-out time together, inside the configured boxes. The ascents are
+independent, and L-BFGS-B asks for each evaluation by reverse
+communication, so all restarts advance in lockstep: each round evaluates
+the points every live restart asks for with one stacked ``eigh``, and
+every restart takes the steps its own serial ascent would. Fidelity and its
 gradient come from the eigensystem of the N x N Hamiltonian (Najfeld &
 Havel 1995): the gradient along bias n is the unit-scaled sensitivity of
 that bias direction, computed from the same eigensystem and divided
@@ -108,7 +112,7 @@ def transfer_fidelity(spec: NetworkSpec, biases: np.ndarray, t_f: float) -> floa
 
 
 def fidelity_objective(spec: NetworkSpec, biases: np.ndarray,
-                       t_f: float) -> tuple[float, np.ndarray]:
+                       t_f: float | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Fidelity and its analytic gradient with respect to (biases, t_f).
 
     Component n < N of the gradient is 2 Re(conj(U_oi) dU_oi/dDelta_n) with
@@ -119,72 +123,159 @@ def fidelity_objective(spec: NetworkSpec, biases: np.ndarray,
     check against the adjoint-picture reference records. The last
     component is dF/dt_f = 2 Re(conj(U_oi) dU_oi/dt_f) with
     dU_oi/dt_f = -i sum_j w_j E_j exp(-i E_j t_f), from the same phases.
+
+    One working point (biases (N,), scalar t_f) gives F as a float and the
+    gradient (N+1,). A stack of points (biases (..., N), t_f of shape
+    (...)) gives F (...) and gradients (..., N+1) from one stacked
+    ``eigh``; every row is bitwise the single-point result.
     """
+    t_f = np.asarray(t_f, dtype=float)
     e, v, w = _eigensystem(spec, biases)
-    phases = np.exp(-1j * e * t_f)
-    amp = complex(w @ phases)
+    phases = np.exp(-1j * e * t_f[..., None])
+    amp = (w[..., None, :] @ phases[..., :, None])[..., 0, 0]
+    # Python's complex abs per row: numpy's complex abs can differ in the last bit
+    f = np.array([abs(complex(a)) ** 2 for a in amp.flat]).reshape(amp.shape)
     x = hadamard_core(-e, t_f)
-    left = v[spec.output_spin - 1] * v
-    right = v * v[spec.input_spin - 1]
-    d_amp = np.append(-1j * t_f * ((left @ x) * right).sum(axis=1),
-                      -1j * ((w * e) @ phases))
-    return abs(amp) ** 2, 2.0 * (amp.conjugate() * d_amp).real
+    left = v[..., spec.output_spin - 1, None, :] * v
+    right = v * v[..., spec.input_spin - 1, None, :]
+    d_bias = -1j * t_f[..., None] * ((left @ x) * right).sum(axis=-1)
+    d_time = -1j * ((w * e)[..., None, :] @ phases[..., :, None])[..., 0]
+    d_amp = np.concatenate([d_bias, d_time], axis=-1)
+    grad = 2.0 * (amp.conjugate()[..., None] * d_amp).real
+    return (float(f) if f.ndim == 0 else f), grad
 
 
-def local_optimize(spec: NetworkSpec, initial_biases: np.ndarray,
-                   initial_t_f: float, config: SynthesisConfig,
-                   seed: int = 0, index: int = 0) -> Controller:
-    """One bounded L-BFGS-B ascent over (biases, t_f) from one start.
+# L-BFGS-B settings of every restart, as scipy's minimize passes them for
+# maxcor=10, maxls=20, ftol=1e-15, gtol=TOLERANCE/10 and its default maxfun;
+# factr is ftol over the float64 eps, 2**-52
+_M, _MAXLS, _MAXFUN = 10, 20, 15000
+_FACTR = 1e-15 / 2.0 ** -52
+_PGTOL = TOLERANCE / 10.0
+# setulb's task codes: evaluate at x, new iterate, stop at the caller's request
+_FG, _NEW_X, _STOP = 3, 1, 5
+_STOP_MAXFUN, _STOP_MAXITER = 502, 504
 
-    The result is accepted only when it strictly improves the start, so a
-    point that is already stationary (a perfect-transfer controller in
-    particular) comes back unchanged. The status is "converged" when the
-    projected gradient over (biases, t_f) at the returned point is at most
-    ``TOLERANCE`` or its error 1 - F is at most ``FIDELITY_TOL``, and
-    "maxiter" otherwise. Since F <= 1 everywhere, a point of error within
-    ``FIDELITY_TOL`` is a global maximum, even where rounding keeps its
-    gradient above the tolerance.
+
+class _Ascent:
+    """One restart's L-BFGS-B ascent, driven through the reverse-communication
+    routine ``setulb`` by ``_ascend``.
+
+    ``x`` is the current point, which ``setulb`` moves in place; ``f`` and
+    ``g`` are the minimized -F and -grad F it reads. ``evaluated`` maps
+    the bytes of each point evaluated to its (F, grad F), the start first.
+    """
+
+    def __init__(self, start: np.ndarray):
+        n = start.size
+        self.start = start.copy()
+        self.x = start.copy()
+        self.f = 0.0
+        self.g = np.zeros(n)
+        self.wa = np.zeros(2 * _M * n + 5 * n + 11 * _M * _M + 8 * _M)
+        self.iwa = np.zeros(3 * n, dtype=np.int32)
+        self.task = np.zeros(2, dtype=np.int32)
+        self.ln_task = np.zeros(2, dtype=np.int32)
+        self.lsave = np.zeros(4, dtype=np.int32)
+        self.isave = np.zeros(44, dtype=np.int32)
+        self.dsave = np.zeros(29)
+        self.iterations = self.nfev = 0
+        self.evaluated: dict[bytes, tuple[float, np.ndarray]] = {}
+        self.last_x = self.last = None
+
+    def record(self, f: float, grad: np.ndarray) -> None:
+        """Store (F, grad F) at the current point."""
+        self.evaluated[self.x.tobytes()] = self.last = (f, grad)
+        self.last_x = self.x.copy()
+        self.nfev += 1
+
+
+def _bounds(spec: NetworkSpec, config: SynthesisConfig) -> tuple[np.ndarray, np.ndarray]:
+    n = spec.num_spins
+    return (np.append(np.full(n, config.bias_range[0]), config.t_f_range[0]),
+            np.append(np.full(n, config.bias_range[1]), config.t_f_range[1]))
+
+
+def _ascend(spec: NetworkSpec, starts: np.ndarray,
+            config: SynthesisConfig) -> list[_Ascent]:
+    """Bounded L-BFGS-B ascents over (biases, t_f) from each row of ``starts``,
+    advanced in lockstep.
+
+    Each round runs every live ascent until it asks for (F, grad F) at a
+    new point or stops, then evaluates all the points asked for with one
+    stacked ``fidelity_objective`` call. A restart's steps depend on its
+    own evaluations alone, so each ascent is the one scipy's ``minimize``
+    (method L-BFGS-B) takes with the same settings: the start is
+    evaluated first, a request at the point evaluated last is answered
+    from it, and an ascent stops after ``MAXITER`` iterations.
     """
     # imported here so that analysis, which reads Controller, loads no scipy
-    from scipy.optimize import minimize
+    from scipy.optimize._lbfgsb import setulb
 
+    starts = np.asarray(starts, dtype=float)
     lo_b, hi_b = config.bias_range
     lo_t, hi_t = config.t_f_range
-    x = np.append(np.asarray(initial_biases, dtype=float), float(initial_t_f))
-    if not (np.all(x[:-1] >= lo_b) and np.all(x[:-1] <= hi_b)):
+    if not (np.all(starts[:, :-1] >= lo_b) and np.all(starts[:, :-1] <= hi_b)):
         raise ValueError("initial biases outside the configured bounds")
-    if not lo_t <= x[-1] <= hi_t:
+    if not (np.all(starts[:, -1] >= lo_t) and np.all(starts[:, -1] <= hi_t)):
         raise ValueError("initial read-out time outside the configured bounds")
+    lo, hi = _bounds(spec, config)
+    both_bounded = np.full(starts.shape[1], 2, dtype=np.int32)
 
-    # every (F, grad F) of the ascent, keyed by the point's bytes: the first
-    # is the start, and the point returned was evaluated on the way. After
-    # a line search stops abnormally, res.fun and res.jac belong to the
-    # last point tried, not to res.x, so only the acceptance reads res.fun
-    evaluated: dict[bytes, tuple[float, np.ndarray]] = {}
-    bounds = [(lo_b, hi_b)] * spec.num_spins + [(lo_t, hi_t)]
-    res = minimize(_negated, x, args=(spec, evaluated), jac=True,
-                   method="L-BFGS-B", bounds=bounds,
-                   options={"maxiter": MAXITER, "ftol": 1e-15,
-                            "gtol": TOLERANCE / 10.0})
-    start = next(iter(evaluated.values()))
-    if -res.fun > start[0]:
-        x = np.asarray(res.x, dtype=float)
-        f_final, grad = evaluated[x.tobytes()]
-    else:
-        f_final, grad = start
-    lo, hi = np.array(bounds).T
+    def asks_again(a: _Ascent) -> bool:
+        # True when the ascent asks for (F, grad F) at a point not evaluated last
+        while True:
+            if a.task[0] == _FG:
+                a.f, a.g = -a.last[0], -a.last[1]
+            setulb(_M, a.x, lo, hi, both_bounded, a.f, a.g, _FACTR, _PGTOL, a.wa, a.iwa,
+                   a.task, a.lsave, a.isave, a.dsave, _MAXLS, a.ln_task)
+            if a.task[0] == _FG:
+                if not np.array_equal(a.x, a.last_x):
+                    return True
+            elif a.task[0] == _NEW_X:
+                a.iterations += 1
+                if a.iterations >= MAXITER:
+                    a.task[:] = _STOP, _STOP_MAXITER
+                elif a.nfev > _MAXFUN:
+                    a.task[:] = _STOP, _STOP_MAXFUN
+            else:
+                return False
+
+    ascents = [_Ascent(x) for x in starts]
+    waiting = ascents
+    while waiting:
+        points = np.array([a.x for a in waiting])
+        f, grad = fidelity_objective(spec, points[:, :-1], points[:, -1])
+        for a, f_a, grad_a in zip(waiting, f.tolist(), grad):
+            a.record(f_a, grad_a)
+        waiting = [a for a in waiting if asks_again(a)]
+    return ascents
+
+
+def local_optimize(spec: NetworkSpec, ascent: _Ascent, config: SynthesisConfig,
+                   seed: int = 0, index: int = 0) -> Controller:
+    """The controller one finished L-BFGS-B ascent over (biases, t_f) gives.
+
+    The ascent's end is accepted only when the last fidelity it evaluated
+    strictly improves the start, so a point that is already stationary (a
+    perfect-transfer controller in particular) comes back unchanged. The
+    status is "converged" when the projected gradient over (biases, t_f)
+    at the returned point is at most ``TOLERANCE`` or its error 1 - F is
+    at most ``FIDELITY_TOL``, and "maxiter" otherwise. Since F <= 1
+    everywhere, a point of error within ``FIDELITY_TOL`` is a global
+    maximum, even where rounding keeps its gradient above the tolerance.
+    Both read the ascent's own evaluations: no fidelity is computed here.
+    """
+    # after a line search stops abnormally, ascent.f belongs to the last
+    # point tried, not to ascent.x, so only the acceptance reads it
+    start_f = ascent.evaluated[ascent.start.tobytes()][0]
+    x = ascent.x if -ascent.f > start_f else ascent.start
+    f_final, grad = ascent.evaluated[x.tobytes()]
+    lo, hi = _bounds(spec, config)
     converged = (_projected_norm(grad, x, lo, hi) <= TOLERANCE
                  or 1.0 - f_final <= FIDELITY_TOL)
     return Controller(biases=x[:-1], t_f=float(x[-1]), fidelity=min(1.0, f_final),
                       spec=spec, seed=seed, index=index,
                       status="converged" if converged else "maxiter")
-
-
-def _negated(x: np.ndarray, spec: NetworkSpec,
-             evaluated: dict[bytes, tuple[float, np.ndarray]]):
-    f, g = fidelity_objective(spec, x[:-1], x[-1])
-    evaluated[x.tobytes()] = (f, g)
-    return -f, -g
 
 
 def _projected_norm(grad: np.ndarray, x: np.ndarray, lo: np.ndarray,
@@ -198,18 +289,18 @@ def _projected_norm(grad: np.ndarray, x: np.ndarray, lo: np.ndarray,
 def synthesize_ensemble(spec: NetworkSpec, config: SynthesisConfig) -> list[Controller]:
     """Multistart synthesis: seeded restarts, dedupe, sort by fidelity.
 
-    Ordering and content of the result depend only on the master seed.
+    Every restart's start is drawn from its own child seed, all restarts
+    ascend together (``_ascend``), and ``local_optimize`` turns each
+    finished ascent into its controller. Ordering and content of the
+    result depend only on the master seed.
     """
-    children = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    lo_b, hi_b = config.bias_range
-    lo_t, hi_t = config.t_f_range
-
-    raw = []
-    for i, child in enumerate(children):
+    starts = []
+    for child in np.random.SeedSequence(config.seed).spawn(config.restarts):
         rng = np.random.default_rng(child)
-        d0 = rng.uniform(lo_b, hi_b, spec.num_spins)
-        t0 = rng.uniform(lo_t, hi_t)
-        raw.append(local_optimize(spec, d0, t0, config, seed=i, index=i))
+        d0 = rng.uniform(*config.bias_range, spec.num_spins)
+        starts.append(np.append(d0, rng.uniform(*config.t_f_range)))
+    raw = [local_optimize(spec, ascent, config, seed=i, index=i)
+           for i, ascent in enumerate(_ascend(spec, np.array(starts), config))]
 
     raw.sort(key=lambda c: (-c.fidelity, c.t_f, c.seed))
     kept: list[Controller] = []

@@ -904,10 +904,11 @@ class TestVerifyCommand:
 
         def bent(lam, t_f):
             lam = np.asarray(lam, dtype=float)
+            t_f = np.asarray(t_f, dtype=float)[..., None]
             half = np.exp(0.5j * t_f * lam)
-            x = 1.0001 * 0.5 * t_f * (lam[:, None] - lam[None, :])
+            x = 1.0001 * 0.5 * t_f[..., None] * (lam[..., :, None] - lam[..., None, :])
             sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
-            return half[:, None] * half * sinc
+            return half[..., :, None] * half[..., None, :] * sinc
 
         TestHotPath.patch_everywhere(monkeypatch, sensitivity.hadamard_core, bent)
         assert main(["verify", *self.SMALL]) == 2

@@ -1,9 +1,10 @@
 """Property tests over random networks and controllers: the record
 invariants on the adjoint-picture reference records, the published
-records and the synthesis objective against that reference, the range
-of the published cosines at the synth boxes, the stacked
-reference pass against one call per direction, and the batched
-quadrature oracle against a node-by-node evaluation."""
+records and the synthesis objective against that reference, the stacked
+synthesis objective against one call per point, the range of the
+published cosines at the synth boxes, the stacked reference pass
+against one call per direction, and the batched quadrature oracle
+against a node-by-node evaluation."""
 
 import numpy as np
 import pytest
@@ -102,6 +103,45 @@ def test_objective_matches_adjoint_records(point):
         assert abs(f - r.F) <= 1e-9
         expected = t_f * r.k_coeff
         assert abs(grad[site] - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+@st.composite
+def point_stacks(draw):
+    # up to six working points on one network of up to 12 spins; zero and
+    # uniform biases leave degenerate spectra (rings, and a chain's
+    # mirror-symmetric pairs), where the sinc argument is exactly zero
+    spec = draw(networks(12))
+    n = spec.num_spins
+    bias = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(("spread", "zero", "uniform")))
+        if kind == "spread":
+            rows.append(draw(st.lists(bias, min_size=n, max_size=n)))
+        else:
+            rows.append([0.0 if kind == "zero" else draw(bias)] * n)
+    times = draw(st.lists(st.floats(min_value=0.1, max_value=50.0),
+                          min_size=len(rows), max_size=len(rows)))
+    return spec, np.array(rows), np.array(times)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(point_stacks())
+def test_stacked_objective_rows_are_single_point_calls(stack):
+    # synthesis evaluates every restart's point in one stacked call; each
+    # row must be the single-point result bit for bit, or the lockstep
+    # ascents would leave the per-restart ones
+    spec, biases, times = stack
+    n = spec.num_spins
+    f, grad = fidelity_objective(spec, biases, times)
+    assert f.shape == times.shape and grad.shape == (len(times), n + 1)
+    first_f, first_grad = fidelity_objective(spec, biases[:1], times[:1])
+    assert first_f.tobytes() == f[:1].tobytes() and first_grad.tobytes() == grad[:1].tobytes()
+    for row, t_f in enumerate(times.tolist()):
+        one_f, one_grad = fidelity_objective(spec, biases[row], t_f)
+        assert type(one_f) is float and one_grad.shape == (n + 1,)
+        assert one_f == f[row] and one_grad.tobytes() == grad[row].tobytes()
+        assert one_f == transfer_fidelity(spec, biases[row], t_f)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

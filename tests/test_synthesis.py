@@ -11,7 +11,7 @@ from spinsens import (Controller, NetworkSpec, SynthesisConfig,
                       build_hamiltonian, controllers_from_json, controllers_to_json,
                       fidelity_objective, local_optimize, synthesize_ensemble,
                       transfer_fidelity)
-from spinsens.synthesis import FIDELITY_TOL, f17
+from spinsens.synthesis import FIDELITY_TOL, MAXITER, TOLERANCE, _ascend, f17
 from spinsens.verification import adjoint_records
 
 CHAIN2 = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
@@ -179,12 +179,59 @@ class TestSynthesisConfig:
             SynthesisConfig(**{field: value})
 
 
+def optimize_from(spec, biases, t_f, config, seed=0, index=0):
+    # one restart from a given start: its ascent, then its controller
+    ascent, = _ascend(spec, np.append(biases, t_f)[None], config)
+    return local_optimize(spec, ascent, config, seed=seed, index=index)
+
+
+def minimize_restart(spec, start, config):
+    """The per-restart ascent that `_ascend` replaced, kept as its
+    reference: scipy's public ``minimize`` with the same L-BFGS-B settings,
+    then the same acceptance and status. Returns the accepted point, its
+    fidelity and status, and the number of objective evaluations."""
+    from scipy.optimize import minimize
+
+    evaluated = {}
+
+    def negated(x):
+        f, g = fidelity_objective(spec, x[:-1], x[-1])
+        evaluated[x.tobytes()] = (f, g)
+        return -f, -g
+
+    bounds = [config.bias_range] * spec.num_spins + [config.t_f_range]
+    res = minimize(negated, start, jac=True, method="L-BFGS-B", bounds=bounds,
+                   options={"maxiter": MAXITER, "ftol": 1e-15, "gtol": TOLERANCE / 10.0})
+    start_f = next(iter(evaluated.values()))[0]
+    x = np.asarray(res.x) if -res.fun > start_f else start
+    f, grad = evaluated[x.tobytes()]
+    lo, hi = np.array(bounds).T
+    g = grad.copy()
+    g[(x <= lo) & (g < 0)] = 0.0
+    g[(x >= hi) & (g > 0)] = 0.0
+    converged = np.abs(g).max() <= TOLERANCE or 1.0 - f <= FIDELITY_TOL
+    return (x, min(1.0, f), "converged" if converged else "maxiter"), res.nfev
+
+
+ORACLE_CASES = [
+    *((RING4, SynthesisConfig(restarts=40, seed=seed)) for seed in range(4)),
+    (NetworkSpec(num_spins=6, topology="ring", input_spin=1, output_spin=4),
+     SynthesisConfig(restarts=24, seed=0)),
+    (NetworkSpec(num_spins=5, topology="chain", input_spin=1, output_spin=5),
+     SynthesisConfig(restarts=24, seed=0)),
+    (NetworkSpec(num_spins=8, topology="chain", input_spin=1, output_spin=8),
+     SynthesisConfig(restarts=16, seed=0)),
+    (CHAIN2, SynthesisConfig(restarts=8, bias_range=(0.0, 1e-9), t_f_range=(1.5, 1.6),
+                             seed=1)),
+]
+
+
 class TestLocalOptimize:
     def test_perfect_transfer_point_is_fixed(self):
         # strict-improvement accepts leave an exact optimum untouched
         config = SynthesisConfig(t_f_range=(0.5, 3.0))
         start_t = np.pi / 2.0
-        ctl = local_optimize(CHAIN2, np.zeros(2), start_t, config)
+        ctl = optimize_from(CHAIN2, np.zeros(2), start_t, config)
         assert np.array_equal(ctl.biases, np.zeros(2))
         assert ctl.t_f == start_t
         assert ctl.fidelity >= 1.0 - 1e-12
@@ -194,71 +241,61 @@ class TestLocalOptimize:
         config = SynthesisConfig(t_f_range=(0.5, 3.0))
         start = np.array([4.0, 1.0])
         f0 = transfer_fidelity(CHAIN2, start, 2.5)
-        ctl = local_optimize(CHAIN2, start, 2.5, config)
+        ctl = optimize_from(CHAIN2, start, 2.5, config)
         assert ctl.fidelity > f0
 
     def test_out_of_bounds_start_rejected(self):
         config = SynthesisConfig()
-        with pytest.raises(ValueError):
-            local_optimize(CHAIN2, np.array([-1.0, 0.0]), 2.0, config)
-        with pytest.raises(ValueError):
-            local_optimize(CHAIN2, np.zeros(2), 0.5, config)
+        inside = [0.0, 0.0, 2.0]
+        with pytest.raises(ValueError, match="initial biases"):
+            _ascend(CHAIN2, np.array([inside, [-1.0, 0.0, 2.0]]), config)
+        with pytest.raises(ValueError, match="initial read-out time"):
+            _ascend(CHAIN2, np.array([inside, [0.0, 0.0, 0.5]]), config)
 
-    def test_one_minimize_call_per_restart(self, rng, monkeypatch):
-        import scipy.optimize
-        calls = []
-        real = scipy.optimize.minimize
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs["method"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "minimize", counting)
-        config = SynthesisConfig(t_f_range=(1.0, 4.0), bias_range=(0.0, 6.0))
-        local_optimize(RING4, rng.uniform(0, 6, 4), 2.0, config)
-        assert calls == ["L-BFGS-B"]
-
-    def test_ascent_ends_are_not_evaluated_again(self, monkeypatch):
-        # F at the start and (F, grad F) at the returned point come from the
-        # ascent's own evaluations: one objective call per optimizer
-        # evaluation, and no fidelity evaluated beside them
-        import scipy.optimize
-
+    @pytest.mark.parametrize("spec, config", ORACLE_CASES, ids=[
+        f"{spec.topology}{spec.num_spins}-{spec.input_spin}to{spec.output_spin}"
+        f"-seed{config.seed}" for spec, config in ORACLE_CASES])
+    def test_lockstep_matches_per_restart_minimize(self, spec, config, monkeypatch):
+        # each lockstep ascent ends where scipy's minimize ends it, with
+        # the same fidelity, status and number of objective evaluations;
+        # the restarts' evaluations are the only ones made
         import spinsens.synthesis as synthesis
-        objective_calls = []
+        rows = []
         real_objective = synthesis.fidelity_objective
 
-        def counting(*args):
-            objective_calls.append(args)
-            return real_objective(*args)
+        def counting(spec_, biases, t_f):
+            rows.append(np.size(t_f))
+            return real_objective(spec_, biases, t_f)
 
         def forbidden(*args):
             raise AssertionError("transfer_fidelity called by the synthesis")
 
-        nfev = []
-        real_minimize = scipy.optimize.minimize
-
-        def recording(*args, **kwargs):
-            res = real_minimize(*args, **kwargs)
-            nfev.append(res.nfev)
-            return res
-
-        per_restart = []
+        restarts = []
         real_local = synthesis.local_optimize
 
-        def restart(*args, **kwargs):
-            before = len(objective_calls)
-            ctl = real_local(*args, **kwargs)
-            per_restart.append(len(objective_calls) - before)
-            return ctl
+        def recording(spec_, ascent, *args, **kwargs):
+            restarts.append((real_local(spec_, ascent, *args, **kwargs), ascent.nfev))
+            return restarts[-1][0]
 
         monkeypatch.setattr(synthesis, "fidelity_objective", counting)
         monkeypatch.setattr(synthesis, "transfer_fidelity", forbidden)
-        monkeypatch.setattr(scipy.optimize, "minimize", recording)
-        monkeypatch.setattr(synthesis, "local_optimize", restart)
-        synthesize_ensemble(RING4, SynthesisConfig(restarts=12, seed=2))
-        assert len(per_restart) == 12
-        assert per_restart == nfev
+        monkeypatch.setattr(synthesis, "local_optimize", recording)
+        synthesize_ensemble(spec, config)
+        assert len(restarts) == config.restarts
+
+        children = np.random.SeedSequence(config.seed).spawn(config.restarts)
+        for i, (child, (ctl, nfev)) in enumerate(zip(children, restarts)):
+            rng = np.random.default_rng(child)
+            start = np.append(rng.uniform(*config.bias_range, spec.num_spins),
+                              rng.uniform(*config.t_f_range))
+            (x, fidelity, status), reference_nfev = minimize_restart(spec, start, config)
+            assert ctl.biases.tobytes() == x[:-1].tobytes(), i
+            assert (ctl.t_f, ctl.fidelity, ctl.status) == (x[-1], fidelity, status), i
+            assert (ctl.seed, ctl.index) == (i, i)
+            assert nfev == reference_nfev, i
+        # the ensemble is sorted and deduplicated from these restarts alone,
+        # so its bytes and statuses follow from theirs
+        assert sum(rows) == sum(nfev for _, nfev in restarts)
 
     def test_read_out_time_reaches_interior_maximum(self, monkeypatch):
         # two-spin chain at ~zero bias: F = sin^2 t has its only maximum in
@@ -282,7 +319,7 @@ class TestLocalOptimize:
 
     def test_result_respects_bounds(self, rng):
         config = SynthesisConfig(t_f_range=(1.0, 4.0), bias_range=(0.0, 6.0))
-        ctl = local_optimize(RING4, rng.uniform(0, 6, 4), 2.0, config, seed=3, index=9)
+        ctl = optimize_from(RING4, rng.uniform(0, 6, 4), 2.0, config, seed=3, index=9)
         assert np.all(ctl.biases >= 0.0) and np.all(ctl.biases <= 6.0)
         assert 1.0 <= ctl.t_f <= 4.0
         assert ctl.seed == 3 and ctl.index == 9
@@ -297,7 +334,7 @@ class TestLocalOptimize:
         t0 = rng.uniform(*config.t_f_range)
         assert np.allclose(d0, [4.81, 5.14, 4.28, 3.97], atol=5e-3)
         assert abs(t0 - 15.49) < 5e-3
-        ctl = local_optimize(RING4, d0, t0, config, seed=14, index=14)
+        ctl = optimize_from(RING4, d0, t0, config, seed=14, index=14)
         assert ctl.error <= FIDELITY_TOL
         assert ctl.status == "converged"
 
