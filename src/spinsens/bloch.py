@@ -15,8 +15,10 @@ per dimension as one read-only (N^2, N, N) array, and ``adjoint_rep`` and
 ``state_to_bloch`` both read that array: there is no other basis to pass.
 
 The adjoint picture is verification's reference, and its callers hold
-plain arrays: the generator A from ``adjoint_rep`` and the endpoint
-vectors r0 and rf from ``state_to_bloch`` of ``site_state``. Each is
+plain arrays: the generator A, which verification combines from the
+``adjoint_rep`` images of the uncertainty structures (A is linear in H),
+and the endpoint vectors r0 and rf from ``state_to_bloch`` of
+``site_state``. Each is
 checked where it is made: A is antisymmetrized exactly, and a coherence
 vector is taken only of a normalized state, so it has unit norm.
 """

@@ -161,8 +161,11 @@ class _Ascent:
     routine ``setulb`` by ``_ascend``.
 
     ``x`` is the current point, which ``setulb`` moves in place; ``f`` and
-    ``g`` are the minimized -F and -grad F it reads. ``evaluated`` maps
-    the bytes of each point evaluated to its (F, grad F), the start first.
+    ``g`` are the minimized -F and -grad F it reads. Of the evaluations
+    (F, grad F), the ascent keeps the three ``local_optimize`` may read
+    (``value_at``): the start's, the current iterate's and the one at the
+    point evaluated last (``last_x``, with ``last``). Once the ascent
+    stops, ``stop`` frees the L-BFGS-B workspace.
     """
 
     def __init__(self, start: np.ndarray):
@@ -179,14 +182,37 @@ class _Ascent:
         self.isave = np.zeros(44, dtype=np.int32)
         self.dsave = np.zeros(29)
         self.iterations = self.nfev = 0
-        self.evaluated: dict[bytes, tuple[float, np.ndarray]] = {}
-        self.last_x = self.last = None
+        self.iterate = self.start
+        self.start_value = self.iterate_value = self.last_x = self.last = None
 
     def record(self, f: float, grad: np.ndarray) -> None:
-        """Store (F, grad F) at the current point."""
-        self.evaluated[self.x.tobytes()] = self.last = (f, grad)
+        """Store (F, grad F) at the current point, the new ``last``; the
+        first point evaluated is the start."""
         self.last_x = self.x.copy()
+        self.last = (f, grad)
+        if self.nfev == 0:
+            self.start_value = self.iterate_value = self.last
         self.nfev += 1
+
+    def advance(self) -> None:
+        """Take the current point, which ``setulb`` evaluated, as the iterate."""
+        self.iterations += 1
+        self.iterate_value = self.value_at(self.x)
+        self.iterate = self.x.copy()
+
+    def stop(self) -> None:
+        """Free the workspace of a finished ascent."""
+        self.wa = self.iwa = None
+
+    def value_at(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(F, grad F) at ``x``, which must be the point evaluated last, the
+        iterate or the start (compared bitwise)."""
+        key = x.tobytes()
+        for point, value in ((self.last_x, self.last), (self.iterate, self.iterate_value),
+                             (self.start, self.start_value)):
+            if point.tobytes() == key:
+                return value
+        raise KeyError("the ascent kept no evaluation at this point")
 
 
 def _bounds(spec: NetworkSpec, config: SynthesisConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -232,12 +258,13 @@ def _ascend(spec: NetworkSpec, starts: np.ndarray,
                 if not np.array_equal(a.x, a.last_x):
                     return True
             elif a.task[0] == _NEW_X:
-                a.iterations += 1
+                a.advance()
                 if a.iterations >= MAXITER:
                     a.task[:] = _STOP, _STOP_MAXITER
                 elif a.nfev > _MAXFUN:
                     a.task[:] = _STOP, _STOP_MAXFUN
             else:
+                a.stop()
                 return False
 
     ascents = [_Ascent(x) for x in starts]
@@ -267,9 +294,9 @@ def local_optimize(spec: NetworkSpec, ascent: _Ascent, config: SynthesisConfig,
     """
     # after a line search stops abnormally, ascent.f belongs to the last
     # point tried, not to ascent.x, so only the acceptance reads it
-    start_f = ascent.evaluated[ascent.start.tobytes()][0]
+    start_f = ascent.start_value[0]
     x = ascent.x if -ascent.f > start_f else ascent.start
-    f_final, grad = ascent.evaluated[x.tobytes()]
+    f_final, grad = ascent.value_at(x)
     lo, hi = _bounds(spec, config)
     converged = (_projected_norm(grad, x, lo, hi) <= TOLERANCE
                  or 1.0 - f_final <= FIDELITY_TOL)

@@ -712,9 +712,9 @@ class TestDeterminism:
         assert (file_sha256(tmp_path / "r.csv"), file_sha256(tmp_path / "s.csv")) == digests
 
     @pytest.mark.parametrize("seed, digest", [
-        (2024, "0bddc78a43b908853fc8bd6f6c840b48d0d45566c8ec718bfdf054166f0df235"),
-        (5, "5dbb2f3684d2b6a088b6fb89627582f429bc3bb414956fb2663d318e1db0ba6b"),
-        (77, "cdcea0f5c4b6187d40ec98e1d25a4d2ab83dc12a35bbea341067190750c7a46a")])
+        (2024, "b22e7aef211459c3531bfb13f37ba98ee0624fc9fb5b58142723ee993ee9bef3"),
+        (5, "e450e7846559c498e8cec712f75fb937a51c3d0cc1b7712b52499bda03b8e605"),
+        (77, "614001142cf6d6ea9ca06a4d3ebc2026dbd24051508567ad4b832cfd381cb93d")])
     def test_verify_stdout_unchanged(self, capsys, seed, digest):
         # SHA-256 of verify's report at the benchmark's sizes, as commit
         # "One way in for each setting" printed it; moving a record rule

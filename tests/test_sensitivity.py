@@ -266,7 +266,7 @@ class TestQuadratureOracle:
         r = np.zeros(9)
         r[0] = 1.0
         quadrature_oracle(a, s, 1.3, r, r[::-1].copy(), 1.0)
-        assert calls == [(33, 9, 9)]
+        assert calls == [(5, 9, 9)]
 
 
 class TestFdOracle:

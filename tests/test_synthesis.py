@@ -297,6 +297,20 @@ class TestLocalOptimize:
         # so its bytes and statuses follow from theirs
         assert sum(rows) == sum(nfev for _, nfev in restarts)
 
+    def test_finished_ascent_keeps_no_evaluation_history(self):
+        # a finished ascent holds the evaluations local_optimize reads (the
+        # start, the iterate and the point evaluated last) and no workspace
+        config = SynthesisConfig(restarts=12, seed=3)
+        rng = np.random.default_rng(3)
+        starts = np.column_stack([rng.uniform(*config.bias_range, (12, 4)),
+                                  rng.uniform(*config.t_f_range, 12)])
+        for ascent in _ascend(RING4, starts, config):
+            assert ascent.nfev > 3
+            assert not [v for v in vars(ascent).values() if isinstance(v, (dict, list))]
+            assert ascent.wa is None and ascent.iwa is None
+            assert ascent.value_at(ascent.start) is ascent.start_value
+            assert ascent.value_at(ascent.x) in (ascent.last, ascent.iterate_value)
+
     def test_read_out_time_reaches_interior_maximum(self, monkeypatch):
         # two-spin chain at ~zero bias: F = sin^2 t has its only maximum in
         # [1.5, 1.6] at pi/2, and every start must reach it however far

@@ -1,11 +1,11 @@
 """The verification checks on empty instance pools (a check that examined
 nothing fails instead of passing), the controllers the pool checks draw,
 the bytes of the reference records, the reference route's one pass per
-controller, a misaligned reference
-that the cross check must catch, a reference record whose two routes to
-the alignment disagree, the perfect-transfer anchors of the
-sufficiency check, and the report branch of every check for a record
-that breaks it."""
+controller, its generator read off the cached structure images, a
+misaligned reference that the cross check must catch, a reference
+record whose two routes to the alignment disagree, the perfect-transfer
+anchors of the sufficiency check, and the report branch of every check
+for a record that breaks it."""
 
 import dataclasses
 import hashlib
@@ -15,7 +15,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from spinsens import Controller, NetworkSpec, transfer_fidelity, verification
+from spinsens import (Controller, NetworkSpec, adjoint_rep, build_hamiltonian,
+                      transfer_fidelity, verification)
 from spinsens.cli import main
 from spinsens.verification import (check_cross_formulation, check_lemma1,
                                    check_lemma2, check_necessity,
@@ -120,7 +121,7 @@ def test_reference_records_pinned():
             rows += 1
     assert rows == 166
     assert digest.hexdigest() == (
-        "50605ab8d1e1c2bb87d02bf9e37ddd4357fef739083876e3c75c1cd986d9d453")
+        "ab3a896f215bd9a209f18a7a4116e8cc81f80b1e1d575571d24d6d385bf51ad9")
 
 
 def test_cross_formulation_draws_only_requested_dims(evaluated):
@@ -128,7 +129,7 @@ def test_cross_formulation_draws_only_requested_dims(evaluated):
     assert [c.spec.num_spins for c, _ in evaluated] == [3, 3, 3, 3]
 
 
-REFERENCE_STEPS = ("adjoint_rep", "spectral_decompose",
+REFERENCE_STEPS = ("_generator", "spectral_decompose",
                    "adjoint_sensitivity_operator", "project")
 
 
@@ -138,12 +139,7 @@ REFERENCE_STEPS = ("adjoint_rep", "spectral_decompose",
     ids=["cross-formulation", "sample-instances"])
 def test_reference_route_runs_once_per_controller(monkeypatch, run, controllers):
     # one generator, one eigensystem, and one stacked operator and
-    # projection pass per controller, whatever its number of structures;
-    # the structure images are built first, so that adjoint_rep counts
-    # generators alone
-    for n in (2, 3, 4):
-        for topology in ("chain", "ring") if n >= 3 else ("chain",):
-            verification._structure_images(n, topology)
+    # projection pass per controller, whatever its number of structures
     calls = Counter()
     for name in REFERENCE_STEPS:
         def counting(*args, _fn=getattr(verification, name), _name=name, **kwargs):
@@ -152,6 +148,42 @@ def test_reference_route_runs_once_per_controller(monkeypatch, run, controllers)
         monkeypatch.setattr(verification, name, counting)
     assert run()
     assert calls == {name: controllers for name in REFERENCE_STEPS}
+
+
+def test_warm_reference_route_builds_no_adjoint_image(monkeypatch):
+    # the generators are read off the cached structure images, so once
+    # those are built the route conjugates nothing into the adjoint picture
+    for n in (2, 3, 4):
+        for topology in ("chain", "ring") if n >= 3 else ("chain",):
+            verification._structure_images(n, topology)
+
+    def refused(h):
+        raise AssertionError("adjoint_rep called on a warm cache")
+    monkeypatch.setattr(verification, "adjoint_rep", refused)
+    assert check_cross_formulation(seed=3, count=6, dims=(2, 3, 4)).passed
+    assert check_three_way(seed=3, dims=(2, 3, 4), per_dim=2).passed
+
+
+@pytest.mark.parametrize("n, topology", [
+    (n, topology) for n in range(2, 7) for topology in ("chain", "ring")
+    if topology == "chain" or n >= 3])
+@pytest.mark.parametrize("coupling", [1.0, 0.7, 2.5])
+def test_generator_matches_adjoint_rep_of_hamiltonian(n, topology, coupling):
+    # A is linear in H, so the combination of the structure images equals
+    # the image of the assembled Hamiltonian; it is exactly skew, with a
+    # zero identity row and column
+    rng = np.random.default_rng(n * 10 + len(topology))
+    spec = NetworkSpec(num_spins=n, topology=topology, input_spin=1, output_spin=2,
+                       coupling=coupling)
+    for _ in range(5):
+        biases = rng.uniform(-3.0, 3.0, n)
+        controller = Controller(biases=biases, t_f=1.0, fidelity=0.5, spec=spec,
+                                seed=0, index=0)
+        got = verification._generator(controller)
+        want = adjoint_rep(build_hamiltonian(spec, biases))
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.linalg.norm(want))
+        assert np.array_equal(got, -got.T)
+        assert not got[-1].any() and not got[:, -1].any()
 
 
 def test_misaligned_structure_images_fail_cross_formulation(monkeypatch):
