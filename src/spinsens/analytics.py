@@ -2,12 +2,13 @@
 
 For every (controller, uncertainty structure) pair the pipeline measures
 the fidelity, the frame coefficient and the norms in the N x N picture,
-and ``GeometryRecord.assemble`` turns them into one record, deriving f_n,
-zeta, the angles and the perfect-transfer flag. The measurements come
-from ``eigh`` of the N x N Hamiltonian, once per controller, plus one
-O(N^3) contraction per structure (``sensitivity_operator``); no N^2 x N^2
-operator is formed.
-The adjoint-picture route that builds Phi and K explicitly is kept in
+and ``GeometryRecord.assemble`` turns a controller's measurements into its
+records, deriving f_n, zeta, the angles and the perfect-transfer flag.
+The measurements come from ``eigh`` of the N x N Hamiltonian plus one
+O(N^3) contraction, both once per controller (``hilbert_transfer``), and
+O(N^2) at most per structure (``sensitivity_operator``); no N^2 x N^2
+operator is formed and no structure matrix is conjugated. The
+adjoint-picture route that builds Phi and K explicitly is kept in
 ``verification`` as the reference these records are checked against.
 
 Per structure, two statistics summarize the ensemble: the Pearson
@@ -16,7 +17,10 @@ Kendall rank correlation of error against the alignment factor sin phi.
 Records whose sensitivity is exactly zero have no log image; they are
 dropped from the Pearson sample and the count reflects the rows actually
 used. Undefined statistics (zero variance, all ties, too few rows) are
-reported as nan rather than aborting the batch.
+reported as nan rather than aborting the batch. ``summarize_structure``
+computes them for every structure in one pass over (controllers x
+structures) arrays: ``pearson`` and ``kendall`` take column stacks with a
+sample mask per column.
 
 Both statistics are written out from their definitions on purpose; they
 double as the oracle for themselves and stay exact at desk scale.
@@ -28,7 +32,10 @@ does not change a bit of tau.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -59,66 +66,97 @@ class CorrelationSummary:
     var_norm_K: float
 
 
-def pearson(x, y) -> float:
-    """Sample Pearson correlation; nan when either input has zero variance."""
+def _columns(x, y, where) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    # x and y as (n, columns) float arrays that broadcast against each other,
+    # the sample mask as a bool array of their joint shape, and whether all
+    # three came as vectors (or a scalar mask), which gives one statistic
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("inputs must be equal-length vectors")
-    if x.size < 2:
+    where = np.asarray(where, dtype=bool)
+    if x.ndim not in (1, 2) or y.ndim not in (1, 2) or x.shape[0] != y.shape[0]:
+        raise ValueError("inputs must be equal-length vectors or column stacks")
+    if x.shape[0] < 2:
         raise ValueError("need at least two samples")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = math.sqrt(float(dx @ dx))
-    sy = math.sqrt(float(dy @ dy))
-    if sx == 0.0 or sy == 0.0:
-        return float("nan")
-    return float(np.clip(float(dx @ dy) / (sx * sy), -1.0, 1.0))
+    vector = x.ndim == y.ndim == 1 and where.ndim <= 1
+    x, y = (a.reshape(a.shape[0], -1) for a in (x, y))
+    if where.ndim == 1:
+        where = where[:, None]
+    shape = np.broadcast_shapes(x.shape, y.shape, where.shape)
+    return x, y, np.broadcast_to(where, shape), vector
+
+
+def _result(values: np.ndarray, vector: bool) -> float | np.ndarray:
+    return float(values[0]) if vector else values
+
+
+def pearson(x, y, where=True) -> float | np.ndarray:
+    """Sample Pearson correlation; nan when either input has zero variance.
+
+    ``x`` and ``y`` are vectors of n samples, or column stacks (n, m) that
+    broadcast against each other along their columns (an (n, 1) stack or a
+    vector is shared by every column); a stack gives one correlation per
+    column. ``where``, of the same shape or broadcast to it, marks the
+    samples each column uses; a column with fewer than two is nan.
+    """
+    x, y, where, vector = _columns(x, y, where)
+    count = where.sum(axis=0)
+    x = np.where(where, x, 0.0)
+    y = np.where(where, y, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dx = np.where(where, x - x.sum(axis=0) / count, 0.0)
+        dy = np.where(where, y - y.sum(axis=0) / count, 0.0)
+        sx = np.sqrt((dx * dx).sum(axis=0))
+        sy = np.sqrt((dy * dy).sum(axis=0))
+        r = np.clip((dx * dy).sum(axis=0) / (sx * sy), -1.0, 1.0)
+    return _result(np.where((sx > 0.0) & (sy > 0.0), r, np.nan), vector)
 
 
 def _signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # sign(a_i - b_j) as int8, from comparisons: no difference is formed,
-    # so equal infinities count as tied
+    # sign(a_i - b_j) as int8 per column, from comparisons: no difference
+    # is formed, so equal infinities count as tied
     a = a[:, None]
     return (a > b).view(np.int8) - (a < b).view(np.int8)
 
 
-def kendall(x, y) -> float:
+def kendall(x, y, where=True) -> float | np.ndarray:
     """Tie-corrected Kendall tau-b over all pairs, O(n^2) and exact.
 
-    The pairs are counted from the sign matrices sign(x_i - x_j) and
-    sign(y_i - y_j), a block of ``KENDALL_BLOCK_CELLS`` / n rows (at least
-    one) at a time, so the extra memory stays O(n * block), not O(n^2).
-    Both matrices are antisymmetric: their product summed over the full
-    matrix is twice concordant minus discordant, and their zeros are twice
-    the tied pairs plus the n on the diagonal. The counts are integers, so
-    tau does not depend on the blocking. nan when every pair is tied in
-    one of the inputs; an input holding nan is rejected.
+    ``x``, ``y`` and ``where`` are shaped as for ``pearson``: vectors give
+    one tau, column stacks one per column, and ``where`` marks the samples
+    each column uses. A column of ``x`` shared by every column of ``y``
+    has its sign matrix computed once. The pairs are counted from the
+    sign matrices sign(x_i - x_j) and sign(y_i - y_j), a block of
+    ``KENDALL_BLOCK_CELLS`` / (n * columns) rows (at least one) at a time,
+    so the extra memory stays O(n * columns * block), not O(n^2). Both
+    matrices are antisymmetric: their product summed over the full matrix
+    is twice concordant minus discordant, and their zeros are twice the
+    tied pairs plus the diagonal. A masked-out sample takes part in no
+    pair. The counts are integers, so tau does not depend on the blocking
+    or on the other columns. nan when every pair of a column is tied in
+    one of the inputs; a used sample holding nan is rejected.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("inputs must be equal-length vectors")
-    n = x.size
-    if n < 2:
-        raise ValueError("need at least two samples")
-    if np.isnan(x).any() or np.isnan(y).any():
+    x, y, where, vector = _columns(x, y, where)
+    if (np.isnan(x) & where).any() or (np.isnan(y) & where).any():
         raise ValueError("inputs must not hold nan")
-    rows = max(1, KENDALL_BLOCK_CELLS // n)
+    n, columns = where.shape
+    rows = max(1, KENDALL_BLOCK_CELLS // (n * columns))
     sign_products = zeros_x = zeros_y = 0
     for start in range(0, n, rows):
-        sx = _signs(x[start:start + rows], x)
-        sy = _signs(y[start:start + rows], y)
-        zeros_x += sx.size - np.count_nonzero(sx)
-        zeros_y += sy.size - np.count_nonzero(sy)
-        sign_products += int((sx * sy).sum())
-    n0 = n * (n - 1) // 2
-    tied_x = (zeros_x - n) // 2
-    tied_y = (zeros_y - n) // 2
-    denom = math.sqrt(float(n0 - tied_x) * float(n0 - tied_y))
-    if denom == 0.0:
-        return float("nan")
-    return max(-1.0, min(1.0, sign_products // 2 / denom))
+        block = slice(start, start + rows)
+        pairs = where[block, None] & where
+        sx = _signs(x[block], x)
+        sy = _signs(y[block], y) * pairs
+        zeros_x += ((sx == 0) & pairs).sum(axis=(0, 1))
+        zeros_y += ((sy == 0) & pairs).sum(axis=(0, 1))
+        sign_products += (sx * sy).sum(axis=(0, 1))
+    used = where.sum(axis=0)
+    n0 = used * (used - 1) // 2
+    tied_x = (zeros_x - used) // 2
+    tied_y = (zeros_y - used) // 2
+    denom = np.sqrt((n0 - tied_x).astype(float) * (n0 - tied_y).astype(float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = np.clip(sign_products // 2 / denom, -1.0, 1.0)
+    return _result(np.where(denom == 0.0, np.nan, tau), vector)
 
 
 def evaluate_controller(controller: Controller,
@@ -126,10 +164,12 @@ def evaluate_controller(controller: Controller,
                         ) -> list[GeometryRecord]:
     """All geometry records of one controller, one per structure.
 
-    F = |U_oi|^2 from the propagated input column. Per structure,
-    ``sensitivity_operator`` gives k = <R, K> and |K|; |R_S| is
-    hypot(F/N, k/|K|) and its part off the propagator has norm |k|/|K|
-    (``assemble`` derives f_n and zeta). The state distance that
+    F = |U_oi|^2 from the propagated input column. ``hilbert_transfer``
+    makes the controller's one O(N^3) contraction, and per structure
+    ``sensitivity_operator`` reads k = <R, K> and |K| off it; |R_S| is
+    hypot(F/N, k/|K|) and its part off the propagator has norm |k|/|K|.
+    One ``assemble`` call turns these arrays into the records (deriving
+    f_n and zeta). The state distance that
     ``assemble`` compares with ``PST_TOL`` is |rf - Phi r0| =
     sqrt(2 leak (F + leak)), with leak the population off the output
     site; unlike 1 - F this keeps its digits at perfect transfer.
@@ -150,44 +190,60 @@ def evaluate_controller(controller: Controller,
     f_val = float(probs[transfer.output])
     leak = float(np.delete(probs, transfer.output).sum())
     gap = math.sqrt(2.0 * leak * (f_val + leak))
-    records = []
-    for structure in structures:
-        k_coeff, norm_k = sensitivity_operator(transfer, structure.matrix)
-        perp = abs(k_coeff) / norm_k
-        records.append(GeometryRecord.assemble(
-            controller, structure, f_val=f_val, k_coeff=k_coeff, norm_k=norm_k,
-            norm_rs=math.hypot(f_val / n, perp), perp=perp, gap=gap))
-    return records
+    k_coeff, norm_k = np.array(
+        [sensitivity_operator(transfer, structure) for structure in structures],
+        dtype=float).reshape(-1, 2).T
+    perp = np.abs(k_coeff) / norm_k
+    f_over_n = f_val / n
+    norm_rs = [math.hypot(f_over_n, p) for p in perp.tolist()]
+    return GeometryRecord.assemble(controller, structures, f_val=f_val,
+                                   k_coeff=k_coeff, norm_k=norm_k, norm_rs=norm_rs,
+                                   perp=perp, gap=gap)
 
 
-def summarize_structure(records: list[GeometryRecord],
-                        structure_index: int) -> CorrelationSummary:
-    """Fold one structure's records into the two correlation statistics."""
-    rows = [r for r in records if r.structure_index == structure_index]
-    if not rows:
-        raise ValueError(f"no records for structure {structure_index}")
-    norms = np.array([r.norm_K for r in rows])
-    loglog = [(math.log10(r.e), math.log10(r.abs_zeta))
-              for r in rows
-              if r.e > 0.0 and r.abs_zeta > 0.0 and not r.zero_fidelity]
-    if len(loglog) >= 2:
-        le, lz = map(np.asarray, zip(*loglog))
-        r_loglog = pearson(le, lz)
+_SUMMARY_FIELDS = attrgetter("zeta", "sin_phi", "norm_K", "zero_fidelity")
+
+
+def summarize_structure(records: Sequence[GeometryRecord],
+                        structure_indices: Sequence[int]) -> list[CorrelationSummary]:
+    """Fold an ensemble's records into every structure's two correlation
+    statistics, in one pass over (controllers x structures) arrays.
+
+    ``records`` come controller by controller, one per structure of
+    ``structure_indices`` in that order, as ``analyze`` makes them. Per
+    structure, the Pearson sample is the records with e > 0, |zeta| > 0
+    and a nonzero fidelity, and the Kendall sample the records with a
+    finite sin phi; each statistic takes every structure's column at
+    once under its sample mask. The error is read once per controller,
+    whose records all carry it, so Kendall's error signs are computed
+    once for every structure. The |K| moments come from the contiguous
+    per-structure rows, so each is the same float as from that
+    structure's records alone.
+    """
+    width = len(structure_indices)
+    if not records or len(records) % width:
+        raise ValueError(f"{len(records)} records do not fill {width} structures")
+    fields = np.fromiter(chain.from_iterable(map(_SUMMARY_FIELDS, records)), float,
+                         count=4 * len(records))
+    zeta, sin_phi, norm_k, zero_fid = fields.reshape(-1, width, 4).transpose(2, 0, 1)
+    abs_zeta = np.abs(zeta)
+    err = np.array([r.e for r in records[::width]])[:, None]
+    loglog = (err > 0.0) & (abs_zeta > 0.0) & (zero_fid == 0.0)
+    log_err = np.log10(err, out=np.zeros_like(err), where=err > 0.0)
+    log_zeta = np.log10(abs_zeta, out=np.zeros_like(abs_zeta), where=loglog)
+    ranked = np.isfinite(sin_phi)
+    if len(records) // width >= 2:
+        r_loglog = pearson(log_err, log_zeta, where=loglog)
+        tau = kendall(err, sin_phi, where=ranked)
     else:
-        r_loglog = float("nan")
-    ranked = [(r.e, r.sin_phi) for r in rows if math.isfinite(r.sin_phi)]
-    if len(ranked) >= 2:
-        err, sin = map(np.asarray, zip(*ranked))
-        tau = kendall(err, sin)
-    else:
-        tau = float("nan")
-    return CorrelationSummary(
-        structure_index=structure_index,
-        pearson_r_loglog=r_loglog,
-        kendall_tau=tau,
-        count=len(loglog),
-        mean_norm_K=float(norms.mean()),
-        var_norm_K=float(norms.var()))
+        r_loglog = tau = np.full(width, np.nan)
+    norms = np.ascontiguousarray(norm_k.T)
+    # positional in field order: structure_index, pearson_r_loglog,
+    # kendall_tau, count, mean_norm_K, var_norm_K
+    return [CorrelationSummary(*row) for row in zip(
+                structure_indices, r_loglog.tolist(), tau.tolist(),
+                loglog.sum(axis=0).tolist(), norms.mean(axis=1).tolist(),
+                norms.var(axis=1).tolist())]
 
 
 def analyze(controllers: list[Controller],
@@ -208,7 +264,4 @@ def analyze(controllers: list[Controller],
 
     records = [rec for c in controllers
                for rec in evaluate_controller(c, structures)]
-    # records[j::S] are the records of the j-th of the S structures
-    summaries = [summarize_structure(records[j::len(structures)], s.index)
-                 for j, s in enumerate(structures)]
-    return records, summaries
+    return records, summarize_structure(records, [s.index for s in structures])

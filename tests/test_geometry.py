@@ -1,5 +1,6 @@
 """Frame projection, angle extraction, and the factored sensitivity identity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from spinsens import (GeometryRecord, NetworkSpec, adjoint_rep,
                       adjoint_sensitivity_operator, angles, build_hamiltonian,
                       enumerate_structures, identity_residual, project,
-                      quadrature_oracle, transfer_fidelity)
+                      quadrature_oracle, scaling_factor, transfer_fidelity)
 from spinsens.analytics import evaluate_controller
-from spinsens.geometry import PST_TOL
+from spinsens.geometry import PST_TOL, TINY, ZERO_FIDELITY_FLOOR
 from spinsens.synthesis import Controller
 from spinsens.verification import _adjoint_frame, adjoint_records
 
@@ -171,9 +172,10 @@ class TestPerfectTransferFlag:
         coupling = enumerate_structures(CHAIN2)[2]
 
         def flag(gap):
-            return GeometryRecord.assemble(
-                ctl, coupling, f_val=0.5, k_coeff=0.1, norm_k=1.0,
-                norm_rs=math.hypot(0.25, 0.1), perp=0.1, gap=gap).pst
+            record, = GeometryRecord.assemble(
+                ctl, (coupling,), f_val=0.5, k_coeff=[0.1], norm_k=[1.0],
+                norm_rs=[math.hypot(0.25, 0.1)], perp=[0.1], gap=gap)
+            return record.pst
 
         assert flag(PST_TOL) is True
         assert flag(math.nextafter(PST_TOL, 1.0)) is False
@@ -225,6 +227,63 @@ class TestGeometryRecord:
     def test_nonpositive_norm_rejected(self):
         with pytest.raises(ValueError):
             GeometryRecord(**self._kwargs(norm_K=0.0))
+
+
+def record_alone(ctl, structure, f_val, k, norm_k, norm_rs, perp, gap):
+    """One record from Python floats, one operation at a time: the rules
+    ``assemble`` applies to a whole controller."""
+    n, t_f = ctl.spec.num_spins, ctl.t_f
+    f_n = scaling_factor(structure, ctl)
+    zeta = -t_f * f_n * k
+    zero_fid = f_val < ZERO_FIDELITY_FLOOR or norm_rs <= 0.0
+    cos_phi = sin_phi = cos_theta = residual = float("nan")
+    if not zero_fid:
+        cos_phi = f_val / (n * norm_rs)
+        sin_phi = min(1.0, perp / norm_rs)
+        scale = f_n * t_f * norm_k * norm_rs
+        cos_theta = -zeta / scale if scale >= TINY else 0.0
+        residual = abs(abs(zeta) - scale * abs(sin_phi))
+    return GeometryRecord(ctl.index, structure.index, f_val, 1.0 - f_val, zeta, f_n, t_f,
+                          norm_k, norm_rs, k, cos_phi, sin_phi, cos_theta, residual,
+                          gap <= PST_TOL, zero_fid)
+
+
+class TestControllerAssembly:
+    RING4 = NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=2)
+
+    @pytest.mark.parametrize("f_val, gap", [(0.4, 0.2), (0.4, PST_TOL), (1e-13, 0.9)],
+                             ids=["live", "perfect-transfer", "zero-fidelity"])
+    def test_fields_match_one_record_at_a_time(self, rng, f_val, gap):
+        # bit for bit, through both branches: a vanishing |R_S| on one
+        # structure, a zero bias (f_n = 0, so cos theta = 0) on another
+        biases = rng.uniform(0.5, 2.0, 4)
+        biases[1] = 0.0
+        ctl = Controller(biases=biases, t_f=1.3, fidelity=0.5, spec=self.RING4,
+                         seed=0, index=3)
+        structures = enumerate_structures(self.RING4)
+        k = rng.normal(size=8)
+        norm_k = rng.uniform(0.5, 2.0, 8)
+        perp = np.abs(k) / norm_k
+        norm_rs = np.hypot(f_val / 4, perp)
+        norm_rs[5] = 0.0
+        records = GeometryRecord.assemble(ctl, structures, f_val=f_val, k_coeff=k,
+                                          norm_k=norm_k, norm_rs=norm_rs, perp=perp,
+                                          gap=gap)
+        expected = [record_alone(ctl, s, f_val, *row, gap) for s, row in zip(
+            structures, zip(k.tolist(), norm_k.tolist(), norm_rs.tolist(), perp.tolist()))]
+        # repr shows every digit, and nan equals nan
+        assert repr(records) == repr(expected)
+        assert repr(records) == repr([dataclasses.replace(r) for r in records])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            records[0].zeta = 0.0
+
+    def test_nonpositive_norm_rejected(self):
+        ctl = Controller(biases=np.ones(4), t_f=1.3, fidelity=0.5, spec=self.RING4,
+                         seed=0, index=0)
+        with pytest.raises(ValueError, match="norm_K must be positive"):
+            GeometryRecord.assemble(ctl, enumerate_structures(self.RING4), f_val=0.5,
+                                    k_coeff=[0.1] * 8, norm_k=[1.0] * 7 + [0.0],
+                                    norm_rs=[0.2] * 8, perp=[0.1] * 8, gap=0.3)
 
 
 class TestRecordedDecompositions:

@@ -1,8 +1,13 @@
 """Spectral route for exp(A t), its directional derivative, and the oracles."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm, expm_frechet
 
 from spinsens import (NetworkSpec, adjoint_rep,
                       adjoint_sensitivity_operator,
@@ -181,11 +186,85 @@ class TestHilbertSensitivity:
         a, r0, rf = make_system(spec, np.zeros(2))
         lam, m = spectral_decompose(a)
         for structure in enumerate_structures(spec):
-            k_coeff, norm_k = sensitivity_operator(transfer, structure.matrix)
+            k_coeff, norm_k = sensitivity_operator(transfer, structure)
             k_op, ref_norm = adjoint_sensitivity_operator(
                 lam, m, adjoint_rep(structure.matrix), t_f)
             assert norm_k == pytest.approx(ref_norm, rel=1e-8)
             assert k_coeff == pytest.approx(rf @ k_op @ r0, abs=1e-12)
+
+
+def dense_sensitivity(transfer, spec, matrix):
+    """k = <R, K> and |K| of one structure by the per-structure form:
+    conjugate S into the eigenbasis, weight it with the divided
+    differences, contract with the output and input rows of V, and sum the
+    squares of the traceless part."""
+    v = transfer.v
+    n = v.shape[0]
+    s_hat = v.T @ matrix @ v
+    y = (v[spec.output_spin - 1].astype(complex) @ (s_hat * transfer.x)
+         @ v[spec.input_spin - 1].astype(complex))
+    k_coeff = 2.0 * float((np.conj(transfer.column[transfer.output]) * y).imag)
+    s_hat.reshape(-1)[::n + 1] -= matrix.trace() / n
+    return k_coeff, math.sqrt(2.0 * n * float((s_hat ** 2 * transfer.x_sq).sum()))
+
+
+@st.composite
+def contraction_points(draw):
+    # chains and rings of 2 to 20 spins; uniform biases keep a ring's
+    # degenerate spectrum
+    n = draw(st.integers(min_value=2, max_value=20))
+    topology = draw(st.sampled_from(("chain", "ring") if n >= 3 else ("chain",)))
+    input_spin = draw(st.integers(min_value=1, max_value=n))
+    output_spin = draw(st.integers(min_value=1, max_value=n).filter(
+        lambda s: s != input_spin))
+    spec = NetworkSpec(num_spins=n, topology=topology, input_spin=input_spin,
+                       output_spin=output_spin)
+    bias = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+    if draw(st.booleans()):
+        biases = np.full(n, draw(bias))
+    else:
+        biases = np.array(draw(st.lists(bias, min_size=n, max_size=n)))
+    return spec, biases, draw(st.floats(min_value=0.0, max_value=50.0))
+
+
+class TestContraction:
+    # the one contraction per controller against the per-structure form
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(contraction_points())
+    def test_matches_per_structure_form(self, point):
+        spec, biases, t_f = point
+        transfer = hilbert_transfer(spec, biases, t_f)
+        for structure in enumerate_structures(spec):
+            k_coeff, norm_k = sensitivity_operator(transfer, structure)
+            k_ref, norm_ref = dense_sensitivity(transfer, spec, structure.matrix)
+            assert abs(k_coeff - k_ref) <= 1e-14 * max(1.0, abs(k_ref))
+            assert abs(norm_k - norm_ref) <= 1e-14 * norm_ref
+
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_matches_frechet_derivative(self, n, rng):
+        # dU = L(-iHt, -iSt), the Frechet derivative of the exponential:
+        # k = (2 / t) Re(conj(U_oi) dU_oi) and, since |L|_F = t |S^ o X|_F,
+        # |K|^2 = 2N |L|_F^2 / t^2 - 2 (tr S)^2
+        # 1 -> 3 at t = 2.5 keeps a transfer amplitude of order one
+        spec = NetworkSpec(num_spins=n, topology="chain", input_spin=1, output_spin=3)
+        biases = rng.uniform(0.0, 1.0, n)
+        t_f = 2.5
+        transfer = hilbert_transfer(spec, biases, t_f)
+        ham = build_hamiltonian(spec, biases)
+        structures = enumerate_structures(spec)
+        u = expm(-1j * t_f * ham)
+        assert abs(u[2, 0]) > 0.1
+        for structure in (structures[0], structures[2], structures[n // 2], structures[n],
+                          structures[n + 1], structures[-1]):
+            d_u = expm_frechet(-1j * t_f * ham, -1j * t_f * structure.matrix,
+                               compute_expm=False)
+            k_ref = 2.0 / t_f * float((np.conj(u[2, 0]) * d_u[2, 0]).real)
+            norm_ref = math.sqrt(2.0 * n * np.linalg.norm(d_u) ** 2 / t_f ** 2
+                                 - 2.0 * structure.matrix.trace() ** 2)
+            k_coeff, norm_k = sensitivity_operator(transfer, structure)
+            assert abs(k_coeff - k_ref) <= 1e-12 * max(1.0, abs(k_ref))
+            assert abs(norm_k - norm_ref) <= 1e-12 * norm_ref
 
 
 class TestDifferentialSensitivity:

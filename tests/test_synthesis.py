@@ -5,13 +5,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from spinsens import (Controller, NetworkSpec, SynthesisConfig,
                       build_hamiltonian, controllers_from_json, controllers_to_json,
                       fidelity_objective, local_optimize, synthesize_ensemble,
                       transfer_fidelity)
-from spinsens.synthesis import FIDELITY_TOL, MAXITER, TOLERANCE, _ascend, f17
+from spinsens.synthesis import FIDELITY_TOL, MAXITER, TOLERANCE, _ascend, _distinct, f17
 from spinsens.verification import adjoint_records
 
 CHAIN2 = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
@@ -407,6 +409,50 @@ class TestSynthesizeEnsemble:
         perfect = [c for c in ring4_ensemble if c.error < 1e-10]
         assert perfect
         assert [c.index for c in perfect if c.status != "converged"] == []
+
+
+def distinct_by_loop(controllers):
+    """The greedy loop over the kept list: a controller is dropped when a
+    kept one lies within 1e-6 of it in the bias norm and in t_f."""
+    kept = []
+    for cand in controllers:
+        dup = any(np.linalg.norm(cand.biases - k.biases) < 1e-6
+                  and abs(cand.t_f - k.t_f) < 1e-6 for k in kept)
+        if not dup:
+            kept.append(cand)
+    return kept
+
+
+class TestDistinct:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
+           st.lists(st.sampled_from(("exact", "near", "far bias", "far time")),
+                    min_size=1, max_size=40))
+    def test_matches_greedy_loop(self, seed, points, kinds):
+        # copies of a few points: exact ones, near ones that lie within
+        # 1e-6 of the point but not always of each other, so that greedy
+        # order matters, and ones just out of reach in the biases or in t_f
+        rng = np.random.default_rng(seed)
+        origins = [(rng.uniform(0.0, 10.0, 4), rng.uniform(1.0, 50.0))
+                   for _ in range(points)]
+        controllers = []
+        for i, kind in enumerate(kinds):
+            biases, t_f = origins[rng.integers(points)]
+            if kind == "near":
+                biases = biases + rng.uniform(-4e-7, 4e-7, 4)
+                t_f = t_f + rng.uniform(-6e-7, 6e-7)
+            elif kind == "far bias":
+                step = rng.normal(size=4)
+                biases = biases + rng.uniform(2e-6, 1e-3) * step / np.linalg.norm(step)
+            elif kind == "far time":
+                t_f = t_f + rng.choice((-1.0, 1.0)) * rng.uniform(2e-6, 1e-3)
+            controllers.append(Controller(biases=biases, t_f=t_f, fidelity=0.5,
+                                          spec=RING4, seed=i, index=i))
+        assert ([c.index for c in _distinct(controllers)]
+                == [c.index for c in distinct_by_loop(controllers)])
+
+    def test_empty(self):
+        assert _distinct([]) == []
 
 
 class TestSerialization:

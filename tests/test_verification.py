@@ -311,7 +311,9 @@ def test_necessity_report_branches(pool, monkeypatch, fields, passed, detail):
     base = {"controller_index": 3, "structure_index": 2, "F": 0.9, "e": 0.1,
             "zeta": 1.0, "f_n": 1.0, "sin_phi": 0.5, "identity_residual": 0.0}
     record = dataclasses.replace(pool[0].record, **{**base, **fields})
-    monkeypatch.setattr(verification, "synthesize_ensemble", lambda spec, config: [])
-    monkeypatch.setattr(verification, "analyze", lambda ensemble: ([record], []))
+    monkeypatch.setattr(verification, "synthesize_ensemble",
+                        lambda spec, config: [None])
+    monkeypatch.setattr(verification, "evaluate_controller",
+                        lambda controller, structures: [record])
     res = check_necessity(seed=0, restarts=1)
     assert (res.name, res.passed, res.detail) == ("theorem2-necessity", passed, detail)
