@@ -10,7 +10,7 @@ explain when high fidelity and low sensitivity coexist.
 Public names resolve lazily (PEP 562): ``import spinsens`` loads no
 submodule, and ``spinsens.<name>`` imports the one module that defines
 the name on first use. Only the oracles in ``verification``,
-``sensitivity.quadrature_oracle`` and ``sensitivity.fd_oracle``, and the
+``sensitivity.frechet_oracle`` and ``sensitivity.fd_oracle``, and the
 optimizer in ``synthesis`` load scipy, so analysis alone needs numpy only. Resolved names are not
 cached here: each lookup reads the home module's current attribute, so
 a patch of that attribute, and its restore, show through the package.
@@ -29,9 +29,9 @@ _HOMES = {
                 "build_hamiltonian", "enumerate_structures", "perturb",
                 "scaling_factor"),
     "sensitivity": ("HilbertTransfer", "adjoint_sensitivity_operator", "fd_oracle",
-                    "hadamard_core", "hilbert_transfer",
-                    "propagator_matrix", "quadrature_oracle",
-                    "sensitivity_operator", "spectral_decompose"),
+                    "frechet_oracle", "hadamard_core", "hilbert_transfer",
+                    "propagator_matrix", "sensitivity_operator",
+                    "spectral_decompose"),
     "synthesis": ("Controller", "SynthesisConfig", "controllers_from_json",
                   "controllers_to_json", "fidelity_objective",
                   "local_optimize", "synthesize_ensemble",

@@ -26,27 +26,25 @@ one call per controller conjugates every structure's image, weights it
 with divided differences computed once, and returns every K and |K|;
 verification reads every k = rf . K r0 off the whole stack in one
 product. Two slower, independent evaluations
-of the derivative are oracles too: composite Gauss-Legendre quadrature of
-the integral representation (``quadrature_oracle``: equal panels of
-``PANEL_NODES`` nodes each, as many as keep every panel within 3 rad of
-the generator's fastest frequency, from one batched Pade-based matrix
-exponential of 5 slices, since exp(-X) = exp(X)^T for skew X; no shared
-eigensystem) and a central finite difference of the error under full
-re-propagation (``fd_oracle``: two Pade-based matrix exponentials of the
-displaced N x N Hamiltonian, at the fixed step ``FD_STEP``).
+of the derivative are oracles too, both in the N x N picture and sharing
+no eigensystem with the closed form: the Frechet derivative of the
+exponential along the scaled structure (``frechet_oracle``: one
+Pade-based scaling-and-squaring call of ``scipy.linalg.expm_frechet``)
+and a central finite difference of the error under full re-propagation
+(``fd_oracle``: two Pade-based matrix exponentials of the displaced
+Hamiltonian, at the fixed step ``FD_STEP``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .network import BIAS, _readonly, build_hamiltonian, perturb
+from .network import BIAS, _readonly, build_hamiltonian, perturb, scaling_factor
 
 if TYPE_CHECKING:
     from .network import NetworkSpec, UncertaintyStructure
@@ -54,9 +52,6 @@ if TYPE_CHECKING:
 
 # Allowed imaginary residue when a reconstructed operator must be real.
 IMAG_TOL = 1e-9
-
-# Order of the Gauss-Legendre rule on each panel of ``quadrature_oracle``.
-PANEL_NODES = 8
 
 # Central-difference step of ``fd_oracle``.
 FD_STEP = 1e-5
@@ -270,61 +265,24 @@ def adjoint_sensitivity_operator(lam: np.ndarray, m: np.ndarray, s_bloch: np.nda
     return _readonly(k_c.real.copy()), norm_k
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    # nodes and weights of the rule on [0, 1]; the nodes are symmetric
-    # about 1/2, so node PANEL_NODES-1-k sits at 1 - u_k
-    x, w = np.polynomial.legendre.leggauss(PANEL_NODES)
-    return _readonly(0.5 * (x + 1.0)), _readonly(0.5 * w)
+def frechet_oracle(structure: "UncertaintyStructure", controller: "Controller") -> float:
+    """Sensitivity from the Frechet derivative of the N x N exponential.
 
-
-def quadrature_oracle(a: np.ndarray, s_bloch: np.ndarray, t_f: float,
-                      r0: np.ndarray, rf: np.ndarray, f_n: float) -> float:
-    """Independent sensitivity evaluation by composite Gauss-Legendre quadrature.
-
-    Integrates rf^T exp(t_f A (1-s)) S exp(t_f A s) r0 over s in [0, 1]
-    on P equal panels of length h = t_f / P in time, with the
-    ``PANEL_NODES``-point rule u_k on each (Davis & Rabinowitz, Methods of
-    Numerical Integration, 2nd ed., 1984, sec. 2.7). P = max(8,
-    ceil(t_f |A|_1 / 3)); since |A|_2 <= |A|_1, a panel spans at most 3 rad
-    of the fastest frequency of A, whatever t_f is. One batched Pade-based
-    ``expm`` call gives E_k = exp(h A u_k) at the nodes below 1/2 and the
-    panel step exp(h A): 5 exponentials. A is skew, so exp(-X) = exp(X)^T,
-    and every other factor is a product of these: exp(h A (1 - u_k)) =
-    exp(h A) E_k^T, and the nodes above 1/2 are the mirrored 1 - u_k. The
-    panel starts exp(h A)^j r0 and rf^T exp(h A)^j take P - 1 orthogonal
-    matrix-vector products each. No eigensystem is shared with the
-    closed-form route.
+    ``scipy.linalg.expm_frechet`` returns U = exp(-i t_f H) and its
+    derivative dU along -i t_f f S, with S the structure scaled by
+    ``scaling_factor``, from one Pade approximant with scaling and
+    squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639,
+    2009). The error 1 - |U_oi|^2 then moves at -2 Re(conj(U_oi) dU_oi).
     """
     # imported here so that the closed-form route loads no scipy
-    from scipy.linalg import expm
+    from scipy.linalg import expm_frechet
 
-    a = np.asarray(a, dtype=float)
-    s_bloch = np.asarray(s_bloch, dtype=float)
-    pts, wts = _gauss_legendre()
-    half = PANEL_NODES // 2
-    panels = max(8, math.ceil(t_f * np.linalg.norm(a, 1) / 3.0))
-    h = t_f / panels
-    exps = expm((h * np.append(pts[:half], 1.0))[:, None, None] * a)
-    low, step = exps[:half], exps[half]
-    # exp(h A u) and exp(h A (1 - u)) at the nodes u in ascending order:
-    # u_k < 1/2, then 1 - u_k for k descending
-    rising = step @ low.transpose(0, 2, 1)
-    right = np.concatenate([low, rising[::-1]])
-    left = np.concatenate([rising, low[::-1]])
-    # row j: exp(h A)^j r0, and rf^T exp(h A)^(P-1-j)
-    dim = a.shape[0]
-    starts = np.empty((panels, dim))
-    ends = np.empty_like(starts)
-    starts[0], ends[-1] = r0, rf
-    for j in range(1, panels):
-        starts[j] = step @ starts[j - 1]
-        ends[-1 - j] = ends[-j] @ step
-    # per node and panel, the left row times S and the right vector
-    lhs = (ends @ left).reshape(-1, dim) @ s_bloch
-    rhs = (starts @ right.transpose(0, 2, 1)).reshape(-1, dim)
-    acc = wts @ (lhs * rhs).reshape(PANEL_NODES, -1).sum(axis=1)
-    return float(-t_f * f_n * acc / panels)
+    spec = controller.spec
+    ham = build_hamiltonian(spec, controller.biases)
+    direction = scaling_factor(structure, controller) * structure.matrix
+    u, du = expm_frechet(-1j * controller.t_f * ham, -1j * controller.t_f * direction)
+    out, inp = spec.output_spin - 1, spec.input_spin - 1
+    return float(-2.0 * (np.conj(u[out, inp]) * du[out, inp]).real)
 
 
 def fd_oracle(structure: "UncertaintyStructure", controller: "Controller") -> float:

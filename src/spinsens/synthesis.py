@@ -366,14 +366,17 @@ def controllers_to_json(controllers: list[Controller]) -> str:
     """Stable JSON array of controllers; floats carry 17 significant digits.
 
     Rendered by hand so the float format is under our control rather than
-    the library's shortest-repr policy.
+    the library's shortest-repr policy. JSON reads -0 back as the integer
+    0, so the biases and the fidelity are written with 0.0 added, which
+    turns a negative zero into 0 and leaves every other value as it is
+    (t_f is positive).
     """
     lines = ["["]
     last = len(controllers) - 1
     for i, c in enumerate(controllers):
-        biases = ", ".join(f17(b) for b in c.biases)
+        biases = ", ".join(f17(b + 0.0) for b in c.biases)
         row = (f'  {{"index": {c.index}, "seed": {c.seed}, "tf": {f17(c.t_f)},'
-               f' "biases": [{biases}], "fidelity": {f17(c.fidelity)}}}')
+               f' "biases": [{biases}], "fidelity": {f17(c.fidelity + 0.0)}}}')
         lines.append(row + ("," if i < last else ""))
     lines.append("]")
     return "\n".join(lines) + "\n"

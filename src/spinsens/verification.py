@@ -3,7 +3,7 @@
 Every check here compares the closed-form machinery against either an
 exact structural identity (orthogonality, norm bounds, the |zeta|
 factorization) or an independent computational route (Hilbert-space
-propagation, quadrature of the integral representation, finite
+propagation, the Frechet derivative of the exponential, finite
 differences of the re-propagated error). Checks sample randomized
 networks and controllers from a seeded generator, so a failure report
 always pins the offending instance. This module only compares: both
@@ -24,16 +24,17 @@ generator A is read off the cached adjoint images of the structures
 (``_generator``): the Hamiltonian is the biases and the coupling times
 the structure matrices, and ``adjoint_rep`` is linear, so the reference
 builds no Hamiltonian and ``adjoint_rep`` runs only when a network's
-images are first built. Three-way agreement hands the same A to the
-composite Gauss-Legendre quadrature of ``sensitivity.quadrature_oracle``. One
-stacked pass over every structure per controller reads F and <R, K> off
-the frame once each: the structural checks read its records,
-and the cross-formulation check compares the published records with it
-field by field. The frame identities are checked here alone: a reference
-record whose |R_S|^2 strays from (F/N)^2 + (k/|K|)^2, whose |R_S| falls
-below F/N, or whose |cos theta| strays from sin phi, fails the remark-1,
-remark-2 or theorem-1 check instead of aborting the run, whichever way
-the defect pushes the cosines.
+images are first built. Three-way agreement stays in the N x N picture:
+``sensitivity.frechet_oracle`` and ``sensitivity.fd_oracle`` each
+exponentiate the Hamiltonian themselves. One stacked pass over every
+structure per controller reads F and <R, K> off the frame once each: the
+structural checks read its records, and the cross-formulation check
+compares the published records with it field by field. The frame
+identities are checked here alone: a reference record whose |R_S|^2
+strays from (F/N)^2 + (k/|K|)^2, whose |R_S| falls below F/N, or whose
+|cos theta| strays from sin phi, fails the remark-1, remark-2 or
+theorem-1 check instead of aborting the run, whichever way the defect
+pushes the cosines.
 
 The suite is what `verify` runs from the command line, which alone holds
 the default sample sizes; the acceptance tests call the same functions
@@ -56,13 +57,13 @@ from .bloch import adjoint_rep, site_state, state_to_bloch
 from .geometry import TINY, GeometryRecord, _frob, project, scale_product
 from .network import (NetworkSpec, UncertaintyStructure, _readonly,
                       build_hamiltonian, enumerate_structures)
-from .sensitivity import (adjoint_sensitivity_operator, fd_oracle, propagator_matrix,
-                          quadrature_oracle, spectral_decompose)
+from .sensitivity import (adjoint_sensitivity_operator, fd_oracle, frechet_oracle,
+                          propagator_matrix, spectral_decompose)
 from .synthesis import Controller, SynthesisConfig, synthesize_ensemble, transfer_fidelity
 
 # Randomized instances live on modest time and bias scales so that the
 # finite-difference truncation error stays far below its agreement
-# tolerance, and the quadrature needs few panels.
+# tolerance, and the adjoint reference holds its fixed budgets.
 INSTANCE_T_RANGE = (0.3, 3.0)
 INSTANCE_BIAS_SCALE = 1.0
 
@@ -182,7 +183,8 @@ def adjoint_records(controller: Controller,
     ``sensitivity.hadamard_core``, the divided-difference weights both
     routes (and synthesis) multiply their eigenbasis directions by. The
     cross-formulation check cannot see a defect in either; three-way
-    agreement, against quadrature and finite differences, tests the weights.
+    agreement, against the Frechet derivative and finite differences, tests
+    the weights.
     """
     structures, s_images = _structure_images(controller.spec.num_spins,
                                              controller.spec.topology)
@@ -342,32 +344,31 @@ def check_remark2(instances: list[Instance]) -> CheckResult:
 
 
 def check_three_way(seed: int, dims: tuple[int, ...], per_dim: int) -> CheckResult:
-    """Closed form vs quadrature vs finite differences on random instances
-    of up to 5 spins, one drawn structure each; fails when there are none."""
+    """Closed form vs the Frechet derivative of the N x N exponential vs
+    finite differences on random instances of up to 5 spins, one drawn
+    structure each; fails when there are none."""
     sizes = [n for n in dims if n <= 5 for _ in range(per_dim)]
     if not sizes:
         return _no_instances("three-way-agreement")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    worst_quad = worst_fd = 0.0
+    worst_frechet = worst_fd = 0.0
     for controller in _random_controllers(rng, sizes):
         spec = controller.spec
-        structures, images = _structure_images(spec.num_spins, spec.topology)
-        pick = int(rng.integers(len(structures)))
-        structure, image = structures[pick], images[pick]
+        structures, _ = _structure_images(spec.num_spins, spec.topology)
+        structure = structures[int(rng.integers(len(structures)))]
         record, = evaluate_controller(controller, (structure,))
-        r0, rf = _endpoints(spec)
-        quad = quadrature_oracle(_generator(controller), image, controller.t_f,
-                                 r0, rf, record.f_n)
+        frechet = frechet_oracle(structure, controller)
         fd = fd_oracle(structure, controller)
         zeta = record.zeta
-        worst_quad = max(worst_quad, abs(quad - zeta) / max(1e-8 * abs(zeta), 1e-10))
+        worst_frechet = max(worst_frechet,
+                            abs(frechet - zeta) / max(1e-8 * abs(zeta), 1e-10))
         worst_fd = max(worst_fd, abs(fd - zeta) / max(1e-6 * abs(zeta), 1e-8))
-    passed = worst_quad <= 1.0 and worst_fd <= 1.0
+    passed = worst_frechet <= 1.0 and worst_fd <= 1.0
     return CheckResult(
         name="three-way-agreement",
         passed=passed,
-        detail=f"{len(sizes)} instances; quadrature at {worst_quad:.3e} and "
-               f"finite differences at {worst_fd:.3e} of their budgets")
+        detail=f"{len(sizes)} instances; Frechet derivative at {worst_frechet:.3e} "
+               f"and finite differences at {worst_fd:.3e} of their budgets")
 
 
 # Zero-bias perfect-transfer anchors (spins, topology, output spin, t_f), all

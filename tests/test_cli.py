@@ -712,12 +712,12 @@ class TestDeterminism:
         assert (file_sha256(tmp_path / "r.csv"), file_sha256(tmp_path / "s.csv")) == digests
 
     @pytest.mark.parametrize("seed, digest", [
-        (2024, "3e3b7fa2a64a4f0396c1553622ebe6de853641533542e0d2b058c410cbb00227"),
-        (5, "3e0658a1b9121d5cf8b0a53fc0f5bb0290269f30aee4ed641862b404b09a8d6b"),
-        (77, "05551ba86cde1aa25c30a06fd601a0543a0f5a39a4624db9fc3cdb32e40ab52a")])
+        (2024, "4d13f21fb9936e48f08e8d8adeac8ab827f7d31acce1854f8d61aa0e2b170ca2"),
+        (5, "6b3f163ded1388bac961a25467dec313da330651d23e871f329db8180f6b86f5"),
+        (77, "ac678a264f0f0cdc9e39b5190aa70f0f48f2fdf3f98c8eec1d36508d8c63715b")])
     def test_verify_stdout_unchanged(self, capsys, seed, digest):
-        # SHA-256 of verify's report at the benchmark's sizes, as the one
-        # eigenbasis contraction per controller printed it; moving a record
+        # SHA-256 of verify's report at the benchmark's sizes, as the
+        # Frechet-derivative three-way check printed it; moving a record
         # rule or an oracle between modules must keep every byte
         capsys.readouterr()
         assert main(["verify", "--threads", "2", "--seed", str(seed),
@@ -896,7 +896,8 @@ class TestVerifyCommand:
     def test_shared_weights_defect_caught_by_three_way_alone(self, capsys, monkeypatch):
         # both routes, and synth, take their divided differences from
         # hadamard_core, so cross-formulation cannot see a defect there;
-        # quadrature and finite differences can. At SMALL the three-way
+        # the Frechet derivative and finite differences can, and the
+        # Frechet half alone is over its budget. At SMALL the three-way
         # instances (2 and 3 spins) have distinct eigenvalues, so a sinc
         # argument off by a factor 1.0001 reaches them
         from spinsens import sensitivity
@@ -912,10 +913,12 @@ class TestVerifyCommand:
 
         TestHotPath.patch_everywhere(monkeypatch, sensitivity.hadamard_core, bent)
         assert main(["verify", *self.SMALL]) == 2
-        checks = {line.split()[1]: line[:4] for line in capsys.readouterr().out.splitlines()
+        checks = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()
                   if line[:4] in ("PASS", "WARN", "FAIL")}
-        assert checks["three-way-agreement"] == "FAIL"
-        assert checks["cross-formulation"] == "PASS"
+        three_way = checks["three-way-agreement"]
+        assert three_way.startswith("FAIL")
+        assert float(re.search(r"Frechet derivative at (\S+)", three_way).group(1)) > 1.0
+        assert checks["cross-formulation"].startswith("PASS")
 
     def test_injected_convention_error_caught(self, capsys, monkeypatch):
         # the Hilbert-space reference propagates with exp(+iHt) instead of

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from spinsens import (GeometryRecord, NetworkSpec, adjoint_rep,
-                      adjoint_sensitivity_operator, angles, build_hamiltonian,
-                      enumerate_structures, identity_residual, project,
-                      quadrature_oracle, scaling_factor, transfer_fidelity)
+                      adjoint_sensitivity_operator, angles,
+                      enumerate_structures, frechet_oracle, identity_residual,
+                      project, scaling_factor, transfer_fidelity)
 from spinsens.analytics import evaluate_controller
 from spinsens.geometry import PST_TOL, TINY, ZERO_FIDELITY_FLOOR
 from spinsens.synthesis import Controller
@@ -25,14 +25,13 @@ def decompositions(spec, biases, t_f):
                      fidelity=min(1.0, max(0.0, transfer_fidelity(spec, biases, t_f))),
                      spec=spec, seed=0, index=0)
     frame = _adjoint_frame(ctl)
-    r0, rf, lam, m, phi = frame
-    a = adjoint_rep(build_hamiltonian(spec, biases))
+    _, _, lam, m, phi = frame
     for structure, (record, _) in zip(enumerate_structures(spec),
                                       adjoint_records(ctl, frame)):
         s_bloch = adjoint_rep(structure.matrix)
         k_op, norm_k = adjoint_sensitivity_operator(lam, m, s_bloch, t_f)
         r_s, norm_rs, perp = project(record.F, record.k_coeff, phi, k_op, norm_k)
-        yield dict(a=a, r0=r0, rf=rf, t_f=t_f, phi=phi, s_bloch=s_bloch, k_op=k_op,
+        yield dict(controller=ctl, structure=structure, t_f=t_f, phi=phi, k_op=k_op,
                    norm_k=norm_k, f_n=record.f_n,
                    zeta=record.zeta, F=record.F, k_coeff=record.k_coeff, r_s=r_s,
                    norm_rs=norm_rs, perp=perp, cos_phi=record.cos_phi,
@@ -66,10 +65,9 @@ class TestProject:
 
     def test_k_pairing_recovers_sensitivity(self, rng):
         # k = rf . K r0 read out of the operator gives the derivative that
-        # quadrature of the integral representation gives
+        # the Frechet derivative of the N x N exponential gives
         for out, spec in ring_cases(rng, count=3):
-            ref = quadrature_oracle(out["a"], out["s_bloch"], out["t_f"], out["r0"],
-                                    out["rf"], out["f_n"])
+            ref = frechet_oracle(out["structure"], out["controller"])
             assert -out["t_f"] * out["f_n"] * out["k_coeff"] == pytest.approx(
                 ref, abs=max(1e-10, 1e-8 * abs(ref)))
 

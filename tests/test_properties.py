@@ -2,26 +2,19 @@
 invariants on the adjoint-picture reference records, the published
 records and the synthesis objective against that reference, the stacked
 synthesis objective against one call per point, the range of the
-published cosines at the synth boxes, the stacked reference pass
-against one call per direction, and the panelled quadrature oracle
-against a node-by-node evaluation of one global rule and, at large
-t_f, against the Frechet derivative of the exponential."""
-
-import math
+published cosines at the synth boxes, and the stacked reference pass
+against one call per direction."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.linalg import expm, expm_frechet
-
 from spinsens import Controller, NetworkSpec, adjoint_rep, enumerate_structures
-from spinsens import (adjoint_sensitivity_operator, build_hamiltonian,
-                      fidelity_objective, project, quadrature_oracle,
+from spinsens import (adjoint_sensitivity_operator, fidelity_objective, project,
                       transfer_fidelity)
 from spinsens.analytics import evaluate_controller
-from spinsens.verification import (_adjoint_frame, _endpoints, _structure_images,
+from spinsens.verification import (_adjoint_frame, _structure_images,
                                    adjoint_records, record_gap)
 
 EPS = np.finfo(float).eps
@@ -254,60 +247,3 @@ def test_stacked_reference_matches_per_direction_calls(spec, data):
     # and a vanishing operator leaves no projection
     with pytest.raises(ValueError, match="vanishing sensitivity operator"):
         project(f_val, k_coeff, phi, k_zeroed, norm_zeroed)
-
-
-def per_node_quadrature(a, s_bloch, t_f, r0, rf, f_n):
-    # one global 64-node Gauss-Legendre rule on [0, 1] with two independent
-    # exponentials per node, exp(t_f A (1-s)) and exp(t_f A s): the
-    # evaluation the panelled oracle replaced
-    x, w = np.polynomial.legendre.leggauss(64)
-    acc = 0.0
-    for s, weight in zip(0.5 * (x + 1.0), 0.5 * w):
-        left = expm(t_f * (1.0 - s) * a)
-        right = expm(t_f * s * a)
-        acc += weight * float((rf @ left) @ (s_bloch @ (right @ r0)))
-    return float(-t_f * f_n * acc)
-
-
-def quadrature_case(spec, data):
-    # the oracle's arguments for one drawn structure at unit scale, the
-    # read-out time left out
-    biases = np.array(data.draw(st.lists(
-        st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
-        min_size=spec.num_spins, max_size=spec.num_spins)))
-    structures = enumerate_structures(spec)
-    structure = structures[data.draw(st.integers(0, len(structures) - 1))]
-    r0, rf = _endpoints(spec)
-    return adjoint_rep(build_hamiltonian(spec, biases)), adjoint_rep(structure.matrix), r0, rf
-
-
-def integrand_scale(image, t_f, r0, rf):
-    # the integrand's bound t_f |S| |r0| |rf|, for where the integral
-    # cancels to near zero
-    return t_f * np.linalg.norm(image) * np.linalg.norm(r0) * np.linalg.norm(rf)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(networks(5), st.data())
-def test_batched_quadrature_matches_per_node_loop(spec, data):
-    a, image, r0, rf = quadrature_case(spec, data)
-    t_f = data.draw(st.floats(min_value=0.3, max_value=3.0))
-    args = (a, image, t_f, r0, rf, 1.0)
-    got, want = quadrature_oracle(*args), per_node_quadrature(*args)
-    assert abs(got - want) <= 1e-12 * max(abs(want), integrand_scale(image, t_f, r0, rf))
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(networks(5), st.data())
-def test_quadrature_on_more_panels_matches_frechet_derivative(spec, data):
-    # t_f |A|_1 from 30 to 400 puts 10 to 134 panels under the integral,
-    # where eight fixed panels miss the bound from about 100 on;
-    # d/de rf^T exp(t_f (A + e S)) r0 is the integral times t_f, so the
-    # oracle's -t_f f_n times the integral is -rf^T L r0 at f_n = 1, with L
-    # the Frechet derivative of exp at t_f A along t_f S
-    a, image, r0, rf = quadrature_case(spec, data)
-    t_f = data.draw(st.floats(min_value=30.0, max_value=400.0)) / np.linalg.norm(a, 1)
-    assert math.ceil(t_f * np.linalg.norm(a, 1) / 3.0) > 8
-    got = quadrature_oracle(a, image, t_f, r0, rf, 1.0)
-    want = -float(rf @ expm_frechet(t_f * a, t_f * image, compute_expm=False) @ r0)
-    assert abs(got - want) <= 1e-10 * max(abs(want), integrand_scale(image, t_f, r0, rf))

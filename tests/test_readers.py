@@ -77,6 +77,15 @@ def test_controllers_read_back_and_reserialize(case):
     assert controllers_to_json(loaded) == text
 
 
+def test_negative_zero_reserializes():
+    # JSON reads -0 as the integer 0, so the writer spells negative zero 0
+    spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
+    text = controllers_to_json([Controller(biases=np.array([0.0, -0.0]), t_f=1.0,
+                                           fidelity=-0.0, spec=spec, seed=0, index=0)])
+    assert '"biases": [0, 0], "fidelity": 0}' in text
+    assert controllers_to_json(controllers_from_json(text, spec)) == text
+
+
 @PROPERTY
 @given(specs(), st.sets(unknown_keys(SPEC_KINDS), min_size=1, max_size=3))
 def test_spec_with_unknown_keys_refused_by_name(spec, extra):

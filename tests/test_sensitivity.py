@@ -12,12 +12,13 @@ from scipy.linalg import expm, expm_frechet
 from spinsens import (NetworkSpec, adjoint_rep,
                       adjoint_sensitivity_operator,
                       build_hamiltonian, enumerate_structures, fd_oracle,
-                      hadamard_core, hilbert_transfer,
-                      propagator_matrix, quadrature_oracle,
-                      sensitivity_operator,
+                      frechet_oracle, hadamard_core, hilbert_transfer,
+                      propagator_matrix, scaling_factor, sensitivity_operator,
                       spectral_decompose, transfer_fidelity)
 from spinsens.synthesis import Controller
 from spinsens.verification import _endpoints, adjoint_records
+
+EPS = np.finfo(float).eps
 
 
 def random_generator(rng, n):
@@ -297,13 +298,12 @@ class TestOracleAgreement:
             cases.append((spec, biases, t_f))
         return cases
 
-    def test_closed_form_matches_quadrature(self, rng):
+    def test_closed_form_matches_frechet(self, rng):
         for spec, biases, t_f in self._cases(rng):
-            a, r0, rf = make_system(spec, biases)
-            records = adjoint_records(make_controller(spec, biases, t_f))
-            for structure, (record, _) in zip(enumerate_structures(spec), records):
-                ref = quadrature_oracle(a, adjoint_rep(structure.matrix), t_f,
-                                        r0, rf, record.f_n)
+            ctl = make_controller(spec, biases, t_f)
+            for structure, (record, _) in zip(enumerate_structures(spec),
+                                              adjoint_records(ctl)):
+                ref = frechet_oracle(structure, ctl)
                 assert record.zeta == pytest.approx(ref, abs=max(1e-10, 1e-8 * abs(ref)))
 
     def test_closed_form_matches_finite_difference(self, rng):
@@ -315,37 +315,68 @@ class TestOracleAgreement:
                 assert record.zeta == pytest.approx(ref, abs=max(1e-8, 1e-6 * abs(ref)))
 
 
-class TestQuadratureOracle:
-    def test_zero_direction_gives_zero(self, rng):
-        a = random_generator(rng, 2)
-        r = np.zeros(4)
-        r[0] = 1.0
-        assert quadrature_oracle(a, np.zeros((4, 4)), 1.0, r, r, 1.0) == 0.0
+class TestFrechetOracle:
+    def test_zero_direction_gives_zero(self):
+        # a bias structure at a site without bias has scale f_n = 0
+        spec = NetworkSpec(num_spins=3, topology="chain", input_spin=1, output_spin=3)
+        ctl = make_controller(spec, [0.4, 0.0, -0.7], 1.3)
+        bias2, = [s for s in enumerate_structures(spec) if s.kind == "bias" and s.sites == (2,)]
+        assert frechet_oracle(bias2, ctl) == 0.0
 
-    def test_zero_time_gives_zero(self, rng):
-        a = random_generator(rng, 2)
-        s = random_generator(rng, 2)
-        r = np.zeros(4)
-        r[0] = 1.0
-        assert quadrature_oracle(a, s, 0.0, r, r, 1.0) == 0.0
+    def test_stationary_at_perfect_transfer(self):
+        # the unbiased 2-chain at t = pi/2: the biases have f_n = 0, and
+        # the coupling's derivative vanishes at the maximum of F
+        spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
+        ctl = make_controller(spec, [0.0, 0.0], np.pi / 2.0)
+        for structure in enumerate_structures(spec):
+            assert abs(frechet_oracle(structure, ctl)) < 1e-14
 
-    def test_one_expm_call_per_invocation(self, rng, monkeypatch):
-        import scipy.linalg
 
-        calls = []
-        expm = scipy.linalg.expm
+# t max|E| from verify's instances out to where no N^2 x N^2 reference holds
+REACHES = (10.0, 1e3, 1e5, 1e6)
 
-        def counting_expm(a):
-            calls.append(a.shape)
-            return expm(a)
 
-        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
-        a = random_generator(rng, 3)
-        s = random_generator(rng, 3)
-        r = np.zeros(9)
-        r[0] = 1.0
-        quadrature_oracle(a, s, 1.3, r, r[::-1].copy(), 1.0)
-        assert calls == [(5, 9, 9)]
+class TestFrechetReach:
+    # Each phase exp(-i E t) carries an absolute error of about eps t |E|,
+    # so the published k and the Frechet oracle's k = -zeta / (t_f f_n)
+    # each stray by a multiple of eps t max|E|; the budget is 4 of them.
+    # Biases spread over [0, 10] localize the excitation and keep |k|
+    # small; biases clustered within 1 of each other keep the transfer
+    # delocalized and |k| up to order 1.
+
+    def _gaps(self):
+        # per (reach, structure): the k gap as a fraction of its budget, and |k|
+        rng = np.random.default_rng(28)
+        for n, topology, out in ((2, "chain", 2), (3, "chain", 3), (4, "ring", 2),
+                                 (5, "ring", 3), (6, "chain", 6), (6, "ring", 4)):
+            spec = NetworkSpec(num_spins=n, topology=topology, input_spin=1,
+                               output_spin=out)
+            for biases in (rng.uniform(0.0, 10.0, n),
+                           rng.uniform(0.5, 9.5) + rng.uniform(-0.5, 0.5, n)):
+                top = np.abs(np.linalg.eigvalsh(build_hamiltonian(spec, biases))).max()
+                for reach in REACHES:
+                    ctl = make_controller(spec, biases, reach / top)
+                    transfer = hilbert_transfer(spec, biases, ctl.t_f)
+                    for structure in enumerate_structures(spec):
+                        k_coeff, _ = sensitivity_operator(transfer, structure)
+                        k_ref = -frechet_oracle(structure, ctl) / (
+                            ctl.t_f * scaling_factor(structure, ctl))
+                        yield reach, abs(k_coeff - k_ref) / (4.0 * EPS * reach), abs(k_ref)
+
+    def test_published_k_within_budget(self):
+        gaps = list(self._gaps())
+        assert all(ratio <= 1.0 for _, ratio, _ in gaps), max(gaps, key=lambda g: g[1])
+
+    def test_divided_differences_off_by_1e_9_fail_at_large_reach(self, monkeypatch):
+        # X scaled by 1 + 1e-9 moves k by 1e-9 |k|, above the budget where
+        # |k| > 4 eps t max|E| / 1e-9, about 0.09 at 1e5; at 1e6 that takes
+        # |k| > 0.9, which none of these instances reaches
+        from spinsens import sensitivity
+        exact = sensitivity.hadamard_core
+        monkeypatch.setattr(sensitivity, "hadamard_core",
+                            lambda lam, t_f: (1.0 + 1e-9) * exact(lam, t_f))
+        at_1e5 = [(abs_k, ratio) for reach, ratio, abs_k in self._gaps() if reach == 1e5]
+        assert max(at_1e5)[1] > 1.0
 
 
 class TestFdOracle:
