@@ -10,10 +10,12 @@ explain when high fidelity and low sensitivity coexist.
 Public names resolve lazily (PEP 562): ``import spinsens`` loads no
 submodule, and ``spinsens.<name>`` imports the one module that defines
 the name on first use. Only the oracles in ``verification``,
-``sensitivity.frechet_oracle`` and ``sensitivity.fd_oracle``, and the
-optimizer in ``synthesis`` load scipy, so analysis alone needs numpy only. Resolved names are not
-cached here: each lookup reads the home module's current attribute, so
-a patch of that attribute, and its restore, show through the package.
+``sensitivity.frechet_oracle`` and ``sensitivity.fd_oracle`` load scipy
+(``scipy.linalg``), and the optimizer in ``synthesis`` loads the base
+``scipy`` package and its compiled L-BFGS-B step alone, so analysis
+alone needs numpy only. Resolved names are not cached here: each lookup
+reads the home module's current attribute, so a patch of that attribute,
+and its restore, show through the package.
 """
 
 import importlib

@@ -311,14 +311,7 @@ def cmd_verify(args) -> int:
     return 2 if failures else 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="spinsens",
-                     description="Sensitivity geometry of bias-controlled "
-                                 "spin-network state transfer.")
-    parser.add_argument("--version", action="version",
-                        version=f"spinsens {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_synth(sub) -> None:
     defaults = SynthesisConfig()
     synth = sub.add_parser("synth", help="synthesize a controller ensemble")
     synth.add_argument("--n", type=int, required=True, help="number of spins")
@@ -340,6 +333,8 @@ def build_parser() -> _Parser:
     synth.add_argument("-o", "--output", default="controllers.json")
     synth.set_defaults(func=cmd_synth)
 
+
+def _add_analyze(sub) -> None:
     analyze_p = sub.add_parser("analyze", help="compute sensitivity records "
                                                "and summaries for an ensemble")
     analyze_p.add_argument("controllers", help="controller ensemble JSON")
@@ -351,6 +346,8 @@ def build_parser() -> _Parser:
                            help=THREADS_HELP)
     analyze_p.set_defaults(func=cmd_analyze)
 
+
+def _add_verify(sub) -> None:
     # verify's default sample sizes live here alone; run_checks has none
     verify = sub.add_parser("verify", help="run the numerical invariant suite")
     verify.add_argument("--seed", type=_int_at_least(0), default=2024)
@@ -364,11 +361,34 @@ def build_parser() -> _Parser:
     verify.add_argument("--threads", type=_int_at_least(1), default=1,
                         help=THREADS_HELP)
     verify.set_defaults(func=cmd_verify)
+
+
+# each subcommand's name and the function that adds its parser, in the
+# order the help lists them
+_SUBCOMMANDS = {"synth": _add_synth, "analyze": _add_analyze, "verify": _add_verify}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The command-line parser: with every subcommand, or with only the
+    one ``command`` names, which parses that subcommand's arguments the
+    same way."""
+    parser = _Parser(prog="spinsens",
+                     description="Sensitivity geometry of bias-controlled "
+                                 "spin-network state transfer.")
+    parser.add_argument("--version", action="version",
+                        version=f"spinsens {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add in _SUBCOMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named subcommand needs only its own parser; the top-level help and
+    # the error for an unknown subcommand list them all
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -24,7 +24,9 @@ bitwise.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -156,6 +158,36 @@ _FG, _NEW_X, _STOP = 3, 1, 5
 _STOP_MAXFUN, _STOP_MAXITER = 502, 504
 
 
+@cache
+def _lbfgsb_step():
+    """scipy's compiled L-BFGS-B step ``setulb``, loaded once per process.
+
+    ``from scipy.optimize._lbfgsb import setulb`` would first run the
+    ``__init__`` of ``scipy.optimize``, which loads some 300 scipy modules
+    (``scipy.linalg``, ``scipy.sparse`` and every solver) that synthesis
+    never calls. So only the base ``scipy`` package is imported, which on
+    Windows also registers scipy's bundled libraries, and the extension is
+    loaded from its file in scipy's ``optimize/`` directory. It is not
+    filed under ``scipy.optimize._lbfgsb`` (CPython files it under its bare
+    name ``_lbfgsb`` alone), so a later ``import scipy.optimize`` loads its
+    own copy of the same routine.
+    """
+    # imported here so that analysis, which reads Controller, loads no scipy
+    from importlib.machinery import PathFinder
+    from importlib.util import module_from_spec
+
+    import scipy
+
+    where = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+    spec = PathFinder.find_spec("_lbfgsb", [where])
+    if spec is None:
+        raise ImportError(f"no L-BFGS-B extension _lbfgsb in {where}; "
+                          "synthesis needs scipy>=1.15")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.setulb
+
+
 class _Ascent:
     """One restart's L-BFGS-B ascent, driven through the reverse-communication
     routine ``setulb`` by ``_ascend``.
@@ -234,9 +266,7 @@ def _ascend(spec: NetworkSpec, starts: np.ndarray,
     evaluated first, a request at the point evaluated last is answered
     from it, and an ascent stops after ``MAXITER`` iterations.
     """
-    # imported here so that analysis, which reads Controller, loads no scipy
-    from scipy.optimize._lbfgsb import setulb
-
+    setulb = _lbfgsb_step()
     starts = np.asarray(starts, dtype=float)
     lo_b, hi_b = config.bias_range
     lo_t, hi_t = config.t_f_range

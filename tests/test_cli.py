@@ -107,6 +107,49 @@ class TestArgumentHandling:
     def test_unknown_flag_is_validation_error(self):
         assert main(["synth", "--bogus"]) == 1
 
+    @pytest.mark.parametrize("command", ["synth", "analyze", "verify"])
+    def test_subparser_built_alone_matches_full_build(self, command):
+        # main builds only the subcommand argv[0] names; that parser must
+        # take the same options, defaults and help as in the full build
+        def subparsers(parser):
+            sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return sub.choices
+
+        alone = subparsers(build_parser(command))
+        assert list(alone) == [command]
+        full = subparsers(build_parser())[command]
+
+        def options(parser):
+            return [(a.option_strings, a.dest, a.default, a.help, a.nargs, a.required,
+                     a.choices, a.metavar) for a in parser._actions]
+
+        assert options(alone[command]) == options(full)
+        assert alone[command].format_help() == full.format_help()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["--version"], 0), (["analyze", "--help"], 0),
+        (["bogus"], 1), (["--threads", "2"], 1)],
+        ids=["help", "version", "analyze-help", "unknown-command", "flag-first"])
+    def test_top_level_output_unchanged_by_partial_build(self, capsys, argv, code):
+        # with every subparser built, as main did before it built only the
+        # named one: same bytes on stdout and stderr, same exit code
+        def run(parse):
+            try:
+                returned = parse(argv)
+            except SystemExit as exc:
+                returned = exc.code
+            return returned, capsys.readouterr()
+
+        def full_build(args):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("spinsens.cli.build_parser",
+                              lambda command=None, full=build_parser: full())
+                return main(args)
+
+        returned, streams = run(main)
+        assert returned == code
+        assert (returned, streams) == run(full_build)
+
     def test_missing_network_flags(self, capsys):
         assert main(["synth", "--n", "4"]) == 1
         assert ("the following arguments are required: --topology, --in, --out"

@@ -9,14 +9,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinsens import Controller, NetworkSpec, controllers_from_json, controllers_to_json
 from spinsens.network import SPEC_KINDS
 from spinsens.synthesis import ROW_KINDS
 from test_imports import fresh
-from test_properties import networks
+from test_properties import EDGE_BIASES, networks
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 SPEC_REQUIRED = [key for key in SPEC_KINDS if key != "j"]
@@ -49,12 +49,32 @@ def ensembles(draw):
     return spec, controllers, with_seed
 
 
+# the edge floats every test here tries whatever hypothesis draws (see
+# test_properties): a spec whose coupling is the smallest subnormal, and
+# controllers on it whose biases, t_f and fidelity take the edge values
+EDGE_SPEC = NetworkSpec(num_spins=4, topology="chain", input_spin=1, output_spin=4,
+                        coupling=5e-324)
+EDGE_CONTROLLERS = [
+    Controller(biases=EDGE_BIASES, t_f=1e3, fidelity=-0.0, spec=EDGE_SPEC,
+               index=0, status="loaded", seed=0),
+    Controller(biases=EDGE_BIASES[::-1], t_f=5e-324, fidelity=5e-324, spec=EDGE_SPEC,
+               index=10 ** 6, status="loaded", seed=2 ** 31),
+    Controller(biases=np.full(4, -0.0), t_f=1e-3, fidelity=1.0, spec=EDGE_SPEC,
+               index=7, status="loaded", seed=1)]
+
+
+# the row a test edits, taken modulo the rows of an ensemble (at most 5)
+ROW_PICKS = st.integers(min_value=0, max_value=4)
+
+
 def unknown_keys(kinds):
     return st.text(min_size=1, max_size=8).filter(lambda key: key not in kinds)
 
 
 @PROPERTY
 @given(specs())
+@example(EDGE_SPEC)
+@example(dataclasses.replace(EDGE_SPEC, coupling=1e3))
 def test_spec_reads_back_and_reserializes(spec):
     text = spec.to_json()
     again = NetworkSpec.from_json(text)
@@ -64,6 +84,8 @@ def test_spec_reads_back_and_reserializes(spec):
 
 @PROPERTY
 @given(ensembles())
+@example((EDGE_SPEC, EDGE_CONTROLLERS, True))
+@example((EDGE_SPEC, [dataclasses.replace(c, seed=-1) for c in EDGE_CONTROLLERS], False))
 def test_controllers_read_back_and_reserialize(case):
     spec, controllers, with_seed = case
     text = controllers_to_json(controllers)
@@ -88,6 +110,7 @@ def test_negative_zero_reserializes():
 
 @PROPERTY
 @given(specs(), st.sets(unknown_keys(SPEC_KINDS), min_size=1, max_size=3))
+@example(EDGE_SPEC, {"x"})
 def test_spec_with_unknown_keys_refused_by_name(spec, extra):
     doc = json.loads(spec.to_json())
     doc.update(dict.fromkeys(extra, 0))
@@ -97,11 +120,12 @@ def test_spec_with_unknown_keys_refused_by_name(spec, extra):
 
 
 @PROPERTY
-@given(ensembles(), unknown_keys(ROW_KINDS), st.data())
-def test_row_with_unknown_key_refused_by_name(case, extra, data):
+@given(ensembles(), unknown_keys(ROW_KINDS), ROW_PICKS)
+@example((EDGE_SPEC, EDGE_CONTROLLERS, True), "x", 1)
+def test_row_with_unknown_key_refused_by_name(case, extra, pick):
     spec, controllers, _ = case
     rows = json.loads(controllers_to_json(controllers))
-    position = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    position = pick % len(rows)
     rows[position][extra] = 1
     with pytest.raises(ValueError) as info:
         controllers_from_json(json.dumps(rows), spec)
@@ -110,6 +134,7 @@ def test_row_with_unknown_key_refused_by_name(case, extra, data):
 
 @PROPERTY
 @given(specs(), st.sampled_from(SPEC_REQUIRED))
+@example(EDGE_SPEC, "n")
 def test_spec_missing_required_key_refused_by_name(spec, key):
     doc = json.loads(spec.to_json())
     del doc[key]
@@ -119,11 +144,12 @@ def test_spec_missing_required_key_refused_by_name(spec, key):
 
 
 @PROPERTY
-@given(ensembles(), st.sampled_from(ROW_REQUIRED), st.data())
-def test_row_missing_required_key_refused_by_name(case, key, data):
+@given(ensembles(), st.sampled_from(ROW_REQUIRED), ROW_PICKS)
+@example((EDGE_SPEC, EDGE_CONTROLLERS, True), "fidelity", 2)
+def test_row_missing_required_key_refused_by_name(case, key, pick):
     spec, controllers, _ = case
     rows = json.loads(controllers_to_json(controllers))
-    position = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    position = pick % len(rows)
     del rows[position][key]
     with pytest.raises(ValueError) as info:
         controllers_from_json(json.dumps(rows), spec)

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, expm_frechet
 
@@ -17,6 +17,7 @@ from spinsens import (NetworkSpec, adjoint_rep,
                       spectral_decompose, transfer_fidelity)
 from spinsens.synthesis import Controller
 from spinsens.verification import _endpoints, adjoint_records
+from test_properties import BOX_BIASES, EDGE_BIASES, RING4
 
 EPS = np.finfo(float).eps
 
@@ -233,6 +234,9 @@ class TestContraction:
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(contraction_points())
+    @example((RING4, EDGE_BIASES, 0.0))
+    @example((RING4, EDGE_BIASES, 1.0))
+    @example((RING4, BOX_BIASES, 50.0))
     def test_matches_per_structure_form(self, point):
         spec, biases, t_f = point
         transfer = hilbert_transfer(spec, biases, t_f)
