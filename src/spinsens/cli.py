@@ -13,7 +13,8 @@ for an index, a count or a flag. All
 randomness flows from the master seed, and nothing wall-clock dependent
 lands in a data file, so reruns are byte-identical. The run
 manifest carries the config hash plus the SHA-256 of every data file it
-produced; it is the one file with a timestamp. The synth manifest also
+produced, taken from the bytes written, so no output is read back; it is
+the one file with a timestamp. The synth manifest also
 counts the kept controllers by optimizer status and the duplicate
 restarts dropped, and gives their best and median error; the analyze
 manifest counts the perfect-transfer and zero-fidelity records. When a
@@ -95,14 +96,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def file_sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _read_input(path: Path) -> tuple[str, str]:
     """Text and SHA-256 of one input file, both from a single read."""
     data = path.read_bytes()
@@ -132,28 +125,30 @@ def _manifest_json(*, command: str, master_seed: int, config: dict, inputs: dict
     return json.dumps(body, indent=1, sort_keys=False) + "\n"
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, text: str) -> str:
+    """Write ``text`` as UTF-8; returns the SHA-256 of the bytes written."""
+    data = text.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def _write_csv(path: Path, columns: dict, rows) -> None:
+def _write_csv(path: Path, columns: dict, rows) -> str:
     # one format string per table; "%d" % True is "1"
     row_format = ",".join("%.17g" if kind is float else "%d"
                           for _, kind in columns.values())
     fields = attrgetter(*(field for field, _ in columns.values()))
     lines = [",".join(columns)]
     lines += [row_format % fields(row) for row in rows]
-    _write(path, "\n".join(lines) + "\n")
+    return _write(path, "\n".join(lines) + "\n")
 
 
-def write_records_csv(path: Path, records) -> None:
-    _write_csv(path, RECORD_COLUMNS, records)
+def write_records_csv(path: Path, records) -> str:
+    return _write_csv(path, RECORD_COLUMNS, records)
 
 
-def write_summaries_csv(path: Path, summaries) -> None:
-    _write_csv(path, SUMMARY_COLUMNS, summaries)
+def write_summaries_csv(path: Path, summaries) -> str:
+    return _write_csv(path, SUMMARY_COLUMNS, summaries)
 
 
 def cmd_synth(args) -> int:
@@ -178,8 +173,8 @@ def cmd_synth(args) -> int:
     out_path = Path(args.output)
     spec_path = out_path.with_name(out_path.stem + ".spec.json")
     manifest_path = out_path.with_name(out_path.stem + ".manifest.json")
-    _write(out_path, controllers_to_json(ensemble))
-    _write(spec_path, spec.to_json())
+    outputs = {str(out_path): _write(out_path, controllers_to_json(ensemble)),
+               str(spec_path): _write(spec_path, spec.to_json())}
     _write(manifest_path, _manifest_json(
         command="synth",
         master_seed=config.seed,
@@ -188,8 +183,7 @@ def cmd_synth(args) -> int:
                 "t_f_range": config.t_f_range, "bias_range": config.bias_range,
                 "tolerance": TOLERANCE, "seed": config.seed},
         inputs={},
-        outputs={str(out_path): file_sha256(out_path),
-                 str(spec_path): file_sha256(spec_path)},
+        outputs=outputs,
         counts={"duplicates_dropped": config.restarts - len(ensemble),
                 "status": dict(sorted(Counter(c.status for c in ensemble).items())),
                 "best_error": ensemble[0].error,
@@ -274,8 +268,8 @@ def cmd_analyze(args) -> int:
         if abs(c.fidelity - r.F) > FIDELITY_TOL:
             raise ValueError(f"controller {c.index} stores fidelity {c.fidelity!r} "
                              f"but its working point gives {r.F!r}")
-    write_records_csv(records_path, records)
-    write_summaries_csv(summaries_path, summaries)
+    outputs = {str(records_path): write_records_csv(records_path, records),
+               str(summaries_path): write_summaries_csv(summaries_path, summaries)}
     _write(manifest_path, _manifest_json(
         command="analyze",
         master_seed=-1,
@@ -283,8 +277,7 @@ def cmd_analyze(args) -> int:
                 "columns": list(RECORD_COLUMNS),
                 "summary_columns": list(SUMMARY_COLUMNS)},
         inputs=inputs,
-        outputs={str(records_path): file_sha256(records_path),
-                 str(summaries_path): file_sha256(summaries_path)},
+        outputs=outputs,
         counts={"pst_records": sum(r.pst for r in records),
                 "zero_fidelity_records": sum(r.zero_fidelity for r in records),
                 "inputs_checked_against_manifest": checked}))

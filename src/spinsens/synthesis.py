@@ -268,13 +268,12 @@ def _ascend(spec: NetworkSpec, starts: np.ndarray,
     """
     setulb = _lbfgsb_step()
     starts = np.asarray(starts, dtype=float)
-    lo_b, hi_b = config.bias_range
-    lo_t, hi_t = config.t_f_range
-    if not (np.all(starts[:, :-1] >= lo_b) and np.all(starts[:, :-1] <= hi_b)):
-        raise ValueError("initial biases outside the configured bounds")
-    if not (np.all(starts[:, -1] >= lo_t) and np.all(starts[:, -1] <= hi_t)):
-        raise ValueError("initial read-out time outside the configured bounds")
     lo, hi = _bounds(spec, config)
+    outside = ~((starts >= lo) & (starts <= hi))  # a nan start is outside too
+    if outside[:, :-1].any():
+        raise ValueError("initial biases outside the configured bounds")
+    if outside[:, -1].any():
+        raise ValueError("initial read-out time outside the configured bounds")
     both_bounded = np.full(starts.shape[1], 2, dtype=np.int32)
 
     def asks_again(a: _Ascent) -> bool:

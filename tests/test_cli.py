@@ -15,7 +15,7 @@ import pytest
 from spinsens import (Controller, NetworkSpec, SynthesisConfig, analyze,
                       synthesize_ensemble, transfer_fidelity)
 from spinsens.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, build_parser,
-                          config_hash, file_sha256, main, write_records_csv,
+                          config_hash, main, write_records_csv,
                           write_summaries_csv)
 from spinsens.network import SPEC_KINDS
 from spinsens.synthesis import ROW_KINDS, f17
@@ -87,6 +87,10 @@ ANALYZE_PINS = {
         NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=2),
         SynthesisConfig(restarts=40, seed=0)),
 }
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def checked_count(records):
@@ -467,7 +471,7 @@ class TestSynthOutputs:
         assert len(rows) <= 6
         manifest = json.loads(manifest_path.read_text())
         assert manifest["command"] == "synth"
-        assert manifest["outputs"][str(out)] == file_sha256(out)
+        assert manifest["outputs"][str(out)] == sha256_of(out)
         assert manifest["config_hash"] == config_hash(manifest["config"])
         counts = manifest["counts"]
         assert counts["duplicates_dropped"] == 6 - len(rows)
@@ -531,9 +535,9 @@ class TestAnalyzeOutputs:
         out = run_synth(tmp_path, "e", threads=1)
         records, summaries = run_analyze(out, threads=1)
         manifest = json.loads(records.with_name("records.manifest.json").read_text())
-        assert manifest["inputs"][str(out)] == file_sha256(out)
-        assert manifest["outputs"][str(records)] == file_sha256(records)
-        assert manifest["outputs"][str(summaries)] == file_sha256(summaries)
+        assert manifest["inputs"][str(out)] == sha256_of(out)
+        assert manifest["outputs"][str(records)] == sha256_of(records)
+        assert manifest["outputs"][str(summaries)] == sha256_of(summaries)
 
     def test_manifest_digest_is_of_the_bytes_analyzed(self, tmp_path, monkeypatch):
         # the controllers file is rewritten right after analyze reads it; the
@@ -558,6 +562,46 @@ class TestAnalyzeOutputs:
         manifest = json.loads(records.with_name("records.manifest.json").read_text())
         assert out.read_bytes() != analyzed
         assert manifest["inputs"][str(out)] == hashlib.sha256(analyzed).hexdigest()
+
+    def test_manifest_digest_is_of_the_bytes_written(self, tmp_path, monkeypatch, capsys):
+        # synth's controllers file is rewritten right after synth writes it;
+        # the manifest must carry the digest of the bytes synth produced,
+        # not of a read-back, so analyze rejects the rewritten file
+        out = tmp_path / "w" / "controllers.json"
+        write_bytes = Path.write_bytes
+
+        def rewrite_after(path, data):
+            written = write_bytes(path, data)
+            if path == out:
+                monkeypatch.undo()  # rewrite once, then write plainly
+                out.write_bytes(data + b"\n")
+            return written
+
+        monkeypatch.setattr(Path, "write_bytes", rewrite_after)
+        assert main(synth_argv(out, threads=None)) == 0
+        assert out.read_bytes().endswith(b"]\n\n")
+        code = main(["analyze", str(out), "--records", str(tmp_path / "r.csv"),
+                     "--summaries", str(tmp_path / "s.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and "controllers.manifest.json" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_output_digests_match_files_in_new_directories(self, tmp_path):
+        # every output lands in a directory that does not exist yet
+        out = tmp_path / "a" / "b" / "c.json"
+        records = tmp_path / "r" / "deep" / "r.csv"
+        summaries = tmp_path / "s" / "s.csv"
+        assert main(synth_argv(out, threads=None)) == 0
+        assert main(["analyze", str(out), "--records", str(records),
+                     "--summaries", str(summaries)]) == 0
+        for manifest_path, names in ((out.with_name("c.manifest.json"),
+                                      [out, out.with_name("c.spec.json")]),
+                                     (records.with_name("r.manifest.json"),
+                                      [records, summaries])):
+            outputs = json.loads(manifest_path.read_text())["outputs"]
+            assert list(outputs) == [str(name) for name in names]
+            assert outputs == {str(name): sha256_of(name) for name in names}
 
     def test_manifest_counts_pst_and_zero_fidelity_records(self, tmp_path):
         # two-spin chain: F = sin^2 t, so t = pi/2 is perfect transfer and
@@ -750,9 +794,10 @@ class TestDeterminism:
         # contraction per controller wrote them; faster rewrites of the
         # records, the statistics or the table writer must keep every byte
         records, summaries = analyze(ANALYZE_PINS[ensemble]())
-        write_records_csv(tmp_path / "r.csv", records)
-        write_summaries_csv(tmp_path / "s.csv", summaries)
-        assert (file_sha256(tmp_path / "r.csv"), file_sha256(tmp_path / "s.csv")) == digests
+        written = (write_records_csv(tmp_path / "r.csv", records),
+                   write_summaries_csv(tmp_path / "s.csv", summaries))
+        assert written == digests
+        assert (sha256_of(tmp_path / "r.csv"), sha256_of(tmp_path / "s.csv")) == digests
 
     @pytest.mark.parametrize("seed, digest", [
         (2024, "4d13f21fb9936e48f08e8d8adeac8ab827f7d31acce1854f8d61aa0e2b170ca2"),

@@ -254,6 +254,14 @@ class TestLocalOptimize:
         with pytest.raises(ValueError, match="initial read-out time"):
             _ascend(CHAIN2, np.array([inside, [0.0, 0.0, 0.5]]), config)
 
+    def test_nan_start_rejected(self):
+        # every comparison with nan is False, so the box test is negated
+        config = SynthesisConfig()
+        with pytest.raises(ValueError, match="initial biases"):
+            _ascend(CHAIN2, np.array([[np.nan, 0.0, 2.0]]), config)
+        with pytest.raises(ValueError, match="initial read-out time"):
+            _ascend(CHAIN2, np.array([[0.0, 0.0, np.nan]]), config)
+
     @pytest.mark.parametrize("spec, config", ORACLE_CASES, ids=[
         f"{spec.topology}{spec.num_spins}-{spec.input_spin}to{spec.output_spin}"
         f"-seed{config.seed}" for spec, config in ORACLE_CASES])
