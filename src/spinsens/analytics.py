@@ -16,11 +16,13 @@ correlation of log error against log absolute sensitivity, and the
 Kendall rank correlation of error against the alignment factor sin phi.
 Records whose sensitivity is exactly zero have no log image; they are
 dropped from the Pearson sample and the count reflects the rows actually
-used. Undefined statistics (zero variance, all ties, too few rows) are
-reported as nan rather than aborting the batch. ``summarize_structure``
-computes them for every structure in one pass over (controllers x
-structures) arrays: ``pearson`` and ``kendall`` take column stacks with a
-sample mask per column.
+used. A zero-fidelity controller, flagged as a whole, leaves both
+samples of every structure. Undefined statistics (zero variance, all
+ties, fewer than two rows, as in a one-controller ensemble) are reported
+as nan rather than aborting the batch. ``summarize_structure`` computes
+them for every structure in one pass over (controllers x structures)
+arrays: ``pearson`` and ``kendall`` take column stacks with a sample
+mask per column.
 
 Both statistics are written out from their definitions on purpose; they
 double as the oracle for themselves and stay exact at desk scale.
@@ -73,10 +75,8 @@ def _columns(x, y, where) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     where = np.asarray(where, dtype=bool)
-    if x.ndim not in (1, 2) or y.ndim not in (1, 2) or x.shape[0] != y.shape[0]:
-        raise ValueError("inputs must be equal-length vectors or column stacks")
-    if x.shape[0] < 2:
-        raise ValueError("need at least two samples")
+    if x.ndim not in (1, 2) or y.ndim not in (1, 2) or not 0 < x.shape[0] == y.shape[0]:
+        raise ValueError("inputs must be equal-length, nonempty vectors or column stacks")
     vector = x.ndim == y.ndim == 1 and where.ndim <= 1
     x, y = (a.reshape(a.shape[0], -1) for a in (x, y))
     if where.ndim == 1:
@@ -90,7 +90,8 @@ def _result(values: np.ndarray, vector: bool) -> float | np.ndarray:
 
 
 def pearson(x, y, where=True) -> float | np.ndarray:
-    """Sample Pearson correlation; nan when either input has zero variance.
+    """Sample Pearson correlation; nan when either input has zero variance
+    or there are fewer than two samples.
 
     ``x`` and ``y`` are vectors of n samples, or column stacks (n, m) that
     broadcast against each other along their columns (an (n, 1) stack or a
@@ -132,8 +133,9 @@ def kendall(x, y, where=True) -> float | np.ndarray:
     is twice concordant minus discordant, and their zeros are twice the
     tied pairs plus the diagonal. A masked-out sample takes part in no
     pair. The counts are integers, so tau does not depend on the blocking
-    or on the other columns. nan when every pair of a column is tied in
-    one of the inputs; a used sample holding nan is rejected.
+    or on the other columns. nan for a column with fewer than two samples
+    or every pair tied in one of the inputs; a used sample holding nan is
+    rejected.
     """
     x, y, where, vector = _columns(x, y, where)
     if (np.isnan(x) & where).any() or (np.isnan(y) & where).any():
@@ -201,7 +203,7 @@ def evaluate_controller(controller: Controller,
                                    perp=perp, gap=gap)
 
 
-_SUMMARY_FIELDS = attrgetter("zeta", "sin_phi", "norm_K", "zero_fidelity")
+_SUMMARY_FIELDS = attrgetter("zeta", "sin_phi", "norm_K")
 
 
 def summarize_structure(records: Sequence[GeometryRecord],
@@ -214,29 +216,28 @@ def summarize_structure(records: Sequence[GeometryRecord],
     structure, the Pearson sample is the records with e > 0, |zeta| > 0
     and a nonzero fidelity, and the Kendall sample the records with a
     finite sin phi; each statistic takes every structure's column at
-    once under its sample mask. The error is read once per controller,
-    whose records all carry it, so Kendall's error signs are computed
-    once for every structure. The |K| moments come from the contiguous
-    per-structure rows, so each is the same float as from that
-    structure's records alone.
+    once under its sample mask, and a column with fewer than two samples
+    gives nan. The error and the zero-fidelity flag are read once per
+    controller, whose records all carry them, so Kendall's error signs
+    are computed once for every structure. The |K| moments come from the
+    contiguous per-structure rows, so each is the same float as from
+    that structure's records alone.
     """
     width = len(structure_indices)
     if not records or len(records) % width:
         raise ValueError(f"{len(records)} records do not fill {width} structures")
     fields = np.fromiter(chain.from_iterable(map(_SUMMARY_FIELDS, records)), float,
-                         count=4 * len(records))
-    zeta, sin_phi, norm_k, zero_fid = fields.reshape(-1, width, 4).transpose(2, 0, 1)
+                         count=3 * len(records))
+    zeta, sin_phi, norm_k = fields.reshape(-1, width, 3).transpose(2, 0, 1)
     abs_zeta = np.abs(zeta)
-    err = np.array([r.e for r in records[::width]])[:, None]
-    loglog = (err > 0.0) & (abs_zeta > 0.0) & (zero_fid == 0.0)
+    heads = records[::width]
+    err = np.array([r.e for r in heads])[:, None]
+    live = ~np.array([r.zero_fidelity for r in heads])[:, None]
+    loglog = (err > 0.0) & (abs_zeta > 0.0) & live
     log_err = np.log10(err, out=np.zeros_like(err), where=err > 0.0)
     log_zeta = np.log10(abs_zeta, out=np.zeros_like(abs_zeta), where=loglog)
-    ranked = np.isfinite(sin_phi)
-    if len(records) // width >= 2:
-        r_loglog = pearson(log_err, log_zeta, where=loglog)
-        tau = kendall(err, sin_phi, where=ranked)
-    else:
-        r_loglog = tau = np.full(width, np.nan)
+    r_loglog = pearson(log_err, log_zeta, where=loglog)
+    tau = kendall(err, sin_phi, where=np.isfinite(sin_phi))
     norms = np.ascontiguousarray(norm_k.T)
     # positional in field order: structure_index, pearson_r_loglog,
     # kendall_tau, count, mean_norm_K, var_norm_K

@@ -25,7 +25,7 @@ output path that is one of its inputs, the synth manifest or another
 output.
 
 Exit codes: 0 success, 1 validation error, 2 invariant failure,
-3 input/output error, a file that is not JSON included.
+3 input/output error, a file that is not JSON (or not UTF-8) included.
 """
 
 from __future__ import annotations
@@ -208,7 +208,8 @@ def _check_against_manifest(manifest_path: Path, inputs: dict) -> int:
     try:
         outputs = json.loads(manifest_path.read_text(encoding="utf-8"))["outputs"]
         expected = {Path(name).name: digest for name, digest in outputs.items()}
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # ValueError: bytes that are not UTF-8 or text that is not JSON
         raise IOError(f"corrupt manifest {manifest_path}: {exc!r}") from exc
     checked = 0
     for path, digest in inputs.items():
@@ -388,8 +389,8 @@ def main(argv=None) -> int:
     except CommandLineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
-        # a ValueError, but a file that is not JSON is an input/output error
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # ValueErrors, but a file that is not JSON (UTF-8 text) is an i/o error
         print(f"i/o error: corrupt input file: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -22,15 +22,17 @@ arrays; f_n, zeta = -t_f f_n k and the perfect-transfer flag (the state
 distance |rf - Phi r0| its route measured <= ``PST_TOL``) are derived
 there alone, every field by the same operations a single record would
 take, over the whole controller at once (``angles`` and
-``identity_residual`` take stacks). ``project`` assembles R_S itself
-from F, k, |K| and the N^2 x N^2 operators Phi and K, all plain arrays,
-for one direction or a whole stack at once, and never forms R; it is the
-reference route that verification checks the records against. Nothing
-here judges the frame: ``angles`` reports the cosines as computed,
-unclamped, and neither the frame identities (remark 1 above, and
-|cos theta| = sin phi) nor |cos| <= 1 is asserted. Verification's remark-1, remark-2 and theorem-1
-checks test the reference records for them and report a defect, in
-either direction, as a failed check.
+``identity_residual`` take stacks). Zero fidelity, where cos phi is
+undefined, is decided once per controller: all its records carry nan
+angles, or none do. ``project`` assembles R_S itself from F, k, |K| and
+the N^2 x N^2 operators Phi and K, all plain arrays, for one direction
+or a whole stack at once, and never forms R; it is the reference route
+that verification checks the records against. Nothing here judges the
+frame: ``angles`` reports the cosines as computed, unclamped, and
+neither the frame identities (remark 1 above, and |cos theta| = sin phi)
+nor |cos| <= 1 is asserted. Verification's remark-1, remark-2 and
+theorem-1 checks test the reference records for them and report a
+defect, in either direction, as a failed check.
 
 Numerical note: sin phi computed as sqrt(1 - cos^2 phi) would lose half
 the digits when phi is tiny, exactly the regime of near-perfect transfer
@@ -62,8 +64,8 @@ PST_TOL = 1e-12
 # The smallest normal float: below this scale cos theta is reported as 0.
 TINY = sys.float_info.min
 
-# Below this fidelity the angle decomposition is numerically meaningless;
-# records are kept but angle fields carry nan and are excluded from stats.
+# Below this fidelity the angle decomposition is numerically meaningless; a
+# controller's records are kept, their angle fields nan and left out of stats.
 ZERO_FIDELITY_FLOOR = 1e-12
 
 
@@ -135,8 +137,6 @@ def angles(fidelity: float, zeta: float | np.ndarray, n: int,
     scale = np.asarray(scale_product(f_n, t_f, norm_k, norm_rs), dtype=float)
     cos_theta = np.divide(np.negative(zeta), scale, out=np.zeros_like(scale),
                           where=scale >= TINY)
-    if cos_phi.ndim == 0:
-        return float(cos_phi), float(sin_phi), float(cos_theta)
     return cos_phi, sin_phi, cos_theta
 
 
@@ -145,9 +145,8 @@ def identity_residual(zeta: float | np.ndarray, f_n: float | np.ndarray, t_f: fl
                       sin_phi: float | np.ndarray) -> float | np.ndarray:
     """Defect of |zeta| = f_n t_f |K| |R_S| sin phi for one record, or per
     entry of a stack of records."""
-    residual = np.abs(np.abs(zeta) - scale_product(f_n, t_f, norm_k, norm_rs)
-                      * np.abs(sin_phi))
-    return float(residual) if residual.ndim == 0 else residual
+    return np.abs(np.abs(zeta) - scale_product(f_n, t_f, norm_k, norm_rs)
+                  * np.abs(sin_phi))
 
 
 @dataclass(frozen=True)
@@ -155,8 +154,8 @@ class GeometryRecord:
     """One (controller, uncertainty) row of the geometric decomposition.
 
     ``k_coeff`` is the frame coefficient <R, K>. Angles carry nan when the
-    record is degenerate (fidelity at the zero-measure floor); such rows
-    keep their scale quantities but are excluded from angle statistics
+    controller is degenerate (fidelity at the zero-measure floor); all its
+    rows keep their scale quantities but are excluded from angle statistics
     downstream.
     """
 
@@ -194,9 +193,10 @@ class GeometryRecord:
         give the indices, n, t_f, f_n = ``scaling_factor`` and
         zeta = -t_f f_n k, and ``gap`` <= ``PST_TOL`` flags perfect
         transfer, made here alone. A fidelity below ``ZERO_FIDELITY_FLOOR``
-        or a vanishing |R_S| gives a zero-fidelity record with nan angles
-        and residual. Every field takes the same operations as a record
-        assembled on its own; they run over the whole controller at once."""
+        or a vanishing |R_S| on any structure flags the whole controller
+        zero-fidelity, with nan angles and residuals. Otherwise every field
+        takes the same operations as a record assembled on its own, over
+        the whole controller at once."""
         n, t_f = controller.spec.num_spins, controller.t_f
         k_coeff, norm_k, norm_rs, perp = (np.asarray(a, dtype=float)
                                           for a in (k_coeff, norm_k, norm_rs, perp))
@@ -204,15 +204,9 @@ class GeometryRecord:
             raise ValueError("norm_K must be positive")
         f_n = np.array([scaling_factor(s, controller) for s in structures], dtype=float)
         zeta = -t_f * f_n * k_coeff
-        zero_fid = (norm_rs <= 0.0) | (f_val < ZERO_FIDELITY_FLOOR)
-        if zero_fid.any():
-            live = ~zero_fid
-            cos_phi, sin_phi, cos_theta, residual = np.full((4, len(structures)), np.nan)
-            cos_phi[live], sin_phi[live], cos_theta[live] = angles(
-                f_val, zeta[live], n, norm_rs[live], norm_k[live], f_n[live], t_f,
-                norm_rs_perp=perp[live])
-            residual[live] = identity_residual(zeta[live], f_n[live], t_f, norm_k[live],
-                                               norm_rs[live], sin_phi[live])
+        zero_fid = bool(f_val < ZERO_FIDELITY_FLOOR or not (norm_rs > 0.0).all())
+        if zero_fid:
+            cos_phi = sin_phi = cos_theta = residual = np.full(len(structures), np.nan)
         else:
             cos_phi, sin_phi, cos_theta = angles(f_val, zeta, n, norm_rs, norm_k, f_n, t_f,
                                                  norm_rs_perp=perp)
@@ -221,7 +215,7 @@ class GeometryRecord:
                    repeat(1.0 - f_val), zeta.tolist(), f_n.tolist(), repeat(t_f),
                    norm_k.tolist(), norm_rs.tolist(), k_coeff.tolist(), cos_phi.tolist(),
                    sin_phi.tolist(), cos_theta.tolist(), residual.tolist(),
-                   repeat(bool(gap <= PST_TOL)), zero_fid.tolist())
+                   repeat(bool(gap <= PST_TOL)), repeat(zero_fid))
         # the fields in declaration order; norm_K > 0, all that __post_init__
         # checks, holds for the whole controller, so each instance dict is
         # filled at once, which the frozen __init__ does one field at a time

@@ -15,6 +15,7 @@ from spinsens import (Controller, NetworkSpec, analyze, enumerate_structures,
                       kendall, pearson, transfer_fidelity)
 from spinsens import analytics
 from spinsens.analytics import TF_CONDITION_LIMIT, evaluate_controller
+from spinsens.geometry import ZERO_FIDELITY_FLOOR
 from spinsens.verification import _structure_images, adjoint_records
 
 
@@ -58,8 +59,10 @@ class TestPearson:
             assert -1.0 <= pearson(x, y) <= 1.0
 
     def test_bad_input_rejected(self):
+        # one sample is too few for a correlation, but not bad input
+        assert math.isnan(pearson([1.0], [1.0]))
         with pytest.raises(ValueError):
-            pearson([1.0], [1.0])
+            pearson([], [])
         with pytest.raises(ValueError):
             pearson([1.0, 2.0], [1.0, 2.0, 3.0])
 
@@ -154,8 +157,12 @@ class TestKendall:
             stats.kendalltau(x, y).statistic, abs=1e-12)
 
     def test_bad_input_rejected(self):
+        # one sample is too few for a correlation, but not bad input
+        assert math.isnan(kendall([1.0], [1.0]))
         with pytest.raises(ValueError):
-            kendall([1.0], [1.0])
+            kendall([], [])
+        with pytest.raises(ValueError):
+            kendall([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestColumnStacks:
@@ -303,6 +310,34 @@ class TestDegenerateEnsembles:
             assert abs(r.zeta) <= 1e-9
             assert r.pst
         for s in summaries:
+            assert math.isnan(s.pearson_r_loglog)
+            assert math.isnan(s.kendall_tau)
+
+    def test_one_controller_ensemble_all_nan_stats(self):
+        # one controller gives each structure one sample, too few for
+        # either correlation, though its records are live
+        records, summaries = analyze([chain2_controller(1.3)])
+        assert len(records) == 3 and not any(r.zero_fidelity for r in records)
+        for s in summaries:
+            assert math.isnan(s.pearson_r_loglog)
+            assert math.isnan(s.kendall_tau)
+
+    def test_back_on_input_is_zero_fidelity_on_both_routes(self):
+        # the unbiased 2-chain at t_f = pi returns the excitation to the
+        # input: F ~ 1e-32, so every record of both routes is zero-fidelity,
+        # with nan angles and residual, and no summary has a sample
+        controller = chain2_controller(math.pi)
+        assert controller.fidelity < ZERO_FIDELITY_FLOOR
+        records, summaries = analyze([controller])
+        oracle = [r for r, _ in adjoint_records(controller)]
+        for route in (records, oracle):
+            assert len(route) == 3
+            for r in route:
+                assert r.zero_fidelity
+                assert all(map(math.isnan, (r.cos_phi, r.sin_phi, r.cos_theta,
+                                            r.identity_residual)))
+        for s in summaries:
+            assert s.count == 0
             assert math.isnan(s.pearson_r_loglog)
             assert math.isnan(s.kendall_tau)
 

@@ -333,21 +333,25 @@ class TestAnalyzeInputs:
 
     def test_unparseable_json_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("[{")
         (tmp_path / "bad.spec.json").write_text(
             '{"n": 2, "topology": "chain", "j": 1.0, "in": 1, "out": 2}')
-        assert main(["analyze", str(bad)]) == 3
-        assert "corrupt" in capsys.readouterr().err
+        # JSON text is UTF-8, so bytes that do not decode are not JSON either
+        for data in (b"[{", b"\xff\xfe[]"):
+            bad.write_bytes(data)
+            assert main(["analyze", str(bad)]) == 3
+            assert "corrupt" in capsys.readouterr().err
 
     def test_synth_spec_not_json_is_io_error(self, tmp_path, capsys):
         # the network sidecar, which synth writes next to its controllers
         rows = tmp_path / "rows.json"
         rows.write_text('[{"index": 0, "tf": 1.0, "biases": [0, 0], "fidelity": 0.5}]')
-        (tmp_path / "rows.spec.json").write_text("n = 4")
-        assert main(["analyze", str(rows), "--records", str(tmp_path / "r.csv"),
-                     "--summaries", str(tmp_path / "s.csv")]) == 3
-        assert "corrupt" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.json", "rows.spec.json"]
+        for data in (b"n = 4", b"\xff{}"):
+            (tmp_path / "rows.spec.json").write_bytes(data)
+            assert main(["analyze", str(rows), "--records", str(tmp_path / "r.csv"),
+                         "--summaries", str(tmp_path / "s.csv")]) == 3
+            assert "corrupt" in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.json",
+                                                                  "rows.spec.json"]
 
     def test_row_missing_key_is_validation_error(self, tmp_path):
         bad = tmp_path / "rows.json"
@@ -715,10 +719,10 @@ class TestSynthManifestCheck:
         records, _ = run_analyze(out, threads=1)
         assert checked_count(records) == 0
 
-    @pytest.mark.parametrize("doc", ["[{", "[]", '{"outputs": 5}'])
+    @pytest.mark.parametrize("doc", [b"[{", b"[]", b'{"outputs": 5}', b"\xff{}"])
     def test_corrupt_manifest_is_io_error(self, tmp_path, capsys, doc):
         out = run_synth(tmp_path, "bad", threads=1)
-        out.with_name("controllers.manifest.json").write_text(doc)
+        out.with_name("controllers.manifest.json").write_bytes(doc)
         assert main(["analyze", str(out), "--records", str(tmp_path / "r.csv"),
                      "--summaries", str(tmp_path / "s.csv")]) == 3
         assert "corrupt manifest" in capsys.readouterr().err

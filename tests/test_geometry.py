@@ -227,13 +227,13 @@ class TestGeometryRecord:
             GeometryRecord(**self._kwargs(norm_K=0.0))
 
 
-def record_alone(ctl, structure, f_val, k, norm_k, norm_rs, perp, gap):
+def record_alone(ctl, structure, f_val, zero_fid, k, norm_k, norm_rs, perp, gap):
     """One record from Python floats, one operation at a time: the rules
-    ``assemble`` applies to a whole controller."""
+    ``assemble`` applies to a whole controller, given the controller's
+    zero-fidelity decision ``zero_fid``."""
     n, t_f = ctl.spec.num_spins, ctl.t_f
     f_n = scaling_factor(structure, ctl)
     zeta = -t_f * f_n * k
-    zero_fid = f_val < ZERO_FIDELITY_FLOOR or norm_rs <= 0.0
     cos_phi = sin_phi = cos_theta = residual = float("nan")
     if not zero_fid:
         cos_phi = f_val / (n * norm_rs)
@@ -249,11 +249,13 @@ def record_alone(ctl, structure, f_val, k, norm_k, norm_rs, perp, gap):
 class TestControllerAssembly:
     RING4 = NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=2)
 
-    @pytest.mark.parametrize("f_val, gap", [(0.4, 0.2), (0.4, PST_TOL), (1e-13, 0.9)],
-                             ids=["live", "perfect-transfer", "zero-fidelity"])
-    def test_fields_match_one_record_at_a_time(self, rng, f_val, gap):
-        # bit for bit, through both branches: a vanishing |R_S| on one
-        # structure, a zero bias (f_n = 0, so cos theta = 0) on another
+    @pytest.mark.parametrize("f_val, gap, vanishing", [
+        (0.4, 0.2, False), (0.4, PST_TOL, False), (1e-13, 0.9, False), (0.4, 0.2, True)],
+        ids=["live", "perfect-transfer", "zero-fidelity", "vanishing-projection"])
+    def test_fields_match_one_record_at_a_time(self, rng, f_val, gap, vanishing):
+        # bit for bit, through both branches, with a zero bias (f_n = 0, so
+        # cos theta = 0) on one structure; a vanishing |R_S| on one
+        # structure flags the whole controller, as a vanishing F does
         biases = rng.uniform(0.5, 2.0, 4)
         biases[1] = 0.0
         ctl = Controller(biases=biases, t_f=1.3, fidelity=0.5, spec=self.RING4,
@@ -263,11 +265,13 @@ class TestControllerAssembly:
         norm_k = rng.uniform(0.5, 2.0, 8)
         perp = np.abs(k) / norm_k
         norm_rs = np.hypot(f_val / 4, perp)
-        norm_rs[5] = 0.0
+        if vanishing:
+            norm_rs[5] = 0.0
+        zero_fid = f_val < ZERO_FIDELITY_FLOOR or vanishing
         records = GeometryRecord.assemble(ctl, structures, f_val=f_val, k_coeff=k,
                                           norm_k=norm_k, norm_rs=norm_rs, perp=perp,
                                           gap=gap)
-        expected = [record_alone(ctl, s, f_val, *row, gap) for s, row in zip(
+        expected = [record_alone(ctl, s, f_val, zero_fid, *row, gap) for s, row in zip(
             structures, zip(k.tolist(), norm_k.tolist(), norm_rs.tolist(), perp.tolist()))]
         # repr shows every digit, and nan equals nan
         assert repr(records) == repr(expected)

@@ -187,11 +187,12 @@ def optimize_from(spec, biases, t_f, config, seed=0, index=0):
     return local_optimize(spec, ascent, config, seed=seed, index=index)
 
 
-def minimize_restart(spec, start, config):
+def minimize_restart(spec, start, config, maxiter=MAXITER):
     """The per-restart ascent that `_ascend` replaced, kept as its
-    reference: scipy's public ``minimize`` with the same L-BFGS-B settings,
-    then the same acceptance and status. Returns the accepted point, its
-    fidelity and status, and the number of objective evaluations."""
+    reference: scipy's public ``minimize`` with the same L-BFGS-B settings
+    (an iteration cap of ``maxiter``), then the same acceptance and status.
+    Returns the accepted point, its fidelity and status, and the number of
+    objective evaluations."""
     from scipy.optimize import minimize
 
     evaluated = {}
@@ -203,7 +204,7 @@ def minimize_restart(spec, start, config):
 
     bounds = [config.bias_range] * spec.num_spins + [config.t_f_range]
     res = minimize(negated, start, jac=True, method="L-BFGS-B", bounds=bounds,
-                   options={"maxiter": MAXITER, "ftol": 1e-15, "gtol": TOLERANCE / 10.0})
+                   options={"maxiter": maxiter, "ftol": 1e-15, "gtol": TOLERANCE / 10.0})
     start_f = next(iter(evaluated.values()))[0]
     x = np.asarray(res.x) if -res.fun > start_f else start
     f, grad = evaluated[x.tobytes()]
@@ -306,6 +307,24 @@ class TestLocalOptimize:
         # the ensemble is sorted and deduplicated from these restarts alone,
         # so its bytes and statuses follow from theirs
         assert sum(rows) == sum(nfev for _, nfev in restarts)
+
+    def test_iteration_cap_matches_minimize(self, monkeypatch):
+        # every restart stopped by the iteration cap stops where minimize's
+        # maxiter stops it, with the same evaluations, labelled "maxiter"
+        import spinsens.synthesis as synthesis
+        monkeypatch.setattr(synthesis, "MAXITER", 3)
+        config = SynthesisConfig(restarts=12, seed=0)
+        starts = np.array([
+            np.append(rng.uniform(*config.bias_range, RING4.num_spins),
+                      rng.uniform(*config.t_f_range))
+            for rng in map(np.random.default_rng,
+                           np.random.SeedSequence(config.seed).spawn(config.restarts))])
+        for i, (start, ascent) in enumerate(zip(starts, _ascend(RING4, starts, config))):
+            (x, fidelity, status), nfev = minimize_restart(RING4, start, config, maxiter=3)
+            ctl = local_optimize(RING4, ascent, config, seed=i, index=i)
+            assert ctl.biases.tobytes() == x[:-1].tobytes(), i
+            assert (ctl.t_f, ctl.fidelity, ctl.status) == (x[-1], fidelity, status), i
+            assert (status, ascent.nfev) == ("maxiter", nfev), i
 
     def test_finished_ascent_keeps_no_evaluation_history(self):
         # a finished ascent holds the evaluations local_optimize reads (the
