@@ -224,7 +224,7 @@ def summarize_structure(records: Sequence[GeometryRecord],
     that structure's records alone.
     """
     width = len(structure_indices)
-    if not records or len(records) % width:
+    if not records or not width or len(records) % width:
         raise ValueError(f"{len(records)} records do not fill {width} structures")
     fields = np.fromiter(chain.from_iterable(map(_SUMMARY_FIELDS, records)), float,
                          count=3 * len(records))

@@ -22,17 +22,18 @@ arrays; f_n, zeta = -t_f f_n k and the perfect-transfer flag (the state
 distance |rf - Phi r0| its route measured <= ``PST_TOL``) are derived
 there alone, every field by the same operations a single record would
 take, over the whole controller at once (``angles`` and
-``identity_residual`` take stacks). Zero fidelity, where cos phi is
-undefined, is decided once per controller: all its records carry nan
-angles, or none do. ``project`` assembles R_S itself from F, k, |K| and
-the N^2 x N^2 operators Phi and K, all plain arrays, for one direction
-or a whole stack at once, and never forms R; it is the reference route
-that verification checks the records against. Nothing here judges the
-frame: ``angles`` reports the cosines as computed, unclamped, and
-neither the frame identities (remark 1 above, and |cos theta| = sin phi)
-nor |cos| <= 1 is asserted. Verification's remark-1, remark-2 and
-theorem-1 checks test the reference records for them and report a
-defect, in either direction, as a failed check.
+``identity_residual`` take stacks). A record is an immutable
+``NamedTuple`` row; ``._replace`` gives a changed copy. Zero fidelity,
+where cos phi is undefined, is decided once per controller: all its
+records carry nan angles, or none do. ``project`` assembles R_S itself
+from F, k, |K| and the N^2 x N^2 operators Phi and K, all plain arrays,
+for one direction or a whole stack at once, and never forms R; it is the
+reference route that verification checks the records against. Nothing
+here judges the frame: ``angles`` reports the cosines as computed,
+unclamped, and neither the frame identities (remark 1 above, and
+|cos theta| = sin phi) nor |cos| <= 1 is asserted. Verification's
+remark-1, remark-2 and theorem-1 checks test the reference records for
+them and report a defect, in either direction, as a failed check.
 
 Numerical note: sin phi computed as sqrt(1 - cos^2 phi) would lose half
 the digits when phi is tiny, exactly the regime of near-perfect transfer
@@ -45,9 +46,8 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -149,10 +149,11 @@ def identity_residual(zeta: float | np.ndarray, f_n: float | np.ndarray, t_f: fl
                   * np.abs(sin_phi))
 
 
-@dataclass(frozen=True)
-class GeometryRecord:
+class GeometryRecord(NamedTuple):
     """One (controller, uncertainty) row of the geometric decomposition.
 
+    A record is an immutable ``NamedTuple`` row: equality and hashing
+    compare the field tuple, and ``._replace`` gives a changed copy.
     ``k_coeff`` is the frame coefficient <R, K>. Angles carry nan when the
     controller is degenerate (fidelity at the zero-measure floor); all its
     rows keep their scale quantities but are excluded from angle statistics
@@ -176,10 +177,6 @@ class GeometryRecord:
     pst: bool
     zero_fidelity: bool
 
-    def __post_init__(self):
-        if self.norm_K <= 0:
-            raise ValueError("norm_K must be positive")
-
     @classmethod
     def assemble(cls, controller: "Controller",
                  structures: Sequence[UncertaintyStructure], *, f_val: float,
@@ -192,11 +189,13 @@ class GeometryRecord:
         R_S off the propagator, as arrays in structure order. The pairs
         give the indices, n, t_f, f_n = ``scaling_factor`` and
         zeta = -t_f f_n k, and ``gap`` <= ``PST_TOL`` flags perfect
-        transfer, made here alone. A fidelity below ``ZERO_FIDELITY_FLOOR``
+        transfer, made here alone. |K| > 0 is checked here, the one check
+        on the record path. A fidelity below ``ZERO_FIDELITY_FLOOR``
         or a vanishing |R_S| on any structure flags the whole controller
         zero-fidelity, with nan angles and residuals. Otherwise every field
         takes the same operations as a record assembled on its own, over
-        the whole controller at once."""
+        the whole controller at once; each row becomes a record by
+        ``_make``."""
         n, t_f = controller.spec.num_spins, controller.t_f
         k_coeff, norm_k, norm_rs, perp = (np.asarray(a, dtype=float)
                                           for a in (k_coeff, norm_k, norm_rs, perp))
@@ -216,16 +215,7 @@ class GeometryRecord:
                    norm_k.tolist(), norm_rs.tolist(), k_coeff.tolist(), cos_phi.tolist(),
                    sin_phi.tolist(), cos_theta.tolist(), residual.tolist(),
                    repeat(bool(gap <= PST_TOL)), repeat(zero_fid))
-        # the fields in declaration order; norm_K > 0, all that __post_init__
-        # checks, holds for the whole controller, so each instance dict is
-        # filled at once, which the frozen __init__ does one field at a time
-        names = tuple(cls.__dataclass_fields__)
-        records = []
-        for row in rows:
-            record = object.__new__(cls)
-            record.__dict__.update(zip(names, row))
-            records.append(record)
-        return records
+        return list(map(cls._make, rows))
 
     @property
     def abs_zeta(self) -> float:

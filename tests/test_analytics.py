@@ -192,6 +192,11 @@ class TestColumnStacks:
     def test_vectors_give_a_float(self):
         assert isinstance(kendall([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]), float)
         assert isinstance(pearson([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]), float)
+        # a vector mask on vectors keeps the float and drops its samples
+        for stat in (pearson, kendall):
+            masked = stat([1, 2, 3, 4], [1, 3, 2, 5], where=[True, True, False, True])
+            assert isinstance(masked, float)
+            assert masked == stat([1, 2, 4], [1, 3, 5])
 
     def test_used_nan_rejected(self):
         with pytest.raises(ValueError, match="nan"):
@@ -232,6 +237,8 @@ class TestSummaries:
         records, _ = ring4_analysis
         with pytest.raises(ValueError, match="do not fill"):
             analytics.summarize_structure(records[:-1], range(1, 9))
+        with pytest.raises(ValueError, match="do not fill"):
+            analytics.summarize_structure(records, [])
 
 
 class TestAnalyzePipeline:

@@ -1024,3 +1024,16 @@ class TestVerifyCommand:
         fails = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert len(fails) == 1 and "cross-formulation" in fails[0]
         assert "(seed 5)" in out
+
+    def test_invariant_violation_exits_2_without_a_report(self, capsys, monkeypatch):
+        # a negative imaginary-residue tolerance makes the first propagator
+        # an invariant violation: exit 2, one stderr line and no table
+        from spinsens import sensitivity
+        monkeypatch.setattr(sensitivity, "IMAG_TOL", -1.0)
+        assert main(["verify", "--n", "2", "3", "--systems-per-dim", "3",
+                     "--three-way-per-dim", "3", "--cross-count", "10",
+                     "--restarts", "2", "--seed", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "invariant violation: propagator has imaginary residue")

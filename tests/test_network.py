@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,15 @@ class TestPerturb:
         ham = build_hamiltonian(spec, ctl.biases)
         for s in enumerate_structures(spec):
             assert np.array_equal(perturb(ham, s, 0.0, ctl), ham)
+
+    def test_structure_of_another_size_rejected(self):
+        spec = NetworkSpec(num_spins=4, topology="chain", input_spin=1, output_spin=4)
+        ctl = make_controller(spec, [1.0, 2.0, 3.0, 4.0])
+        ham = build_hamiltonian(spec, ctl.biases)
+        chain5 = NetworkSpec(num_spins=5, topology="chain", input_spin=1, output_spin=5)
+        with pytest.raises(ValueError, match=re.escape(
+                "structure dimension (5, 5) does not match Hamiltonian dimension (4, 4)")):
+            perturb(ham, enumerate_structures(chain5)[0], 0.01, ctl)
 
     def test_bias_perturbation_scales_with_field(self):
         spec = NetworkSpec(num_spins=4, topology="chain", input_spin=1, output_spin=4)

@@ -117,7 +117,7 @@ def test_reference_records_pinned():
     rows = 0
     for controller in controllers:
         for record, tr_phi_k in verification.adjoint_records(controller):
-            digest.update(repr((dataclasses.astuple(record), tr_phi_k)).encode())
+            digest.update(repr((tuple(record), tr_phi_k)).encode())
             rows += 1
     assert rows == 166
     assert digest.hexdigest() == (
@@ -227,7 +227,7 @@ def test_theorem1_checks_alignment_of_reference_records(factor, passed):
     r = i.oracle
     allowance = 1e-8 + 8.0 * i.spec.num_spins ** 2 * np.finfo(float).eps / r.norm_Rs
     cos_theta = math.copysign(r.sin_phi + factor * allowance, r.cos_theta)
-    bent = dataclasses.replace(i, oracle=dataclasses.replace(r, cos_theta=cos_theta))
+    bent = dataclasses.replace(i, oracle=r._replace(cos_theta=cos_theta))
     res = check_theorem1(instances + [bent])
     assert (res.name, res.passed) == ("theorem1-identity", passed)
     assert res.detail.endswith("1 with |cos theta| and sin phi apart") != passed
@@ -245,8 +245,8 @@ def pool():
 def bend(pool, at, **oracle_fields):
     # the pool with the reference record of instance ``at`` changed
     i = pool[at]
-    return (pool[:at] + [dataclasses.replace(i, oracle=dataclasses.replace(
-        i.oracle, **oracle_fields))] + pool[at + 1:])
+    return (pool[:at] + [dataclasses.replace(i, oracle=i.oracle._replace(**oracle_fields))]
+            + pool[at + 1:])
 
 
 @pytest.mark.parametrize("excess, label", [(1e-9, "WARN"), (0.0, "PASS")])
@@ -310,7 +310,7 @@ def test_necessity_report_branches(pool, monkeypatch, fields, passed, detail):
     # a residual budget of 1e-8, changed by ``fields``
     base = {"controller_index": 3, "structure_index": 2, "F": 0.9, "e": 0.1,
             "zeta": 1.0, "f_n": 1.0, "sin_phi": 0.5, "identity_residual": 0.0}
-    record = dataclasses.replace(pool[0].record, **{**base, **fields})
+    record = pool[0].record._replace(**{**base, **fields})
     monkeypatch.setattr(verification, "synthesize_ensemble",
                         lambda spec, config: [None])
     monkeypatch.setattr(verification, "evaluate_controller",
