@@ -30,6 +30,7 @@ from functools import cache
 
 import numpy as np
 
+from .errors import InvariantViolation
 from .network import NetworkSpec, _json_object, _number, _number_fields, _readonly
 from .sensitivity import _eigensystem, hadamard_core
 
@@ -194,10 +195,11 @@ class _Ascent:
 
     ``x`` is the current point, which ``setulb`` moves in place; ``f`` and
     ``g`` are the minimized -F and -grad F it reads. Of the evaluations
-    (F, grad F), the ascent keeps the three ``local_optimize`` may read
-    (``value_at``): the start's, the current iterate's and the one at the
-    point evaluated last (``last_x``, with ``last``). Once the ascent
-    stops, ``stop`` frees the L-BFGS-B workspace.
+    (F, grad F), the ascent keeps three: the start's (``start_value``),
+    the current iterate's (``iterate``, with ``iterate_value``), which
+    ``local_optimize`` reads, and the one at the point evaluated last
+    (``last_x``, with ``last``), which answers a repeated request. Once
+    the ascent stops, ``stop`` frees the L-BFGS-B workspace.
     """
 
     def __init__(self, start: np.ndarray):
@@ -227,24 +229,18 @@ class _Ascent:
         self.nfev += 1
 
     def advance(self) -> None:
-        """Take the current point, which ``setulb`` evaluated, as the iterate."""
+        """Take the current point as the iterate. ``setulb`` accepts a point
+        only after evaluating it, so the point is the one evaluated last and
+        its value is ``last``."""
+        if self.x.tobytes() != self.last_x.tobytes():
+            raise InvariantViolation("L-BFGS-B took an iterate it did not evaluate last")
         self.iterations += 1
-        self.iterate_value = self.value_at(self.x)
+        self.iterate_value = self.last
         self.iterate = self.x.copy()
 
     def stop(self) -> None:
         """Free the workspace of a finished ascent."""
         self.wa = self.iwa = None
-
-    def value_at(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """(F, grad F) at ``x``, which must be the point evaluated last, the
-        iterate or the start (compared bitwise)."""
-        key = x.tobytes()
-        for point, value in ((self.last_x, self.last), (self.iterate, self.iterate_value),
-                             (self.start, self.start_value)):
-            if point.tobytes() == key:
-                return value
-        raise KeyError("the ascent kept no evaluation at this point")
 
 
 def _bounds(spec: NetworkSpec, config: SynthesisConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -311,39 +307,40 @@ def local_optimize(spec: NetworkSpec, ascent: _Ascent, config: SynthesisConfig,
                    seed: int = 0, index: int = 0) -> Controller:
     """The controller one finished L-BFGS-B ascent over (biases, t_f) gives.
 
-    The ascent's end is accepted only when the last fidelity it evaluated
-    strictly improves the start, so a point that is already stationary (a
+    L-BFGS-B stops at its last iterate: after a line search that fails it
+    restores that iterate (Byrd, Lu, Nocedal & Zhu 1995), so an ascent
+    that ends anywhere else raises ``InvariantViolation``. The iterate is
+    accepted only when the last fidelity the ascent evaluated strictly
+    improves the start, so a point that is already stationary (a
     perfect-transfer controller in particular) comes back unchanged. The
     status is "converged" when the projected gradient over (biases, t_f)
     at the returned point is at most ``TOLERANCE`` or its error 1 - F is
     at most ``FIDELITY_TOL``, and "maxiter" otherwise. Since F <= 1
     everywhere, a point of error within ``FIDELITY_TOL`` is a global
     maximum, even where rounding keeps its gradient above the tolerance.
-    Both read the ascent's own evaluations: no fidelity is computed here.
+    Both read the values the ascent stored for the iterate or the start:
+    no fidelity is computed here.
     """
+    if ascent.x.tobytes() != ascent.iterate.tobytes():
+        raise InvariantViolation("L-BFGS-B stopped away from its last iterate")
     # after a line search stops abnormally, ascent.f belongs to the last
     # point tried, not to ascent.x, so only the acceptance reads it
-    start_f = ascent.start_value[0]
-    x = ascent.x if -ascent.f > start_f else ascent.start
-    f_final, grad = ascent.value_at(x)
+    if -ascent.f > ascent.start_value[0]:
+        x, (f_final, grad) = ascent.iterate, ascent.iterate_value
+    else:
+        x, (f_final, grad) = ascent.start, ascent.start_value
     lo, hi = _bounds(spec, config)
-    converged = (_projected_norm(grad, x, lo, hi) <= TOLERANCE
+    # the projected gradient: no entry that points out of the box
+    outward = ((x <= lo) & (grad < 0)) | ((x >= hi) & (grad > 0))
+    converged = (np.abs(np.where(outward, 0.0, grad)).max() <= TOLERANCE
                  or 1.0 - f_final <= FIDELITY_TOL)
     return Controller(biases=x[:-1], t_f=float(x[-1]), fidelity=min(1.0, f_final),
                       spec=spec, seed=seed, index=index,
                       status="converged" if converged else "maxiter")
 
 
-def _projected_norm(grad: np.ndarray, x: np.ndarray, lo: np.ndarray,
-                    hi: np.ndarray) -> float:
-    g = grad.copy()
-    g[(x <= lo) & (g < 0)] = 0.0
-    g[(x >= hi) & (g > 0)] = 0.0
-    return float(np.abs(g).max())
-
-
 def synthesize_ensemble(spec: NetworkSpec, config: SynthesisConfig) -> list[Controller]:
-    """Multistart synthesis: seeded restarts, dedupe, sort by fidelity.
+    """Multistart synthesis: seeded restarts, sort by fidelity, dedupe.
 
     Every restart's start is drawn from its own child seed, all restarts
     ascend together (``_ascend``), and ``local_optimize`` turns each
@@ -364,26 +361,17 @@ def synthesize_ensemble(spec: NetworkSpec, config: SynthesisConfig) -> list[Cont
 
 def _distinct(controllers: list[Controller]) -> list[Controller]:
     """The controllers, in order, less each one that lies within 1e-6 of a
-    controller kept before it, both in the bias norm and in t_f.
+    controller kept before it, both in t_f and in the bias norm.
 
-    One pairwise mask marks the close pairs: |t_f| differences for every
-    pair, bias distances for the pairs close in t_f. The greedy walk then
-    keeps a controller unless one of its earlier close partners was kept.
+    A greedy walk over the kept list; t_f is compared first, so the bias
+    norm is taken only for the pairs close in t_f.
     """
-    if not controllers:
-        return []
-    biases = np.array([c.biases for c in controllers])
-    t_f = np.array([c.t_f for c in controllers])
-    later, earlier = np.nonzero(np.tril(np.abs(t_f[:, None] - t_f) < 1e-6, -1))
-    close = np.linalg.norm(biases[later] - biases[earlier], axis=-1) < 1e-6
-    partners: dict[int, list[int]] = {}
-    for i, j in zip(later[close].tolist(), earlier[close].tolist()):
-        partners.setdefault(i, []).append(j)
-    kept: set[int] = set()
-    for i in range(len(controllers)):
-        if kept.isdisjoint(partners.get(i, ())):
-            kept.add(i)
-    return [c for i, c in enumerate(controllers) if i in kept]
+    kept: list[Controller] = []
+    for c in controllers:
+        if not any(abs(c.t_f - k.t_f) < 1e-6 and np.linalg.norm(c.biases - k.biases) < 1e-6
+                   for k in kept):
+            kept.append(c)
+    return kept
 
 
 def f17(x: float) -> str:

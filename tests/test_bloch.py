@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinsens import (Controller, NetworkSpec, adjoint_rep, build_hamiltonian,
-                      enumerate_structures, gell_mann_basis,
+from spinsens import (Controller, InvariantViolation, NetworkSpec, adjoint_rep,
+                      build_hamiltonian, enumerate_structures, gell_mann_basis,
                       propagator_matrix, site_state, spectral_decompose,
                       state_to_bloch)
+from spinsens import bloch
 from spinsens.verification import _adjoint_frame, adjoint_records
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -143,6 +144,19 @@ class TestAdjointRep:
             want[:, -1] = 0.0
             assert np.array_equal(adjoint_rep(h), want)
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="Hamiltonian must be square"):
+            adjoint_rep(np.zeros((2, 3)))
+
+    def test_complex_basis_element_is_an_invariant_violation(self, rng, monkeypatch):
+        # a basis element times 1j is anti-Hermitian, so the generator's
+        # entries in its row and column come out imaginary
+        exact = bloch.gell_mann_basis
+        monkeypatch.setattr(bloch, "gell_mann_basis",
+                            lambda n: np.concatenate([1j * exact(n)[:1], exact(n)[1:]]))
+        with pytest.raises(InvariantViolation, match="adjoint generator has imaginary residue"):
+            adjoint_rep(random_hermitian(rng, 3))
+
 
 class TestStateToBloch:
     def test_excited_qubit(self):
@@ -173,6 +187,14 @@ class TestStateToBloch:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             state_to_bloch(np.array([1.0, 1.0]))
+
+    def test_complex_basis_element_is_an_invariant_violation(self, monkeypatch):
+        # the identity element times 1j gives the coherence an imaginary entry
+        exact = bloch.gell_mann_basis
+        monkeypatch.setattr(bloch, "gell_mann_basis",
+                            lambda n: np.concatenate([exact(n)[:-1], 1j * exact(n)[-1:]]))
+        with pytest.raises(InvariantViolation, match="coherence vector has imaginary residue"):
+            state_to_bloch(np.array([1.0, 0.0]))
 
 
 class TestSiteState:

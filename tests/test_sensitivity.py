@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, expm_frechet
 
-from spinsens import (NetworkSpec, adjoint_rep,
+from spinsens import (InvariantViolation, NetworkSpec, adjoint_rep,
                       adjoint_sensitivity_operator,
                       build_hamiltonian, enumerate_structures, fd_oracle,
                       frechet_oracle, hadamard_core, hilbert_transfer,
                       propagator_matrix, scaling_factor, sensitivity_operator,
                       spectral_decompose, transfer_fidelity)
+from spinsens import sensitivity
 from spinsens.synthesis import Controller
 from spinsens.verification import _endpoints, adjoint_records
 from test_properties import BOX_BIASES, EDGE_BIASES, RING4
@@ -80,6 +81,16 @@ class TestSpectralDecompose:
     def test_non_skew_rejected(self):
         with pytest.raises(ValueError):
             spectral_decompose(np.eye(3))
+
+    @pytest.mark.parametrize("bend, message", [
+        (lambda mu, vec: (mu, 1.001 * vec), "eigenvector matrix not unitary"),
+        (lambda mu, vec: (1.001 * mu, vec), "spectral reconstruction failed")])
+    def test_bent_eigensolver_is_an_invariant_violation(self, bend, message, rng,
+                                                         monkeypatch):
+        exact = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: bend(*exact(a)))
+        with pytest.raises(InvariantViolation, match=message):
+            spectral_decompose(random_generator(rng, 3))
 
     def test_output_read_only(self, rng):
         lam, m = spectral_decompose(random_generator(rng, 2))
@@ -171,6 +182,14 @@ class TestSensitivityOperator:
         (lam, m), s_bloch, _ = self._setup(rng)
         k_op, _ = adjoint_sensitivity_operator(lam, m, s_bloch, 0.0)
         assert np.abs(k_op - s_bloch).max() < 1e-12
+
+    def test_imaginary_residue_is_an_invariant_violation(self, rng, monkeypatch):
+        # any residue exceeds a negative tolerance
+        (lam, m), s_bloch, t_f = self._setup(rng)
+        monkeypatch.setattr(sensitivity, "IMAG_TOL", -1.0)
+        with pytest.raises(InvariantViolation,
+                           match="sensitivity operator has imaginary residue"):
+            adjoint_sensitivity_operator(lam, m, s_bloch, t_f)
 
     def test_non_skew_direction_rejected(self, rng):
         (lam, m), _, t_f = self._setup(rng)
@@ -375,7 +394,6 @@ class TestFrechetReach:
         # X scaled by 1 + 1e-9 moves k by 1e-9 |k|, above the budget where
         # |k| > 4 eps t max|E| / 1e-9, about 0.09 at 1e5; at 1e6 that takes
         # |k| > 0.9, which none of these instances reaches
-        from spinsens import sensitivity
         exact = sensitivity.hadamard_core
         monkeypatch.setattr(sensitivity, "hadamard_core",
                             lambda lam, t_f: (1.0 + 1e-9) * exact(lam, t_f))

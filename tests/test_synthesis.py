@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from spinsens import (Controller, NetworkSpec, SynthesisConfig,
+from spinsens import (Controller, InvariantViolation, NetworkSpec, SynthesisConfig,
                       build_hamiltonian, controllers_from_json, controllers_to_json,
                       fidelity_objective, local_optimize, synthesize_ensemble,
                       transfer_fidelity)
-from spinsens.synthesis import FIDELITY_TOL, MAXITER, TOLERANCE, _ascend, _distinct, f17
+from spinsens.synthesis import (_MAXFUN, FIDELITY_TOL, MAXITER, TOLERANCE, _ascend, _distinct,
+                                f17)
 from spinsens.verification import adjoint_records
 
 CHAIN2 = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
@@ -187,10 +188,11 @@ def optimize_from(spec, biases, t_f, config, seed=0, index=0):
     return local_optimize(spec, ascent, config, seed=seed, index=index)
 
 
-def minimize_restart(spec, start, config, maxiter=MAXITER):
+def minimize_restart(spec, start, config, maxiter=MAXITER, maxfun=_MAXFUN):
     """The per-restart ascent that `_ascend` replaced, kept as its
     reference: scipy's public ``minimize`` with the same L-BFGS-B settings
-    (an iteration cap of ``maxiter``), then the same acceptance and status.
+    (an iteration cap of ``maxiter`` and an evaluation cap of ``maxfun``),
+    then the same acceptance and status.
     Returns the accepted point, its fidelity and status, and the number of
     objective evaluations."""
     from scipy.optimize import minimize
@@ -204,7 +206,8 @@ def minimize_restart(spec, start, config, maxiter=MAXITER):
 
     bounds = [config.bias_range] * spec.num_spins + [config.t_f_range]
     res = minimize(negated, start, jac=True, method="L-BFGS-B", bounds=bounds,
-                   options={"maxiter": maxiter, "ftol": 1e-15, "gtol": TOLERANCE / 10.0})
+                   options={"maxiter": maxiter, "maxfun": maxfun, "ftol": 1e-15,
+                            "gtol": TOLERANCE / 10.0})
     start_f = next(iter(evaluated.values()))[0]
     x = np.asarray(res.x) if -res.fun > start_f else start
     f, grad = evaluated[x.tobytes()]
@@ -227,6 +230,15 @@ ORACLE_CASES = [
     (CHAIN2, SynthesisConfig(restarts=8, bias_range=(0.0, 1e-9), t_f_range=(1.5, 1.6),
                              seed=1)),
 ]
+
+
+def ring4_starts(config):
+    # the starts synthesize_ensemble draws for the 4-ring under config
+    return np.array([
+        np.append(rng.uniform(*config.bias_range, RING4.num_spins),
+                  rng.uniform(*config.t_f_range))
+        for rng in map(np.random.default_rng,
+                       np.random.SeedSequence(config.seed).spawn(config.restarts))])
 
 
 class TestLocalOptimize:
@@ -314,11 +326,7 @@ class TestLocalOptimize:
         import spinsens.synthesis as synthesis
         monkeypatch.setattr(synthesis, "MAXITER", 3)
         config = SynthesisConfig(restarts=12, seed=0)
-        starts = np.array([
-            np.append(rng.uniform(*config.bias_range, RING4.num_spins),
-                      rng.uniform(*config.t_f_range))
-            for rng in map(np.random.default_rng,
-                           np.random.SeedSequence(config.seed).spawn(config.restarts))])
+        starts = ring4_starts(config)
         for i, (start, ascent) in enumerate(zip(starts, _ascend(RING4, starts, config))):
             (x, fidelity, status), nfev = minimize_restart(RING4, start, config, maxiter=3)
             ctl = local_optimize(RING4, ascent, config, seed=i, index=i)
@@ -326,9 +334,26 @@ class TestLocalOptimize:
             assert (ctl.t_f, ctl.fidelity, ctl.status) == (x[-1], fidelity, status), i
             assert (status, ascent.nfev) == ("maxiter", nfev), i
 
+    @pytest.mark.parametrize("maxfun", [3, 8, 15])
+    def test_evaluation_cap_matches_minimize(self, maxfun, monkeypatch):
+        # every restart stopped by the evaluation cap stops where minimize's
+        # maxfun stops it, with the same point, fidelity, status and
+        # number of evaluations
+        import spinsens.synthesis as synthesis
+        monkeypatch.setattr(synthesis, "_MAXFUN", maxfun)
+        config = SynthesisConfig(restarts=12, seed=0)
+        starts = ring4_starts(config)
+        for i, (start, ascent) in enumerate(zip(starts, _ascend(RING4, starts, config))):
+            (x, fidelity, status), nfev = minimize_restart(RING4, start, config, maxfun=maxfun)
+            ctl = local_optimize(RING4, ascent, config, seed=i, index=i)
+            assert ctl.biases.tobytes() == x[:-1].tobytes(), i
+            assert (ctl.t_f, ctl.fidelity, ctl.status) == (x[-1], fidelity, status), i
+            assert (ascent.task[1], ascent.nfev) == (synthesis._STOP_MAXFUN, nfev), i
+
     def test_finished_ascent_keeps_no_evaluation_history(self):
-        # a finished ascent holds the evaluations local_optimize reads (the
-        # start, the iterate and the point evaluated last) and no workspace
+        # a finished ascent holds three evaluations (the start, the iterate
+        # and the point evaluated last) and no workspace, and it stopped at
+        # its iterate, whose stored value local_optimize reads
         config = SynthesisConfig(restarts=12, seed=3)
         rng = np.random.default_rng(3)
         starts = np.column_stack([rng.uniform(*config.bias_range, (12, 4)),
@@ -337,8 +362,32 @@ class TestLocalOptimize:
             assert ascent.nfev > 3
             assert not [v for v in vars(ascent).values() if isinstance(v, (dict, list))]
             assert ascent.wa is None and ascent.iwa is None
-            assert ascent.value_at(ascent.start) is ascent.start_value
-            assert ascent.value_at(ascent.x) in (ascent.last, ascent.iterate_value)
+            assert ascent.x.tobytes() == ascent.iterate.tobytes()
+
+    def test_iterate_not_evaluated_last_is_an_invariant_violation(self, monkeypatch):
+        # an iterate one ulp off the point evaluated last has no stored value
+        import spinsens.synthesis as synthesis
+        setulb = synthesis._lbfgsb_step()
+
+        def nudging(*args):
+            setulb(*args)
+            x, task = args[1], args[11]
+            if task[0] == synthesis._NEW_X:
+                x[0] = np.nextafter(x[0], np.inf)
+
+        monkeypatch.setattr(synthesis, "_lbfgsb_step", lambda: nudging)
+        config = SynthesisConfig(restarts=1, seed=0)
+        with pytest.raises(InvariantViolation, match="iterate it did not evaluate last"):
+            _ascend(RING4, ring4_starts(config), config)
+
+    def test_end_away_from_the_iterate_is_an_invariant_violation(self):
+        # one ulp off the last iterate, the ascent holds no value for its end
+        config = SynthesisConfig(restarts=1, seed=0)
+        ascent, = _ascend(RING4, ring4_starts(config), config)
+        local_optimize(RING4, ascent, config)
+        ascent.x[0] = np.nextafter(ascent.x[0], np.inf)
+        with pytest.raises(InvariantViolation, match="stopped away from its last iterate"):
+            local_optimize(RING4, ascent, config)
 
     def test_read_out_time_reaches_interior_maximum(self, monkeypatch):
         # two-spin chain at ~zero bias: F = sin^2 t has its only maximum in
@@ -402,6 +451,17 @@ class TestSynthesizeEnsemble:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
             "2e15120998c6d849d4c80779d71b7410b6f6a4bb935239a3aee7fb123f823a52"
 
+    def test_dedup_ensemble_bytes_unchanged(self):
+        # narrow boxes send 36 of the 40 restarts to points another restart
+        # also reached, so deduplication keeps 4 (seeds 6, 1, 0 and 2); the
+        # SHA-256 was taken before the deduplication became a greedy walk
+        ensemble = synthesize_ensemble(RING4, SynthesisConfig(
+            restarts=40, seed=0, t_f_range=(1.0, 2.0), bias_range=(0.0, 1.0)))
+        assert [c.seed for c in ensemble] == [6, 1, 0, 2]
+        text = controllers_to_json(ensemble)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+            "22a4d746e952b8483dad7d265747a1acc7002e87d45492e049c9aea0b049d6ce"
+
     def test_single_restart(self):
         out = synthesize_ensemble(RING4, SynthesisConfig(restarts=1, seed=5))
         assert len(out) == 1 and out[0].index == 0
@@ -438,16 +498,9 @@ class TestSynthesizeEnsemble:
         assert [c.index for c in perfect if c.status != "converged"] == []
 
 
-def distinct_by_loop(controllers):
-    """The greedy loop over the kept list: a controller is dropped when a
-    kept one lies within 1e-6 of it in the bias norm and in t_f."""
-    kept = []
-    for cand in controllers:
-        dup = any(np.linalg.norm(cand.biases - k.biases) < 1e-6
-                  and abs(cand.t_f - k.t_f) < 1e-6 for k in kept)
-        if not dup:
-            kept.append(cand)
-    return kept
+def close(a, b):
+    # the deduplication rule: within 1e-6 in t_f and in the bias norm
+    return abs(a.t_f - b.t_f) < 1e-6 and np.linalg.norm(a.biases - b.biases) < 1e-6
 
 
 class TestDistinct:
@@ -475,8 +528,14 @@ class TestDistinct:
                 t_f = t_f + rng.choice((-1.0, 1.0)) * rng.uniform(2e-6, 1e-3)
             controllers.append(Controller(biases=biases, t_f=t_f, fidelity=0.5,
                                           spec=RING4, seed=i, index=i))
-        assert ([c.index for c in _distinct(controllers)]
-                == [c.index for c in distinct_by_loop(controllers)])
+        kept = _distinct(controllers)
+        positions = [c.index for c in kept]
+        assert positions == sorted(set(positions))
+        assert all(c is controllers[i] for c, i in zip(kept, positions))
+        for n, c in enumerate(kept):
+            assert not any(close(c, k) for k in kept[:n])
+        for i in sorted(set(range(len(controllers))) - set(positions)):
+            assert any(close(controllers[i], k) for k in kept if k.index < i), i
 
     def test_empty(self):
         assert _distinct([]) == []
