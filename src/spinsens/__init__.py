@@ -9,11 +9,11 @@ explain when high fidelity and low sensitivity coexist.
 
 Public names resolve lazily (PEP 562): ``import spinsens`` loads no
 submodule, and ``spinsens.<name>`` imports the one module that defines
-the name on first use. Only the oracles in ``verification``,
-``sensitivity.frechet_oracle`` and ``sensitivity.fd_oracle`` load scipy
-(``scipy.linalg``), and the optimizer in ``synthesis`` loads the base
-``scipy`` package and its compiled L-BFGS-B step alone, so analysis
-alone needs numpy only. Resolved names are not cached here: each lookup
+the name on first use. Only the optimizer in ``synthesis`` loads scipy:
+the base ``scipy`` package and its compiled L-BFGS-B step alone. The
+oracles in ``sensitivity`` and ``verification`` take their exponentials
+from numpy, so analysis and the oracles need numpy only, and no scipy
+subpackage loads. Resolved names are not cached here: each lookup
 reads the home module's current attribute, so a patch of that attribute,
 and its restore, show through the package.
 """

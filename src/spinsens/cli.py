@@ -288,7 +288,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the oracles load scipy; synth and analyze do not need them
+    # the checks and their reference routes; synth and analyze do not need them
     from .verification import run_checks
 
     results = run_checks(

@@ -29,10 +29,10 @@ product. Two slower, independent evaluations
 of the derivative are oracles too, both in the N x N picture and sharing
 no eigensystem with the closed form: the Frechet derivative of the
 exponential along the scaled structure (``frechet_oracle``: one
-Pade-based scaling-and-squaring call of ``scipy.linalg.expm_frechet``)
-and a central finite difference of the error under full re-propagation
-(``fd_oracle``: two Pade-based matrix exponentials of the displaced
-Hamiltonian, at the fixed step ``FD_STEP``).
+exponential of Van Loan's block-triangular matrix) and a central finite
+difference of the error under full re-propagation (``fd_oracle``: both
+displaced Hamiltonians at the fixed step ``FD_STEP``), each from
+``_expm``, a Pade exponential in numpy alone.
 """
 
 from __future__ import annotations
@@ -55,6 +55,16 @@ IMAG_TOL = 1e-9
 
 # Central-difference step of ``fd_oracle``.
 FD_STEP = 1e-5
+
+# Pade degrees m = 3, 5, 7, 9, 13 of ``_expm``: the largest 1-norm each serves
+# to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005), and
+# the coefficients b_j = (2m - j)! / (j! (m - j)!) of p_m(A) = sum_j b_j A^j
+_PADE_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+               2.097847961257068e0, 5.371920351148152e0)
+_PADE_COEFFICIENTS = tuple(
+    np.array([math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
+              for j in range(m + 1)], dtype=float)[:, None, None, None]
+    for m in (3, 5, 7, 9, 13))
 
 
 def _require_skew(a: np.ndarray, what: str) -> np.ndarray:
@@ -265,22 +275,71 @@ def adjoint_sensitivity_operator(lam: np.ndarray, m: np.ndarray, s_bloch: np.nda
     return _readonly(k_c.real.copy()), norm_k
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(A) of each matrix of a stack (..., n, n), by scaling and squaring
+    a diagonal Pade approximant (Higham 2005).
+
+    The degree m is the smallest of 3, 5, 7, 9 and 13 whose bound holds the
+    1-norm of A. Past the last bound, A is halved s times to meet it and
+    the approximant is squared s times. With U and V the odd and even terms
+    of p_m(A), the approximant is (V - U)^-1 (V + U). Each matrix takes its
+    own m and s, so a stack gives its matrices one by one, bit for bit.
+    """
+    a = np.asarray(a, dtype=complex)
+    flat = a.reshape(-1, *a.shape[-2:])
+    groups = {}
+    for i, norm in enumerate(np.abs(flat).sum(axis=1).max(axis=1).tolist()):
+        key = (sum(norm > theta for theta in _PADE_THETA[:-1]),
+               math.ceil(math.log2(max(norm, _PADE_THETA[-1]) / _PADE_THETA[-1])))
+        groups.setdefault(key, []).append(i)
+    out = np.empty_like(flat)
+    for (d, s), pick in groups.items():
+        x = flat[pick] * 2.0 ** -s
+        b = _PADE_COEFFICIENTS[d]
+        # the even powers I, A^2, A^4, ... of the halved A
+        powers = [np.broadcast_to(np.eye(a.shape[-1]), x.shape), x @ x]
+        while 2 * len(powers) < len(b):
+            powers.append(powers[-1] @ powers[1])
+        powers = np.array(powers)
+        u = x @ (b[1::2] * powers).sum(axis=0)
+        v = (b[0::2] * powers).sum(axis=0)
+        r = np.linalg.solve(v - u, v + u)
+        for _ in range(s):
+            r = r @ r
+        out[pick] = r
+    return out.reshape(a.shape)
+
+
+def _expm_frechet(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(X) and its Frechet derivative along E, read off one exponential
+    of the block-triangular [[X, a E], [0, X]] (Van Loan, IEEE TAC 23, 395,
+    1978): its diagonal blocks are exp(X), its upper-right block a times
+    the derivative. a = |X|_1 / |E|_1 keeps the block's 1-norm within
+    twice that of X; a zero direction has derivative 0, exactly.
+    """
+    size = np.linalg.norm(e, 1)
+    if not size:
+        return _expm(x), np.zeros_like(x, dtype=complex)
+    n, scale = x.shape[0], np.linalg.norm(x, 1) / size
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block[:n, :n] = block[n:, n:] = x
+    block[:n, n:] = scale * e
+    exp = _expm(block)
+    return exp[:n, :n], exp[:n, n:] / scale
+
+
 def frechet_oracle(structure: "UncertaintyStructure", controller: "Controller") -> float:
     """Sensitivity from the Frechet derivative of the N x N exponential.
 
-    ``scipy.linalg.expm_frechet`` returns U = exp(-i t_f H) and its
-    derivative dU along -i t_f f S, with S the structure scaled by
-    ``scaling_factor``, from one Pade approximant with scaling and
-    squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639,
-    2009). The error 1 - |U_oi|^2 then moves at -2 Re(conj(U_oi) dU_oi).
+    ``_expm_frechet`` returns U = exp(-i t_f H) and its derivative dU
+    along -i t_f f S, with S the structure scaled by ``scaling_factor``,
+    from one Pade approximant with scaling and squaring. The error
+    1 - |U_oi|^2 then moves at -2 Re(conj(U_oi) dU_oi).
     """
-    # imported here so that the closed-form route loads no scipy
-    from scipy.linalg import expm_frechet
-
     spec = controller.spec
     ham = build_hamiltonian(spec, controller.biases)
     direction = scaling_factor(structure, controller) * structure.matrix
-    u, du = expm_frechet(-1j * controller.t_f * ham, -1j * controller.t_f * direction)
+    u, du = _expm_frechet(-1j * controller.t_f * ham, -1j * controller.t_f * direction)
     out, inp = spec.output_spin - 1, spec.input_spin - 1
     return float(-2.0 * (np.conj(u[out, inp]) * du[out, inp]).real)
 
@@ -289,18 +348,14 @@ def fd_oracle(structure: "UncertaintyStructure", controller: "Controller") -> fl
     """Central finite difference of the error under full re-propagation.
 
     The error 1 - |U_oi|^2 of the Hamiltonian displaced by +-``FD_STEP``
-    along the scaled structure, each from one Pade-based ``expm`` of the
-    N x N Hamiltonian; the derivative estimate is
-    (e(+h) - e(-h)) / 2h, h = ``FD_STEP``, with truncation error O(h^2).
+    along the scaled structure, both from one stacked ``_expm`` call; the
+    derivative estimate is (e(+h) - e(-h)) / 2h, h = ``FD_STEP``, with
+    truncation error O(h^2).
     """
-    # imported here so that the closed-form route loads no scipy
-    from scipy.linalg import expm
-
     spec = controller.spec
     ham = build_hamiltonian(spec, controller.biases)
-
-    def error(delta: float) -> float:
-        u = expm(-1j * perturb(ham, structure, delta, controller) * controller.t_f)
-        return float(1.0 - abs(u[spec.output_spin - 1, spec.input_spin - 1]) ** 2)
-
-    return float((error(+FD_STEP) - error(-FD_STEP)) / (2.0 * FD_STEP))
+    displaced = np.array([perturb(ham, structure, delta, controller)
+                          for delta in (+FD_STEP, -FD_STEP)])
+    u = _expm(-1j * displaced * controller.t_f)[:, spec.output_spin - 1, spec.input_spin - 1]
+    plus, minus = (1.0 - np.abs(u) ** 2).tolist()
+    return float((plus - minus) / (2.0 * FD_STEP))

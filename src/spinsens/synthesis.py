@@ -273,16 +273,19 @@ def _ascend(spec: NetworkSpec, starts: np.ndarray,
     both_bounded = np.full(starts.shape[1], 2, dtype=np.int32)
 
     def asks_again(a: _Ascent) -> bool:
-        # True when the ascent asks for (F, grad F) at a point not evaluated last
+        # True when the ascent asks for (F, grad F) at a point not evaluated
+        # last; the points compare as lists, by value as np.array_equal does
+        task = a.task.item(0)
         while True:
-            if a.task[0] == _FG:
+            if task == _FG:
                 a.f, a.g = -a.last[0], -a.last[1]
             setulb(_M, a.x, lo, hi, both_bounded, a.f, a.g, _FACTR, _PGTOL, a.wa, a.iwa,
                    a.task, a.lsave, a.isave, a.dsave, _MAXLS, a.ln_task)
-            if a.task[0] == _FG:
-                if not np.array_equal(a.x, a.last_x):
+            task = a.task.item(0)
+            if task == _FG:
+                if a.x.tolist() != a.last_x.tolist():
                     return True
-            elif a.task[0] == _NEW_X:
+            elif task == _NEW_X:
                 a.advance()
                 if a.iterations >= MAXITER:
                     a.task[:] = _STOP, _STOP_MAXITER

@@ -26,10 +26,12 @@ the structure matrices, and ``adjoint_rep`` is linear, so the reference
 builds no Hamiltonian and ``adjoint_rep`` runs only when a network's
 images are first built. Three-way agreement stays in the N x N picture:
 ``sensitivity.frechet_oracle`` and ``sensitivity.fd_oracle`` each
-exponentiate the Hamiltonian themselves. One stacked pass over every
-structure per controller reads F and <R, K> off the frame once each: the
-structural checks read its records, and the cross-formulation check
-compares the published records with it field by field. The frame
+exponentiate the Hamiltonian themselves, and cross-formulation propagates
+the input state with the same Pade exponential ``sensitivity._expm``,
+which shares no eigensystem with the closed form. One stacked pass over
+every structure per controller reads F and <R, K> off the frame once
+each: the structural checks read its records, and the cross-formulation
+check compares the published records with it field by field. The frame
 identities are checked here alone: a reference record whose |R_S|^2
 strays from (F/N)^2 + (k/|K|)^2, whose |R_S| falls below F/N, or whose
 |cos theta| strays from sin phi, fails the remark-1, remark-2 or
@@ -50,14 +52,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .analytics import evaluate_controller
 from .bloch import adjoint_rep, site_state, state_to_bloch
 from .geometry import TINY, GeometryRecord, _frob, project, scale_product
 from .network import (NetworkSpec, UncertaintyStructure, _readonly,
                       build_hamiltonian, enumerate_structures)
-from .sensitivity import (adjoint_sensitivity_operator, fd_oracle, frechet_oracle,
+from .sensitivity import (_expm, adjoint_sensitivity_operator, fd_oracle, frechet_oracle,
                           propagator_matrix, spectral_decompose)
 from .synthesis import Controller, SynthesisConfig, synthesize_ensemble, transfer_fidelity
 
@@ -490,7 +491,7 @@ def check_cross_formulation(seed: int, count: int, dims: tuple[int, ...]) -> Che
         instances = _instances(controller, frame)
         # the reference F = rf . Phi r0, which every record of the controller carries
         f_bloch = instances[0].oracle.F
-        psi_t = expm(-1j * ham * controller.t_f) @ site_state(n, spec.input_spin)
+        psi_t = _expm(-1j * ham * controller.t_f) @ site_state(n, spec.input_spin)
         f_hilbert = float(abs(psi_t[spec.output_spin - 1]) ** 2)
         r_t = state_to_bloch(psi_t / np.linalg.norm(psi_t))
         worst_f = max(worst_f, abs(f_bloch - f_hilbert))

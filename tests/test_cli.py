@@ -804,13 +804,13 @@ class TestDeterminism:
         assert (sha256_of(tmp_path / "r.csv"), sha256_of(tmp_path / "s.csv")) == digests
 
     @pytest.mark.parametrize("seed, digest", [
-        (2024, "4d13f21fb9936e48f08e8d8adeac8ab827f7d31acce1854f8d61aa0e2b170ca2"),
-        (5, "6b3f163ded1388bac961a25467dec313da330651d23e871f329db8180f6b86f5"),
-        (77, "ac678a264f0f0cdc9e39b5190aa70f0f48f2fdf3f98c8eec1d36508d8c63715b")])
+        (2024, "78b4405b30adfe7c881add41adb668eba2130de697e5b16b07570ac4a2a9b42c"),
+        (5, "6b4e5094ddce6caf036d2ec660664a11a56550a65e13187aa929f4c8f89f37ff"),
+        (77, "3a9fdef823cabd9dcc17107bfc3b8034dbe8e39e09c4e571e4cc84abcba1df56")])
     def test_verify_stdout_unchanged(self, capsys, seed, digest):
-        # SHA-256 of verify's report at the benchmark's sizes, as the
-        # Frechet-derivative three-way check printed it; moving a record
-        # rule or an oracle between modules must keep every byte
+        # SHA-256 of verify's report at the benchmark's sizes, as the oracles
+        # on the in-repo Pade exponential printed it; moving a record rule or
+        # an oracle between modules must keep every byte
         capsys.readouterr()
         assert main(["verify", "--threads", "2", "--seed", str(seed),
                      "--restarts", "40", "--systems-per-dim", "4",
@@ -1017,13 +1017,32 @@ class TestVerifyCommand:
         # exp(-iHt): on a real H the fidelity cannot see the flipped sign,
         # the propagated state can
         from spinsens import verification
-        forward = verification.expm
-        monkeypatch.setattr(verification, "expm", lambda m: forward(m.conj()))
+        forward = verification._expm
+        monkeypatch.setattr(verification, "_expm", lambda m: forward(m.conj()))
         assert main(["verify", *self.SMALL]) == 2
         out = capsys.readouterr().out
         fails = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert len(fails) == 1 and "cross-formulation" in fails[0]
         assert "(seed 5)" in out
+
+    def test_dropped_squaring_caught_by_three_way_and_cross_formulation(
+            self, capsys, monkeypatch):
+        # the oracles' exponential, and the Hilbert propagation's, squared
+        # once fewer than it halved: exp(A / 2) wherever A was halved
+        import inspect
+
+        from spinsens import sensitivity
+        from test_analytics import TestHotPath
+
+        source = inspect.getsource(sensitivity._expm)
+        assert source.count("range(s)") == 1
+        namespace = dict(vars(sensitivity))
+        exec(source.replace("range(s)", "range(s - 1)"), namespace)
+        TestHotPath.patch_everywhere(monkeypatch, sensitivity._expm, namespace["_expm"])
+        assert main(["verify", *self.SMALL]) == 2
+        fails = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("FAIL")]
+        assert fails == ["three-way-agreement", "cross-formulation"]
 
     def test_invariant_violation_exits_2_without_a_report(self, capsys, monkeypatch):
         # a negative imaginary-residue tolerance makes the first propagator

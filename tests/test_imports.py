@@ -1,9 +1,10 @@
 """Import cost and the lazy package namespace.
 
 ``import spinsens.cli`` and ``spinsens analyze`` must load no scipy
-module: only the optimizer in ``synthesis`` and the oracles need it.
-Synth loads scipy's compiled L-BFGS-B step alone, not the
-``scipy.optimize`` package, and verify's oracles load ``scipy.linalg``.
+module: only the optimizer in ``synthesis`` needs it. Synth, and the
+necessity check of verify, load scipy's compiled L-BFGS-B step alone, not
+the ``scipy.optimize`` package; verify's oracles take their exponentials
+from numpy alone, so no command loads ``scipy.linalg``.
 Every command runs serially, so nothing loads a thread or process pool.
 Each probe runs in a fresh interpreter, so nothing imported by the test
 session (scipy included) leaks into what it measures.
@@ -28,7 +29,7 @@ _SCIPY_LOADED = ("sorted(m for m in sys.modules "
                  "if m == 'scipy' or m.startswith('scipy.'))")
 _CONCURRENT_LOADED = ("sorted(m for m in sys.modules "
                       "if m == 'concurrent' or m.startswith('concurrent.'))")
-# the scipy packages synth does without; verify's oracles need only the first
+# the scipy packages that no command loads
 _HEAVY = ("scipy.linalg", "scipy.optimize", "scipy.sparse")
 _HEAVY_LOADED = f"[m for m in {_HEAVY!r} if m in sys.modules]"
 # SHA-256 of controllers_to_json of the 40-restart 4-ring 1 -> 2 ensemble at
@@ -98,13 +99,13 @@ class TestImportCost:
                     f"print(code, {_HEAVY_LOADED})")
         assert out.strip().splitlines()[-1] == "0 []"
 
-    def test_verify_loads_linalg_but_not_optimize_or_sparse(self):
+    def test_verify_loads_no_linalg_optimize_or_sparse(self):
         argv = ["verify", "--n", "2", "3", "--systems-per-dim", "2",
                 "--three-way-per-dim", "2", "--cross-count", "4", "--restarts", "40"]
         out = fresh("import spinsens.cli\n"
                     f"code = spinsens.cli.main({argv!r})\n"
                     f"print(code, {_HEAVY_LOADED})")
-        assert out.strip().splitlines()[-1] == "0 ['scipy.linalg']"
+        assert out.strip().splitlines()[-1] == "0 []"
 
     def test_ensemble_bytes_whether_or_not_scipy_optimize_loaded_first(self):
         # scipy.optimize loaded first brings its own copy of the extension;

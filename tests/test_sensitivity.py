@@ -401,6 +401,73 @@ class TestFrechetReach:
         assert max(at_1e5)[1] > 1.0
 
 
+class TestPadeExponential:
+    # sensitivity._expm and _expm_frechet, the exponentials of both oracles
+    # and of cross-formulation's Hilbert propagation. Each entry of exp(-iHt)
+    # carries an absolute error of about eps t max|E|, and each entry of its
+    # derivative along -iSt, |S|_2 = 1, about t times that.
+
+    @pytest.mark.parametrize("n, topology", [(2, "chain"), (3, "ring"), (5, "ring"),
+                                             (8, "chain"), (12, "ring"), (20, "chain")])
+    @pytest.mark.parametrize("reach", (1.0,) + REACHES)
+    def test_matches_scipy(self, n, topology, reach):
+        spec = NetworkSpec(num_spins=n, topology=topology, input_spin=1, output_spin=2)
+        biases = np.random.default_rng(n).uniform(0.0, 1.0, n)
+        ham = build_hamiltonian(spec, biases)
+        t = reach / np.abs(np.linalg.eigvalsh(ham)).max()
+        x = -1j * t * ham
+        u_ref = expm(x)
+        assert np.abs(sensitivity._expm(x) - u_ref).max() <= 4.0 * EPS * reach
+        structures = enumerate_structures(spec)
+        for structure in (structures[0], structures[n - 1], structures[n], structures[-1]):
+            u, du = sensitivity._expm_frechet(x, -1j * t * structure.matrix)
+            du_ref = expm_frechet(x, -1j * t * structure.matrix, compute_expm=False)
+            assert np.abs(u - u_ref).max() <= 4.0 * EPS * reach
+            assert np.abs(du - du_ref).max() <= 4.0 * EPS * reach * t
+
+    @pytest.mark.parametrize("t", [0.3, np.pi / 2.0, 2.0, 10.0, 1e3])
+    def test_unbiased_two_chain_closed_form(self, t):
+        # H = P, the swap, with P^2 = I: U = cos t I - i sin t P. The coupling
+        # direction P commutes with H, so dU = -i t P U; the bias of site 1 is
+        # (I + Z) / 2, and PZ = -ZP gives dU = -i t (U + Z sin t / t) / 2
+        spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
+        swap, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+        u_exact = math.cos(t) * np.eye(2) - 1j * math.sin(t) * swap
+        x = -1j * t * build_hamiltonian(spec, [0.0, 0.0])
+        bias1, _, coupling = enumerate_structures(spec)
+        for structure, du_exact in ((coupling, -1j * t * swap @ u_exact),
+                                    (bias1, -0.5j * t * (u_exact + z * math.sin(t) / t))):
+            u, du = sensitivity._expm_frechet(x, -1j * t * structure.matrix)
+            assert np.abs(u - u_exact).max() <= 4.0 * EPS * max(1.0, t)
+            assert np.abs(du - du_exact).max() <= 4.0 * EPS * max(1.0, t) * t
+        assert np.abs(sensitivity._expm(x) - u_exact).max() <= 4.0 * EPS * max(1.0, t)
+
+    def test_stack_is_its_matrices_one_by_one(self):
+        # reaches from 1e-3 to 1e6 give every Pade degree and several
+        # halvings within one stack
+        rng = np.random.default_rng(34)
+        spec = NetworkSpec(num_spins=5, topology="ring", input_spin=1, output_spin=3)
+        hams = build_hamiltonian(spec, rng.uniform(0.0, 1.0, (3, 4, 5)))
+        stack = -1j * hams * np.logspace(-3, 6, 12).reshape(3, 4, 1, 1)
+        whole = sensitivity._expm(stack)
+        assert whole.shape == stack.shape
+        for index in np.ndindex(3, 4):
+            assert whole[index].tobytes() == sensitivity._expm(stack[index]).tobytes()
+
+    def test_zero_direction_gives_exactly_zero(self):
+        # a bias of zero scales its direction to 0; at t max|E| = 1e8 the
+        # scaled block would otherwise read inf * 0
+        spec = NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=3)
+        biases = np.array([0.0, 0.3, 0.6, 0.9])
+        ham = build_hamiltonian(spec, biases)
+        t = 1e8 / np.abs(np.linalg.eigvalsh(ham)).max()
+        u, du = sensitivity._expm_frechet(-1j * t * ham, np.zeros((4, 4)))
+        assert not du.any()
+        assert np.abs(u - expm(-1j * t * ham)).max() <= 4.0 * EPS * 1e8
+        ctl = Controller(biases=biases, t_f=t, fidelity=0.5, spec=spec, seed=0, index=0)
+        assert frechet_oracle(enumerate_structures(spec)[0], ctl) == 0.0
+
+
 class TestFdOracle:
     def _pst_controller(self):
         spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
