@@ -120,18 +120,18 @@ def angles(fidelity: float, zeta: float | np.ndarray, n: int,
     orthogonal component ``project`` reports; an orthogonal projection
     never exceeds its input, so capping it at 1 only trims rounding.
     cos theta comes from the sensitivity, -zeta / ``scale_product``. Below
-    a normal-float scale (f_n = 0, or a subnormal f_n) the sensitivity is
-    zero at working precision and cos theta is reported as 0. The two
-    routes agree up to sign, |cos theta| = sin phi; on the N x N records
-    both sides are |k| / (|K| |R_S|), and verification's theorem-1 check
-    tests the reference records for it. Array arguments give arrays, with
-    the same operations per entry as for one record.
+    a normal-float scale (f_n = 0, a subnormal f_n, or |K| = 0) the
+    sensitivity is zero at working precision and cos theta is reported as
+    0; nothing here divides by |K|, and ``GeometryRecord.assemble`` rejects
+    |K| <= 0 before it calls this. The two routes agree up to sign,
+    |cos theta| = sin phi; on the N x N records both sides are
+    |k| / (|K| |R_S|), and verification's theorem-1 check tests the
+    reference records for it. Array arguments give arrays, with the same
+    operations per entry as for one record.
     """
     norm_rs = np.asarray(norm_rs, dtype=float)
     if not (norm_rs > 0).all():
         raise ValueError("angles undefined for a vanishing projection")
-    if (np.asarray(norm_k) <= 0).any():
-        raise ValueError("angles undefined for a vanishing sensitivity operator")
     cos_phi = fidelity / (n * norm_rs)
     sin_phi = np.minimum(1.0, norm_rs_perp / norm_rs)
     scale = np.asarray(scale_product(f_n, t_f, norm_k, norm_rs), dtype=float)
@@ -190,12 +190,12 @@ class GeometryRecord(NamedTuple):
         give the indices, n, t_f, f_n = ``scaling_factor`` and
         zeta = -t_f f_n k, and ``gap`` <= ``PST_TOL`` flags perfect
         transfer, made here alone. |K| > 0 is checked here, the one check
-        on the record path. A fidelity below ``ZERO_FIDELITY_FLOOR``
-        or a vanishing |R_S| on any structure flags the whole controller
-        zero-fidelity, with nan angles and residuals. Otherwise every field
-        takes the same operations as a record assembled on its own, over
-        the whole controller at once; each row becomes a record by
-        ``_make``."""
+        on the record path; ``angles`` does not repeat it. A fidelity below
+        ``ZERO_FIDELITY_FLOOR`` or a vanishing |R_S| on any structure flags
+        the whole controller zero-fidelity, with nan angles and residuals.
+        Otherwise every field takes the same operations as a record
+        assembled on its own, over the whole controller at once; each row
+        becomes a record by ``_make``."""
         n, t_f = controller.spec.num_spins, controller.t_f
         k_coeff, norm_k, norm_rs, perp = (np.asarray(a, dtype=float)
                                           for a in (k_coeff, norm_k, norm_rs, perp))

@@ -38,8 +38,7 @@ displaced Hamiltonians at the fixed step ``FD_STEP``), each from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -155,13 +154,14 @@ def _eigensystem(spec: "NetworkSpec",
     return e, v, v[..., spec.output_spin - 1, :] * v[..., spec.input_spin - 1, :]
 
 
-@dataclass(frozen=True)
-class HilbertTransfer:
+class HilbertTransfer(NamedTuple):
     """One working point in the N x N picture, shared by every direction.
 
-    ``e`` holds the eigenvalues E of H, ``v`` its eigenvectors as columns,
-    ``x`` the divided differences of exp(-i E t_f) at E, ``column`` the
-    propagated input U[:, in], and ``output`` the 0-based output site.
+    A plain ``NamedTuple`` row of per-call arrays, which
+    ``evaluate_controller`` consumes and nothing keeps. ``e`` holds the
+    eigenvalues E of H, ``v`` its eigenvectors as columns, ``x`` the
+    divided differences of exp(-i E t_f) at E, ``column`` the propagated
+    input U[:, in], and ``output`` the 0-based output site.
     The rest is what every direction's ``sensitivity_operator`` reads and
     is computed once per controller: ``x_sq`` = |X|^2, ``k_pairs`` =
     2 Im(conj(U_oi) Y) with the contraction Y = (V o v_o) X (V o v_i)^T,
@@ -177,11 +177,6 @@ class HilbertTransfer:
     x_sq: np.ndarray
     k_pairs: np.ndarray
     bias_norms: np.ndarray
-
-    def __post_init__(self):
-        for a in (self.e, self.v, self.x, self.column, self.x_sq, self.k_pairs,
-                  self.bias_norms):
-            _readonly(a)
 
 
 def hilbert_transfer(spec: "NetworkSpec", biases: np.ndarray,

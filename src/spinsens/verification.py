@@ -105,7 +105,7 @@ def _random_controllers(rng: np.random.Generator,
                         sizes: Iterable[int]) -> Iterator[Controller]:
     """One random working point (not optimized) per spin count in ``sizes``,
     drawn lazily from ``rng``, so a caller may draw between two controllers;
-    the fidelity is filled in honestly."""
+    the fidelity is ``transfer_fidelity``'s value as computed, unclamped."""
     for index, n in enumerate(sizes):
         topology = "ring" if n >= 3 and rng.random() < 0.5 else "chain"
         pair = rng.choice(n, size=2, replace=False) + 1
@@ -113,8 +113,8 @@ def _random_controllers(rng: np.random.Generator,
                            input_spin=int(pair[0]), output_spin=int(pair[1]))
         biases = rng.uniform(-INSTANCE_BIAS_SCALE, INSTANCE_BIAS_SCALE, n)
         t_f = float(rng.uniform(*INSTANCE_T_RANGE))
-        f = transfer_fidelity(spec, biases, t_f)
-        yield Controller(biases=biases, t_f=t_f, fidelity=float(min(1.0, max(0.0, f))),
+        yield Controller(biases=biases, t_f=t_f,
+                         fidelity=transfer_fidelity(spec, biases, t_f),
                          spec=spec, seed=index, index=index)
 
 
@@ -270,11 +270,6 @@ def _angle_allowance(n: int, record: GeometryRecord) -> float:
     return 1e-8 + 8.0 * n * n * sys.float_info.epsilon / record.norm_Rs
 
 
-def _identity_budget(record: GeometryRecord) -> float:
-    # tolerance of a record's identity residual
-    return 1e-8 * max(1.0, record.abs_zeta)
-
-
 def check_theorem1(instances: list[Instance]) -> CheckResult:
     """|zeta| equals the factored form within 1e-8 * max(1, |zeta|), and
     the two routes to the alignment agree, |cos theta| = sin phi, within
@@ -285,7 +280,7 @@ def check_theorem1(instances: list[Instance]) -> CheckResult:
     if not records:
         return _no_instances("theorem1-identity")
     skipped = len(instances) - len(records)
-    worst = max(r.identity_residual / _identity_budget(r) for _, r in records)
+    worst = max(r.identity_residual / (1e-8 * max(1.0, r.abs_zeta)) for _, r in records)
     misaligned = sum(abs(abs(r.cos_theta) - r.sin_phi) > _angle_allowance(n, r)
                      for n, r in records
                      if scale_product(r.f_n, r.t_f, r.norm_K, r.norm_Rs) >= TINY)
@@ -413,7 +408,10 @@ def check_necessity(seed: int, restarts: int) -> CheckResult:
 
     On a synthesized ensemble, every record with error inside
     [1e-6, 0.5] and scaling f_n >= 0.1 must show |zeta| >= 1e-12 unless
-    its alignment factor sin phi is itself at the zero floor.
+    its alignment factor sin phi is itself at the zero floor. This gates
+    theorem 2 alone: the published records satisfy theorem 1's identity
+    by construction, theorem1-identity gates it on the reference records,
+    and cross-formulation catches a defect of the published route.
     """
     spec = NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=2)
     config = SynthesisConfig(restarts=restarts, seed=seed)
@@ -424,19 +422,12 @@ def check_necessity(seed: int, restarts: int) -> CheckResult:
                 if 1e-6 <= r.e <= 0.5 and r.f_n >= 0.1]
     violations = [r for r in eligible
                   if r.abs_zeta < 1e-12 and r.sin_phi > 1e-8]
-    residual_bad = [r for r in records
-                    if math.isfinite(r.identity_residual)
-                    and r.identity_residual > _identity_budget(r)]
-    passed = not violations and not residual_bad and bool(eligible)
+    passed = not violations and bool(eligible)
     if violations:
         r = violations[0]
         detail = (f"controller {r.controller_index} structure "
                   f"{r.structure_index}: e = {r.e:.3e} but |zeta| = "
                   f"{r.abs_zeta:.3e} with sin phi = {r.sin_phi:.3e}")
-    elif residual_bad:
-        r = residual_bad[0]
-        detail = (f"identity residual {r.identity_residual:.3e} at controller "
-                  f"{r.controller_index} structure {r.structure_index}")
     elif not eligible:
         detail = "no records in the eligible error band; enlarge the ensemble"
     else:

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import spinsens
-from spinsens import (Controller, NetworkSpec, analyze, enumerate_structures,
-                      kendall, pearson, transfer_fidelity)
+from spinsens import (Controller, NetworkSpec, SynthesisConfig, analyze,
+                      enumerate_structures, kendall, pearson, synthesize_ensemble,
+                      transfer_fidelity)
 from spinsens import analytics
 from spinsens.analytics import TF_CONDITION_LIMIT, evaluate_controller
 from spinsens.geometry import ZERO_FIDELITY_FLOOR
@@ -262,6 +263,21 @@ class TestAnalyzePipeline:
                 assert r.zero_fidelity
                 continue
             assert r.identity_residual <= 1e-8 * max(1.0, r.abs_zeta)
+
+    def test_published_identity_holds_by_construction(self, ring4_analysis):
+        # |zeta| = f_n t_f |K| |R_S| sin phi holds on the published records
+        # by construction, so verify gates it on the reference records only:
+        # the worst residual stays within 1e-6 of theorem 1's budget
+        # 1e-8 * max(1, |zeta|), on the session 4-ring ensemble and on a
+        # synthesized 8-chain 1 -> 8
+        chain8 = NetworkSpec(num_spins=8, topology="chain", input_spin=1, output_spin=8)
+        chain8_records, _ = analyze(synthesize_ensemble(
+            chain8, SynthesisConfig(restarts=20, seed=0)))
+        for records in (ring4_analysis[0], chain8_records):
+            live = [r for r in records if not r.zero_fidelity]
+            assert live
+            assert max(r.identity_residual / (1e-8 * max(1.0, r.abs_zeta))
+                       for r in live) <= 1e-6
 
     def test_projection_lower_bound(self, ring4_analysis):
         records, _ = ring4_analysis

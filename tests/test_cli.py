@@ -1012,6 +1012,30 @@ class TestVerifyCommand:
         assert float(re.search(r"Frechet derivative at (\S+)", three_way).group(1)) > 1.0
         assert checks["cross-formulation"].startswith("PASS")
 
+    def test_published_norm_defect_caught_by_cross_formulation_alone(
+            self, capsys, monkeypatch):
+        # every published |K| scaled by 1 + 1e-6: sin phi takes the same
+        # factor back out, so the published records keep theorem 1's
+        # identity, and only the field-by-field comparison with the
+        # reference records sees the defect; at the benchmark's sizes
+        from spinsens import analytics
+        exact = analytics.sensitivity_operator
+
+        def scaled(transfer, structure):
+            k_coeff, norm_k = exact(transfer, structure)
+            return k_coeff, (1.0 + 1e-6) * norm_k
+        monkeypatch.setattr(analytics, "sensitivity_operator", scaled)
+        assert main(["verify", "--threads", "2", "--seed", "2024",
+                     "--restarts", "40", "--systems-per-dim", "4",
+                     "--three-way-per-dim", "12", "--cross-count", "25"]) == 2
+        checks = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()
+                  if line[:4] in ("PASS", "WARN", "FAIL")}
+        assert len(checks) == 9
+        assert [name for name, line in checks.items()
+                if line.startswith("FAIL")] == ["cross-formulation"]
+        gap = re.search(r"records at (\S+) of their budgets", checks["cross-formulation"])
+        assert float(gap.group(1)) > 1.0
+
     def test_injected_convention_error_caught(self, capsys, monkeypatch):
         # the Hilbert-space reference propagates with exp(+iHt) instead of
         # exp(-iHt): on a real H the fidelity cannot see the flipped sign,

@@ -123,9 +123,12 @@ class TestAngles:
         with pytest.raises(ValueError):
             angles(0.0, 0.0, 2, 0.0, 1.0, 1.0, 1.0, norm_rs_perp=0.0)
 
-    def test_vanishing_operator_rejected(self):
-        with pytest.raises(ValueError):
-            angles(0.5, 0.0, 2, 0.5, 0.0, 1.0, 1.0, norm_rs_perp=0.3)
+    def test_vanishing_operator_gives_zero_cos_theta(self):
+        # nothing in angles divides by |K|: a zero |K| makes the scale zero,
+        # and assemble, not angles, rejects it on the record path
+        cos_phi, sin_phi, cos_theta = angles(0.5, 0.0, 2, 0.5, 0.0, 1.0, 1.0,
+                                             norm_rs_perp=0.3)
+        assert (cos_phi, sin_phi, cos_theta) == (0.5, 0.6, 0.0)
 
 
 class TestIdentityResidual:
