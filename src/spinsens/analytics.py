@@ -189,8 +189,9 @@ def evaluate_controller(controller: Controller,
             f"of H is {phase_scale:.3e}, above {TF_CONDITION_LIMIT:.0e}, where "
             "the phases exp(-iEt) lose more than half their digits")
     probs = np.abs(transfer.column) ** 2
-    f_val = float(probs[transfer.output])
-    leak = float(np.delete(probs, transfer.output).sum())
+    out = spec.output_spin - 1
+    f_val = float(probs[out])
+    leak = float(np.delete(probs, out).sum())
     gap = math.sqrt(2.0 * leak * (f_val + leak))
     k_coeff, norm_k = np.array(
         [sensitivity_operator(transfer, structure) for structure in structures],

@@ -30,9 +30,10 @@ of the derivative are oracles too, both in the N x N picture and sharing
 no eigensystem with the closed form: the Frechet derivative of the
 exponential along the scaled structure (``frechet_oracle``: one
 exponential of Van Loan's block-triangular matrix) and a central finite
-difference of the error under full re-propagation (``fd_oracle``: both
-displaced Hamiltonians at the fixed step ``FD_STEP``), each from
-``_expm``, a Pade exponential in numpy alone.
+difference of the error under full re-propagation (``fd_oracle``: the
+Hamiltonian displaced by +- the fixed step ``FD_STEP``, exponentiated one
+at a time), each from ``_expm``, a Pade exponential of one matrix in
+numpy alone.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ _PADE_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
                2.097847961257068e0, 5.371920351148152e0)
 _PADE_COEFFICIENTS = tuple(
     np.array([math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
-              for j in range(m + 1)], dtype=float)[:, None, None, None]
+              for j in range(m + 1)], dtype=float)[:, None, None]
     for m in (3, 5, 7, 9, 13))
 
 
@@ -159,21 +160,19 @@ class HilbertTransfer(NamedTuple):
 
     A plain ``NamedTuple`` row of per-call arrays, which
     ``evaluate_controller`` consumes and nothing keeps. ``e`` holds the
-    eigenvalues E of H, ``v`` its eigenvectors as columns, ``x`` the
-    divided differences of exp(-i E t_f) at E, ``column`` the propagated
-    input U[:, in], and ``output`` the 0-based output site.
-    The rest is what every direction's ``sensitivity_operator`` reads and
-    is computed once per controller: ``x_sq`` = |X|^2, ``k_pairs`` =
-    2 Im(conj(U_oi) Y) with the contraction Y = (V o v_o) X (V o v_i)^T,
-    whose entry (a, b) is the frame coefficient of the site pair, and
-    ``bias_norms``, |K| of the bias direction of every site.
+    eigenvalues E of H, ``v`` its eigenvectors as columns, and ``column``
+    the propagated input U[:, in]. The rest is what every direction's
+    ``sensitivity_operator`` reads and is computed once per controller,
+    from the divided differences X of exp(-i E t_f) at E: ``x_sq`` =
+    |X|^2, ``k_pairs`` = 2 Im(conj(U_oi) Y) with the contraction
+    Y = (V o v_o) X (V o v_i)^T, whose entry (a, b) is the frame
+    coefficient of the site pair, and ``bias_norms``, |K| of the bias
+    direction of every site.
     """
 
     e: np.ndarray
     v: np.ndarray
-    x: np.ndarray
     column: np.ndarray
-    output: int
     x_sq: np.ndarray
     k_pairs: np.ndarray
     bias_norms: np.ndarray
@@ -209,7 +208,7 @@ def hilbert_transfer(spec: "NetworkSpec", biases: np.ndarray,
     x_off.reshape(-1)[::n + 1] = 0.0
     bias_sq = ((w @ x_off) * w).sum(axis=1) + (w - 1.0 / n) ** 2 @ x_sq.diagonal()
     k_weights = 2.0 * (np.conj(column[out]) * x).imag
-    return HilbertTransfer(e=e, v=v, x=x, column=column, output=out, x_sq=x_sq,
+    return HilbertTransfer(e=e, v=v, column=column, x_sq=x_sq,
                            k_pairs=(v * v[out]) @ k_weights @ (v * v[inp]).T,
                            bias_norms=np.sqrt(2.0 * n * bias_sq))
 
@@ -271,38 +270,30 @@ def adjoint_sensitivity_operator(lam: np.ndarray, m: np.ndarray, s_bloch: np.nda
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(A) of each matrix of a stack (..., n, n), by scaling and squaring
-    a diagonal Pade approximant (Higham 2005).
+    """exp(A) of one square matrix, by scaling and squaring a diagonal Pade
+    approximant (Higham 2005).
 
     The degree m is the smallest of 3, 5, 7, 9 and 13 whose bound holds the
     1-norm of A. Past the last bound, A is halved s times to meet it and
     the approximant is squared s times. With U and V the odd and even terms
-    of p_m(A), the approximant is (V - U)^-1 (V + U). Each matrix takes its
-    own m and s, so a stack gives its matrices one by one, bit for bit.
+    of p_m(A), the approximant is (V - U)^-1 (V + U).
     """
     a = np.asarray(a, dtype=complex)
-    flat = a.reshape(-1, *a.shape[-2:])
-    groups = {}
-    for i, norm in enumerate(np.abs(flat).sum(axis=1).max(axis=1).tolist()):
-        key = (sum(norm > theta for theta in _PADE_THETA[:-1]),
-               math.ceil(math.log2(max(norm, _PADE_THETA[-1]) / _PADE_THETA[-1])))
-        groups.setdefault(key, []).append(i)
-    out = np.empty_like(flat)
-    for (d, s), pick in groups.items():
-        x = flat[pick] * 2.0 ** -s
-        b = _PADE_COEFFICIENTS[d]
-        # the even powers I, A^2, A^4, ... of the halved A
-        powers = [np.broadcast_to(np.eye(a.shape[-1]), x.shape), x @ x]
-        while 2 * len(powers) < len(b):
-            powers.append(powers[-1] @ powers[1])
-        powers = np.array(powers)
-        u = x @ (b[1::2] * powers).sum(axis=0)
-        v = (b[0::2] * powers).sum(axis=0)
-        r = np.linalg.solve(v - u, v + u)
-        for _ in range(s):
-            r = r @ r
-        out[pick] = r
-    return out.reshape(a.shape)
+    norm = float(np.linalg.norm(a, 1))
+    b = _PADE_COEFFICIENTS[sum(norm > theta for theta in _PADE_THETA[:-1])]
+    s = math.ceil(math.log2(max(norm, _PADE_THETA[-1]) / _PADE_THETA[-1]))
+    x = a * 2.0 ** -s
+    # the even powers I, A^2, A^4, ... of the halved A
+    powers = [np.eye(a.shape[0]), x @ x]
+    while 2 * len(powers) < len(b):
+        powers.append(powers[-1] @ powers[1])
+    powers = np.array(powers)
+    u = x @ (b[1::2] * powers).sum(axis=0)
+    v = (b[0::2] * powers).sum(axis=0)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def _expm_frechet(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,14 +334,16 @@ def fd_oracle(structure: "UncertaintyStructure", controller: "Controller") -> fl
     """Central finite difference of the error under full re-propagation.
 
     The error 1 - |U_oi|^2 of the Hamiltonian displaced by +-``FD_STEP``
-    along the scaled structure, both from one stacked ``_expm`` call; the
-    derivative estimate is (e(+h) - e(-h)) / 2h, h = ``FD_STEP``, with
-    truncation error O(h^2).
+    along the scaled structure, one ``_expm`` call each; the derivative
+    estimate is (e(+h) - e(-h)) / 2h, h = ``FD_STEP``, with truncation
+    error O(h^2).
     """
-    spec = controller.spec
+    spec, t_f = controller.spec, controller.t_f
     ham = build_hamiltonian(spec, controller.biases)
-    displaced = np.array([perturb(ham, structure, delta, controller)
-                          for delta in (+FD_STEP, -FD_STEP)])
-    u = _expm(-1j * displaced * controller.t_f)[:, spec.output_spin - 1, spec.input_spin - 1]
+    out, inp = spec.output_spin - 1, spec.input_spin - 1
+    u = np.array([_expm(-1j * perturb(ham, structure, delta, controller) * t_f)[out, inp]
+                  for delta in (+FD_STEP, -FD_STEP)])
+    # np.abs of the pair: scalar abs can differ from it in the last bit,
+    # which the quotient by 2h turns into a different estimate
     plus, minus = (1.0 - np.abs(u) ** 2).tolist()
     return float((plus - minus) / (2.0 * FD_STEP))

@@ -252,7 +252,9 @@ def _bounds(spec: NetworkSpec, config: SynthesisConfig) -> tuple[np.ndarray, np.
 def _ascend(spec: NetworkSpec, starts: np.ndarray,
             config: SynthesisConfig) -> list[_Ascent]:
     """Bounded L-BFGS-B ascents over (biases, t_f) from each row of ``starts``,
-    advanced in lockstep.
+    advanced in lockstep. ``synthesize_ensemble`` draws every start inside
+    the box of ``config``, which ``SynthesisConfig`` has checked to be
+    finite and non-empty; no start is checked again here.
 
     Each round runs every live ascent until it asks for (F, grad F) at a
     new point or stops, then evaluates all the points asked for with one
@@ -265,11 +267,6 @@ def _ascend(spec: NetworkSpec, starts: np.ndarray,
     setulb = _lbfgsb_step()
     starts = np.asarray(starts, dtype=float)
     lo, hi = _bounds(spec, config)
-    outside = ~((starts >= lo) & (starts <= hi))  # a nan start is outside too
-    if outside[:, :-1].any():
-        raise ValueError("initial biases outside the configured bounds")
-    if outside[:, -1].any():
-        raise ValueError("initial read-out time outside the configured bounds")
     both_bounded = np.full(starts.shape[1], 2, dtype=np.int32)
 
     def asks_again(a: _Ascent) -> bool:

@@ -214,7 +214,7 @@ class TestHilbertSensitivity:
             assert k_coeff == pytest.approx(rf @ k_op @ r0, abs=1e-12)
 
 
-def dense_sensitivity(transfer, spec, matrix):
+def dense_sensitivity(transfer, spec, t_f, matrix):
     """k = <R, K> and |K| of one structure by the per-structure form:
     conjugate S into the eigenbasis, weight it with the divided
     differences, contract with the output and input rows of V, and sum the
@@ -222,9 +222,10 @@ def dense_sensitivity(transfer, spec, matrix):
     v = transfer.v
     n = v.shape[0]
     s_hat = v.T @ matrix @ v
-    y = (v[spec.output_spin - 1].astype(complex) @ (s_hat * transfer.x)
+    out = spec.output_spin - 1
+    y = (v[out].astype(complex) @ (s_hat * hadamard_core(-transfer.e, t_f))
          @ v[spec.input_spin - 1].astype(complex))
-    k_coeff = 2.0 * float((np.conj(transfer.column[transfer.output]) * y).imag)
+    k_coeff = 2.0 * float((np.conj(transfer.column[out]) * y).imag)
     s_hat.reshape(-1)[::n + 1] -= matrix.trace() / n
     return k_coeff, math.sqrt(2.0 * n * float((s_hat ** 2 * transfer.x_sq).sum()))
 
@@ -261,7 +262,7 @@ class TestContraction:
         transfer = hilbert_transfer(spec, biases, t_f)
         for structure in enumerate_structures(spec):
             k_coeff, norm_k = sensitivity_operator(transfer, structure)
-            k_ref, norm_ref = dense_sensitivity(transfer, spec, structure.matrix)
+            k_ref, norm_ref = dense_sensitivity(transfer, spec, t_f, structure.matrix)
             assert abs(k_coeff - k_ref) <= 1e-14 * max(1.0, abs(k_ref))
             assert abs(norm_k - norm_ref) <= 1e-14 * norm_ref
 
@@ -442,18 +443,6 @@ class TestPadeExponential:
             assert np.abs(du - du_exact).max() <= 4.0 * EPS * max(1.0, t) * t
         assert np.abs(sensitivity._expm(x) - u_exact).max() <= 4.0 * EPS * max(1.0, t)
 
-    def test_stack_is_its_matrices_one_by_one(self):
-        # reaches from 1e-3 to 1e6 give every Pade degree and several
-        # halvings within one stack
-        rng = np.random.default_rng(34)
-        spec = NetworkSpec(num_spins=5, topology="ring", input_spin=1, output_spin=3)
-        hams = build_hamiltonian(spec, rng.uniform(0.0, 1.0, (3, 4, 5)))
-        stack = -1j * hams * np.logspace(-3, 6, 12).reshape(3, 4, 1, 1)
-        whole = sensitivity._expm(stack)
-        assert whole.shape == stack.shape
-        for index in np.ndindex(3, 4):
-            assert whole[index].tobytes() == sensitivity._expm(stack[index]).tobytes()
-
     def test_zero_direction_gives_exactly_zero(self):
         # a bias of zero scales its direction to 0; at t max|E| = 1e8 the
         # scaled block would otherwise read inf * 0
@@ -477,3 +466,25 @@ class TestFdOracle:
         ctl = self._pst_controller()
         for structure in enumerate_structures(ctl.spec):
             assert abs(fd_oracle(structure, ctl)) < 1e-7
+
+    # (N, topology, input, output, biases, t_f, structure index) and the
+    # estimate's bits. The 1e-5 difference quotient turns a last-bit change
+    # of |U_oi| into a new figure: taking |U_oi| with scalar abs in place of
+    # np.abs over the +-h pair moves four of these six.
+    PINNED = [
+        ((2, "chain", 1, 2, [0.4, 0.9], 1.3, 1), "0x1.0906d36280d40p-3"),
+        ((3, "ring", 1, 2, [0.2, 0.7, 1.5], 2.1, 3), "-0x1.5112ee5e35ed8p+0"),
+        ((4, "chain", 1, 4, [0.1, 0.8, 0.5, 1.2], 3.7, 5), "0x1.941c7fe5754ffp-3"),
+        ((4, "ring", 1, 3, [0.0, 0.6, 0.3, 0.9], 2.9, 4), "0x1.7d7d8b130857fp-3"),
+        ((5, "ring", 2, 4, [1.0, 0.2, 0.7, 0.4, 0.9], 4.4, 6), "-0x1.094ccb4819180p-1"),
+        ((6, "chain", 1, 6, [0.3, 0.8, 0.1, 0.6, 1.1, 0.5], 5.2, 7),
+         "-0x1.96bc0429c517fp-3"),
+    ]
+
+    @pytest.mark.parametrize("point, bits", PINNED)
+    def test_estimate_bits_pinned(self, point, bits):
+        n, topology, input_spin, output_spin, biases, t_f, index = point
+        spec = NetworkSpec(num_spins=n, topology=topology, input_spin=input_spin,
+                           output_spin=output_spin)
+        ctl = make_controller(spec, biases, t_f)
+        assert fd_oracle(enumerate_structures(spec)[index], ctl).hex() == bits
