@@ -207,33 +207,29 @@ def evaluate_controller(controller: Controller,
 _SUMMARY_FIELDS = attrgetter("zeta", "sin_phi", "norm_K")
 
 
-def summarize_structure(records: Sequence[GeometryRecord],
-                        structure_indices: Sequence[int]) -> list[CorrelationSummary]:
+def summarize_structure(rows: Sequence[Sequence[GeometryRecord]]) -> list[CorrelationSummary]:
     """Fold an ensemble's records into every structure's two correlation
     statistics, in one pass over (controllers x structures) arrays.
 
-    ``records`` come controller by controller, one per structure of
-    ``structure_indices`` in that order, as ``analyze`` makes them. Per
-    structure, the Pearson sample is the records with e > 0, |zeta| > 0
-    and a nonzero fidelity, and the Kendall sample the records with a
-    finite sin phi; each statistic takes every structure's column at
-    once under its sample mask, and a column with fewer than two samples
-    gives nan. The error and the zero-fidelity flag are read once per
-    controller, whose records all carry them, so Kendall's error signs
-    are computed once for every structure. The |K| moments come from the
-    contiguous per-structure rows, so each is the same float as from
-    that structure's records alone.
+    ``rows`` holds each controller's records in structure order, as
+    ``evaluate_controller`` makes them; the structure indices are read off
+    the first row, and each controller's error and zero-fidelity flag off
+    its first record, so Kendall's error signs are computed once for every
+    structure. Per structure, the Pearson sample is the records with
+    e > 0, |zeta| > 0 and a nonzero fidelity, and the Kendall sample the
+    records with a finite sin phi; each statistic takes every structure's
+    column at once under its sample mask, and a column with fewer than two
+    samples gives nan. The |K| moments come from the contiguous
+    per-structure rows, so each is the same float as from that
+    structure's records alone.
     """
-    width = len(structure_indices)
-    if not records or not width or len(records) % width:
-        raise ValueError(f"{len(records)} records do not fill {width} structures")
-    fields = np.fromiter(chain.from_iterable(map(_SUMMARY_FIELDS, records)), float,
-                         count=3 * len(records))
+    width = len(rows[0])
+    fields = np.fromiter(chain.from_iterable(map(_SUMMARY_FIELDS, chain.from_iterable(rows))),
+                         float, count=3 * width * len(rows))
     zeta, sin_phi, norm_k = fields.reshape(-1, width, 3).transpose(2, 0, 1)
     abs_zeta = np.abs(zeta)
-    heads = records[::width]
-    err = np.array([r.e for r in heads])[:, None]
-    live = ~np.array([r.zero_fidelity for r in heads])[:, None]
+    err = np.array([row[0].e for row in rows])[:, None]
+    live = ~np.array([row[0].zero_fidelity for row in rows])[:, None]
     loglog = (err > 0.0) & (abs_zeta > 0.0) & live
     log_err = np.log10(err, out=np.zeros_like(err), where=err > 0.0)
     log_zeta = np.log10(abs_zeta, out=np.zeros_like(abs_zeta), where=loglog)
@@ -243,7 +239,7 @@ def summarize_structure(records: Sequence[GeometryRecord],
     # positional in field order: structure_index, pearson_r_loglog,
     # kendall_tau, count, mean_norm_K, var_norm_K
     return [CorrelationSummary(*row) for row in zip(
-                structure_indices, r_loglog.tolist(), tau.tolist(),
+                [r.structure_index for r in rows[0]], r_loglog.tolist(), tau.tolist(),
                 loglog.sum(axis=0).tolist(), norms.mean(axis=1).tolist(),
                 norms.var(axis=1).tolist())]
 
@@ -264,6 +260,5 @@ def analyze(controllers: list[Controller],
             raise ValueError("all controllers must share one network")
     structures = enumerate_structures(spec)
 
-    records = [rec for c in controllers
-               for rec in evaluate_controller(c, structures)]
-    return records, summarize_structure(records, [s.index for s in structures])
+    rows = [evaluate_controller(c, structures) for c in controllers]
+    return list(chain.from_iterable(rows)), summarize_structure(rows)

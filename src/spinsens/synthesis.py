@@ -16,9 +16,9 @@ entry is the derivative of the same phase sum. The adjoint-picture
 reference route in ``verification`` serves as its test oracle.
 
 Determinism is load-bearing: restarts get independent child seeds from a
-master seed, every accept step requires strict improvement, and results
-are ordered by a total sort key, so a fixed seed reproduces the ensemble
-bitwise.
+master seed, each restart's controller is the iterate its ascent stopped
+at, and results are ordered by a total sort key, so a fixed seed
+reproduces the ensemble bitwise.
 """
 
 from __future__ import annotations
@@ -83,6 +83,13 @@ class Controller:
 
 @dataclass(frozen=True)
 class SynthesisConfig:
+    """Multistart settings: ``restarts``, the boxes ``t_f_range`` and
+    ``bias_range`` that starts are drawn from and ascents stay in, and the
+    master ``seed``. ``__post_init__`` rejects a restart count or seed that
+    is not an integer, fewer than one restart, a negative seed, box ends or
+    widths that are not finite numbers, an empty box and a read-out range
+    that is not positive."""
+
     restarts: int = 100
     t_f_range: tuple[float, float] = (1.0, 50.0)
     bias_range: tuple[float, float] = (0.0, 10.0)
@@ -195,16 +202,15 @@ class _Ascent:
 
     ``x`` is the current point, which ``setulb`` moves in place; ``f`` and
     ``g`` are the minimized -F and -grad F it reads. Of the evaluations
-    (F, grad F), the ascent keeps three: the start's (``start_value``),
-    the current iterate's (``iterate``, with ``iterate_value``), which
-    ``local_optimize`` reads, and the one at the point evaluated last
-    (``last_x``, with ``last``), which answers a repeated request. Once
-    the ascent stops, ``stop`` frees the L-BFGS-B workspace.
+    (F, grad F), the ascent keeps two: the current iterate's (``iterate``,
+    with ``iterate_value``), which ``local_optimize`` reads, and the one
+    at the point evaluated last (``last_x``, with ``last``), which answers
+    a repeated request. The start is the first iterate. Once the ascent
+    stops, ``stop`` frees the L-BFGS-B workspace.
     """
 
     def __init__(self, start: np.ndarray):
         n = start.size
-        self.start = start.copy()
         self.x = start.copy()
         self.f = 0.0
         self.g = np.zeros(n)
@@ -216,8 +222,8 @@ class _Ascent:
         self.isave = np.zeros(44, dtype=np.int32)
         self.dsave = np.zeros(29)
         self.iterations = self.nfev = 0
-        self.iterate = self.start
-        self.start_value = self.iterate_value = self.last_x = self.last = None
+        self.iterate = start.copy()
+        self.iterate_value = self.last_x = self.last = None
 
     def record(self, f: float, grad: np.ndarray) -> None:
         """Store (F, grad F) at the current point, the new ``last``; the
@@ -225,7 +231,7 @@ class _Ascent:
         self.last_x = self.x.copy()
         self.last = (f, grad)
         if self.nfev == 0:
-            self.start_value = self.iterate_value = self.last
+            self.iterate_value = self.last
         self.nfev += 1
 
     def advance(self) -> None:
@@ -304,38 +310,36 @@ def _ascend(spec: NetworkSpec, starts: np.ndarray,
 
 
 def local_optimize(spec: NetworkSpec, ascent: _Ascent, config: SynthesisConfig,
-                   seed: int = 0, index: int = 0) -> Controller:
-    """The controller one finished L-BFGS-B ascent over (biases, t_f) gives.
+                   seed: int = 0) -> Controller:
+    """The controller one finished L-BFGS-B ascent over (biases, t_f)
+    stopped at, with ``seed`` as its seed and its index.
 
     L-BFGS-B stops at its last iterate: after a line search that fails it
     restores that iterate (Byrd, Lu, Nocedal & Zhu 1995), so an ascent
-    that ends anywhere else raises ``InvariantViolation``. The iterate is
-    accepted only when the last fidelity the ascent evaluated strictly
-    improves the start, so a point that is already stationary (a
-    perfect-transfer controller in particular) comes back unchanged. The
-    status is "converged" when the projected gradient over (biases, t_f)
-    at the returned point is at most ``TOLERANCE`` or its error 1 - F is
-    at most ``FIDELITY_TOL``, and "maxiter" otherwise. Since F <= 1
-    everywhere, a point of error within ``FIDELITY_TOL`` is a global
-    maximum, even where rounding keeps its gradient above the tolerance.
-    Both read the values the ascent stored for the iterate or the start:
-    no fidelity is computed here.
+    that ends anywhere else raises ``InvariantViolation``. It takes an
+    iterate only after a line search that meets the sufficient-decrease
+    condition (More & Thuente 1994), so the iterate is never worse than
+    the start, and a stationary start (a perfect-transfer controller in
+    particular) comes back unchanged. The status is "converged" when the
+    projected gradient over (biases, t_f) at the iterate is at most
+    ``TOLERANCE`` or its error 1 - F is at most ``FIDELITY_TOL``, and
+    "maxiter" otherwise. Since F <= 1 everywhere, a point of error within
+    ``FIDELITY_TOL`` is a global maximum, even where rounding keeps its
+    gradient above the tolerance. Both read the (F, grad F) the ascent
+    stored for the iterate, not ``ascent.f``, which after a failed line
+    search is the value of the last point tried: no fidelity is computed
+    here.
     """
     if ascent.x.tobytes() != ascent.iterate.tobytes():
         raise InvariantViolation("L-BFGS-B stopped away from its last iterate")
-    # after a line search stops abnormally, ascent.f belongs to the last
-    # point tried, not to ascent.x, so only the acceptance reads it
-    if -ascent.f > ascent.start_value[0]:
-        x, (f_final, grad) = ascent.iterate, ascent.iterate_value
-    else:
-        x, (f_final, grad) = ascent.start, ascent.start_value
+    x, (f_final, grad) = ascent.iterate, ascent.iterate_value
     lo, hi = _bounds(spec, config)
     # the projected gradient: no entry that points out of the box
     outward = ((x <= lo) & (grad < 0)) | ((x >= hi) & (grad > 0))
     converged = (np.abs(np.where(outward, 0.0, grad)).max() <= TOLERANCE
                  or 1.0 - f_final <= FIDELITY_TOL)
     return Controller(biases=x[:-1], t_f=float(x[-1]), fidelity=min(1.0, f_final),
-                      spec=spec, seed=seed, index=index,
+                      spec=spec, seed=seed, index=seed,
                       status="converged" if converged else "maxiter")
 
 
@@ -352,7 +356,7 @@ def synthesize_ensemble(spec: NetworkSpec, config: SynthesisConfig) -> list[Cont
         rng = np.random.default_rng(child)
         d0 = rng.uniform(*config.bias_range, spec.num_spins)
         starts.append(np.append(d0, rng.uniform(*config.t_f_range)))
-    raw = [local_optimize(spec, ascent, config, seed=i, index=i)
+    raw = [local_optimize(spec, ascent, config, seed=i)
            for i, ascent in enumerate(_ascend(spec, np.array(starts), config))]
 
     raw.sort(key=lambda c: (-c.fidelity, c.t_f, c.seed))

@@ -234,13 +234,6 @@ class TestSummaries:
             assert s.kendall_tau == tau
             assert s.pearson_r_loglog == pytest.approx(r, abs=1e-12)
 
-    def test_records_must_fill_the_structures(self, ring4_analysis):
-        records, _ = ring4_analysis
-        with pytest.raises(ValueError, match="do not fill"):
-            analytics.summarize_structure(records[:-1], range(1, 9))
-        with pytest.raises(ValueError, match="do not fill"):
-            analytics.summarize_structure(records, [])
-
 
 class TestAnalyzePipeline:
     def test_record_count_and_indexing(self, ring4_ensemble, ring4_analysis):

@@ -182,17 +182,20 @@ class TestSynthesisConfig:
             SynthesisConfig(**{field: value})
 
 
-def optimize_from(spec, biases, t_f, config, seed=0, index=0):
+def optimize_from(spec, biases, t_f, config, seed=0):
     # one restart from a given start: its ascent, then its controller
     ascent, = _ascend(spec, np.append(biases, t_f)[None], config)
-    return local_optimize(spec, ascent, config, seed=seed, index=index)
+    return local_optimize(spec, ascent, config, seed=seed)
 
 
 def minimize_restart(spec, start, config, maxiter=MAXITER, maxfun=_MAXFUN):
     """The per-restart ascent that `_ascend` replaced, kept as its
     reference: scipy's public ``minimize`` with the same L-BFGS-B settings
     (an iteration cap of ``maxiter`` and an evaluation cap of ``maxfun``),
-    then the same acceptance and status.
+    then the same status. It keeps ``minimize``'s result only when
+    ``-res.fun`` strictly improves the start, an acceptance that
+    ``local_optimize`` no longer makes: as an independent reference it
+    shows that returning the stopped iterate loses no restart.
     Returns the accepted point, its fidelity and status, and the number of
     objective evaluations."""
     from scipy.optimize import minimize
@@ -243,7 +246,8 @@ def ring4_starts(config):
 
 class TestLocalOptimize:
     def test_perfect_transfer_point_is_fixed(self):
-        # strict-improvement accepts leave an exact optimum untouched
+        # L-BFGS-B accepts no iterate at an exact optimum, so the stopped
+        # iterate is the start, untouched
         config = SynthesisConfig(t_f_range=(0.5, 3.0))
         start_t = np.pi / 2.0
         ctl = optimize_from(CHAIN2, np.zeros(2), start_t, config)
@@ -300,6 +304,9 @@ class TestLocalOptimize:
             assert (ctl.t_f, ctl.fidelity, ctl.status) == (x[-1], fidelity, status), i
             assert (ctl.seed, ctl.index) == (i, i)
             assert nfev == reference_nfev, i
+            # the stopped iterate never falls below its start, including
+            # the restarts whose last line search ended abnormally
+            assert ctl.fidelity >= min(1.0, fidelity_objective(spec, start[:-1], start[-1])[0]), i
         # the ensemble is sorted and deduplicated from these restarts alone,
         # so its bytes and statuses follow from theirs
         assert sum(rows) == sum(nfev for _, nfev in restarts)
@@ -313,7 +320,7 @@ class TestLocalOptimize:
         starts = ring4_starts(config)
         for i, (start, ascent) in enumerate(zip(starts, _ascend(RING4, starts, config))):
             (x, fidelity, status), nfev = minimize_restart(RING4, start, config, maxiter=3)
-            ctl = local_optimize(RING4, ascent, config, seed=i, index=i)
+            ctl = local_optimize(RING4, ascent, config, seed=i)
             assert ctl.biases.tobytes() == x[:-1].tobytes(), i
             assert (ctl.t_f, ctl.fidelity, ctl.status) == (x[-1], fidelity, status), i
             assert (status, ascent.nfev) == ("maxiter", nfev), i
@@ -329,15 +336,15 @@ class TestLocalOptimize:
         starts = ring4_starts(config)
         for i, (start, ascent) in enumerate(zip(starts, _ascend(RING4, starts, config))):
             (x, fidelity, status), nfev = minimize_restart(RING4, start, config, maxfun=maxfun)
-            ctl = local_optimize(RING4, ascent, config, seed=i, index=i)
+            ctl = local_optimize(RING4, ascent, config, seed=i)
             assert ctl.biases.tobytes() == x[:-1].tobytes(), i
             assert (ctl.t_f, ctl.fidelity, ctl.status) == (x[-1], fidelity, status), i
             assert (ascent.task[1], ascent.nfev) == (synthesis._STOP_MAXFUN, nfev), i
 
     def test_finished_ascent_keeps_no_evaluation_history(self):
-        # a finished ascent holds three evaluations (the start, the iterate
-        # and the point evaluated last) and no workspace, and it stopped at
-        # its iterate, whose stored value local_optimize reads
+        # a finished ascent holds two evaluations (the iterate and the
+        # point evaluated last) and no workspace, and it stopped at its
+        # iterate, whose stored value local_optimize reads
         config = SynthesisConfig(restarts=12, seed=3)
         rng = np.random.default_rng(3)
         starts = np.column_stack([rng.uniform(*config.bias_range, (12, 4)),
@@ -373,6 +380,23 @@ class TestLocalOptimize:
         with pytest.raises(InvariantViolation, match="stopped away from its last iterate"):
             local_optimize(RING4, ascent, config)
 
+    def test_returns_the_iterate_whatever_the_last_trial(self):
+        # restart 2 of the 40-restart 4-ring at seed 0 ends on an abnormal
+        # line search: its last trial point is not its iterate, and the
+        # value L-BFGS-B holds (ascent.f) is that trial's. With that value
+        # set to F = 0, below the start, the controller is still the
+        # iterate, with the fidelity stored for it
+        config = SynthesisConfig(restarts=40, seed=0)
+        start = ring4_starts(config)[2]
+        ascent, = _ascend(RING4, start[None], config)
+        assert -ascent.f != ascent.iterate_value[0]
+        ascent.f = -0.0
+        ctl = local_optimize(RING4, ascent, config, seed=2)
+        assert ctl.biases.tobytes() == ascent.iterate[:-1].tobytes()
+        assert ctl.t_f == ascent.iterate[-1]
+        assert ctl.fidelity == ascent.iterate_value[0]
+        assert ctl.fidelity > transfer_fidelity(RING4, start[:-1], start[-1])
+
     def test_read_out_time_reaches_interior_maximum(self, monkeypatch):
         # two-spin chain at ~zero bias: F = sin^2 t has its only maximum in
         # [1.5, 1.6] at pi/2, and every start must reach it however far
@@ -395,10 +419,10 @@ class TestLocalOptimize:
 
     def test_result_respects_bounds(self, rng):
         config = SynthesisConfig(t_f_range=(1.0, 4.0), bias_range=(0.0, 6.0))
-        ctl = optimize_from(RING4, rng.uniform(0, 6, 4), 2.0, config, seed=3, index=9)
+        ctl = optimize_from(RING4, rng.uniform(0, 6, 4), 2.0, config, seed=3)
         assert np.all(ctl.biases >= 0.0) and np.all(ctl.biases <= 6.0)
         assert 1.0 <= ctl.t_f <= 4.0
-        assert ctl.seed == 3 and ctl.index == 9
+        assert ctl.seed == ctl.index == 3
 
     def test_former_saddle_restart_reaches_perfect_transfer(self):
         # restart 14 of the 40-restart 4-ring ensemble at seed 22 once
@@ -410,7 +434,7 @@ class TestLocalOptimize:
         t0 = rng.uniform(*config.t_f_range)
         assert np.allclose(d0, [4.81, 5.14, 4.28, 3.97], atol=5e-3)
         assert abs(t0 - 15.49) < 5e-3
-        ctl = optimize_from(RING4, d0, t0, config, seed=14, index=14)
+        ctl = optimize_from(RING4, d0, t0, config, seed=14)
         assert ctl.error <= FIDELITY_TOL
         assert ctl.status == "converged"
 
