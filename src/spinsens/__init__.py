@@ -28,8 +28,7 @@ _HOMES = {
     "errors": ("InvariantViolation",),
     "geometry": ("GeometryRecord", "angles", "identity_residual", "project"),
     "network": ("NetworkSpec", "UncertaintyStructure",
-                "build_hamiltonian", "enumerate_structures", "perturb",
-                "scaling_factor"),
+                "build_hamiltonian", "enumerate_structures", "scaling_factor"),
     "sensitivity": ("HilbertTransfer", "adjoint_sensitivity_operator", "fd_oracle",
                     "frechet_oracle", "hadamard_core", "hilbert_transfer",
                     "propagator_matrix", "sensitivity_operator",

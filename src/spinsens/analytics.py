@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,9 +56,9 @@ TF_CONDITION_LIMIT = 1e8
 KENDALL_BLOCK_CELLS = 1 << 18
 
 
-@dataclass(frozen=True)
-class CorrelationSummary:
-    """Per-structure ensemble statistics; nan marks an undefined statistic."""
+class CorrelationSummary(NamedTuple):
+    """Per-structure ensemble statistics, one immutable ``NamedTuple`` row;
+    nan marks an undefined statistic."""
 
     structure_index: int
     pearson_r_loglog: float
@@ -238,10 +238,10 @@ def summarize_structure(rows: Sequence[Sequence[GeometryRecord]]) -> list[Correl
     norms = np.ascontiguousarray(norm_k.T)
     # positional in field order: structure_index, pearson_r_loglog,
     # kendall_tau, count, mean_norm_K, var_norm_K
-    return [CorrelationSummary(*row) for row in zip(
-                [r.structure_index for r in rows[0]], r_loglog.tolist(), tau.tolist(),
-                loglog.sum(axis=0).tolist(), norms.mean(axis=1).tolist(),
-                norms.var(axis=1).tolist())]
+    return list(map(CorrelationSummary._make, zip(
+        [r.structure_index for r in rows[0]], r_loglog.tolist(), tau.tolist(),
+        loglog.sum(axis=0).tolist(), norms.mean(axis=1).tolist(),
+        norms.var(axis=1).tolist())))
 
 
 def analyze(controllers: list[Controller],

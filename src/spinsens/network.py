@@ -241,14 +241,3 @@ def scaling_factor(structure: UncertaintyStructure, controller: "Controller") ->
         site = structure.sites[0]
         return abs(float(np.asarray(controller.biases)[site - 1]))
     return 1.0
-
-
-def perturb(ham: np.ndarray, structure: UncertaintyStructure, delta: float,
-            controller: "Controller") -> np.ndarray:
-    """Hamiltonian displaced by ``delta`` along a scaled uncertainty direction."""
-    n = ham.shape[0]
-    if structure.matrix.shape != (n, n):
-        raise ValueError(f"structure dimension {structure.matrix.shape} does not match "
-                         f"Hamiltonian dimension {(n, n)}")
-    f = scaling_factor(structure, controller)
-    return _readonly(ham + delta * f * structure.matrix)

@@ -27,13 +27,13 @@ with divided differences computed once, and returns every K and |K|;
 verification reads every k = rf . K r0 off the whole stack in one
 product. Two slower, independent evaluations
 of the derivative are oracles too, both in the N x N picture and sharing
-no eigensystem with the closed form: the Frechet derivative of the
-exponential along the scaled structure (``frechet_oracle``: one
-exponential of Van Loan's block-triangular matrix) and a central finite
-difference of the error under full re-propagation (``fd_oracle``: the
-Hamiltonian displaced by +- the fixed step ``FD_STEP``, exponentiated one
-at a time), each from ``_expm``, a Pade exponential of one matrix in
-numpy alone.
+no eigensystem with the closed form. Both build one direction, the
+structure scaled by ``scaling_factor``: the Frechet derivative of the
+exponential along it (``frechet_oracle``: one exponential of Van Loan's
+block-triangular matrix) and a central finite difference of the error
+under full re-propagation (``fd_oracle``: the Hamiltonian displaced along
+it by +- the fixed step ``FD_STEP``, exponentiated one at a time), each
+from ``_expm``, a Pade exponential of one matrix in numpy alone.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import InvariantViolation
-from .network import BIAS, _readonly, build_hamiltonian, perturb, scaling_factor
+from .network import BIAS, _readonly, build_hamiltonian, scaling_factor
 
 if TYPE_CHECKING:
     from .network import NetworkSpec, UncertaintyStructure
@@ -334,14 +334,15 @@ def fd_oracle(structure: "UncertaintyStructure", controller: "Controller") -> fl
     """Central finite difference of the error under full re-propagation.
 
     The error 1 - |U_oi|^2 of the Hamiltonian displaced by +-``FD_STEP``
-    along the scaled structure, one ``_expm`` call each; the derivative
-    estimate is (e(+h) - e(-h)) / 2h, h = ``FD_STEP``, with truncation
-    error O(h^2).
+    along the direction f S that ``frechet_oracle`` differentiates along,
+    one ``_expm`` call each; the derivative estimate is
+    (e(+h) - e(-h)) / 2h, h = ``FD_STEP``, with truncation error O(h^2).
     """
     spec, t_f = controller.spec, controller.t_f
     ham = build_hamiltonian(spec, controller.biases)
+    direction = scaling_factor(structure, controller) * structure.matrix
     out, inp = spec.output_spin - 1, spec.input_spin - 1
-    u = np.array([_expm(-1j * perturb(ham, structure, delta, controller) * t_f)[out, inp]
+    u = np.array([_expm(-1j * (ham + delta * direction) * t_f)[out, inp]
                   for delta in (+FD_STEP, -FD_STEP)])
     # np.abs of the pair: scalar abs can differ from it in the last bit,
     # which the quotient by 2h turns into a different estimate

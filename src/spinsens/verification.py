@@ -341,9 +341,9 @@ def check_remark2(instances: list[Instance]) -> CheckResult:
 
 def check_three_way(seed: int, dims: tuple[int, ...], per_dim: int) -> CheckResult:
     """Closed form vs the Frechet derivative of the N x N exponential vs
-    finite differences on random instances of up to 5 spins, one drawn
-    structure each; fails when there are none."""
-    sizes = [n for n in dims if n <= 5 for _ in range(per_dim)]
+    finite differences on ``per_dim`` random instances per size in
+    ``dims``, one drawn structure each; fails when there are none."""
+    sizes = [n for n in dims for _ in range(per_dim)]
     if not sizes:
         return _no_instances("three-way-agreement")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -804,9 +804,9 @@ class TestDeterminism:
         assert (sha256_of(tmp_path / "r.csv"), sha256_of(tmp_path / "s.csv")) == digests
 
     @pytest.mark.parametrize("seed, digest", [
-        (2024, "78b4405b30adfe7c881add41adb668eba2130de697e5b16b07570ac4a2a9b42c"),
-        (5, "6b4e5094ddce6caf036d2ec660664a11a56550a65e13187aa929f4c8f89f37ff"),
-        (77, "3a9fdef823cabd9dcc17107bfc3b8034dbe8e39e09c4e571e4cc84abcba1df56")])
+        (2024, "c164964b166e2c7b34df326fee79a9f017dbcd061bf04a56a7ebf271642331f8"),
+        (5, "ab28e67f30b214736392560a2d00712b9efd765029b97c3cfba7a3cd92083bf7"),
+        (77, "3a80c7bba75d4fc05e284353800e49ca08f649168c92f29513f24b4d9a6fa395")])
     def test_verify_stdout_unchanged(self, capsys, seed, digest):
         # SHA-256 of verify's report at the benchmark's sizes, as the oracles
         # on the in-repo Pade exponential printed it; moving a record rule or
@@ -937,18 +937,17 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         assert "9 checks, 9 passed" in out
 
-    def test_no_three_way_dimension_fails_three_way(self, capsys):
-        # three-way runs on the requested dimensions <= 5 only; with none
-        # it has no instance and fails rather than passing vacuously
+    def test_six_spins_get_three_way_instances(self, capsys):
+        # three-way draws every requested dimension, 6 spins included
         assert main(["verify", "--n", "6", "--systems-per-dim", "1",
                      "--three-way-per-dim", "1", "--cross-count", "1",
-                     "--restarts", "2", "--seed", "5"]) == 2
+                     "--restarts", "2", "--seed", "5"]) == 0
         lines = capsys.readouterr().out.splitlines()
         checks = [line for line in lines if line[:4] in ("PASS", "WARN", "FAIL")]
         assert len(checks) == 9
         three_way, = [line for line in checks if "three-way-agreement" in line]
-        assert three_way.startswith("FAIL") and three_way.endswith("0 instances")
-        assert "verify: 9 checks" in lines[-1]
+        assert three_way.split()[:3] == ["PASS", "three-way-agreement", "1"]
+        assert "verify: 9 checks, 9 passed" in lines[-1]
 
     @pytest.mark.parametrize("target, factor, lower_bound_broken", [
         ("propagator_matrix", 1.0001, False),
@@ -992,6 +991,27 @@ class TestVerifyCommand:
         # Frechet half alone is over its budget. At SMALL the three-way
         # instances (2 and 3 spins) have distinct eigenvalues, so a sinc
         # argument off by a factor 1.0001 reaches them
+        checks = self.run_with_bent_sinc(monkeypatch, capsys, self.SMALL)
+        three_way = checks["three-way-agreement"]
+        assert three_way.startswith("FAIL")
+        assert float(re.search(r"Frechet derivative at (\S+)", three_way).group(1)) > 1.0
+        assert checks["cross-formulation"].startswith("PASS")
+
+    def test_shared_weights_defect_reaches_six_spins(self, capsys, monkeypatch):
+        # the same bent sinc with 6-spin instances only: three-way
+        # agreement is the one check that fails, so its 6-spin instances
+        # are compared with the oracles
+        checks = self.run_with_bent_sinc(monkeypatch, capsys, [
+            "--n", "6", "--systems-per-dim", "1", "--three-way-per-dim", "3",
+            "--cross-count", "2", "--restarts", "2", "--seed", "5"])
+        assert [name for name, line in checks.items() if line.startswith("FAIL")] == [
+            "three-way-agreement"]
+        assert checks["three-way-agreement"].split()[2] == "3"
+
+    @staticmethod
+    def run_with_bent_sinc(monkeypatch, capsys, argv):
+        # verify with every hadamard_core's sinc argument scaled by 1.0001;
+        # returns each check's report line by name
         from spinsens import sensitivity
         from test_analytics import TestHotPath
 
@@ -1004,13 +1024,11 @@ class TestVerifyCommand:
             return half[..., :, None] * half[..., None, :] * sinc
 
         TestHotPath.patch_everywhere(monkeypatch, sensitivity.hadamard_core, bent)
-        assert main(["verify", *self.SMALL]) == 2
+        assert main(["verify", *argv]) == 2
         checks = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()
                   if line[:4] in ("PASS", "WARN", "FAIL")}
-        three_way = checks["three-way-agreement"]
-        assert three_way.startswith("FAIL")
-        assert float(re.search(r"Frechet derivative at (\S+)", three_way).group(1)) > 1.0
-        assert checks["cross-formulation"].startswith("PASS")
+        assert len(checks) == 9
+        return checks
 
     def test_published_norm_defect_caught_by_cross_formulation_alone(
             self, capsys, monkeypatch):

@@ -1,14 +1,13 @@
-"""Hamiltonian construction, uncertainty structures, scaling, perturbation."""
+"""Hamiltonian construction, uncertainty structures, scaling."""
 
 import json
 import math
-import re
 
 import numpy as np
 import pytest
 
 from spinsens import (Controller, NetworkSpec, build_hamiltonian,
-                      enumerate_structures, perturb, scaling_factor,
+                      enumerate_structures, scaling_factor,
                       transfer_fidelity)
 from spinsens.network import BIAS, COUPLING, _coupling_template
 
@@ -273,51 +272,3 @@ class TestScalingFactor:
         assert scaling_factor(structures[1], ctl) == 2.5
         assert scaling_factor(structures[0], ctl) == 0.0
 
-
-class TestPerturb:
-    def test_zero_delta_identity(self):
-        spec = NetworkSpec(num_spins=4, topology="ring", input_spin=1, output_spin=2)
-        ctl = make_controller(spec, [1.0, 2.0, 3.0, 4.0])
-        ham = build_hamiltonian(spec, ctl.biases)
-        for s in enumerate_structures(spec):
-            assert np.array_equal(perturb(ham, s, 0.0, ctl), ham)
-
-    def test_structure_of_another_size_rejected(self):
-        spec = NetworkSpec(num_spins=4, topology="chain", input_spin=1, output_spin=4)
-        ctl = make_controller(spec, [1.0, 2.0, 3.0, 4.0])
-        ham = build_hamiltonian(spec, ctl.biases)
-        chain5 = NetworkSpec(num_spins=5, topology="chain", input_spin=1, output_spin=5)
-        with pytest.raises(ValueError, match=re.escape(
-                "structure dimension (5, 5) does not match Hamiltonian dimension (4, 4)")):
-            perturb(ham, enumerate_structures(chain5)[0], 0.01, ctl)
-
-    def test_bias_perturbation_scales_with_field(self):
-        spec = NetworkSpec(num_spins=4, topology="chain", input_spin=1, output_spin=4)
-        ctl = make_controller(spec, [0.0, 330.0, 0.0, 0.0])
-        ham = build_hamiltonian(spec, ctl.biases)
-        s2 = enumerate_structures(spec)[1]
-        tilted = perturb(ham, s2, 0.01, ctl)
-        assert tilted[1, 1] == pytest.approx(330.0 + 3.3, abs=1e-12)
-        off = tilted - ham
-        off[1, 1] = 0.0
-        assert np.all(off == 0.0)
-
-    def test_coupling_perturbation_additive(self):
-        spec = NetworkSpec(num_spins=3, topology="chain", input_spin=1, output_spin=3)
-        ctl = make_controller(spec, [5.0, 5.0, 5.0])
-        ham = build_hamiltonian(spec, ctl.biases)
-        s = enumerate_structures(spec)[3]  # coupling (1,2)
-        tilted = perturb(ham, s, 0.01, ctl)
-        assert tilted[0, 1] == pytest.approx(1.01, abs=1e-15)
-        assert tilted[1, 0] == pytest.approx(1.01, abs=1e-15)
-
-    def test_frobenius_norm_of_step(self, rng):
-        spec = NetworkSpec(num_spins=5, topology="ring", input_spin=2, output_spin=4)
-        ctl = make_controller(spec, rng.uniform(-3, 3, 5))
-        ham = build_hamiltonian(spec, ctl.biases)
-        for s in enumerate_structures(spec):
-            delta = 0.37
-            f_n = scaling_factor(s, ctl)
-            step = perturb(ham, s, delta, ctl) - ham
-            assert np.linalg.norm(step) == pytest.approx(
-                abs(delta) * f_n * np.linalg.norm(s.matrix), abs=1e-12)

@@ -35,8 +35,7 @@ def test_structural_check_on_empty_pool_fails(check):
 
 
 @pytest.mark.parametrize("kwargs", [{"dims": (), "per_dim": 50},
-                                    {"dims": (6,), "per_dim": 50},
-                                    {"dims": (2, 3, 4, 5), "per_dim": 0}])
+                                    {"dims": (2, 3, 4, 5, 6), "per_dim": 0}])
 def test_three_way_with_no_instances_fails(kwargs):
     res = check_three_way(seed=3, **kwargs)
     assert (res.name, res.passed, res.detail) == ("three-way-agreement", False,
@@ -95,9 +94,9 @@ def test_pool_draws_pinned(evaluated):
         digest.update(repr((c.spec.num_spins, c.spec.topology, c.spec.input_spin,
                             c.spec.output_spin, c.biases.tolist(), c.t_f,
                             [s.index for s in structures])).encode())
-    assert len(evaluated) == 5 * 4 + 4 * 12 + 25
+    assert len(evaluated) == 5 * 4 + 5 * 12 + 25
     assert digest.hexdigest() == (
-        "2f0aa57ea1cff6aeba9e7c206b70f2a1ad0a7f086c68c226eb52b375b2229a6c")
+        "116a0db87709658e22ec973d91db5d2a103a12be71f47b1ac7761fad7de1892b")
 
 
 def test_reference_records_pinned():
