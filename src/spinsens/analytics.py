@@ -2,13 +2,15 @@
 
 For every (controller, uncertainty structure) pair the pipeline measures
 the fidelity, the frame coefficient and the norms in the N x N picture,
-and ``GeometryRecord.assemble`` turns a controller's measurements into its
-records, deriving f_n, zeta, the angles and the perfect-transfer flag.
-The measurements come from ``eigh`` of the N x N Hamiltonian plus one
-O(N^3) contraction, both once per controller (``hilbert_transfer``), and
-O(N^2) at most per structure (``sensitivity_operator``); no N^2 x N^2
-operator is formed and no structure matrix is conjugated. The
-adjoint-picture route that builds Phi and K explicitly is kept in
+and ``GeometryRecord.assemble`` turns the measurements into the records,
+deriving f_n, zeta, the angles and the perfect-transfer flag. One pass
+covers a whole ensemble (``evaluate_ensemble``): one stacked ``eigh`` of
+the N x N Hamiltonians and one stacked O(N^3) contraction
+(``hilbert_transfer``), then O(N^2) at most per record
+(``sensitivity_operator``); no N^2 x N^2 operator is formed and no
+structure matrix is conjugated. Each controller's records are the bytes
+it gets alone, which ``evaluate_controller`` computes as a stack of one.
+The adjoint-picture route that builds Phi and K explicitly is kept in
 ``verification`` as the reference these records are checked against.
 
 Per structure, two statistics summarize the ensemble: the Pearson
@@ -20,9 +22,8 @@ used. A zero-fidelity controller, flagged as a whole, leaves both
 samples of every structure. Undefined statistics (zero variance, all
 ties, fewer than two rows, as in a one-controller ensemble) are reported
 as nan rather than aborting the batch. ``summarize_structure`` computes
-them for every structure in one pass over (controllers x structures)
-arrays: ``pearson`` and ``kendall`` take column stacks with a sample
-mask per column.
+them for every structure in one pass over the record columns: ``pearson``
+and ``kendall`` take column stacks with a sample mask per column.
 
 Both statistics are written out from their definitions on purpose; they
 double as the oracle for themselves and stay exact at desk scale.
@@ -36,14 +37,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from itertools import chain
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import GeometryRecord
+from .geometry import GeometryRecord, RecordColumns
 from .network import UncertaintyStructure, enumerate_structures
-from .sensitivity import hilbert_transfer, sensitivity_operator
+from .sensitivity import HilbertTransfer, hilbert_transfer, sensitivity_operator
 from .synthesis import Controller
 
 # Largest accepted t_f * max|E|. The phases exp(-iEt) carry an absolute
@@ -161,85 +161,85 @@ def kendall(x, y, where=True) -> float | np.ndarray:
     return _result(np.where(denom == 0.0, np.nan, tau), vector)
 
 
-def evaluate_controller(controller: Controller,
-                        structures: tuple[UncertaintyStructure, ...],
-                        ) -> list[GeometryRecord]:
-    """All geometry records of one controller, one per structure.
+def evaluate_ensemble(controllers: Sequence[Controller],
+                      structures: Sequence[UncertaintyStructure]) -> RecordColumns:
+    """The geometry records of controllers of one network, one per
+    (controller, structure) pair, as columns.
 
-    F = |U_oi|^2 from the propagated input column. ``hilbert_transfer``
-    makes the controller's one O(N^3) contraction, and per structure
-    ``sensitivity_operator`` reads k = <R, K> and |K| off it; |R_S| is
+    F = |U_oi|^2 from the propagated input column. One stacked
+    ``hilbert_transfer`` makes every controller's contraction, and per
+    record ``sensitivity_operator`` reads k = <R, K> and |K| off the
+    controller's row of it. |R_S| is
     hypot(F/N, k/|K|) and its part off the propagator has norm |k|/|K|.
     One ``assemble`` call turns these arrays into the records (deriving
-    f_n and zeta). The state distance that
-    ``assemble`` compares with ``PST_TOL`` is |rf - Phi r0| =
-    sqrt(2 leak (F + leak)), with leak the population off the output
-    site; unlike 1 - F this keeps its digits at perfect transfer.
+    f_n and zeta). The state distance that ``assemble`` compares with
+    ``PST_TOL`` is |rf - Phi r0| = sqrt(2 leak (F + leak)), with leak the
+    population off the output site; unlike 1 - F this keeps its digits at
+    perfect transfer. Each row is the same floats as its controller alone.
 
-    Raises ValueError when t_f * max|E| exceeds ``TF_CONDITION_LIMIT``.
+    Raises ValueError, naming the first such controller, when t_f * max|E|
+    exceeds ``TF_CONDITION_LIMIT``.
     """
-    spec = controller.spec
-    t_f = controller.t_f
-    n = spec.num_spins
-    transfer = hilbert_transfer(spec, controller.biases, t_f)
-    phase_scale = t_f * float(np.abs(transfer.e).max())
-    if phase_scale > TF_CONDITION_LIMIT:
-        raise ValueError(
-            f"controller {controller.index}: tf {t_f!r} times the spectral radius "
-            f"of H is {phase_scale:.3e}, above {TF_CONDITION_LIMIT:.0e}, where "
-            "the phases exp(-iEt) lose more than half their digits")
+    spec = controllers[0].spec
+    t_f = np.array([c.t_f for c in controllers])
+    transfer = hilbert_transfer(spec, np.array([c.biases for c in controllers]), t_f)
+    phase_scale = t_f * np.abs(transfer.e).max(axis=-1)
+    for c, scale in zip(controllers, phase_scale.tolist()):
+        if scale > TF_CONDITION_LIMIT:
+            raise ValueError(
+                f"controller {c.index}: tf {c.t_f!r} times the spectral radius "
+                f"of H is {scale:.3e}, above {TF_CONDITION_LIMIT:.0e}, where "
+                "the phases exp(-iEt) lose more than half their digits")
     probs = np.abs(transfer.column) ** 2
     out = spec.output_spin - 1
-    f_val = float(probs[out])
-    leak = float(np.delete(probs, out).sum())
-    gap = math.sqrt(2.0 * leak * (f_val + leak))
+    f_val = probs[:, out]
+    leak = np.delete(probs, out, axis=1).sum(axis=1)
     k_coeff, norm_k = np.array(
-        [sensitivity_operator(transfer, structure) for structure in structures],
-        dtype=float).reshape(-1, 2).T
+        [[sensitivity_operator(row, structure) for structure in structures]
+         for row in map(HilbertTransfer._make, zip(*transfer))],
+        dtype=float).transpose(2, 0, 1)
     perp = np.abs(k_coeff) / norm_k
-    f_over_n = f_val / n
-    norm_rs = [math.hypot(f_over_n, p) for p in perp.tolist()]
-    return GeometryRecord.assemble(controller, structures, f_val=f_val,
+    norm_rs = [[math.hypot(f_over_n, p) for p in row]
+               for f_over_n, row in zip((f_val / spec.num_spins).tolist(), perp.tolist())]
+    return GeometryRecord.assemble(controllers, structures, f_val=f_val,
                                    k_coeff=k_coeff, norm_k=norm_k, norm_rs=norm_rs,
-                                   perp=perp, gap=gap)
+                                   perp=perp, gap=np.sqrt(2.0 * leak * (f_val + leak)))
 
 
-_SUMMARY_FIELDS = attrgetter("zeta", "sin_phi", "norm_K")
+def evaluate_controller(controller: Controller,
+                        structures: Sequence[UncertaintyStructure],
+                        ) -> list[GeometryRecord]:
+    """All geometry records of one controller, one per structure: the
+    ensemble pass on a stack of one."""
+    return evaluate_ensemble([controller], structures).rows()[0]
 
 
-def summarize_structure(rows: Sequence[Sequence[GeometryRecord]]) -> list[CorrelationSummary]:
+def summarize_structure(columns: RecordColumns) -> list[CorrelationSummary]:
     """Fold an ensemble's records into every structure's two correlation
     statistics, in one pass over (controllers x structures) arrays.
 
-    ``rows`` holds each controller's records in structure order, as
-    ``evaluate_controller`` makes them; the structure indices are read off
-    the first row, and each controller's error and zero-fidelity flag off
-    its first record, so Kendall's error signs are computed once for every
-    structure. Per structure, the Pearson sample is the records with
-    e > 0, |zeta| > 0 and a nonzero fidelity, and the Kendall sample the
-    records with a finite sin phi; each statistic takes every structure's
-    column at once under its sample mask, and a column with fewer than two
-    samples gives nan. The |K| moments come from the contiguous
-    per-structure rows, so each is the same float as from that
-    structure's records alone.
+    ``columns`` are the records as ``evaluate_ensemble`` makes them: each
+    controller's error and zero-fidelity flag are one column, so Kendall's
+    error signs are computed once for every structure. Per structure, the
+    Pearson sample is the records with e > 0, |zeta| > 0 and a nonzero
+    fidelity, and the Kendall sample the records with a finite sin phi;
+    each statistic takes every structure's column at once under its sample
+    mask, and a column with fewer than two samples gives nan. The |K|
+    moments come from the contiguous per-structure rows, so each is the
+    same float as from that structure's records alone.
     """
-    width = len(rows[0])
-    fields = np.fromiter(chain.from_iterable(map(_SUMMARY_FIELDS, chain.from_iterable(rows))),
-                         float, count=3 * width * len(rows))
-    zeta, sin_phi, norm_k = fields.reshape(-1, width, 3).transpose(2, 0, 1)
-    abs_zeta = np.abs(zeta)
-    err = np.array([row[0].e for row in rows])[:, None]
-    live = ~np.array([row[0].zero_fidelity for row in rows])[:, None]
-    loglog = (err > 0.0) & (abs_zeta > 0.0) & live
+    err = columns.e
+    abs_zeta = np.abs(columns.zeta)
+    loglog = (err > 0.0) & (abs_zeta > 0.0) & ~columns.zero_fidelity
     log_err = np.log10(err, out=np.zeros_like(err), where=err > 0.0)
     log_zeta = np.log10(abs_zeta, out=np.zeros_like(abs_zeta), where=loglog)
     r_loglog = pearson(log_err, log_zeta, where=loglog)
-    tau = kendall(err, sin_phi, where=np.isfinite(sin_phi))
-    norms = np.ascontiguousarray(norm_k.T)
+    tau = kendall(err, columns.sin_phi, where=np.isfinite(columns.sin_phi))
+    norms = np.ascontiguousarray(columns.norm_K.T)
     # positional in field order: structure_index, pearson_r_loglog,
     # kendall_tau, count, mean_norm_K, var_norm_K
     return list(map(CorrelationSummary._make, zip(
-        [r.structure_index for r in rows[0]], r_loglog.tolist(), tau.tolist(),
+        columns.structure_index[0].tolist(), r_loglog.tolist(), tau.tolist(),
         loglog.sum(axis=0).tolist(), norms.mean(axis=1).tolist(),
         norms.var(axis=1).tolist())))
 
@@ -260,5 +260,5 @@ def analyze(controllers: list[Controller],
             raise ValueError("all controllers must share one network")
     structures = enumerate_structures(spec)
 
-    rows = [evaluate_controller(c, structures) for c in controllers]
-    return list(chain.from_iterable(rows)), summarize_structure(rows)
+    columns = evaluate_ensemble(controllers, structures)
+    return list(chain.from_iterable(columns.rows())), summarize_structure(columns)

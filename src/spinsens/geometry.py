@@ -16,14 +16,16 @@ Because <Phi, R> = F, |Phi|^2 = N^2 and Phi is orthogonal to K, the
 projection needs only F, k = <R, K> and |K|: |R_S| = hypot(F/N, k/|K|),
 and the component of R_S off the propagator has norm |k|/|K|. The records
 ``analyze`` writes take these scalars from the N x N picture. The records
-of a controller are made by one ``GeometryRecord.assemble`` call from the
-controller and its structures, with the per-structure measurements as
-arrays; f_n, zeta = -t_f f_n k and the perfect-transfer flag (the state
-distance |rf - Phi r0| its route measured <= ``PST_TOL``) are derived
-there alone, every field by the same operations a single record would
-take, over the whole controller at once (``angles`` and
-``identity_residual`` take stacks). A record is an immutable
-``NamedTuple`` row; ``._replace`` gives a changed copy. Zero fidelity,
+of controllers of one network are made by one ``GeometryRecord.assemble``
+call from the controllers and the structures, with the measurements as
+(controllers x structures) arrays; f_n, zeta = -t_f f_n k and the
+perfect-transfer flag (the state distance |rf - Phi r0| its route
+measured <= ``PST_TOL``) are derived there alone, every field by the
+same operations a single record would take, over all controllers at once
+(``angles`` and ``identity_residual`` take stacks). ``assemble`` returns
+the records as ``RecordColumns``, arrays in the record fields, and their
+``rows`` are the records. A record is an immutable ``NamedTuple`` row;
+``._replace`` gives a changed copy. Zero fidelity,
 where cos phi is undefined, is decided once per controller: all its
 records carry nan angles, or none do. ``project`` assembles R_S itself
 from F, k, |K| and the N^2 x N^2 operators Phi and K, all plain arrays,
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -112,7 +113,8 @@ def angles(fidelity: float, zeta: float | np.ndarray, n: int,
            f_n: float | np.ndarray, t_f: float, *,
            norm_rs_perp: float | np.ndarray) -> tuple[float | np.ndarray, ...]:
     """Frame angles (cos phi, sin phi, cos theta) of one record, or of a
-    stack of records that share F and t_f.
+    stack of records, with F and t_f scalars or arrays that broadcast
+    against the stack.
 
     cos phi = F / (n |R_S|) comes from the fidelity and is reported as
     computed: a frame defect that pushes it past 1 shows in verification's
@@ -178,44 +180,49 @@ class GeometryRecord(NamedTuple):
     zero_fidelity: bool
 
     @classmethod
-    def assemble(cls, controller: "Controller",
-                 structures: Sequence[UncertaintyStructure], *, f_val: float,
+    def assemble(cls, controllers: Sequence["Controller"],
+                 structures: Sequence[UncertaintyStructure], *, f_val: ArrayLike,
                  k_coeff: ArrayLike, norm_k: ArrayLike, norm_rs: ArrayLike,
-                 perp: ArrayLike, gap: float) -> list["GeometryRecord"]:
-        """The records of one controller, one per structure, from what its
-        route measures: the fidelity F and the state distance ``gap`` =
-        |rf - Phi r0| of the controller, and per structure the frame
-        coefficient k, |K|, |R_S| and ``perp``, the norm of the part of
-        R_S off the propagator, as arrays in structure order. The pairs
-        give the indices, n, t_f, f_n = ``scaling_factor`` and
-        zeta = -t_f f_n k, and ``gap`` <= ``PST_TOL`` flags perfect
+                 perp: ArrayLike, gap: ArrayLike) -> "RecordColumns":
+        """The records of controllers of one network, one per (controller,
+        structure) pair, as columns, from what their route measures: per
+        controller the fidelity F and the state distance ``gap`` =
+        |rf - Phi r0|, and per pair the frame coefficient k, |K|, |R_S| and
+        ``perp``, the norm of the part of R_S off the propagator, as
+        (controllers x structures) arrays in controller, then structure
+        order. The pairs give the indices, n, t_f, f_n = ``scaling_factor``
+        and zeta = -t_f f_n k, and ``gap`` <= ``PST_TOL`` flags perfect
         transfer, made here alone. |K| > 0 is checked here, the one check
         on the record path; ``angles`` does not repeat it. A fidelity below
         ``ZERO_FIDELITY_FLOOR`` or a vanishing |R_S| on any structure flags
         the whole controller zero-fidelity, with nan angles and residuals.
         Otherwise every field takes the same operations as a record
-        assembled on its own, over the whole controller at once; each row
-        becomes a record by ``_make``."""
-        n, t_f = controller.spec.num_spins, controller.t_f
+        assembled on its own, over all controllers at once, so a
+        controller's row does not depend on the others."""
+        n = controllers[0].spec.num_spins
+        f_val, gap = (np.asarray(a, dtype=float)[:, None] for a in (f_val, gap))
         k_coeff, norm_k, norm_rs, perp = (np.asarray(a, dtype=float)
                                           for a in (k_coeff, norm_k, norm_rs, perp))
         if (norm_k <= 0).any():
             raise ValueError("norm_K must be positive")
-        f_n = np.array([scaling_factor(s, controller) for s in structures], dtype=float)
+        t_f = np.array([[c.t_f] for c in controllers])
+        f_n = np.array([[scaling_factor(s, c) for s in structures] for c in controllers])
         zeta = -t_f * f_n * k_coeff
-        zero_fid = bool(f_val < ZERO_FIDELITY_FLOOR or not (norm_rs > 0.0).all())
-        if zero_fid:
-            cos_phi = sin_phi = cos_theta = residual = np.full(len(structures), np.nan)
-        else:
-            cos_phi, sin_phi, cos_theta = angles(f_val, zeta, n, norm_rs, norm_k, f_n, t_f,
-                                                 norm_rs_perp=perp)
-            residual = identity_residual(zeta, f_n, t_f, norm_k, norm_rs, sin_phi)
-        rows = zip(repeat(controller.index), (s.index for s in structures), repeat(f_val),
-                   repeat(1.0 - f_val), zeta.tolist(), f_n.tolist(), repeat(t_f),
-                   norm_k.tolist(), norm_rs.tolist(), k_coeff.tolist(), cos_phi.tolist(),
-                   sin_phi.tolist(), cos_theta.tolist(), residual.tolist(),
-                   repeat(bool(gap <= PST_TOL)), repeat(zero_fid))
-        return list(map(cls._make, rows))
+        zero_fid = (f_val < ZERO_FIDELITY_FLOOR) | ~(norm_rs > 0.0).all(axis=1, keepdims=True)
+        # a zero-fidelity controller's angles are computed on a stand-in
+        # |R_S| = 1 and replaced by nan; no other row reads them
+        degenerate = zero_fid.any()
+        live_rs = np.where(zero_fid, 1.0, norm_rs) if degenerate else norm_rs
+        cos_phi, sin_phi, cos_theta = angles(f_val, zeta, n, live_rs, norm_k, f_n, t_f,
+                                             norm_rs_perp=perp)
+        residual = identity_residual(zeta, f_n, t_f, norm_k, live_rs, sin_phi)
+        if degenerate:
+            cos_phi, sin_phi, cos_theta, residual = np.where(
+                zero_fid, np.nan, (cos_phi, sin_phi, cos_theta, residual))
+        return RecordColumns(
+            np.array([[c.index] for c in controllers]), np.array([[s.index for s in structures]]),
+            f_val, 1.0 - f_val, zeta, f_n, t_f, norm_k, norm_rs, k_coeff, cos_phi, sin_phi,
+            cos_theta, residual, gap <= PST_TOL, zero_fid)
 
     @property
     def abs_zeta(self) -> float:
@@ -225,3 +232,25 @@ class GeometryRecord(NamedTuple):
     def bound_product(self) -> float:
         """The factored form f_n t_f |K| |R_S| |sin phi|."""
         return scale_product(self.f_n, self.t_f, self.norm_K, self.norm_Rs) * abs(self.sin_phi)
+
+
+class RecordColumns(NamedTuple("RecordColumns",
+                                [(name, np.ndarray) for name in GeometryRecord._fields])):
+    """The records of an ensemble as columns, one array per field of
+    ``GeometryRecord``, as ``GeometryRecord.assemble`` makes them.
+
+    Every field broadcasts to (controllers x structures):
+    ``structure_index`` is a (1, structures) row, the fields a controller
+    shares (its index, F, e, t_f and the two flags) are (controllers, 1)
+    columns, and the rest are full arrays. ``rows`` gives the records.
+    """
+
+    __slots__ = ()
+
+    def rows(self) -> list[list[GeometryRecord]]:
+        """Each controller's records in structure order, with every field
+        the Python scalar of its entry."""
+        table = np.empty(self.zeta.shape + (len(self),), dtype=object)
+        for field, column in enumerate(self):
+            table[..., field] = column
+        return [list(map(GeometryRecord._make, row)) for row in table.tolist()]

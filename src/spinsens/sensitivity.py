@@ -7,13 +7,14 @@ eigenbasis: conjugate S into it, multiply entrywise by the divided
 differences X of exp(-iEt), and contract with the output and input rows
 of V (Najfeld & Havel, Adv. Appl. Math. 16, 1995). Every structure has
 rank at most 2 in site space, so no structure is conjugated: one O(N^3)
-contraction per controller (``hilbert_transfer``) gives the derivative
-for every structure and the norm |K| of the adjoint-picture sensitivity
-operator for every bias, and ``sensitivity_operator`` reads one
-structure's frame coefficient <R, K> and |K| off it, in O(N^2) for a
-coupling. One formula gives the divided differences at every gap,
-degenerate or not (see ``hadamard_core``); it returns the weights alone,
-and each route multiplies its eigenbasis directions by them.
+contraction per controller, stacked over an ensemble (``hilbert_transfer``),
+gives the derivative for every structure and the norm |K| of the
+adjoint-picture sensitivity operator for every bias, and
+``sensitivity_operator`` reads one structure's frame coefficient <R, K>
+and |K| off a controller's row of it, in O(N^2) for a coupling. One
+formula gives the divided differences at every gap, degenerate or not
+(see ``hadamard_core``); it returns the weights alone, and each route
+multiplies its eigenbasis directions by them.
 
 The real N^2-dimensional adjoint picture stays as the reference that
 verification checks against: the generator A is skew-symmetric, so iA is
@@ -156,15 +157,15 @@ def _eigensystem(spec: "NetworkSpec",
 
 
 class HilbertTransfer(NamedTuple):
-    """One working point in the N x N picture, shared by every direction.
+    """Working points in the N x N picture, shared by every direction.
 
-    A plain ``NamedTuple`` row of per-call arrays, which
-    ``evaluate_controller`` consumes and nothing keeps. ``e`` holds the
-    eigenvalues E of H, ``v`` its eigenvectors as columns, and ``column``
-    the propagated input U[:, in]. The rest is what every direction's
-    ``sensitivity_operator`` reads and is computed once per controller,
-    from the divided differences X of exp(-i E t_f) at E: ``x_sq`` =
-    |X|^2, ``k_pairs`` = 2 Im(conj(U_oi) Y) with the contraction
+    A plain ``NamedTuple`` of per-call arrays, which ``evaluate_ensemble``
+    consumes and nothing keeps. A stack of k points gives each array below
+    a leading axis of length k; a row is one point's transfer. ``e`` holds the eigenvalues E of H, ``v`` its eigenvectors as
+    columns, and ``column`` the propagated input U[:, in]. The rest is what
+    every direction's ``sensitivity_operator`` reads and is computed once
+    per point, from the divided differences X of exp(-i E t_f) at E:
+    ``x_sq`` = |X|^2, ``k_pairs`` = 2 Im(conj(U_oi) Y) with the contraction
     Y = (V o v_o) X (V o v_i)^T, whose entry (a, b) is the frame
     coefficient of the site pair, and ``bias_norms``, |K| of the bias
     direction of every site.
@@ -179,9 +180,9 @@ class HilbertTransfer(NamedTuple):
 
 
 def hilbert_transfer(spec: "NetworkSpec", biases: np.ndarray,
-                     t_f: float) -> HilbertTransfer:
-    """Eigensystem, propagated input and divided differences of one
-    controller, with the contraction every direction reads.
+                     t_f: float | np.ndarray) -> HilbertTransfer:
+    """Eigensystem, propagated input and divided differences of working
+    points, with the contraction every direction reads.
 
     Every structure is a symmetric S of rank at most 2 in site space, so
     its eigenbasis image S^ = V^T S V is v_a v_b^T (+ its transpose) in
@@ -195,21 +196,29 @@ def hilbert_transfer(spec: "NetworkSpec", biases: np.ndarray,
     (W X_off o W) 1 + sum_j (W_nj - 1/N)^2 |X_jj|^2, one more product for
     every site. Each term is non-negative, so a small |K| keeps its
     relative accuracy.
+
+    Biases (k, N) and read-out times (k,) give the stacked transfer from
+    one stacked ``eigh`` and product per term; every product runs per
+    matrix, so each row is the same floats as that point alone.
     """
     e, v, _ = _eigensystem(spec, biases)
-    n = e.shape[0]
+    t_f = np.asarray(t_f, dtype=float)
+    n = e.shape[-1]
     out, inp = spec.output_spin - 1, spec.input_spin - 1
-    column = (v * np.exp(-1j * e * t_f)) @ v[inp]
+    phases = np.exp(-1j * e * t_f[..., None])
+    column = ((v * phases[..., None, :]) @ v[..., inp, :, None])[..., 0]
     x = hadamard_core(-e, t_f)
     x_sq = x.real ** 2 + x.imag ** 2
     w = v * v
     x_off = x_sq.copy()
-    # the diagonal as a strided view of the flat matrix
-    x_off.reshape(-1)[::n + 1] = 0.0
-    bias_sq = ((w @ x_off) * w).sum(axis=1) + (w - 1.0 / n) ** 2 @ x_sq.diagonal()
-    k_weights = 2.0 * (np.conj(column[out]) * x).imag
-    return HilbertTransfer(e=e, v=v, column=column, x_sq=x_sq,
-                           k_pairs=(v * v[out]) @ k_weights @ (v * v[inp]).T,
+    # the diagonals as strided views of the flat matrices
+    x_off.reshape(x_off.shape[:-2] + (n * n,))[..., ::n + 1] = 0.0
+    x_diag = np.ascontiguousarray(x_sq.diagonal(axis1=-2, axis2=-1))[..., None]
+    bias_sq = ((w @ x_off) * w).sum(axis=-1) + ((w - 1.0 / n) ** 2 @ x_diag)[..., 0]
+    k_weights = 2.0 * (np.conj(column[..., out, None, None]) * x).imag
+    k_pairs = (v * v[..., out, None, :]) @ k_weights @ np.swapaxes(v * v[..., inp, None, :],
+                                                                    -1, -2)
+    return HilbertTransfer(e=e, v=v, column=column, x_sq=x_sq, k_pairs=k_pairs,
                            bias_norms=np.sqrt(2.0 * n * bias_sq))
 
 

@@ -392,6 +392,17 @@ class TestDegenerateEnsembles:
                 assert t_f * abs(r.k_coeff) <= 1e-12
                 assert r.pst
 
+    def test_mixed_stack_keeps_each_controllers_flags(self):
+        # perfect transfer, zero fidelity and neither in one pass: each
+        # controller keeps its own flags, and only the zero-fidelity one
+        # has nan angles
+        rows = analytics.evaluate_ensemble(
+            [chain2_controller(t_f, i) for i, t_f in enumerate((math.pi / 2.0, math.pi, 1.3))],
+            enumerate_structures(chain2_controller(1.0).spec)).rows()
+        assert [row[0].pst for row in rows] == [True, False, False]
+        assert [row[0].zero_fidelity for row in rows] == [False, True, False]
+        assert [math.isnan(row[0].cos_phi) for row in rows] == [False, True, False]
+
     def test_huge_read_out_time_rejected(self):
         # t_f * max|E| above the bound leaves exp(-iEt) without a reliable
         # digit; the two-spin chain at zero bias has max|E| = 1

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from spinsens import (Controller, NetworkSpec, SynthesisConfig, analyze,
-                      synthesize_ensemble, transfer_fidelity)
+                      controllers_to_json, synthesize_ensemble, transfer_fidelity)
 from spinsens.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, build_parser,
                           config_hash, main, write_records_csv,
                           write_summaries_csv)
@@ -454,6 +454,25 @@ class TestAnalyzeInputs:
         assert err.startswith("error:")
         assert "controller 4" in err and "tf" in err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_first_huge_read_out_time_in_input_order_named(self, tmp_path, capsys):
+        # the 2nd and 4th rows are past the bound; the one pass over the
+        # ensemble names the first of them in input order, not the lowest
+        # index, and no table is written
+        spec = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
+        ensemble = [Controller(biases=np.zeros(2), t_f=t_f,
+                               fidelity=min(1.0, transfer_fidelity(spec, np.zeros(2), t_f)),
+                               spec=spec, seed=0, index=index)
+                    for index, t_f in ((7, 1.0), (2, 2e8), (5, 1.3), (0, 3e8))]
+        with pytest.raises(ValueError, match=r"^controller 2: tf 200000000\.0 "):
+            analyze(ensemble)
+        rows = tmp_path / "rows.json"
+        rows.write_text(controllers_to_json(ensemble))
+        (tmp_path / "rows.spec.json").write_text(spec.to_json())
+        assert main(["analyze", str(rows), "--records", str(tmp_path / "r.csv"),
+                     "--summaries", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: controller 2: tf 200000000.0 ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.json", "rows.spec.json"]
 
     def test_empty_ensemble_is_validation_error(self, tmp_path):
         empty = tmp_path / "none.json"

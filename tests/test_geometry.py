@@ -172,9 +172,9 @@ class TestPerfectTransferFlag:
         coupling = enumerate_structures(CHAIN2)[2]
 
         def flag(gap):
-            record, = GeometryRecord.assemble(
-                ctl, (coupling,), f_val=0.5, k_coeff=[0.1], norm_k=[1.0],
-                norm_rs=[math.hypot(0.25, 0.1)], perp=[0.1], gap=gap)
+            (record,), = GeometryRecord.assemble(
+                [ctl], (coupling,), f_val=[0.5], k_coeff=[[0.1]], norm_k=[[1.0]],
+                norm_rs=[[math.hypot(0.25, 0.1)]], perp=[[0.1]], gap=[gap]).rows()
             return record.pst
 
         assert flag(PST_TOL) is True
@@ -266,9 +266,9 @@ class TestControllerAssembly:
         if vanishing:
             norm_rs[5] = 0.0
         zero_fid = f_val < ZERO_FIDELITY_FLOOR or vanishing
-        records = GeometryRecord.assemble(ctl, structures, f_val=f_val, k_coeff=k,
-                                          norm_k=norm_k, norm_rs=norm_rs, perp=perp,
-                                          gap=gap)
+        records, = GeometryRecord.assemble([ctl], structures, f_val=[f_val], k_coeff=[k],
+                                           norm_k=[norm_k], norm_rs=[norm_rs], perp=[perp],
+                                           gap=[gap]).rows()
         expected = [record_alone(ctl, s, f_val, zero_fid, *row, gap) for s, row in zip(
             structures, zip(k.tolist(), norm_k.tolist(), norm_rs.tolist(), perp.tolist()))]
         # repr shows every digit, and nan equals nan
@@ -281,9 +281,9 @@ class TestControllerAssembly:
         ctl = Controller(biases=np.ones(4), t_f=1.3, fidelity=0.5, spec=self.RING4,
                          seed=0, index=0)
         with pytest.raises(ValueError, match="norm_K must be positive"):
-            GeometryRecord.assemble(ctl, enumerate_structures(self.RING4), f_val=0.5,
-                                    k_coeff=[0.1] * 8, norm_k=[1.0] * 7 + [0.0],
-                                    norm_rs=[0.2] * 8, perp=[0.1] * 8, gap=0.3)
+            GeometryRecord.assemble([ctl], enumerate_structures(self.RING4), f_val=[0.5],
+                                    k_coeff=[[0.1] * 8], norm_k=[[1.0] * 7 + [0.0]],
+                                    norm_rs=[[0.2] * 8], perp=[[0.1] * 8], gap=[0.3])
 
 
 class TestRecordedDecompositions:

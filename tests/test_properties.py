@@ -3,7 +3,8 @@ invariants on the adjoint-picture reference records, the published
 records and the synthesis objective against that reference, the stacked
 synthesis objective against one call per point, the range of the
 published cosines at the synth boxes, and the stacked reference pass
-against one call per direction."""
+against one call per direction, and the published ensemble pass against
+one controller at a time."""
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinsens import Controller, NetworkSpec, adjoint_rep, enumerate_structures
-from spinsens import (adjoint_sensitivity_operator, fidelity_objective, project,
-                      transfer_fidelity)
-from spinsens.analytics import evaluate_controller
+from spinsens import (adjoint_sensitivity_operator, analyze, fidelity_objective,
+                      hilbert_transfer, project, transfer_fidelity)
+from spinsens.analytics import evaluate_controller, evaluate_ensemble
 from spinsens.verification import (_adjoint_frame, _structure_images,
                                    adjoint_records, record_gap)
 
@@ -270,3 +271,63 @@ def test_stacked_reference_matches_per_direction_calls(controller, pick):
     # and a vanishing operator leaves no projection
     with pytest.raises(ValueError, match="vanishing sensitivity operator"):
         project(f_val, k_coeff, phi, k_zeroed, norm_zeroed)
+
+
+def stack_of(spec, points):
+    # the controllers of (biases, t_f) points on one network, indexed in order
+    return [Controller(biases=np.asarray(biases, dtype=float), t_f=t_f,
+                       fidelity=min(1.0, max(0.0, transfer_fidelity(spec, biases, t_f))),
+                       spec=spec, seed=0, index=index)
+            for index, (biases, t_f) in enumerate(points)]
+
+
+CHAIN2 = NetworkSpec(num_spins=2, topology="chain", input_spin=1, output_spin=2)
+RING6 = NetworkSpec(num_spins=6, topology="ring", input_spin=1, output_spin=4)
+
+
+@st.composite
+def ensembles(draw):
+    # one to six controllers on one chain or ring of 2 to 12 spins: spread,
+    # uniform or zero biases (a zero-bias ring has a degenerate spectrum),
+    # and read-out times from 0.1 to 50 or 1e-3, where an output two or more
+    # sites away holds F below the zero-fidelity floor
+    spec = draw(networks(12))
+    n = spec.num_spins
+    bias = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+    points = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(("spread", "zero", "uniform")))
+        if kind == "spread":
+            biases = draw(st.lists(bias, min_size=n, max_size=n))
+        else:
+            biases = [0.0 if kind == "zero" else draw(bias)] * n
+        t_f = draw(st.one_of(st.just(1e-3), st.floats(min_value=0.1, max_value=50.0)))
+        points.append((biases, t_f))
+    return stack_of(spec, points)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ensembles())
+# perfect transfer, the excitation back on the input (zero fidelity) and a
+# detuned point on the 2-chain; a zero-bias 6-ring, a zero-fidelity point
+# and a spread one on it
+@example(stack_of(CHAIN2, [([0.0, 0.0], np.pi / 2.0), ([0.0, 0.0], np.pi),
+                           ([0.0, 0.0], 1.3), ([0.4, 7.0], 0.7)]))
+@example(stack_of(RING6, [([0.0] * 6, 2.0), ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 1e-3),
+                          ([9.5, 0.1, 3.3, 0.0, 7.2, 5.0], 50.0)]))
+def test_ensemble_rows_are_each_controller_alone(ensemble):
+    # the one stacked pass gives every controller the records it gets
+    # alone, bit for bit, and analyze publishes them in order; the stacked
+    # transfer rows are the single-point arrays
+    spec = ensemble[0].spec
+    structures = tuple(enumerate_structures(spec))
+    rows = evaluate_ensemble(ensemble, structures).rows()
+    # repr shows every digit and the sign of a zero, and nan equals nan
+    assert repr(rows) == repr([evaluate_controller(c, structures) for c in ensemble])
+    records, _ = analyze(ensemble)
+    assert repr(records) == repr([r for row in rows for r in row])
+    transfer = hilbert_transfer(spec, np.array([c.biases for c in ensemble]),
+                                np.array([c.t_f for c in ensemble]))
+    for c, row in zip(ensemble, zip(*transfer)):
+        for stacked, alone in zip(row, hilbert_transfer(spec, c.biases, c.t_f)):
+            assert stacked.shape == alone.shape and stacked.tobytes() == alone.tobytes()

@@ -18,6 +18,7 @@ import pytest
 from spinsens import (Controller, NetworkSpec, adjoint_rep, build_hamiltonian,
                       transfer_fidelity, verification)
 from spinsens.cli import main
+from spinsens.geometry import RecordColumns
 from spinsens.verification import (check_cross_formulation, check_lemma1,
                                    check_lemma2, check_necessity,
                                    check_pst_sufficiency, check_remark1,
@@ -313,7 +314,9 @@ def test_necessity_report_branches(pool, monkeypatch, fields, passed, detail):
     record = pool[0].record._replace(**{**base, **fields})
     monkeypatch.setattr(verification, "synthesize_ensemble",
                         lambda spec, config: [None])
-    monkeypatch.setattr(verification, "evaluate_controller",
-                        lambda controller, structures: [record])
+    # the ensemble pass's columns of that one record
+    monkeypatch.setattr(verification, "evaluate_ensemble",
+                        lambda controllers, structures: RecordColumns(
+                            *(np.array([[value]]) for value in record)))
     res = check_necessity(seed=0, restarts=1)
     assert (res.name, res.passed, res.detail) == ("theorem2-necessity", passed, detail)
